@@ -9,6 +9,13 @@ with each u_j capped at q-1. The pattern (beta_1, ..., beta_K), K = n(q-1),
 quantifies how much degree-k polynomial structure is aliased with the mean;
 designs are ranked by sequentially minimizing beta_3, beta_4, ...
 (strength-2 arrays already have beta_1 = beta_2 = 0).
+
+Bit identity: JSON output prints floats with repr, so every digit of a
+measure is part of the output. The kernels here keep the order of the
+floating-point operations fixed: products run over the columns in ascending
+order, sums reduce contiguous rows, and the pair identity sums its rows in
+full N^2 order. A faster kernel must reproduce the same operations in the
+same order, not only the same value to rounding.
 """
 
 from dataclasses import dataclass
@@ -62,6 +69,72 @@ def _check_k(design: Design, k: int):
         raise InputError(f"k={k} out of range 1..{K}")
 
 
+_CHUNK_BYTES = 2**19  # about 0.5 MB per float array of a stacked kernel
+
+
+def designs_per_chunk(N: int, n: int, q: int, ks=()) -> int:
+    """Designs per stack chunk that keep each array of beta_k_stack near _CHUNK_BYTES.
+
+    The widest array per design is the (C, N) product of the largest
+    exponent shell in ks, or the (n*q + 1, N) value table; an integer level
+    stack of the same designs is smaller still.
+    """
+    widest = max([n * q + 1] + [len(compositions(k, n, q - 1)) for k in ks])
+    return max(1, _CHUNK_BYTES // (8 * widest * N))
+
+
+@lru_cache(maxsize=None)
+def _support_index(k: int, n: int, q: int) -> np.ndarray:
+    """Value-table rows to multiply for each exponent vector of degree k.
+
+    Row j*q + u of the table holds p_u on column j and row n*q holds 1.0.
+    Each exponent vector lists its nonzero columns in ascending order,
+    padded with the 1.0 row to width min(k, n). Since p_0 is exactly 1.0,
+    skipping the zero exponents changes no bits of the product.
+    """
+    comps = compositions(k, n, q - 1)
+    width = min(k, n)
+    nonzero = comps != 0
+    cols = np.argsort(~nonzero, axis=1, kind="stable")[:, :width]
+    exps = np.take_along_axis(comps, cols, axis=1)
+    idx = np.where(np.take_along_axis(nonzero, cols, axis=1), cols * q + exps, n * q)
+    idx.setflags(write=False)
+    return idx
+
+
+def beta_k_stack(rows, ks, basis: OrthonormalBasis) -> np.ndarray:
+    """beta_k of every design in a (B, N, n) stack of level arrays.
+
+    All designs share basis.q. Returns shape (B, len(ks)), column t holding
+    beta_{ks[t]}. The result is bit-identical to the plain enumeration: per
+    exponent vector, the product over columns of p_{u_j}(x_ij) (zero
+    exponents contribute exact 1.0 factors and are skipped), summed over the
+    runs, squared and summed. The stack is processed in chunks of
+    designs_per_chunk designs.
+    """
+    rows = np.asarray(rows)
+    B, N, n = rows.shape
+    q = basis.q
+    idxs = [_support_index(k, n, q) for k in ks]
+    step = designs_per_chunk(N, n, q, ks)
+    out = np.empty((B, len(idxs)))
+    for lo in range(0, B, step):
+        chunk = rows[lo : lo + step]
+        # W[b, j*q + u, i] = p_u(x_ij); the last row is 1.0
+        W = np.empty((len(chunk), n * q + 1, N))
+        W[:, : n * q] = basis.values[:, chunk].transpose(1, 3, 0, 2).reshape(-1, n * q, N)
+        W[:, n * q] = 1.0
+        for t, idx in enumerate(idxs):
+            # np.take keeps the (b, C, N) product contiguous, so each row sum
+            # reduces N values in the same order as a single design's would
+            prod = np.take(W, idx[:, 0], axis=1)
+            for col in idx.T[1:]:
+                prod *= np.take(W, col, axis=1)
+            sums = prod.sum(axis=2)
+            out[lo : lo + step, t] = (sums * sums).sum(axis=1) / N**2
+    return np.maximum(out, 0.0)
+
+
 def beta_k(design: Design, k: int, basis: OrthonormalBasis = None) -> float:
     """Single aliasing measure beta_k, by direct enumeration of exponents."""
     _check_k(design, k)
@@ -69,14 +142,7 @@ def beta_k(design: Design, k: int, basis: OrthonormalBasis = None) -> float:
         basis = orthonormal_basis(design.q)
     elif basis.q != design.q:
         raise InputError("basis level count does not match the design")
-    N, n = design.rows.shape
-    V = basis.values[:, design.rows]  # (q, N, n): V[u, i, j] = p_u(x_ij)
-    comps = compositions(k, n, design.q - 1)
-    prod = np.ones((len(comps), N))
-    for j in range(n):
-        prod *= V[comps[:, j], :, j]
-    sums = prod.sum(axis=1)
-    return max(float((sums * sums).sum()) / N**2, 0.0)
+    return float(beta_k_stack(design.rows[None], (k,), basis)[0, 0])
 
 
 def _pattern_by_pairs(design: Design, basis: OrthonormalBasis) -> np.ndarray:
@@ -87,21 +153,32 @@ def _pattern_by_pairs(design: Design, basis: OrthonormalBasis) -> np.ndarray:
     G_t(x, y) = sum_u t^u p_u(x) p_u(y): per column, convolve the
     degree-indexed kernel coefficients. Cost O(N^2 K q), independent of the
     number of exponent vectors, and exactly equal to the direct sum.
+
+    G[x, y] and G[y, x] are bitwise equal, so the pairs (i, i') and (i', i)
+    carry bitwise equal coefficients: only the N(N+1)/2 unordered pairs are
+    convolved, then gathered back into full N^2 row order for the sum.
     """
     q = design.q
     B = basis.values
     N, n = design.rows.shape
-    G = np.einsum("ua,ub->abu", B, B)  # (q, q, q): degree-indexed kernel
-    coeffs = np.ones((N * N, 1))
-    for j in range(n):
-        col = design.rows[:, j]
-        A = G[col[:, None], col[None, :]].reshape(N * N, q)
-        L = coeffs.shape[1]
-        nxt = np.zeros((N * N, L + q - 1))
+    G = np.einsum("ua,ub->uab", B, B)  # (q, q, q): degree-indexed kernel
+    first, second = np.triu_indices(N)
+    rows = design.rows
+    # coefficients are (degree, pair), so each convolution step adds
+    # contiguous blocks; the first column's step against the constant 1 is
+    # 0.0 + A
+    coeffs = G[:, rows[first, 0], rows[second, 0]] + 0.0
+    for j in range(1, n):
+        A = G[:, rows[first, j], rows[second, j]]
+        L = coeffs.shape[0]
+        nxt = np.zeros((L + q - 1, len(first)))
         for d in range(q):
-            nxt[:, d : d + L] += A[:, d : d + 1] * coeffs
+            nxt[d : d + L] += A[d] * coeffs
         coeffs = nxt
-    return coeffs.sum(axis=0) / N**2
+    pair = np.empty((N, N), dtype=np.intp)
+    pair[first, second] = pair[second, first] = np.arange(len(first))
+    # (N^2, K+1) in row-pair order, C-contiguous: the sum adds the rows in turn
+    return np.ascontiguousarray(coeffs.T[pair.ravel()]).sum(axis=0) / N**2
 
 
 def beta_pattern(design: Design, k_max: int = None, basis: OrthonormalBasis = None) -> BetaPattern:

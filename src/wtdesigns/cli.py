@@ -2,13 +2,11 @@
 
 Exit codes: 0 success (or verification pass), 1 usage error, 2 invalid
 mathematical input, 3 internal failure, 4 verification or reproduction
-mismatch. All printed values are deterministic for a given flag set;
---jobs never changes any output, it only bounds worker usage.
+mismatch. All printed values are deterministic for a given flag set.
 """
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -31,6 +29,7 @@ from .models import estimate_variances, info_matrix_csv, information_matrix
 from .optimal import (
     SEARCH_CAP,
     build_design,
+    closed_form_sweep,
     enumerate_q2_generators,
     optimal_shift_linear,
     optimal_shift_williams,
@@ -87,14 +86,6 @@ def _design_from_args(args) -> Design:
     if getattr(args, "williams", False):
         design = williams(design)
     return design
-
-
-def _jobs_default() -> int:
-    raw = os.environ.get("WTDESIGNS_JOBS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def cmd_construct(args) -> int:
@@ -210,11 +201,10 @@ def _verify_theorem1(q, nmax) -> list:
     basis = orthonormal_basis(q)
     failures = []
     for n in range(3, nmax + 1):
-        for gen in enumerate_q2_generators(q, n):
-            design = build_design(gen, optimal_shift_williams(gen), "williams")
-            v = beta_k(design, 3, basis)
+        C, _, betas = closed_form_sweep(q, n, "williams", (3,), basis)
+        for coeffs, v in zip(C, betas[:, 0]):
             if v > 1e-9:
-                failures.append(f"n={n} C={gen.C.tolist()}: beta3={v:.3g}")
+                failures.append(f"n={n} C={coeffs.tolist()}: beta3={v:.3g}")
     return failures
 
 
@@ -302,7 +292,6 @@ def build_parser() -> _Parser:
     p.add_argument("--generators", required=True)
     p.add_argument("--family", choices=("linear", "williams"), required=True)
     p.add_argument("--kmax", type=int)
-    p.add_argument("--jobs", type=int, default=_jobs_default())
     p.add_argument("--force", action="store_true", help="allow large scans")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_search)
@@ -315,13 +304,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("count", help="recursive-design counts over the reduced space")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=_jobs_default())
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("searchq2", help="generator-space search for q^2-run designs")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=_jobs_default())
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_searchq2)
 

@@ -7,6 +7,7 @@ factorial in the independent columns. Shifting dependent columns by constants
 elementwise are the two constructions everything else evaluates.
 """
 
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -103,21 +104,36 @@ def _proportional_pairs(vectors: np.ndarray, q: int):
     return out
 
 
-def expand(gen: GeneratorSet, cap: int = RUN_CAP) -> Design:
-    """Expand a generator set into its regular design.
+def expand_stack(C: np.ndarray, q: int) -> np.ndarray:
+    """Regular designs of a (B, m, d) coefficient stack, shape (B, q^d, d + m).
 
     Independent columns run through the full factorial in enumerate_tuples
     order; dependent column i is the generator linear combination mod q.
     """
-    d = gen.n - gen.m
-    runs = gen.q**d
+    base = full_factorial(q, C.shape[2])
+    dep = (base @ C.transpose(0, 2, 1)) % q
+    return np.concatenate([np.broadcast_to(base, dep.shape[:1] + base.shape), dep], axis=2)
+
+
+def shift_stack(rows: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    """Level stacks with the last m columns shifted by a (B, m) stack b mod q.
+
+    rows is (B, N, n), or (1, N, n) to shift one design by every b.
+    """
+    m = b.shape[1]
+    out = np.array(np.broadcast_to(rows, (len(b),) + rows.shape[1:]))
+    out[:, :, -m:] = (out[:, :, -m:] + b[:, None, :] % q) % q
+    return out
+
+
+def expand(gen: GeneratorSet, cap: int = RUN_CAP) -> Design:
+    """Expand a generator set into its regular design (see expand_stack)."""
+    runs = gen.q ** (gen.n - gen.m)
     if runs > cap:
         raise CapExceededError(
             f"run count {runs} exceeds the cap of {cap}; raise cap= to proceed"
         )
-    base = full_factorial(gen.q, d)
-    dep = (base @ gen.C.T) % gen.q
-    return Design(gen.q, np.hstack([base, dep]))
+    return Design(gen.q, expand_stack(gen.C[None], gen.q)[0])
 
 
 def linear_permute(gen: GeneratorSet, b) -> Design:
@@ -125,11 +141,7 @@ def linear_permute(gen: GeneratorSet, b) -> Design:
     b = np.asarray(b, dtype=np.int64).ravel()
     if b.size != gen.m:
         raise InputError(f"shift vector has length {b.size}, expected {gen.m}")
-    base_design = expand(gen)
-    d = gen.n - gen.m
-    rows = base_design.rows.copy()
-    rows[:, d:] = (rows[:, d:] + b % gen.q) % gen.q
-    return Design(gen.q, rows)
+    return Design(gen.q, shift_stack(expand(gen).rows[None], b[None], gen.q)[0])
 
 
 def williams_value(x: int, q: PrimeLevel) -> int:
@@ -151,14 +163,22 @@ def williams_inverse(x: int, q: PrimeLevel) -> int:
     return x // 2 if x % 2 == 0 else q - (x + 1) // 2
 
 
+@lru_cache(maxsize=None)
 def williams_table(q: PrimeLevel) -> np.ndarray:
-    """Lookup table t with t[x] = williams_value(x, q)."""
-    return np.array([williams_value(x, q) for x in range(q)], dtype=np.int64)
+    """Lookup table t with t[x] = williams_value(x, q), read-only and cached."""
+    table = np.array([williams_value(x, q) for x in range(q)], dtype=np.int64)
+    table.setflags(write=False)
+    return table
+
+
+def williams_levels(rows: np.ndarray, q: PrimeLevel) -> np.ndarray:
+    """The Williams transformation of every entry of a level array or stack."""
+    return williams_table(q)[rows]
 
 
 def williams(design: Design) -> Design:
     """Apply the Williams transformation elementwise."""
-    return Design(design.q, williams_table(design.q)[design.rows])
+    return Design(design.q, williams_levels(design.rows, design.q))
 
 
 def add_constant(design: Design, s: int) -> Design:

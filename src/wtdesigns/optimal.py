@@ -17,20 +17,24 @@ import numpy as np
 
 from .aberration import (
     DEFAULT_TOL,
-    beta_k,
+    beta_k_stack,
     beta_pattern,
     compositions,
+    designs_per_chunk,
 )
 from .designs import (
     Design,
     GeneratorSet,
     expand,
+    expand_stack,
     linear_permute,
+    shift_stack,
     williams,
+    williams_levels,
     williams_table,
 )
 from .errors import CapExceededError, InputError
-from .fieldmath import PrimeLevel, check_odd_prime, full_factorial
+from .fieldmath import PrimeLevel, check_odd_prime
 from .orthopoly import orthonormal_basis
 
 FAMILIES = ("linear", "williams")
@@ -47,6 +51,12 @@ def center_preimage(q: PrimeLevel) -> int:
     return (q - 1) // 4 if q % 4 == 1 else (3 * q - 1) // 4
 
 
+def _closed_form_shifts(C: np.ndarray, q: int, family: str) -> np.ndarray:
+    """Closed-form shift vectors of a (..., m, d) coefficient stack, shape (..., m)."""
+    g = center_preimage(q) if family == "williams" else (q - 1) // 2
+    return ((1 - C.sum(axis=-1)) * g) % q
+
+
 def optimal_shift_williams(gen: GeneratorSet) -> list:
     """Closed-form shift vector for the Williams family.
 
@@ -54,9 +64,7 @@ def optimal_shift_williams(gen: GeneratorSet) -> list:
     Williams-transformed design at this shift is mirror-symmetric, so its
     odd-degree aliasing measures all vanish.
     """
-    g = center_preimage(gen.q)
-    sums = gen.C.sum(axis=1)
-    return [int(((1 - s) * g) % gen.q) for s in sums]
+    return _closed_form_shifts(gen.C, gen.q, "williams").tolist()
 
 
 def optimal_shift_linear(gen: GeneratorSet) -> list:
@@ -65,9 +73,7 @@ def optimal_shift_linear(gen: GeneratorSet) -> list:
     Component i is (1 - sum_j c_ij) * (q-1)/2 mod q; the shifted design is
     mirror-symmetric around the center level.
     """
-    half = (gen.q - 1) // 2
-    sums = gen.C.sum(axis=1)
-    return [int(((1 - s) * half) % gen.q) for s in sums]
+    return _closed_form_shifts(gen.C, gen.q, "linear").tolist()
 
 
 def build_design(gen: GeneratorSet, b, family: str) -> Design:
@@ -76,6 +82,16 @@ def build_design(gen: GeneratorSet, b, family: str) -> Design:
         raise InputError(f"family must be one of {FAMILIES}, got {family!r}")
     design = linear_permute(gen, b)
     return williams(design) if family == "williams" else design
+
+
+def _family_rows(expanded: np.ndarray, b: np.ndarray, q: int, family: str) -> np.ndarray:
+    """Family members of expanded designs at the (B, m) shift stack b, shape (B, N, n).
+
+    The stacked form of build_design: shift_stack, then williams_levels for
+    the Williams family.
+    """
+    rows = shift_stack(expanded, b, q)
+    return williams_levels(rows, q) if family == "williams" else rows
 
 
 @dataclass(frozen=True)
@@ -138,9 +154,9 @@ def shift_grid_beta(gen: GeneratorSet, family: str, k: int, basis=None) -> np.nd
         basis = orthonormal_basis(gen.q)
     q, m, n = gen.q, gen.m, gen.n
     d = n - m
-    base = full_factorial(q, d)
+    full = expand_stack(gen.C[None], q)[0]
+    base, dep = full[:, :d], full[:, d:]
     N = base.shape[0]
-    dep = (base @ gen.C.T) % q
     relabel = williams_table(q) if family == "williams" else np.arange(q)
     B = basis.values
     ind_vals = [B[:, relabel[base[:, j]]] for j in range(d)]
@@ -177,12 +193,24 @@ def shift_grid_beta(gen: GeneratorSet, family: str, k: int, basis=None) -> np.nd
     return total + const
 
 
-def _patterns_for(gen, family, b_list, k_max, basis) -> np.ndarray:
-    rows = []
-    for b in b_list:
-        design = build_design(gen, b, family)
-        rows.append(beta_pattern(design, k_max, basis).values)
-    return np.asarray(rows, dtype=float)
+def _shift_stacks(gen, family, shifts, ks=()):
+    """Level stacks of the family members at each shift vector, in chunks.
+
+    The generator set is expanded once; each member shifts its dependent
+    columns. Chunks hold designs_per_chunk designs for the degrees ks.
+    """
+    expanded = expand(gen).rows[None]
+    step = designs_per_chunk(expanded.shape[1], gen.n, gen.q, ks)
+    for lo in range(0, len(shifts), step):
+        yield _family_rows(expanded, shifts[lo : lo + step], gen.q, family)
+
+
+def _patterns_for(gen, family, shifts, k_max, basis) -> np.ndarray:
+    out = []
+    for stack in _shift_stacks(gen, family, shifts):
+        for rows in stack:
+            out.append(beta_pattern(Design(gen.q, rows), k_max, basis).values)
+    return np.asarray(out, dtype=float)
 
 
 def search_shifts(
@@ -217,7 +245,7 @@ def search_shifts(
 
     if total <= _DIRECT_LIMIT:
         b_list = [list(t) for t in product(range(q), repeat=m)]
-        patterns = _patterns_for(gen, family, b_list, k_max, basis)
+        patterns = _patterns_for(gen, family, np.array(b_list), k_max, basis)
         alive, decided = _rank_candidates(patterns, tol)
         winner = int(alive[0])
         return SearchReport(
@@ -239,14 +267,11 @@ def search_shifts(
         if k > 5:
             # supports get wide and the grid tables stop paying off;
             # fall back to per-candidate evaluation of the survivors
-            vals = np.array(
+            shifts = np.stack(np.unravel_index(alive_idx, shape), axis=1)
+            vals = np.concatenate(
                 [
-                    beta_k(
-                        build_design(gen, np.unravel_index(i, shape), family),
-                        k,
-                        basis,
-                    )
-                    for i in alive_idx
+                    beta_k_stack(rows, (k,), basis)[:, 0]
+                    for rows in _shift_stacks(gen, family, shifts, (k,))
                 ]
             )
         else:
@@ -257,7 +282,7 @@ def search_shifts(
             alive_idx = alive_idx[keep]
 
     b_list = [list(map(int, np.unravel_index(i, shape))) for i in alive_idx]
-    patterns = _patterns_for(gen, family, b_list, k_max, basis)
+    patterns = _patterns_for(gen, family, np.array(b_list), k_max, basis)
     sub_alive, sub_decided = _rank_candidates(patterns, tol)
     if sub_decided is not None:
         decided = sub_decided
@@ -281,15 +306,26 @@ def enumerate_q2_generators(q: PrimeLevel, n: int):
     directions, and the direction set is kept in canonical ascending order.
     Yields exactly C(q-1, n-2) * ((q-1)/2)^(n-2) generator sets.
     """
+    for block in _q2_coefficient_blocks(q, n):
+        for C in block:
+            yield GeneratorSet(q, C)
+
+
+def _q2_coefficient_blocks(q: PrimeLevel, n: int):
+    """The coefficients of enumerate_q2_generators, in its order.
+
+    Yields one (((q-1)/2)^m, m, 2) block per slope set, m = n - 2: dependent
+    column i is (c_i, c_i * s_i mod q) for the slopes s_i and every scale
+    vector c in product order.
+    """
     q = check_odd_prime(q)
     if not 3 <= n <= q + 1:
         raise InputError(f"n={n} out of range 3..{q + 1} for q={q}")
     m = n - 2
     half = (q - 1) // 2
+    scales = np.array(list(product(range(1, half + 1), repeat=m)), dtype=np.int64)
     for slopes in combinations(range(1, q), m):
-        for scales in product(range(1, half + 1), repeat=m):
-            C = [[c1, (c1 * s) % q] for c1, s in zip(scales, slopes)]
-            yield GeneratorSet(q, C)
+        yield np.stack([scales, (scales * np.array(slopes)) % q], axis=2)
 
 
 @dataclass(frozen=True)
@@ -349,50 +385,62 @@ def standard_generators(q: PrimeLevel, n: int) -> GeneratorSet:
     return GeneratorSet(q, [[1, s] for s in range(1, n - 1)])
 
 
-def _family_best(q, n, family, candidates, basis, tol) -> FamilyBest:
-    shift_of = (
-        optimal_shift_linear if family == "linear" else optimal_shift_williams
-    )
-    evals = []
-    for gen in candidates:
-        b = shift_of(gen)
-        design = build_design(gen, b, family)
-        b3 = beta_k(design, 3, basis)
-        b4 = beta_k(design, 4, basis)
-        evals.append((gen, b, design, b3, b4))
+def closed_form_sweep(q: PrimeLevel, n: int, family: str, ks, basis=None):
+    """beta_k of every reduced q^2-run generator set at its closed-form shift.
 
+    Returns (C, b, betas): the (B, m, 2) coefficient stack in
+    enumerate_q2_generators order, the (B, m) closed-form shift vectors of
+    the family, and the (B, len(ks)) measures. The designs are built and
+    evaluated as integer stacks of designs_per_chunk designs, with no
+    Design objects.
+    """
+    if family not in FAMILIES:
+        raise InputError(f"family must be one of {FAMILIES}, got {family!r}")
+    if basis is None:
+        basis = orthonormal_basis(q)
+    C = np.concatenate(list(_q2_coefficient_blocks(q, n)))
+    b = _closed_form_shifts(C, q, family)
+    betas = np.empty((len(C), len(ks)))
+    step = designs_per_chunk(q * q, n, q, ks)
+    for lo in range(0, len(C), step):
+        part = slice(lo, lo + step)
+        rows = _family_rows(expand_stack(C[part], q), b[part], q, family)
+        betas[part] = beta_k_stack(rows, ks, basis)
+    return C, b, betas
+
+
+def _family_best(q, n, family, basis, tol) -> FamilyBest:
+    C, b, betas = closed_form_sweep(q, n, family, (3, 4), basis)
+    alive = np.arange(len(C))
     decided = None
-    vals3 = np.array([e[3] for e in evals])
-    keep = _keep_minimal(vals3, tol)
-    if not keep.all():
-        decided = 3
-    alive = [e for e, kp in zip(evals, keep) if kp]
-    vals4 = np.array([e[4] for e in alive])
-    keep = _keep_minimal(vals4, tol)
-    if not keep.all():
-        decided = 4
-    alive = [e for e, kp in zip(alive, keep) if kp]
+    for col, k in ((0, 3), (1, 4)):
+        keep = _keep_minimal(betas[alive, col], tol)
+        if not keep.all():
+            decided = k
+            alive = alive[keep]
 
+    # Design objects and full patterns only for the survivors; the
+    # winner's pattern is among them
+    survivors = _family_rows(expand_stack(C[alive], q), b[alive], q, family)
+    patterns = [beta_pattern(Design(q, rows), basis=basis).values for rows in survivors]
     if len(alive) > 1:
-        patterns = np.array(
-            [beta_pattern(e[2], basis=basis).values for e in alive]
-        )
-        idx, sub_decided = _rank_candidates(patterns, tol)
+        idx, sub_decided = _rank_candidates(np.array(patterns), tol)
         if sub_decided is not None:
             decided = sub_decided
-        alive = [alive[i] for i in idx]
+        alive = alive[idx]
+        patterns = [patterns[i] for i in idx]
 
-    alive.sort(key=lambda e: e[0].C.tolist())
-    win = alive[0]
+    order = sorted(range(len(alive)), key=lambda i: C[alive[i]].tolist())
+    win = alive[order[0]]
     return FamilyBest(
         family=family,
-        generators=win[0].C.tolist(),
-        b=list(win[1]),
-        beta3=win[3],
-        beta4=win[4],
-        pattern=tuple(beta_pattern(win[2], basis=basis).values),
-        ties=[e[0].C.tolist() for e in alive],
-        evaluations=len(evals),
+        generators=C[win].tolist(),
+        b=b[win].tolist(),
+        beta3=float(betas[win, 0]),
+        beta4=float(betas[win, 1]),
+        pattern=patterns[order[0]],
+        ties=[C[alive[i]].tolist() for i in order],
+        evaluations=len(C),
         decided_k=decided,
     )
 
@@ -407,9 +455,8 @@ def search_q2(q: PrimeLevel, n: int, tol: float = DEFAULT_TOL) -> Q2Report:
     basis = orthonormal_basis(q)
     std = standard_generators(q, n)
     std_pattern = beta_pattern(expand(std), basis=basis)
-    candidates = list(enumerate_q2_generators(q, n))
-    linear = _family_best(q, n, "linear", candidates, basis, tol)
-    will = _family_best(q, n, "williams", candidates, basis, tol)
+    linear = _family_best(q, n, "linear", basis, tol)
+    will = _family_best(q, n, "williams", basis, tol)
     return Q2Report(
         q=q,
         n=n,

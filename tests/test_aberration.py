@@ -12,11 +12,49 @@ from wtdesigns import (
     beta_sum_check,
     build_design,
     compare_patterns,
+    enumerate_q2_generators,
     expand,
     full_factorial,
+    optimal_shift_linear,
+    optimal_shift_williams,
     orthonormal_basis,
 )
-from wtdesigns.aberration import compositions
+from wtdesigns import aberration
+from wtdesigns.aberration import _pattern_by_pairs, beta_k_stack, compositions
+from wtdesigns.optimal import closed_form_sweep
+
+
+def enumeration_beta_k(design, k, basis):
+    """Oracle: the product over every column of p_{u_j}(x_ij), exponent by exponent."""
+    N, n = design.rows.shape
+    V = basis.values[:, design.rows]  # (q, N, n): V[u, i, j] = p_u(x_ij)
+    comps = compositions(k, n, design.q - 1)
+    prod = np.ones((len(comps), N))
+    for j in range(n):
+        prod *= V[comps[:, j], :, j]
+    sums = prod.sum(axis=1)
+    return max(float((sums * sums).sum()) / N**2, 0.0)
+
+
+def full_pairs_pattern(design, basis):
+    """Oracle: the pair identity over all N^2 ordered row pairs."""
+    q = design.q
+    B = basis.values
+    N, n = design.rows.shape
+    G = np.einsum("ua,ub->abu", B, B)
+    coeffs = np.ones((N * N, 1))
+    for j in range(n):
+        col = design.rows[:, j]
+        A = G[col[:, None], col[None, :]].reshape(N * N, q)
+        L = coeffs.shape[1]
+        nxt = np.zeros((N * N, L + q - 1))
+        for d in range(q):
+            nxt[:, d : d + L] += A[:, d : d + 1] * coeffs
+        coeffs = nxt
+    return coeffs.sum(axis=0) / N**2
+
+
+STACK_CELLS = [(5, 3), (5, 4), (5, 5), (5, 6), (7, 4)]
 
 
 # --- exponent shells ---------------------------------------------------------
@@ -83,6 +121,69 @@ def test_beta_k_rejects_mismatched_basis():
     d = expand(GeneratorSet(5, [[1, 1]]))
     with pytest.raises(InputError):
         beta_k(d, 3, orthonormal_basis(7))
+
+
+def test_basis_constant_row_is_exactly_one():
+    # beta_k_stack skips zero exponents because p_0 multiplies by exactly 1.0
+    for q in (3, 5, 7, 11, 13):
+        assert (orthonormal_basis(q).values[0] == 1.0).all()
+
+
+def _closed_form_designs(q, n, family):
+    shift_of = optimal_shift_linear if family == "linear" else optimal_shift_williams
+    return [build_design(g, shift_of(g), family) for g in enumerate_q2_generators(q, n)]
+
+
+@pytest.mark.parametrize("q,n", STACK_CELLS)
+@pytest.mark.parametrize("family", ["linear", "williams"])
+def test_stacked_beta_k_is_bit_identical(q, n, family, monkeypatch):
+    basis = orthonormal_basis(q)
+    designs = _closed_form_designs(q, n, family)
+    want = np.array([[enumeration_beta_k(d, k, basis) for k in (3, 4)] for d in designs])
+    # B = 1, through beta_k
+    single = np.array([[beta_k(d, k, basis) for k in (3, 4)] for d in designs])
+    assert np.array_equal(single, want)
+    # the whole cell as one stack, in chunks of 7 designs: B is no multiple of 7
+    widest = max(n * q + 1, len(compositions(4, n, q - 1)))
+    monkeypatch.setattr(aberration, "_CHUNK_BYTES", 7 * 8 * widest * q * q)
+    assert aberration.designs_per_chunk(q * q, n, q, (3, 4)) == 7
+    stack = np.stack([d.rows for d in designs])
+    assert len(designs) % 7 != 0
+    assert np.array_equal(beta_k_stack(stack, (3, 4), basis), want)
+    # the integer stacks of the generator sweep, also in chunks of 7, build
+    # the same designs
+    _, _, betas = closed_form_sweep(q, n, family, (3, 4), basis)
+    assert np.array_equal(betas, want)
+
+
+def test_stacked_beta_k_other_degrees_and_shifts():
+    basis = orthonormal_basis(5)
+    gen = GeneratorSet(5, [[1, 2], [2, 1]])
+    designs = [build_design(gen, list(b), "williams") for b in np.ndindex(5, 5)]
+    stack = np.stack([d.rows for d in designs])
+    ks = tuple(range(1, 17))
+    want = np.array([[enumeration_beta_k(d, k, basis) for k in ks] for d in designs])
+    assert np.array_equal(beta_k_stack(stack, ks, basis), want)
+
+
+@pytest.mark.parametrize("q,C", [
+    (3, [[1, 1]]), (5, [[1, 2]]), (5, [[1, 1], [1, 2]]), (7, [[2, 2], [1, 3]]),
+])
+def test_half_pair_pattern_is_bit_identical(q, C):
+    basis = orthonormal_basis(q)
+    gen = GeneratorSet(q, C)
+    for family in ("linear", "williams"):
+        for b in ([0] * gen.m, [1] * gen.m, optimal_shift_williams(gen)):
+            d = build_design(gen, b, family)
+            assert np.array_equal(_pattern_by_pairs(d, basis), full_pairs_pattern(d, basis))
+
+
+def test_half_pair_pattern_nonregular_rows():
+    # repeated rows and an unbalanced column: pairs (i, i) and duplicates
+    rng = np.random.default_rng(7)
+    d = Design(5, rng.integers(0, 5, size=(30, 4)))
+    basis = orthonormal_basis(5)
+    assert np.array_equal(_pattern_by_pairs(d, basis), full_pairs_pattern(d, basis))
 
 
 # --- full patterns -------------------------------------------------------------

@@ -21,7 +21,7 @@ from wtdesigns import (
     williams_inverse,
     williams_value,
 )
-from wtdesigns.designs import williams_table
+from wtdesigns.designs import expand_stack, shift_stack, williams_levels, williams_table
 
 
 # --- containers -----------------------------------------------------------
@@ -99,6 +99,22 @@ def test_linear_permute_shifts_dependent_columns_only():
 def test_linear_permute_checks_shift_length():
     with pytest.raises(InputError):
         linear_permute(GeneratorSet(5, [[1, 1]]), [1, 2])
+
+
+def test_stacked_builders_match_single_designs():
+    gens = [GeneratorSet(5, C) for C in ([[1, 1], [1, 2]], [[1, 3], [1, 4]], [[2, 1], [1, 2]])]
+    expanded = expand_stack(np.stack([g.C for g in gens]), 5)
+    assert [e.tolist() for e in expanded] == [expand(g).rows.tolist() for g in gens]
+    # one design at every shift, then the Williams levels
+    shifts = np.array([[0, 0], [1, 3], [4, 2]])
+    shifted = shift_stack(expanded[:1], shifts, 5)
+    for rows, b in zip(shifted, shifts):
+        design = linear_permute(gens[0], b)
+        assert np.array_equal(rows, design.rows)
+        assert np.array_equal(williams_levels(rows, 5), williams(design).rows)
+    # a stack of designs, each at its own shift
+    for rows, g, b in zip(shift_stack(expanded, shifts, 5), gens, shifts):
+        assert np.array_equal(rows, linear_permute(g, b).rows)
 
 
 # --- the Williams transformation -------------------------------------------

@@ -150,6 +150,20 @@ def test_staged_search_agrees_with_grid_minimum():
         assert compare_patterns(win_pattern, other) <= 0
 
 
+def test_staged_search_with_fallback_matches_direct_path(monkeypatch):
+    # these two shift vectors tie on the whole pattern, so with the direct
+    # limit forced down to 1 the staged search runs every degree, and the
+    # per-candidate evaluation takes over above degree 5
+    from wtdesigns import optimal
+
+    gen = GeneratorSet(5, [[2, 2], [2, 4]])
+    direct = search_shifts(gen, "linear")
+    assert direct.ties == [[0, 3], [3, 2]]
+    monkeypatch.setattr(optimal, "_DIRECT_LIMIT", 1)
+    staged = search_shifts(gen, "linear")
+    assert staged == direct
+
+
 def test_search_report_json_shape():
     report = search_shifts(GeneratorSet(5, [[1, 1]]), "williams")
     d = json.loads(json.dumps(report.to_json_dict(5, 3)))
