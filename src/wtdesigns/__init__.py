@@ -9,14 +9,7 @@ from .aberration import (
     beta_sum_check,
     compare_patterns,
 )
-from .catalog import (
-    CatalogEntry,
-    TableReport,
-    make_entry,
-    read_catalog,
-    reproduce,
-    write_catalog,
-)
+from .catalog import TableReport, reproduce
 from .designs import (
     Design,
     GeneratorSet,
@@ -52,8 +45,10 @@ from .optimal import (
     optimal_shift_williams,
     search_q2,
     search_shifts,
+    shift_betas,
     shift_grid_beta,
     standard_generators,
+    verify_theorem,
 )
 from .orthopoly import OrthonormalBasis, linear_poly_cosine, orthonormal_basis
 from .recursion import RecursiveType, classify, count_recursive
@@ -63,7 +58,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BetaPattern",
     "CapExceededError",
-    "CatalogEntry",
     "Design",
     "FamilyBest",
     "GeneratorSet",
@@ -95,23 +89,22 @@ __all__ = [
     "linear_permute",
     "linear_poly_cosine",
     "load_design",
-    "make_entry",
     "model_matrix",
     "optimal_shift_linear",
     "optimal_shift_williams",
     "orthonormal_basis",
     "rank_mod",
-    "read_catalog",
     "reproduce",
     "same_design",
     "save_design",
     "search_q2",
     "search_shifts",
+    "shift_betas",
     "shift_grid_beta",
     "standard_generators",
     "strength",
+    "verify_theorem",
     "williams",
     "williams_inverse",
     "williams_value",
-    "write_catalog",
 ]

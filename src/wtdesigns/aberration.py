@@ -77,8 +77,11 @@ def designs_per_chunk(N: int, n: int, q: int, ks=()) -> int:
 
     The widest array per design is the (C, N) product of the largest
     exponent shell in ks, or the (n*q + 1, N) value table; an integer level
-    stack of the same designs is smaller still.
+    stack of the same designs is smaller still. With no degrees, the chunk
+    holds only the (N, n) integer level stacks.
     """
+    if not ks:
+        return max(1, _CHUNK_BYTES // (8 * n * N))
     widest = max([n * q + 1] + [len(compositions(k, n, q - 1)) for k in ks])
     return max(1, _CHUNK_BYTES // (8 * widest * N))
 

@@ -1,20 +1,15 @@
-"""Catalog persistence and golden-table reproduction.
+"""Golden-table reproduction.
 
-Catalogs are JSON-lines files, one entry per line with a stable key order,
-so they diff cleanly under version control. The reproduce() operation
-recomputes a published reference table from scratch and checks it against
-golden values embedded here at their printed precision; goldens are never
-replaced by recomputed numbers.
+The reproduce() operation recomputes a published reference table from
+scratch and checks it against golden values embedded here at their printed
+precision; goldens are never replaced by recomputed numbers.
 """
 
-import json
-from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from dataclasses import dataclass
 
 import numpy as np
 
-from .aberration import beta_k
-from .designs import Design, GeneratorSet, expand, linear_permute, williams
+from .designs import GeneratorSet, expand
 from .errors import InputError
 from .models import estimate_variances, information_matrix
 from .optimal import (
@@ -22,104 +17,11 @@ from .optimal import (
     optimal_shift_linear,
     optimal_shift_williams,
     search_q2,
+    shift_betas,
     shift_grid_beta,
     standard_generators,
 )
 from .orthopoly import orthonormal_basis
-
-_ENTRY_KEYS = (
-    "q",
-    "n",
-    "runs",
-    "family",
-    "generators",
-    "b",
-    "beta3",
-    "beta4",
-    "pattern",
-    "provenance",
-)
-
-
-@dataclass
-class CatalogEntry:
-    q: int
-    n: int
-    runs: int
-    family: str
-    generators: list
-    b: list
-    beta3: float
-    beta4: float
-    pattern: list = None
-    provenance: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in _ENTRY_KEYS}
-
-    @classmethod
-    def from_dict(cls, d: dict, where: str = "entry") -> "CatalogEntry":
-        missing = [k for k in _ENTRY_KEYS[:8] if k not in d]
-        if missing:
-            raise InputError(f"{where}: missing field {missing[0]!r}")
-        return cls(**{k: d.get(k) for k in _ENTRY_KEYS})
-
-
-def make_entry(gen: GeneratorSet, family: str, b, command: str = "") -> CatalogEntry:
-    """Build a catalog entry by constructing the design and measuring it."""
-    design = build_design(gen, b, family)
-    basis = orthonormal_basis(gen.q)
-    return CatalogEntry(
-        q=gen.q,
-        n=gen.n,
-        runs=design.runs,
-        family=family,
-        generators=gen.C.tolist(),
-        b=list(map(int, b)),
-        beta3=beta_k(design, 3, basis),
-        beta4=beta_k(design, 4, basis),
-        pattern=None,
-        provenance={
-            "command": command,
-            "version": "0.1.0",
-            "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        },
-    )
-
-
-def write_catalog(entries, path) -> None:
-    """One JSON object per line; (q, n, family) must be unique per file."""
-    seen = set()
-    for e in entries:
-        key = (e.q, e.n, e.family)
-        if key in seen:
-            raise InputError(f"duplicate catalog key (q={e.q}, n={e.n}, family={e.family})")
-        seen.add(key)
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for e in entries:
-                fh.write(json.dumps(e.to_dict()) + "\n")
-    except OSError as exc:
-        raise InputError(f"cannot write catalog {path}: {exc}") from exc
-
-
-def read_catalog(path):
-    """Parse a JSON-lines catalog; errors name the offending line."""
-    entries = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    d = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise InputError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-                entries.append(CatalogEntry.from_dict(d, where=f"{path}:{lineno}"))
-    except OSError as exc:
-        raise InputError(f"cannot read catalog {path}: {exc}") from exc
-    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -283,17 +185,13 @@ class _Checker:
 def _reproduce_example1(g):
     gen = GeneratorSet(g["q"], g["generators"])
     basis = orthonormal_basis(g["q"])
+    shifts = np.arange(g["q"])[:, None]
+    linear = shift_betas(gen, "linear", shifts, (3, 4), basis).tolist()
+    will = shift_betas(gen, "williams", shifts, (3, 4), basis).tolist()
     chk = _Checker()
     lines = ["b    linear b3/b4     williams b3/b4"]
     for b in range(g["q"]):
-        shifted = linear_permute(gen, [b])
-        wdesign = williams(shifted)
-        vals = (
-            beta_k(shifted, 3, basis),
-            beta_k(shifted, 4, basis),
-            beta_k(wdesign, 3, basis),
-            beta_k(wdesign, 4, basis),
-        )
+        vals = linear[b] + will[b]
         lin_gold = g["linear"][b]
         wil_gold = g["williams"][b]
         chk.printed(f"b={b} linear beta3", vals[0], lin_gold[0])
@@ -309,12 +207,10 @@ def _reproduce_example1(g):
 def _reproduce_example5(g):
     gen = GeneratorSet(g["q"], g["generators"])
     basis = orthonormal_basis(g["q"])
+    shifts = np.arange(g["q"])[:, None]
+    got = shift_betas(gen, "williams", shifts, (3,), basis)[:, 0].tolist()
     chk = _Checker()
-    got = []
-    for b in range(g["q"]):
-        design = williams(linear_permute(gen, [b]))
-        v = beta_k(design, 3, basis)
-        got.append(v)
+    for b, v in enumerate(got):
         chk.printed(f"b={b} beta3", v, g["values"][b])
     lines = ["b:     " + "  ".join(str(b) for b in range(g["q"]))]
     lines.append("beta3: " + "  ".join(f"{v:.4f}" for v in got))
@@ -417,8 +313,7 @@ def _reproduce_example7(g):
     chk.exact("best shift vector", best, g["best_b"])
     lines = [f"scanned {grid.size} shift vectors"]
     if best is not None:
-        design = build_design(gen, best, "williams")
-        b4 = beta_k(design, 4, basis)
+        b4 = float(shift_betas(gen, "williams", [best], (4,), basis)[0, 0])
         chk.printed("beta4 at the best shift", b4, g["beta4"])
         lines.append(f"unique zero-beta3 shift: {best}, beta4 = {b4:.4f}")
     return lines, chk.failures

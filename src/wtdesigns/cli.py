@@ -9,14 +9,11 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .aberration import beta_k, beta_pattern
 from .catalog import TABLE_IDS, reproduce
 from .designs import (
     Design,
     GeneratorSet,
-    expand,
     linear_permute,
     load_design,
     save_design,
@@ -26,18 +23,9 @@ from .designs import (
 from .errors import CapExceededError, InputError
 from .fieldmath import check_odd_prime
 from .models import estimate_variances, info_matrix_csv, information_matrix
-from .optimal import (
-    SEARCH_CAP,
-    build_design,
-    closed_form_sweep,
-    enumerate_q2_generators,
-    optimal_shift_linear,
-    optimal_shift_williams,
-    search_q2,
-    search_shifts,
-)
+from .optimal import SEARCH_CAP, search_q2, search_shifts, verify_theorem
 from .orthopoly import orthonormal_basis
-from .recursion import RecursiveType, classify, count_recursive
+from .recursion import classify, count_recursive
 
 CLI_SCAN_LIMIT = 100_000  # larger shift scans need --force
 
@@ -197,59 +185,13 @@ def cmd_reproduce(args) -> int:
     return 0 if report.ok else MISMATCH_EXIT
 
 
-def _verify_theorem1(q, nmax) -> list:
-    basis = orthonormal_basis(q)
-    failures = []
-    for n in range(3, nmax + 1):
-        C, _, betas = closed_form_sweep(q, n, "williams", (3,), basis)
-        for coeffs, v in zip(C, betas[:, 0]):
-            if v > 1e-9:
-                failures.append(f"n={n} C={coeffs.tolist()}: beta3={v:.3g}")
-    return failures
-
-
-def _verify_theorem2(q, nmax) -> list:
-    basis = orthonormal_basis(q)
-    failures = []
-    for n in range(3, min(nmax, 4) + 1):
-        for gen in enumerate_q2_generators(q, n):
-            if classify(gen) is not RecursiveType.TYPE_II:
-                continue
-            zeros = [
-                list(b)
-                for b in np.ndindex((q,) * gen.m)
-                if beta_k(build_design(gen, list(b), "williams"), 3, basis) <= 1e-9
-            ]
-            expect = optimal_shift_williams(gen)
-            if zeros != [expect]:
-                failures.append(
-                    f"n={n} C={gen.C.tolist()}: zero set {zeros}, expected [{expect}]"
-                )
-    return failures
-
-
-def _verify_theorem4(q, nmax) -> list:
-    from .designs import is_mirror_symmetric
-
-    failures = []
-    for n in range(3, nmax + 1):
-        for gen in enumerate_q2_generators(q, n):
-            design = build_design(gen, optimal_shift_williams(gen), "williams")
-            if not is_mirror_symmetric(design):
-                failures.append(f"n={n} C={gen.C.tolist()}: not mirror-symmetric")
-    return failures
-
-
 def cmd_verify(args) -> int:
     q = check_odd_prime(args.q)
     nmax = args.nmax if args.nmax else (q + 1 if q <= 7 else 5)
     if not 3 <= nmax <= q + 1:
         print(f"error: --nmax must lie in 3..{q + 1}", file=sys.stderr)
         return USAGE_EXIT
-    checker = {1: _verify_theorem1, 2: _verify_theorem2, 4: _verify_theorem4}[
-        args.theorem
-    ]
-    failures = checker(q, nmax)
+    failures = verify_theorem(args.theorem, q, nmax)
     label = {
         1: "closed-form shift zeroes the degree-3 measure",
         2: "unique zero shift for type-II designs",

@@ -13,7 +13,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import CapExceededError, InputError
-from .fieldmath import PrimeLevel, check_odd_prime, full_factorial, rank_mod
+from .fieldmath import PrimeLevel, check_odd_prime, full_factorial
 
 RUN_CAP = 10**6  # guard against accidental q^(n-m) blowups
 
@@ -215,22 +215,43 @@ def strength(design: Design, t_max: int = None) -> int:
     return best
 
 
-def _canonical_rows(design: Design) -> np.ndarray:
-    order = np.lexsort(design.rows.T[::-1])
-    return design.rows[order]
+def _canonical_keys(rows: np.ndarray, q: int) -> np.ndarray:
+    """Sorted row keys of each design in a (..., N, n) level stack, shape (G, ..., N).
+
+    Each row's base-q code is split into G int64 keys of as many columns as
+    fit, so two designs have equal row multisets iff their keys are equal.
+    """
+    n = rows.shape[-1]
+    width = 1
+    while q ** (width + 1) < 2**62:
+        width += 1
+    keys = np.stack(
+        [
+            rows[..., lo : lo + width] @ (q ** np.arange(min(width, n - lo) - 1, -1, -1))
+            for lo in range(0, n, width)
+        ]
+    )
+    order = np.lexsort(keys[::-1], axis=-1)
+    return np.take_along_axis(keys, np.broadcast_to(order, keys.shape), axis=-1)
 
 
 def same_design(a: Design, b: Design) -> bool:
     """True iff the two designs have equal row multisets."""
     if a.q != b.q or a.rows.shape != b.rows.shape:
         raise InputError("designs must share q and shape to be compared")
-    return bool(np.array_equal(_canonical_rows(a), _canonical_rows(b)))
+    return bool(np.array_equal(_canonical_keys(a.rows, a.q), _canonical_keys(b.rows, b.q)))
+
+
+def mirror_symmetric_stack(rows: np.ndarray, q: int) -> np.ndarray:
+    """Per design of a (B, N, n) level stack: does reflecting every level
+    (x -> q-1-x) reproduce the design's row multiset? Shape (B,)."""
+    same = _canonical_keys(rows, q) == _canonical_keys((q - 1) - rows, q)
+    return same.all(axis=(0, 2))
 
 
 def is_mirror_symmetric(design: Design) -> bool:
     """True iff reflecting every level (x -> q-1-x) reproduces the design."""
-    reflected = Design(design.q, (design.q - 1) - design.rows)
-    return same_design(design, reflected)
+    return bool(mirror_symmetric_stack(design.rows[None], design.q)[0])
 
 
 def save_design(design: Design, path) -> None:

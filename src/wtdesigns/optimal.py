@@ -28,6 +28,7 @@ from .designs import (
     expand,
     expand_stack,
     linear_permute,
+    mirror_symmetric_stack,
     shift_stack,
     williams,
     williams_levels,
@@ -36,10 +37,12 @@ from .designs import (
 from .errors import CapExceededError, InputError
 from .fieldmath import PrimeLevel, check_odd_prime
 from .orthopoly import orthonormal_basis
+from .recursion import RecursiveType, classify
 
 FAMILIES = ("linear", "williams")
 SEARCH_CAP = 2_000_000
 _DIRECT_LIMIT = 2048  # below this many candidates, rank full patterns directly
+_ZERO_TOL = 1e-9  # a measure at most this large counts as zero in verify_theorem
 
 
 def center_preimage(q: PrimeLevel) -> int:
@@ -193,6 +196,11 @@ def shift_grid_beta(gen: GeneratorSet, family: str, k: int, basis=None) -> np.nd
     return total + const
 
 
+def _shift_vectors(idx, q: int, m: int) -> np.ndarray:
+    """The (len(idx), m) shift vectors at the flat indices idx of the (q,)*m grid."""
+    return np.stack(np.unravel_index(idx, (q,) * m), axis=1)
+
+
 def _shift_stacks(gen, family, shifts, ks=()):
     """Level stacks of the family members at each shift vector, in chunks.
 
@@ -203,6 +211,33 @@ def _shift_stacks(gen, family, shifts, ks=()):
     step = designs_per_chunk(expanded.shape[1], gen.n, gen.q, ks)
     for lo in range(0, len(shifts), step):
         yield _family_rows(expanded, shifts[lo : lo + step], gen.q, family)
+
+
+def shift_betas(gen: GeneratorSet, family: str, shifts, ks, basis=None) -> np.ndarray:
+    """beta_k of the family member at each shift vector, shape (len(shifts), len(ks)).
+
+    shifts is an (S, m) array of shift vectors; column t holds beta_{ks[t]}.
+    Bit-identical to beta_k(build_design(gen, b, family), k) per shift, but
+    the generator set is expanded once and the members are evaluated as
+    stacks.
+    """
+    if family not in FAMILIES:
+        raise InputError(f"family must be one of {FAMILIES}, got {family!r}")
+    shifts = np.asarray(shifts, dtype=np.int64)
+    if shifts.ndim != 2 or shifts.shape[1] != gen.m:
+        raise InputError(f"shifts must have shape (S, {gen.m}), got {shifts.shape}")
+    K = gen.n * (gen.q - 1)
+    for k in ks:
+        if not 1 <= k <= K:
+            raise InputError(f"k={k} out of range 1..{K}")
+    if basis is None:
+        basis = orthonormal_basis(gen.q)
+    out = np.empty((len(shifts), len(ks)))
+    lo = 0
+    for rows in _shift_stacks(gen, family, shifts, ks):
+        out[lo : lo + len(rows)] = beta_k_stack(rows, ks, basis)
+        lo += len(rows)
+    return out
 
 
 def _patterns_for(gen, family, shifts, k_max, basis) -> np.ndarray:
@@ -223,9 +258,10 @@ def search_shifts(
     """Exhaustively evaluate all q^m shift vectors and rank them sequentially.
 
     The winner is the lexicographically smallest shift vector among all
-    pattern minimizers; the tie list holds every minimizer. Large shift
-    spaces are pruned one degree at a time with the grid evaluation, which
-    is exact, so the result never depends on the pruning path.
+    pattern minimizers; the tie list holds every minimizer. While more than
+    _DIRECT_LIMIT candidates are alive, they are pruned one degree at a
+    time with the grid evaluation, which is exact, so the result never
+    depends on the pruning path; the survivors are ranked on full patterns.
     """
     if family not in FAMILIES:
         raise InputError(f"family must be one of {FAMILIES}, got {family!r}")
@@ -241,24 +277,7 @@ def search_shifts(
     if not 1 <= k_max <= K:
         raise InputError(f"k_max={k_max} out of range 1..{K}")
     basis = orthonormal_basis(q)
-    shape = (q,) * m
 
-    if total <= _DIRECT_LIMIT:
-        b_list = [list(t) for t in product(range(q), repeat=m)]
-        patterns = _patterns_for(gen, family, np.array(b_list), k_max, basis)
-        alive, decided = _rank_candidates(patterns, tol)
-        winner = int(alive[0])
-        return SearchReport(
-            family=family,
-            generators=gen.C.tolist(),
-            b=b_list[winner],
-            pattern=tuple(patterns[winner].tolist()),
-            ties=[b_list[i] for i in alive],
-            evaluations=total,
-            decided_k=decided,
-        )
-
-    # staged pruning over the full grid
     alive_idx = np.arange(total)
     decided = None
     k = 0
@@ -267,13 +286,7 @@ def search_shifts(
         if k > 5:
             # supports get wide and the grid tables stop paying off;
             # fall back to per-candidate evaluation of the survivors
-            shifts = np.stack(np.unravel_index(alive_idx, shape), axis=1)
-            vals = np.concatenate(
-                [
-                    beta_k_stack(rows, (k,), basis)[:, 0]
-                    for rows in _shift_stacks(gen, family, shifts, (k,))
-                ]
-            )
+            vals = shift_betas(gen, family, _shift_vectors(alive_idx, q, m), (k,), basis)[:, 0]
         else:
             vals = shift_grid_beta(gen, family, k, basis).reshape(-1)[alive_idx]
         keep = _keep_minimal(vals, tol)
@@ -281,8 +294,8 @@ def search_shifts(
             decided = k
             alive_idx = alive_idx[keep]
 
-    b_list = [list(map(int, np.unravel_index(i, shape))) for i in alive_idx]
-    patterns = _patterns_for(gen, family, np.array(b_list), k_max, basis)
+    shifts = _shift_vectors(alive_idx, q, m)
+    patterns = _patterns_for(gen, family, shifts, k_max, basis)
     sub_alive, sub_decided = _rank_candidates(patterns, tol)
     if sub_decided is not None:
         decided = sub_decided
@@ -290,9 +303,9 @@ def search_shifts(
     return SearchReport(
         family=family,
         generators=gen.C.tolist(),
-        b=b_list[winner],
+        b=shifts[winner].tolist(),
         pattern=tuple(patterns[winner].tolist()),
-        ties=[b_list[i] for i in sub_alive],
+        ties=shifts[sub_alive].tolist(),
         evaluations=total,
         decided_k=decided,
     )
@@ -385,28 +398,39 @@ def standard_generators(q: PrimeLevel, n: int) -> GeneratorSet:
     return GeneratorSet(q, [[1, s] for s in range(1, n - 1)])
 
 
+def _closed_form_stacks(q: int, n: int, family: str, ks=()):
+    """Every reduced q^2-run generator set at its closed-form shift, in chunks.
+
+    Yields (C, b, rows): the (B, m, 2) coefficients in enumerate_q2_generators
+    order, their (B, m) closed-form shift vectors for the family, and the
+    family members' (B, N, n) level stack, designs_per_chunk designs for the
+    degrees ks at a time. No GeneratorSet or Design objects are built.
+    """
+    C = np.concatenate(list(_q2_coefficient_blocks(q, n)))
+    b = _closed_form_shifts(C, q, family)
+    step = designs_per_chunk(q * q, n, q, ks)
+    for lo in range(0, len(C), step):
+        part = slice(lo, lo + step)
+        yield C[part], b[part], _family_rows(expand_stack(C[part], q), b[part], q, family)
+
+
 def closed_form_sweep(q: PrimeLevel, n: int, family: str, ks, basis=None):
     """beta_k of every reduced q^2-run generator set at its closed-form shift.
 
     Returns (C, b, betas): the (B, m, 2) coefficient stack in
     enumerate_q2_generators order, the (B, m) closed-form shift vectors of
-    the family, and the (B, len(ks)) measures. The designs are built and
-    evaluated as integer stacks of designs_per_chunk designs, with no
-    Design objects.
+    the family, and the (B, len(ks)) measures, evaluated chunk by chunk on
+    the integer stacks of _closed_form_stacks.
     """
     if family not in FAMILIES:
         raise InputError(f"family must be one of {FAMILIES}, got {family!r}")
     if basis is None:
         basis = orthonormal_basis(q)
-    C = np.concatenate(list(_q2_coefficient_blocks(q, n)))
-    b = _closed_form_shifts(C, q, family)
-    betas = np.empty((len(C), len(ks)))
-    step = designs_per_chunk(q * q, n, q, ks)
-    for lo in range(0, len(C), step):
-        part = slice(lo, lo + step)
-        rows = _family_rows(expand_stack(C[part], q), b[part], q, family)
-        betas[part] = beta_k_stack(rows, ks, basis)
-    return C, b, betas
+    parts = [
+        (C, b, beta_k_stack(rows, ks, basis))
+        for C, b, rows in _closed_form_stacks(q, n, family, ks)
+    ]
+    return tuple(np.concatenate(p) for p in zip(*parts))
 
 
 def _family_best(q, n, family, basis, tol) -> FamilyBest:
@@ -467,3 +491,61 @@ def search_q2(q: PrimeLevel, n: int, tol: float = DEFAULT_TOL) -> Q2Report:
         linear=linear,
         williams=will,
     )
+
+
+def _theorem1(q, nmax) -> list:
+    basis = orthonormal_basis(q)
+    failures = []
+    for n in range(3, nmax + 1):
+        C, _, betas = closed_form_sweep(q, n, "williams", (3,), basis)
+        for coeffs, v in zip(C, betas[:, 0]):
+            if v > _ZERO_TOL:
+                failures.append(f"n={n} C={coeffs.tolist()}: beta3={v:.3g}")
+    return failures
+
+
+def _theorem2(q, nmax) -> list:
+    basis = orthonormal_basis(q)
+    failures = []
+    for n in range(3, min(nmax, 4) + 1):
+        shifts = _shift_vectors(np.arange(q ** (n - 2)), q, n - 2)
+        for gen in enumerate_q2_generators(q, n):
+            if classify(gen) is not RecursiveType.TYPE_II:
+                continue
+            betas = shift_betas(gen, "williams", shifts, (3,), basis)[:, 0]
+            zeros = shifts[betas <= _ZERO_TOL].tolist()
+            expect = optimal_shift_williams(gen)
+            if zeros != [expect]:
+                failures.append(
+                    f"n={n} C={gen.C.tolist()}: zero set {zeros}, expected [{expect}]"
+                )
+    return failures
+
+
+def _theorem4(q, nmax) -> list:
+    failures = []
+    for n in range(3, nmax + 1):
+        for C, _, rows in _closed_form_stacks(q, n, "williams"):
+            for coeffs in C[~mirror_symmetric_stack(rows, q)]:
+                failures.append(f"n={n} C={coeffs.tolist()}: not mirror-symmetric")
+    return failures
+
+
+_THEOREMS = {1: _theorem1, 2: _theorem2, 4: _theorem4}
+
+
+def verify_theorem(theorem: int, q: PrimeLevel, nmax: int) -> list:
+    """Check a structural theorem over every reduced q^2-run generator set.
+
+    Covers n = 3..nmax columns and returns one line per failing set:
+        1: the Williams family at the closed-form shift has beta_3 = 0;
+        2: a type-II set has exactly one shift with beta_3 = 0 in the
+           Williams family, the closed-form one (checked for n <= 4);
+        4: the Williams family at the closed-form shift is mirror-symmetric.
+    """
+    q = check_odd_prime(q)
+    if theorem not in _THEOREMS:
+        raise InputError(f"theorem must be one of {tuple(_THEOREMS)}, got {theorem!r}")
+    if not 3 <= nmax <= q + 1:
+        raise InputError(f"nmax={nmax} out of range 3..{q + 1} for q={q}")
+    return _THEOREMS[theorem](q, nmax)

@@ -15,6 +15,11 @@ import numpy as np
 from .errors import InputError
 from .fieldmath import PrimeLevel, check_odd_prime
 
+# Largest level count whose float basis matches exact rational Gram-Schmidt
+# to 1e-8. Above it the monomials are too ill-conditioned: the deviation is
+# 1.7e-6 at q=29 and reaches the size of the values themselves at q=41.
+MAX_LEVELS = 23
+
 
 @dataclass(frozen=True)
 class OrthonormalBasis:
@@ -41,8 +46,14 @@ def orthonormal_basis(q: PrimeLevel) -> OrthonormalBasis:
     stability. Each row is scaled to squared norm q. Centering keeps the
     intermediate vectors well conditioned up to q around 17; the span per
     degree is unchanged, so the result equals Gram-Schmidt on raw monomials.
+    Level counts above MAX_LEVELS are refused with InputError.
     """
     q = check_odd_prime(q)
+    if q > MAX_LEVELS:
+        raise InputError(
+            f"q={q} exceeds {MAX_LEVELS}, the largest level count with an "
+            "accurate contrast basis"
+        )
     xs = np.arange(q, dtype=float)
     t = xs - (q - 1) / 2.0
     values = np.zeros((q, q))

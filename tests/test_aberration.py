@@ -19,8 +19,9 @@ from wtdesigns import (
     optimal_shift_williams,
     orthonormal_basis,
 )
-from wtdesigns import aberration
+from wtdesigns import aberration, optimal
 from wtdesigns.aberration import _pattern_by_pairs, beta_k_stack, compositions
+from wtdesigns.designs import expand_stack
 from wtdesigns.optimal import closed_form_sweep
 
 
@@ -154,6 +155,24 @@ def test_stacked_beta_k_is_bit_identical(q, n, family, monkeypatch):
     # the same designs
     _, _, betas = closed_form_sweep(q, n, family, (3, 4), basis)
     assert np.array_equal(betas, want)
+
+
+@pytest.mark.parametrize("q", [11, 13])
+@pytest.mark.parametrize("family", ["linear", "williams"])
+def test_stacked_beta_k_sampled_large_cells(q, family):
+    # every 97th reduced set of the five-column cell: verify_theorem sweeps
+    # these cells on stacks only, so the per-design path is checked here
+    basis = orthonormal_basis(q)
+    C = np.concatenate(list(optimal._q2_coefficient_blocks(q, 5)))[::97]
+    shift_of = optimal_shift_linear if family == "linear" else optimal_shift_williams
+    gens = [GeneratorSet(q, c) for c in C]
+    designs = [build_design(g, shift_of(g), family) for g in gens]
+    want = np.array([[enumeration_beta_k(d, k, basis) for k in (3, 4)] for d in designs])
+    single = np.array([[beta_k(d, k, basis) for k in (3, 4)] for d in designs])
+    assert np.array_equal(single, want)
+    b = optimal._closed_form_shifts(C, q, family)
+    rows = optimal._family_rows(expand_stack(C, q), b, q, family)
+    assert np.array_equal(beta_k_stack(rows, (3, 4), basis), want)
 
 
 def test_stacked_beta_k_other_degrees_and_shifts():

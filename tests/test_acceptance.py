@@ -8,7 +8,6 @@ fixes a tighter bound; runtime budgets are asserted directly.
 """
 
 import time
-from itertools import product
 
 import numpy as np
 import pytest
@@ -353,33 +352,32 @@ def _sweep_sum_identity(problems):
 
 
 def _sweep_closed_form_shift(problems):
-    # small q: every generator set, full odd-degree pattern; larger q:
-    # every generator set up to five columns, with the full pattern spot
-    # checked on a deterministic stride
+    # every generator set: theorems 1 (degree-3 measure zero) and 4 (mirror
+    # symmetry) through the library checks, which cover the same scopes as
+    # `verify`'s default nmax; the full odd-degree pattern on every set for
+    # small q and on a deterministic stride for larger q
     scopes = ((5, 6, 1), (7, 8, 1), (11, 5, 499), (13, 5, 499))
     for q, nmax, stride in scopes:
+        for theorem in (1, 4):
+            problems.extend(
+                f"q={q} theorem {theorem}: {f}"
+                for f in wt.verify_theorem(theorem, q, nmax)
+            )
         basis = wt.orthonormal_basis(q)
         seen = 0
         for n in range(3, nmax + 1):
             for gen in wt.enumerate_q2_generators(q, n):
                 seen += 1
+                if seen % stride != 0:
+                    continue
                 design = wt.build_design(
                     gen, wt.optimal_shift_williams(gen), "williams"
                 )
-                if wt.beta_k(design, 3, basis) > 1e-9:
+                odd = wt.beta_pattern(design, basis=basis).values[0::2]
+                if max(odd) > 1e-9:
                     problems.append(
-                        f"q={q} C={gen.C.tolist()}: degree-3 measure not zero"
+                        f"q={q} C={gen.C.tolist()}: odd measure {max(odd):.2e}"
                     )
-                if not wt.is_mirror_symmetric(design):
-                    problems.append(
-                        f"q={q} C={gen.C.tolist()}: not mirror-symmetric"
-                    )
-                if seen % stride == 0:
-                    odd = wt.beta_pattern(design, basis=basis).values[0::2]
-                    if max(odd) > 1e-9:
-                        problems.append(
-                            f"q={q} C={gen.C.tolist()}: odd measure {max(odd):.2e}"
-                        )
 
 
 def _sweep_unique_zero_for_type_two(problems):

@@ -1,68 +1,9 @@
-"""Catalog persistence and golden-table reproduction."""
-
-import json
+"""Golden-table reproduction."""
 
 import pytest
 
-from wtdesigns import (
-    CatalogEntry,
-    GeneratorSet,
-    InputError,
-    make_entry,
-    read_catalog,
-    reproduce,
-    write_catalog,
-)
+from wtdesigns import InputError, reproduce
 from wtdesigns.catalog import TABLE_IDS
-
-
-def _entry(q=5, C=((1, 1),), family="williams", b=(4,)):
-    return make_entry(GeneratorSet(q, [list(r) for r in C]), family, list(b))
-
-
-def test_make_entry_measures_the_design():
-    e = _entry()
-    assert (e.q, e.n, e.runs) == (5, 3, 25)
-    assert e.family == "williams"
-    assert e.generators == [[1, 1]]
-    assert e.b == [4]
-    assert e.beta3 <= 1e-9
-    assert e.beta4 == pytest.approx(0.0274285714, abs=1e-9)
-    assert "version" in e.provenance and "timestamp" in e.provenance
-
-
-def test_catalog_round_trip(tmp_path):
-    path = tmp_path / "catalog.jsonl"
-    entries = [_entry(), _entry(family="linear", C=((1, 2),), b=(1,))]
-    write_catalog(entries, path)
-    back = read_catalog(path)
-    assert [e.to_dict() for e in back] == [e.to_dict() for e in entries]
-
-
-def test_catalog_rejects_duplicate_keys(tmp_path):
-    with pytest.raises(InputError, match="duplicate"):
-        write_catalog([_entry(), _entry()], tmp_path / "c.jsonl")
-
-
-def test_read_names_bad_json_line(tmp_path):
-    path = tmp_path / "c.jsonl"
-    path.write_text(json.dumps(_entry().to_dict()) + "\nnot json\n")
-    with pytest.raises(InputError, match=r":2:"):
-        read_catalog(path)
-
-
-def test_read_names_missing_field(tmp_path):
-    path = tmp_path / "c.jsonl"
-    d = _entry().to_dict()
-    del d["beta3"]
-    path.write_text(json.dumps(d) + "\n")
-    with pytest.raises(InputError, match="beta3"):
-        read_catalog(path)
-
-
-def test_read_missing_file():
-    with pytest.raises(InputError, match="cannot read"):
-        read_catalog("/nonexistent/path.jsonl")
 
 
 def test_table_ids_frozen():
@@ -124,7 +65,3 @@ def test_reproduce_counts_reports_known_middle_column_mismatch():
         "q=7 n=5 typeII", "q=7 n=6 typeII",
     }
 
-
-def test_catalog_entry_from_dict_validates():
-    with pytest.raises(InputError, match="'q'"):
-        CatalogEntry.from_dict({"n": 3})

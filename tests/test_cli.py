@@ -258,6 +258,56 @@ def test_verify_nmax_range(capsys):
     assert "nmax" in err
 
 
+def test_verify_failure_lists_the_first_twenty(monkeypatch, capsys):
+    from wtdesigns import cli
+
+    def failing(theorem, q, nmax):
+        return [f"n=3 C=[[{i}]]: broken" for i in range(25)]
+
+    monkeypatch.setattr(cli, "verify_theorem", failing)
+    code, stdout, _ = run(capsys, "verify", "--theorem", "4", "--q", "7")
+    assert code == 4
+    lines = stdout.splitlines()
+    assert lines[0] == "FAIL (mirror symmetry at the closed-form shift, q=7, n<=8):"
+    assert lines[1:] == [f"  n=3 C=[[{i}]]: broken" for i in range(20)]
+
+
+# recorded stdout, byte for byte: the theorem checks and the shift tables
+# must print exactly this whatever path computes them
+RECORDED_STDOUT = {
+    ("verify", "--theorem", "1", "--q", "7"):
+        "PASS (closed-form shift zeroes the degree-3 measure, q=7, n<=8)\n",
+    ("verify", "--theorem", "2", "--q", "7"):
+        "PASS (unique zero shift for type-II designs, q=7, n<=8)\n",
+    ("verify", "--theorem", "4", "--q", "7"):
+        "PASS (mirror symmetry at the closed-form shift, q=7, n<=8)\n",
+    ("reproduce", "--table", "example1"):
+        "table example1 (source: table: shift families of the 25-run one-generator design)\n"
+        "b    linear b3/b4     williams b3/b4\n"
+        "0    0.125 0.525      0.442 0.004\n"
+        "1    0.125 0.525      0.168 0.021\n"
+        "2    0.125 0.096      0.168 0.021\n"
+        "3    0.000 0.686      0.442 0.004\n"
+        "4    0.125 0.096      0.000 0.027\n"
+        "PASS: 0 mismatch(es)\n",
+    ("reproduce", "--table", "example5-scan"):
+        "table example5-scan (source: table: degree-3 measure across all shifts, "
+        "49-run one-generator design)\n"
+        "b:     0  1  2  3  4  5  6\n"
+        "beta3: 0.0009  0.0031  0.0047  0.0047  0.0031  0.0009  0.0000\n"
+        "PASS: 0 mismatch(es)\n",
+}
+
+
+@pytest.mark.parametrize(
+    "argv", list(RECORDED_STDOUT), ids=lambda argv: "-".join(a.lstrip("-") for a in argv)
+)
+def test_stdout_matches_recorded_bytes(capsys, argv):
+    code, stdout, _ = run(capsys, *argv)
+    assert code == 0
+    assert stdout == RECORDED_STDOUT[argv]
+
+
 # --- determinism -----------------------------------------------------------------------
 
 def test_repeated_runs_are_identical(capsys):

@@ -21,7 +21,13 @@ from wtdesigns import (
     williams_inverse,
     williams_value,
 )
-from wtdesigns.designs import expand_stack, shift_stack, williams_levels, williams_table
+from wtdesigns.designs import (
+    expand_stack,
+    mirror_symmetric_stack,
+    shift_stack,
+    williams_levels,
+    williams_table,
+)
 
 
 # --- containers -----------------------------------------------------------
@@ -197,6 +203,33 @@ def test_mirror_symmetry_examples():
     symmetric = build_design(gen, optimal_shift_williams(gen), "williams")
     assert is_mirror_symmetric(symmetric)
     assert not is_mirror_symmetric(expand(GeneratorSet(5, [[1, 1]])))
+
+
+def _row_multiset(rows):
+    return sorted(map(tuple, rows.tolist()))
+
+
+def test_same_design_over_several_key_words():
+    # at q=23 one int64 key holds 13 columns, so 30 columns take three keys
+    rng = np.random.default_rng(5)
+    rows = rng.integers(0, 23, size=(40, 30))
+    a = Design(23, rows)
+    assert same_design(a, Design(23, rows[rng.permutation(40)]))
+    for col in (0, 13, 29):
+        changed = rows.copy()
+        changed[3, col] = (changed[3, col] + 1) % 23
+        assert not same_design(a, Design(23, changed))
+
+
+def test_mirror_symmetric_stack_matches_single_designs():
+    rng = np.random.default_rng(11)
+    half = rng.integers(0, 5, size=(6, 10, 4))
+    symmetric = np.concatenate([half, 4 - half], axis=1)
+    stack = np.concatenate([symmetric, rng.integers(0, 5, size=(6, 20, 4))])
+    want = [_row_multiset(d) == _row_multiset(4 - d) for d in stack]
+    assert want[:6] == [True] * 6 and not any(want[6:])
+    assert mirror_symmetric_stack(stack, 5).tolist() == want
+    assert [is_mirror_symmetric(Design(5, d)) for d in stack] == want
 
 
 # --- file format -------------------------------------------------------------

@@ -22,8 +22,10 @@ from wtdesigns import (
     orthonormal_basis,
     search_q2,
     search_shifts,
+    shift_betas,
     shift_grid_beta,
     standard_generators,
+    verify_theorem,
     williams,
     williams_value,
 )
@@ -86,6 +88,43 @@ def test_grid_matches_per_shift_evaluation():
             for b in product(range(5), repeat=2):
                 direct = beta_k(build_design(gen, list(b), family), k, basis)
                 assert grid[b] == pytest.approx(direct, abs=1e-9)
+
+
+SHIFT_SETS = [
+    (5, [[1, 1]]),
+    (5, [[1, 2], [2, 1]]),
+    (5, [[1, 1], [1, 2], [1, 3]]),
+    (7, [[2, 2]]),
+    (7, [[1, 3], [2, 5]]),
+]
+
+
+@pytest.mark.parametrize("q,C", SHIFT_SETS)
+def test_shift_betas_is_bit_identical(q, C, monkeypatch):
+    from wtdesigns import optimal
+
+    gen = GeneratorSet(q, C)
+    basis = orthonormal_basis(q)
+    shifts = np.array(list(product(range(q), repeat=gen.m)))
+    # stacks of 6 shift vectors: 6 divides no q^m here
+    monkeypatch.setattr(optimal, "designs_per_chunk", lambda *args: 6)
+    for family in ("linear", "williams"):
+        for ks in ((3,), (3, 4)):
+            want = np.array([
+                [beta_k(build_design(gen, list(b), family), k, basis) for k in ks]
+                for b in shifts
+            ])
+            assert np.array_equal(shift_betas(gen, family, shifts, ks, basis), want)
+
+
+def test_shift_betas_validates_input():
+    gen = GeneratorSet(5, [[1, 1]])
+    with pytest.raises(InputError, match="family"):
+        shift_betas(gen, "cubic", [[0]], (3,))
+    with pytest.raises(InputError, match="shape"):
+        shift_betas(gen, "linear", [[0, 1]], (3,))
+    with pytest.raises(InputError, match="out of range"):
+        shift_betas(gen, "linear", [[0]], (13,))
 
 
 def test_grid_rejects_unknown_family():
@@ -174,6 +213,33 @@ def test_search_report_json_shape():
     assert len(d["beta"]) == 12
     assert d["ties"] == [[4]]
     assert d["evaluations"] == 5
+
+
+# --- theorem checks --------------------------------------------------------------
+
+def test_verify_theorem_reports_failing_sets(monkeypatch):
+    from wtdesigns import optimal
+
+    # a wrong center level moves the closed-form shifts off their zeros
+    monkeypatch.setattr(optimal, "center_preimage", lambda q: 0)
+    first = {
+        1: "n=3 C=[[1, 1]]: beta3=0.442",
+        2: "n=3 C=[[2, 2]]: zero set [[2]], expected [[0]]",
+        4: "n=3 C=[[1, 1]]: not mirror-symmetric",
+    }
+    for theorem, line in first.items():
+        assert verify_theorem(theorem, 5, 4)[0] == line
+
+
+def test_verify_theorem_validates_input():
+    with pytest.raises(InputError, match="theorem"):
+        verify_theorem(3, 5, 4)
+    with pytest.raises(InputError, match="nmax"):
+        verify_theorem(1, 5, 7)
+    with pytest.raises(InputError, match="nmax"):
+        verify_theorem(1, 5, 2)
+    with pytest.raises(InputError):
+        verify_theorem(1, 9, 4)
 
 
 # --- generator enumeration -----------------------------------------------------
