@@ -41,7 +41,9 @@ from .recursion import RecursiveType, classify
 
 FAMILIES = ("linear", "williams")
 SEARCH_CAP = 2_000_000
-_DIRECT_LIMIT = 2048  # below this many candidates, rank full patterns directly
+# the k > 5 fallback scores survivors one design at a time, so it runs only
+# while more than this many are alive; fewer go straight to full patterns
+_DIRECT_LIMIT = 2048
 _ZERO_TOL = 1e-9  # a measure at most this large counts as zero in verify_theorem
 
 
@@ -258,10 +260,14 @@ def search_shifts(
     """Exhaustively evaluate all q^m shift vectors and rank them sequentially.
 
     The winner is the lexicographically smallest shift vector among all
-    pattern minimizers; the tie list holds every minimizer. While more than
-    _DIRECT_LIMIT candidates are alive, they are pruned one degree at a
-    time with the grid evaluation, which is exact, so the result never
-    depends on the pruning path; the survivors are ranked on full patterns.
+    pattern minimizers; the tie list holds every minimizer. Every member is
+    an orthogonal array of strength 2 (GeneratorSet refuses proportional
+    columns), so beta_1 = beta_2 = 0 at every shift and pruning starts at
+    degree 3. While more than one candidate is alive, degrees 3..5 prune
+    on the grid evaluation, and higher degrees on per-candidate measures
+    while more than _DIRECT_LIMIT are alive. Both are exact, so the result
+    never depends on the pruning path; only the survivors get full
+    patterns, on which they are ranked.
     """
     if family not in FAMILIES:
         raise InputError(f"family must be one of {FAMILIES}, got {family!r}")
@@ -280,8 +286,8 @@ def search_shifts(
 
     alive_idx = np.arange(total)
     decided = None
-    k = 0
-    while k < k_max and len(alive_idx) > _DIRECT_LIMIT:
+    k = 2  # beta_1 = beta_2 = 0 at strength 2
+    while k < k_max and len(alive_idx) > (1 if k < 5 else _DIRECT_LIMIT):
         k += 1
         if k > 5:
             # supports get wide and the grid tables stop paying off;

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import wtdesigns as wt
+from wtdesigns.optimal import _q2_coefficient_blocks
 
 
 def _tol_of(printed: str) -> float:
@@ -355,7 +356,8 @@ def _sweep_closed_form_shift(problems):
     # every generator set: theorems 1 (degree-3 measure zero) and 4 (mirror
     # symmetry) through the library checks, which cover the same scopes as
     # `verify`'s default nmax; the full odd-degree pattern on every set for
-    # small q and on a deterministic stride for larger q
+    # small q and on a deterministic stride for larger q, counted over the
+    # coefficient blocks so that only the strided sets become objects
     scopes = ((5, 6, 1), (7, 8, 1), (11, 5, 499), (13, 5, 499))
     for q, nmax, stride in scopes:
         for theorem in (1, 4):
@@ -366,18 +368,20 @@ def _sweep_closed_form_shift(problems):
         basis = wt.orthonormal_basis(q)
         seen = 0
         for n in range(3, nmax + 1):
-            for gen in wt.enumerate_q2_generators(q, n):
-                seen += 1
-                if seen % stride != 0:
-                    continue
-                design = wt.build_design(
-                    gen, wt.optimal_shift_williams(gen), "williams"
-                )
-                odd = wt.beta_pattern(design, basis=basis).values[0::2]
-                if max(odd) > 1e-9:
-                    problems.append(
-                        f"q={q} C={gen.C.tolist()}: odd measure {max(odd):.2e}"
+            for block in _q2_coefficient_blocks(q, n):
+                # block row i is set number seen + i + 1 of this q
+                strided = block[(-seen - 1) % stride :: stride]
+                seen += len(block)
+                for C in strided:
+                    gen = wt.GeneratorSet(q, C)
+                    design = wt.build_design(
+                        gen, wt.optimal_shift_williams(gen), "williams"
                     )
+                    odd = wt.beta_pattern(design, basis=basis).values[0::2]
+                    if max(odd) > 1e-9:
+                        problems.append(
+                            f"q={q} C={gen.C.tolist()}: odd measure {max(odd):.2e}"
+                        )
 
 
 def _sweep_unique_zero_for_type_two(problems):

@@ -331,5 +331,30 @@ def test_searchq2_json_matches_recorded_bytes(capsys, n):
     assert stdout == want
 
 
+SHIFT_REFERENCE = Q2_REFERENCE.with_name("shift-scan.json")
+
+
+def _recorded_shift_searches():
+    with open(SHIFT_REFERENCE, encoding="utf-8") as fh:
+        ref = json.load(fh)
+    return [
+        (gens, family, ref["outputs"][f"5|{n}|{family}|{gens}"])
+        for n in (5, 6)
+        for gens in ref["pool"][f"5,{n}"]
+        for family in ("linear", "williams")
+    ]
+
+
+def test_search_json_matches_recorded_bytes(capsys):
+    # every pooled 125- and 625-shift search of the benchmark, both families
+    for gens, family, want in _recorded_shift_searches():
+        code, stdout, _ = run(
+            capsys, "search", "--q", "5", "--generators", gens,
+            "--family", family, "--json", "--force",
+        )
+        assert code == 0
+        assert stdout == want, (gens, family)
+
+
 def test_no_arguments_is_usage_error(capsys):
     assert run(capsys)[0] == 1

@@ -29,6 +29,7 @@ from wtdesigns import (
     williams,
     williams_value,
 )
+from wtdesigns.aberration import DEFAULT_TOL
 
 
 # --- closed-form shifts -----------------------------------------------------
@@ -171,9 +172,9 @@ def test_search_validates_k_max():
 
 
 def test_staged_search_agrees_with_grid_minimum():
-    # 7^5 shift vectors forces the staged pruning path; the winner must
-    # reach the true grid minimum of the first deciding degree and beat
-    # a spread of spot-checked candidates on the full pattern
+    # 7^5 shift vectors, too many for the full-pattern oracle; the winner
+    # must reach the true grid minimum of the first deciding degree and
+    # beat a spread of spot-checked candidates on the full pattern
     gen = GeneratorSet(7, [[1, 1], [1, 2], [1, 3], [1, 4], [1, 5]])
     basis = orthonormal_basis(7)
     report = search_shifts(gen, "williams")
@@ -189,18 +190,93 @@ def test_staged_search_agrees_with_grid_minimum():
         assert compare_patterns(win_pattern, other) <= 0
 
 
-def test_staged_search_with_fallback_matches_direct_path(monkeypatch):
-    # these two shift vectors tie on the whole pattern, so with the direct
-    # limit forced down to 1 the staged search runs every degree, and the
-    # per-candidate evaluation takes over above degree 5
+def test_search_through_the_fallback_matches_the_default_run(monkeypatch):
+    # these two shift vectors tie on the whole pattern, so pruning never
+    # gets down to one candidate; with _DIRECT_LIMIT forced down to 1 the
+    # per-candidate evaluation prunes every degree above 5 as well, and
+    # must leave the report unchanged
     from wtdesigns import optimal
 
     gen = GeneratorSet(5, [[2, 2], [2, 4]])
-    direct = search_shifts(gen, "linear")
-    assert direct.ties == [[0, 3], [3, 2]]
+    default = search_shifts(gen, "linear")
+    assert default.ties == [[0, 3], [3, 2]]
     monkeypatch.setattr(optimal, "_DIRECT_LIMIT", 1)
-    staged = search_shifts(gen, "linear")
-    assert staged == direct
+    assert search_shifts(gen, "linear") == default
+
+
+def _ranked_on_full_patterns(gen, family, k_max=None):
+    # the oracle: a full pattern for every shift vector, ranked directly
+    from wtdesigns.optimal import SearchReport, _rank_candidates
+
+    basis = orthonormal_basis(gen.q)
+    shifts = [list(b) for b in product(range(gen.q), repeat=gen.m)]
+    patterns = np.array([
+        beta_pattern(build_design(gen, b, family), k_max, basis).values
+        for b in shifts
+    ])
+    alive, decided = _rank_candidates(patterns, DEFAULT_TOL)
+    winner = int(alive[0])
+    return SearchReport(
+        family=family,
+        generators=gen.C.tolist(),
+        b=shifts[winner],
+        pattern=tuple(patterns[winner].tolist()),
+        ties=[shifts[i] for i in alive],
+        evaluations=len(shifts),
+        decided_k=decided,
+    )
+
+
+ORACLE_SETS = [
+    gen
+    for q, ns in ((3, (3, 4)), (5, (3, 4, 5)))
+    for n in ns
+    for gen in enumerate_q2_generators(q, n)
+] + list(enumerate_q2_generators(5, 6))[::15]
+
+
+@pytest.mark.parametrize("family", ["linear", "williams"])
+def test_pruned_search_equals_ranking_every_full_pattern(family):
+    for gen in ORACLE_SETS:
+        assert search_shifts(gen, family) == _ranked_on_full_patterns(gen, family)
+
+
+@pytest.mark.parametrize("k_max", [3, 4, 5])
+@pytest.mark.parametrize("family", ["linear", "williams"])
+def test_pruning_stops_at_k_max(family, k_max):
+    # in the linear family the first two sets keep two tied shift vectors
+    for C in ([[2, 2], [2, 4]], [[2, 2]], [[1, 1], [1, 2], [1, 3]]):
+        gen = GeneratorSet(5, C)
+        want = _ranked_on_full_patterns(gen, family, k_max)
+        assert len(want.pattern) == k_max
+        assert search_shifts(gen, family, k_max=k_max) == want
+
+
+def test_full_patterns_only_for_the_survivors(monkeypatch):
+    # 625 shift vectors, but grid pruning leaves one for a full pattern
+    from wtdesigns import optimal
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return beta_pattern(*args, **kwargs)
+
+    monkeypatch.setattr(optimal, "beta_pattern", counted)
+    report = search_shifts(GeneratorSet(5, [[1, 1], [1, 2], [1, 3], [1, 4]]), "williams")
+    assert report.evaluations == 625
+    assert 1 <= len(calls) <= 16
+
+
+@pytest.mark.parametrize("family", ["linear", "williams"])
+def test_strength_two_grids_vanish_below_degree_three(family):
+    # why pruning starts at degree 3: every member is an orthogonal array of
+    # strength 2, so beta_1 and beta_2 are zero at every shift
+    for q, C in ((5, [[1, 1]]), (5, [[1, 2], [2, 1]]), (7, [[1, 3], [2, 5]]),
+                 (5, [[1, 1], [1, 2], [1, 3], [1, 4]])):
+        gen = GeneratorSet(q, C)
+        for k in (1, 2):
+            assert shift_grid_beta(gen, family, k).max() < 1e-20
 
 
 def test_search_report_json_shape():
