@@ -6,6 +6,7 @@ mismatch. All printed values are deterministic for a given flag set.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -206,7 +207,9 @@ def cmd_verify(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> _Parser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = _Parser(prog="wtdesigns", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

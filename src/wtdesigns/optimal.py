@@ -37,7 +37,7 @@ from .designs import (
 from .errors import CapExceededError, InputError
 from .fieldmath import PrimeLevel, check_odd_prime
 from .orthopoly import orthonormal_basis
-from .recursion import RecursiveType, classify
+from .recursion import RecursiveType, _classify_stack
 
 FAMILIES = ("linear", "williams")
 SEARCH_CAP = 2_000_000
@@ -515,9 +515,9 @@ def _theorem2(q, nmax) -> list:
     failures = []
     for n in range(3, min(nmax, 4) + 1):
         shifts = _shift_vectors(np.arange(q ** (n - 2)), q, n - 2)
-        for gen in enumerate_q2_generators(q, n):
-            if classify(gen) is not RecursiveType.TYPE_II:
-                continue
+        C = np.concatenate(list(_q2_coefficient_blocks(q, n)))
+        for coeffs in C[_classify_stack(C, q) == RecursiveType.TYPE_II]:
+            gen = GeneratorSet(q, coeffs)
             betas = shift_betas(gen, "williams", shifts, (3,), basis)[:, 0]
             zeros = shifts[betas <= _ZERO_TOL].tolist()
             expect = optimal_shift_williams(gen)

@@ -14,6 +14,7 @@ import pytest
 
 import wtdesigns as wt
 from wtdesigns.optimal import _q2_coefficient_blocks
+from wtdesigns.recursion import _classify_stack
 
 
 def _tol_of(printed: str) -> float:
@@ -385,13 +386,14 @@ def _sweep_closed_form_shift(problems):
 
 
 def _sweep_unique_zero_for_type_two(problems):
-    want = (wt.RecursiveType.TYPE_I, wt.RecursiveType.TYPE_II)
     for q in (5, 7):
         basis = wt.orthonormal_basis(q)
         for n in (3, 4):
-            for gen in wt.enumerate_q2_generators(q, n):
-                if wt.classify(gen) not in want:
-                    continue
+            C = np.concatenate(list(_q2_coefficient_blocks(q, n)))
+            labels = _classify_stack(C, q)
+            kept = (labels == wt.RecursiveType.TYPE_I) | (labels == wt.RecursiveType.TYPE_II)
+            for coeffs in C[kept]:
+                gen = wt.GeneratorSet(q, coeffs)
                 grid = wt.shift_grid_beta(gen, "williams", 3, basis)
                 zeros = np.argwhere(grid <= 1e-9)
                 expect = wt.optimal_shift_williams(gen)

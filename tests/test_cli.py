@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from wtdesigns import load_design
-from wtdesigns.cli import main, parse_generator_text
+from wtdesigns.cli import build_parser, main, parse_generator_text
 from wtdesigns.errors import InputError
 
 
@@ -229,10 +229,35 @@ def test_reproduce_pass_exits_zero(tmp_path, capsys):
     assert csv_path.read_text() == stdout
 
 
+# stdout of the per-start closure that the stacked closure replaced
+RECURSIVE_COUNTS_STDOUT = (
+    "table recursive-counts (source: table: recursive-design counts, 25-run and 49-run)\n"
+    "q  n  typeI  typeII  typeIII\n"
+    "5  3      2       8        8\n"
+    "5  4      6      24       24\n"
+    "5  5     20      32       32\n"
+    "5  6     16      16       16\n"
+    "7  3      2      14       18\n"
+    "7  4      6     133      135\n"
+    "7  5     20     540      540\n"
+    "7  6     70    1215     1215\n"
+    "7  7    252    1458     1458\n"
+    "7  8    267     729      729\n"
+    "FAIL: 6 mismatch(es)\n"
+    "q=5 n=3 typeII: got 8, expected 6\n"
+    "q=5 n=4 typeII: got 24, expected 22\n"
+    "q=7 n=3 typeII: got 14, expected 10\n"
+    "q=7 n=4 typeII: got 133, expected 99\n"
+    "q=7 n=5 typeII: got 540, expected 517\n"
+    "q=7 n=6 typeII: got 1215, expected 1214\n"
+)
+
+
 def test_reproduce_mismatch_exits_four(capsys):
     code, stdout, _ = run(capsys, "reproduce", "--table", "recursive-counts")
     assert code == 4
     assert "FAIL" in stdout
+    assert stdout == RECURSIVE_COUNTS_STDOUT
 
 
 def test_reproduce_unknown_table_is_usage_error(capsys):
@@ -358,3 +383,24 @@ def test_search_json_matches_recorded_bytes(capsys):
 
 def test_no_arguments_is_usage_error(capsys):
     assert run(capsys)[0] == 1
+
+
+def test_shared_parser_matches_fresh_parser(capsys):
+    # one process, one parser: each call gives what a newly built parser gives
+    calls = [
+        ("classify", "--q", "7"),  # usage error
+        ("classify", "--q", "9", "--generators", "1,1"),  # InputError
+        ("classify", "--q", "7", "--generators", "2,2"),
+        ("count", "--q", "5", "--n", "4"),
+        ("search", "--q", "5", "--generators", "1,2;1,3", "--family", "williams"),
+        ("classify", "--q", "5", "--generators", "1,1"),
+    ]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert [code for code, _, _ in fresh] == [1, 2, 0, 0, 0, 0]
+    parser = build_parser()
+    shared = [run(capsys, *argv) for argv in calls]
+    assert build_parser() is parser
+    assert shared == fresh

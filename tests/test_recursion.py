@@ -1,13 +1,34 @@
 """Recursive-type classification and the reduced-space tallies.
 
-The frozen count tuples below were computed independently with a separate
-prototype implementation of the closure rule before this package existed;
-they are cumulative (a type-I design is also counted as type II and III).
+The frozen count tuples below are cumulative (a type-I design is also
+counted as type II and III). The q=5 cells and q=7 n=3..5 were computed
+independently with a separate prototype implementation of the closure rule
+before this package existed. The q=7 n=6..8 tuples were taken from the
+`count_recursive` of the per-start closure that the stacked closure
+replaced (the oracle `_closure_reaches_all` below); criterion 3 covers these
+cells too, but it fails by design, so it cannot guard them.
+
+The stacked closure is checked against that per-start closure as an oracle.
 """
 
+import json
+from itertools import combinations
+from pathlib import Path
+
+import numpy as np
 import pytest
 
-from wtdesigns import GeneratorSet, InputError, RecursiveType, classify, count_recursive
+from wtdesigns import (
+    GeneratorSet,
+    InputError,
+    RecursiveType,
+    classify,
+    count_recursive,
+    rank_mod,
+)
+from wtdesigns.optimal import _q2_coefficient_blocks
+from wtdesigns import recursion
+from wtdesigns.recursion import _classify_stack, _saturate
 
 FROZEN_COUNTS = {
     (5, 3): (2, 8, 8),
@@ -17,8 +38,72 @@ FROZEN_COUNTS = {
     (7, 3): (2, 14, 18),
     (7, 4): (6, 133, 135),
     (7, 5): (20, 540, 540),
+    (7, 6): (70, 1215, 1215),
+    (7, 7): (252, 1458, 1458),
+    (7, 8): (267, 729, 729),
 }
 
+CLOSURE_REFERENCE = (
+    Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "closure.json"
+)
+
+
+# --- oracle: one closure per start set and regime, one round at a time ---------
+
+def _closure_reaches_all(cols, start, c1_vals, c2_vals, q) -> bool:
+    """Saturate the reachable set from `start`; True if all columns land."""
+    n, d = cols.shape
+    pows = q ** np.arange(d - 1, -1, -1)
+    code_of = {int(c): i for i, c in enumerate(cols @ pows)}
+    reached = np.zeros(n, dtype=bool)
+    reached[list(start)] = True
+    c1 = np.asarray(sorted(c1_vals), dtype=np.int64)
+    c2 = np.asarray(sorted(c2_vals), dtype=np.int64)
+    while reached.sum() < n:
+        V = cols[np.flatnonzero(reached)]
+        t = len(V)
+        combo = (
+            c1[:, None, None, None, None] * V[None, :, None, None, :]
+            + c2[None, None, :, None, None] * V[None, None, None, :, :]
+        ) % q
+        codes = combo @ pows
+        # the two source columns must be distinct
+        same = np.eye(t, dtype=bool)
+        codes = np.where(same[None, :, None, :], -1, codes)
+        added = False
+        for code in np.unique(codes):
+            idx = code_of.get(int(code))
+            if idx is not None and not reached[idx]:
+                reached[idx] = True
+                added = True
+        if not added:
+            return False
+    return True
+
+
+def _oracle_classify(gen: GeneratorSet) -> RecursiveType:
+    q = gen.q
+    cols = gen.column_vectors()
+    n, d = cols.shape
+    starts = [
+        s for s in combinations(range(n), d) if rank_mod(cols[list(s)], q) == d
+    ]
+    regimes = (
+        (RecursiveType.TYPE_I, {1, q - 1}, {1, q - 1}),
+        (RecursiveType.TYPE_II, {1, q - 1}, set(range(1, q))),
+        (RecursiveType.TYPE_III, set(range(1, q)), set(range(1, q))),
+    )
+    for label, c1_vals, c2_vals in regimes:
+        if any(_closure_reaches_all(cols, s, c1_vals, c2_vals, q) for s in starts):
+            return label
+    return RecursiveType.NOT_RECURSIVE
+
+
+def _cell(q, n):
+    return np.concatenate(list(_q2_coefficient_blocks(q, n)))
+
+
+# --- examples ---------------------------------------------------------------------
 
 def test_classify_frozen_examples():
     assert classify(GeneratorSet(5, [[1, 1]])) is RecursiveType.TYPE_I
@@ -39,6 +124,116 @@ def test_type_labels_render():
     assert str(RecursiveType.TYPE_I) == "TypeI"
     assert RecursiveType.NOT_RECURSIVE.value == "NotRecursive"
 
+
+# --- the stacked closure against the oracle ---------------------------------------
+
+ORACLE_CELLS = [(5, n, 1) for n in range(3, 7)] + [(7, n, 1) for n in range(3, 7)]
+ORACLE_CELLS += [(7, 7, 23), (7, 8, 11)]
+
+
+@pytest.mark.parametrize("q,n,stride", ORACLE_CELLS)
+def test_stacked_closure_matches_oracle(q, n, stride):
+    C = _cell(q, n)[::stride]
+    got = _classify_stack(C, q)
+    want = [_oracle_classify(GeneratorSet(q, c)) for c in C]
+    assert list(got) == want
+
+
+def test_single_and_stacked_calls_agree():
+    for q, n in ((5, 4), (7, 5), (11, 4)):
+        C = _cell(q, n)[::7]
+        assert [classify(GeneratorSet(q, c)) for c in C] == list(_classify_stack(C, q))
+
+
+def _random_sets(q, d, m, count, seed):
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        try:
+            out.append(GeneratorSet(q, rng.integers(0, q, size=(m, d))))
+        except InputError:
+            continue
+    return out
+
+
+def _has_dependent_start(gen):
+    cols = gen.column_vectors()
+    n, d = cols.shape
+    return any(
+        rank_mod(cols[list(s)], gen.q) < d for s in combinations(range(n), d)
+    )
+
+
+@pytest.mark.parametrize("q,m,seed", [(3, 4, 0), (3, 7, 1), (5, 4, 2), (5, 8, 3), (7, 5, 4)])
+def test_dependent_starts_match_oracle(q, m, seed):
+    # d = 3 sets with dependent 3-subsets among their columns: the oracle
+    # skips them, the stacked closure tries them and must gain nothing
+    gens = _random_sets(q, 3, m, 6, seed)
+    assert any(_has_dependent_start(g) for g in gens)
+    assert [classify(g) for g in gens] == [_oracle_classify(g) for g in gens]
+
+
+def _projective_plane(q):
+    """Every point of PG(2, q) off the three unit points, first nonzero = 1."""
+    rows = [
+        v
+        for v in np.ndindex(q, q, q)
+        if sum(x != 0 for x in v) >= 2 and v[np.flatnonzero(v)[0]] == 1
+    ]
+    return np.array(rows, dtype=np.int64)
+
+
+def test_wide_sets_match_oracle():
+    # q=5, d=3: all 31 points of the plane, 465 column pairs, and a
+    # 26-column subset of them
+    full = _projective_plane(5)
+    for C in (full, full[[i for i in range(len(full)) if i % 6 != 0]]):
+        gen = GeneratorSet(5, C)
+        assert gen.n > 24
+        assert classify(gen) is _oracle_classify(gen)
+
+
+def test_round_does_not_wrap_the_pair_count():
+    # 256 reached pairs all yield column 24: a uint8 count would read 0
+    n = 25
+    pa, pb = np.triu_indices(n, 1)
+    reach = np.zeros((1, len(pa), n), dtype=bool)
+    reach[0, np.flatnonzero(pb < n - 1)[:256], n - 1] = True
+    reached = np.zeros((1, 1, n), dtype=bool)
+    reached[..., : n - 1] = True
+    assert _saturate(reached, reach, pa, pb).all()
+
+
+def test_stack_matches_recorded_closure_verdicts():
+    # every set of the six benchmark cells, against the recorded stdout codes
+    with open(CLOSURE_REFERENCE, encoding="utf-8") as fh:
+        ref = json.load(fh)
+    for cell, verdicts in ref["cells"].items():
+        q, n = (int(v) for v in cell.split(","))
+        got = "".join(ref["codes"][t.value] for t in _classify_stack(_cell(q, n), q))
+        assert got == verdicts, cell
+
+
+def test_empty_stack():
+    assert _classify_stack(np.empty((0, 3, 2), dtype=np.int64), 5).shape == (0,)
+
+
+@pytest.mark.parametrize("one_design_per_chunk", [True, False])
+def test_small_chunks_give_the_same_labels(monkeypatch, one_design_per_chunk):
+    # one start per chunk: a design's label must be the strictest over all
+    # chunks, and an early stop must wait for every design of its chunk
+    C = _cell(7, 5)[::5]
+    want = list(_classify_stack(C, 7))
+    gens = _random_sets(5, 3, 5, 6, 7) + [GeneratorSet(5, _projective_plane(5)[::2])]
+    want_gens = [_oracle_classify(g) for g in gens]
+    if one_design_per_chunk:
+        monkeypatch.setattr(recursion, "_CHUNK_TARGETS", 1)
+    monkeypatch.setattr(recursion, "_CHUNK_CELLS", 1)
+    assert list(_classify_stack(C, 7)) == want
+    assert [classify(g) for g in gens] == want_gens
+
+
+# --- tallies ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("q,n", sorted(FROZEN_COUNTS))
 def test_counts_match_frozen_values(q, n):
