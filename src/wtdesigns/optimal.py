@@ -11,11 +11,13 @@ Families:
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import comb
 from typing import Optional
 
 import numpy as np
 
 from .aberration import (
+    _CHUNK_BYTES,
     DEFAULT_TOL,
     beta_k_stack,
     beta_pattern,
@@ -35,7 +37,7 @@ from .designs import (
     williams_table,
 )
 from .errors import CapExceededError, InputError
-from .fieldmath import PrimeLevel, check_odd_prime
+from .fieldmath import PrimeLevel, check_odd_prime, full_factorial
 from .orthopoly import orthonormal_basis
 from .recursion import RecursiveType, _classify_stack
 
@@ -145,57 +147,78 @@ def _rank_candidates(patterns: np.ndarray, tol: float):
     return alive, decided
 
 
+def _support_table(values) -> np.ndarray:
+    """Squared run-sums of every choice of candidates on the positions of a support.
+
+    values[j] is a (V_j, N) array holding the candidate value vectors of
+    position j: p_{u_j} of a universe column in each run, or of one
+    dependent column at each of its q shifts. Returns the (V_1, ..., V_r)
+    table of (sum_i prod_j v_j[a_j, i])^2. The leading positions are
+    multiplied out in chunks of about _CHUNK_BYTES and the last one enters
+    through a matrix product, so the run-sums are added in BLAS order: the
+    table is accurate to rounding, not bit-identical to beta_k_stack.
+    """
+    if len(values) == 1:
+        sums = values[0].sum(axis=1)
+        return sums * sums
+    head, *mid, last = values
+    N = head.shape[1]
+    shape = tuple(len(v) for v in values)
+    width = int(np.prod(shape[1:-1]))
+    step = max(1, _CHUNK_BYTES // (8 * N * width))
+    out = np.empty((shape[0], width, shape[-1]))
+    for lo in range(0, shape[0], step):
+        prod = head[lo : lo + step, None, :]
+        for v in mid:
+            prod = (prod[:, :, None, :] * v[None, None]).reshape(len(prod), -1, N)
+        sums = prod @ last.T
+        out[lo : lo + step] = sums * sums
+    return out.reshape(shape)
+
+
 def shift_grid_beta(gen: GeneratorSet, family: str, k: int, basis=None) -> np.ndarray:
     """beta_k of every shift vector at once, as an array of shape (q,)*m.
 
     Each exponent vector u touches at most k columns, so its contribution
-    depends only on the shifts of the dependent columns in its support.
-    Summing small per-support tables over the full shift grid evaluates all
-    q^m candidates for the price of the tables.
+    depends only on the shifts of the dependent columns in its support: a
+    _support_table over those shifts. The tables are summed per set of
+    dependent columns, and each smaller set's sum is broadcast into one of
+    the largest sets that contain it, so the (q,)*m grid is touched once per
+    largest set. This evaluates all q^m candidates for the price of the
+    tables; the values are accurate to rounding, and search_shifts only
+    prunes on them.
     """
     if family not in FAMILIES:
         raise InputError(f"family must be one of {FAMILIES}, got {family!r}")
-    if basis is None:
-        basis = orthonormal_basis(gen.q)
     q, m, n = gen.q, gen.m, gen.n
+    K = n * (q - 1)
+    if not 1 <= k <= K:
+        raise InputError(f"k={k} out of range 1..{K}")
+    if basis is None:
+        basis = orthonormal_basis(q)
     d = n - m
     full = expand_stack(gen.C[None], q)[0]
     base, dep = full[:, :d], full[:, d:]
     N = base.shape[0]
     relabel = williams_table(q) if family == "williams" else np.arange(q)
     B = basis.values
-    ind_vals = [B[:, relabel[base[:, j]]] for j in range(d)]
-    dep_tabs = [
-        np.stack([B[:, relabel[(dep[:, i] + s) % q]] for s in range(q)])
-        for i in range(m)
-    ]  # (q shifts, q degrees, N)
-    letters = "abcdefgh"
-    total = np.zeros((q,) * m)
-    const = 0.0
+    # (q degrees, 1, N) per independent column, (q degrees, q shifts, N) per dependent one
+    ind_vals = [B[:, None, relabel[base[:, j]]] for j in range(d)]
+    shifted = (dep[None, :, :] + np.arange(q)[:, None, None]) % q  # (q shifts, N, m)
+    dep_vals = [B[:, relabel[shifted[:, :, i]]] for i in range(m)]
+    top = min(k, m)
+    tables = {}
     for u in compositions(k, n, q - 1):
         support = np.flatnonzero(u)
-        fixed = np.ones(N)
-        dep_axes = []
-        arrays = []
-        for j in support:
-            if j < d:
-                fixed = fixed * ind_vals[j][u[j]]
-            else:
-                dep_axes.append(j - d)
-                arrays.append(dep_tabs[j - d][:, u[j], :])
-        if not dep_axes:
-            s = float(fixed.sum())
-            const += s * s / N**2
-            continue
-        spec = ",".join(["n"] + [letters[i] + "n" for i in range(len(dep_axes))])
-        spec += "->" + letters[: len(dep_axes)]
-        sums = np.einsum(spec, fixed, *arrays)
-        term = sums * sums / N**2
-        shape = [1] * m
-        for ax in dep_axes:
-            shape[ax] = q
-        total += term.reshape(shape)
-    return total + const
+        values = [ind_vals[j][u[j]] if j < d else dep_vals[j - d][u[j]] for j in support]
+        axes = [j - d for j in support if j >= d]
+        host = tuple(sorted(axes + [a for a in range(m) if a not in axes][: top - len(axes)]))
+        table = tables.setdefault(host, np.zeros((q,) * top))
+        table += _support_table(values).reshape([q if a in axes else 1 for a in host])
+    total = np.zeros((q,) * m)
+    for host, table in tables.items():
+        total += table.reshape([q if a in host else 1 for a in range(m)])
+    return total / N**2
 
 
 def _shift_vectors(idx, q: int, m: int) -> np.ndarray:
@@ -404,71 +427,199 @@ def standard_generators(q: PrimeLevel, n: int) -> GeneratorSet:
     return GeneratorSet(q, [[1, s] for s in range(1, n - 1)])
 
 
-def _closed_form_stacks(q: int, n: int, family: str, ks=()):
-    """Every reduced q^2-run generator set at its closed-form shift, in chunks.
+def _closed_form_stacks(C: np.ndarray, q: int, family: str, ks=()):
+    """The q^2-run sets of a (B, m, 2) coefficient stack at their closed-form shifts, in chunks.
 
-    Yields (C, b, rows): the (B, m, 2) coefficients in enumerate_q2_generators
-    order, their (B, m) closed-form shift vectors for the family, and the
-    family members' (B, N, n) level stack, designs_per_chunk designs for the
-    degrees ks at a time. No GeneratorSet or Design objects are built.
+    Yields (C, rows): a chunk of the coefficients and the family members'
+    (B, N, n) level stack, designs_per_chunk designs for the degrees ks at a
+    time. No GeneratorSet or Design objects are built.
     """
-    C = np.concatenate(list(_q2_coefficient_blocks(q, n)))
     b = _closed_form_shifts(C, q, family)
-    step = designs_per_chunk(q * q, n, q, ks)
+    step = designs_per_chunk(q * q, C.shape[1] + 2, q, ks)
     for lo in range(0, len(C), step):
         part = slice(lo, lo + step)
-        yield C[part], b[part], _family_rows(expand_stack(C[part], q), b[part], q, family)
+        yield C[part], _family_rows(expand_stack(C[part], q), b[part], q, family)
 
 
-def closed_form_sweep(q: PrimeLevel, n: int, family: str, ks, basis=None):
-    """beta_k of every reduced q^2-run generator set at its closed-form shift.
+def _closed_form_betas(C: np.ndarray, q: int, family: str, ks, basis) -> np.ndarray:
+    """Exact beta_k of the sets of a (B, m, 2) coefficient stack at their closed-form shifts.
 
-    Returns (C, b, betas): the (B, m, 2) coefficient stack in
-    enumerate_q2_generators order, the (B, m) closed-form shift vectors of
-    the family, and the (B, len(ks)) measures, evaluated chunk by chunk on
-    the integer stacks of _closed_form_stacks.
+    Shape (B, len(ks)), by beta_k_stack, so each row has the bits of
+    beta_k(build_design(...)) of its set, whatever else is in the stack.
     """
-    if family not in FAMILIES:
-        raise InputError(f"family must be one of {FAMILIES}, got {family!r}")
-    if basis is None:
-        basis = orthonormal_basis(q)
-    parts = [
-        (C, b, beta_k_stack(rows, ks, basis))
-        for C, b, rows in _closed_form_stacks(q, n, family, ks)
-    ]
-    return tuple(np.concatenate(p) for p in zip(*parts))
+    out = np.empty((len(C), len(ks)))
+    lo = 0
+    for _, rows in _closed_form_stacks(C, q, family, ks):
+        out[lo : lo + len(rows)] = beta_k_stack(rows, ks, basis)
+        lo += len(rows)
+    return out
+
+
+# Half-width of the band around a cut inside which a table value of beta_3 or
+# beta_4 does not decide its set. The largest deviation from beta_k_stack
+# measured on the cells of the q2-25run and q2-49run tables and on q=11, 13
+# n=5 is 7.1e-15 (q=7 n=8), over 10^4 times smaller; and at DEFAULT_TOL / 100
+# the band stays narrow next to the ranking tolerance. _table_eps proves the
+# forward error below it up to n = 9 (n = 8 at q = 23), and widens the
+# band beyond.
+_TABLE_EPS = 1e-10
+
+
+def _table_eps(N: int, n: int) -> float:
+    """Bound on |table value - beta_k_stack value| of beta_3 and beta_4, n columns, N runs.
+
+    Every support term of degree 3 or 4 on at least three columns has a
+    run-sum s with sum_i |prod_j p_{u_j}(x_ij)| <= N: Cauchy-Schwarz over
+    two groups of at most two columns, each group's mean square being 1 at
+    strength 2. So any evaluation of s/N, in any product and summation
+    order, is off by at most gamma_{N+2} = (N+2)u/(1-(N+2)u), u = 2^-53,
+    and its square, at most 1, by at most (2N+12)u with the rounding of
+    the square and the division. Two evaluations of T such terms differ by
+    at most T(4N+24)u, plus 2T^2 u for adding the terms up; T = 3C(n,3) +
+    C(n,4) covers beta_4 and beta_3. Terms on one or two columns are
+    exactly zero and evaluate to at most gamma_{N+2}^2 each. Returns the
+    larger of that bound and _TABLE_EPS. The bound is 3e-12 at q=13 n=5
+    and 1.8e-11 at q=7 n=8; it passes _TABLE_EPS only from n = 10 at
+    q >= 11 (n = 9 at q = 23), cells of 10^7 sets and more.
+    """
+    T = 3 * comb(n, 3) + comb(n, 4)
+    return max(_TABLE_EPS, T * (4 * N + 24 + 2 * T) * 2.0**-53)
+
+
+def _keep_minimal_within(approx: np.ndarray, exact_of, tol: float, eps: float) -> np.ndarray:
+    """_keep_minimal of exact values known through approximations within eps.
+
+    exact_of(idx) returns the exact values at the positions idx. A value
+    farther than eps from every cut the minimum allows is decided by its
+    approximation. Only if some value is not, the sets that may hold the
+    minimum and the undecided ones are evaluated exactly, and the cut is
+    taken from the exact minimum, so the mask equals _keep_minimal(exact).
+    """
+    lo = float(approx.min()) - eps  # the exact minimum lies in [lo, lo + 2 eps]
+    cut_lo = lo + tol * max(1.0, lo)
+    cut_hi = lo + 2 * eps + tol * max(1.0, lo + 2 * eps)
+    keep = approx <= cut_lo - eps
+    band = np.flatnonzero(~keep & (approx <= cut_hi + eps))
+    if len(band):
+        near = np.flatnonzero(approx <= lo + 3 * eps)
+        both = np.union1d(near, band)
+        exact = exact_of(both)
+        mn = float(exact[np.isin(both, near)].min())
+        keep[band] = exact[np.isin(both, band)] <= mn + tol * max(1.0, mn)
+    return keep
+
+
+def _universe_values(q: int, family: str, basis) -> np.ndarray:
+    """p_1 and p_2 of every column a reduced q^2-run set can hold, at its closed-form shift.
+
+    A column is fixed by its coefficient vector: the universe lists (1, 0),
+    (0, 1), then (c1, c2) for c1 in 1..(q-1)/2 and c2 in 1..q-1 in product
+    order (_universe_ids gives a set's rows). Returns V with V[u-1, a, i] =
+    p_u of universe column a in run i of the full factorial, shape
+    (2, U, q^2). An independent column's closed-form shift is 0, as it is
+    never shifted.
+    """
+    half = (q - 1) // 2
+    dep = np.array(list(product(range(1, half + 1), range(1, q))), dtype=np.int64)
+    coef = np.vstack([np.eye(2, dtype=np.int64), dep])
+    levels = (full_factorial(q, 2) @ coef.T + _closed_form_shifts(coef, q, family)) % q
+    if family == "williams":
+        levels = williams_levels(levels, q)
+    return basis.values[1:3, levels.T]
+
+
+def _universe_ids(C: np.ndarray, q: int) -> np.ndarray:
+    """Universe rows of the n columns of each set of a (B, m, 2) coefficient stack, shape (B, n)."""
+    dep = 2 + (C[..., 0] - 1) * (q - 1) + C[..., 1] - 1
+    return np.concatenate([np.broadcast_to([0, 1], (len(C), 2)), dep], axis=1)
+
+
+def _table_beta3(ids: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """beta_3 of each set of universe columns, within _table_eps.
+
+    ids is a (B, n) stack of universe rows and V the _universe_values.
+    Strength 2 zeroes the terms on one or two columns, so beta_3 is the sum
+    over the set's column triples of their (1,1,1) squared run-sums, looked
+    up in one universe^3 table.
+    """
+    t111 = _support_table([V[0]] * 3)
+    total = np.zeros(len(ids))
+    for a, b, c in combinations(range(ids.shape[1]), 3):
+        total += t111[ids[:, a], ids[:, b], ids[:, c]]
+    return total / V.shape[2] ** 2
+
+
+def _table_beta4(ids: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """beta_4 of each set of universe columns, within _table_eps.
+
+    Per column triple, the (2,1,1) universe^3 table at each choice of the
+    squared column; per column quadruple, its (1,1,1,1) squared run-sum,
+    summed per set in chunks whose column-pair products take about
+    _CHUNK_BYTES together. There is no universe^4 table.
+    """
+    t211 = _support_table([V[1], V[0], V[0]])
+    B, n = ids.shape
+    N = V.shape[2]
+    total = np.zeros(B)
+    for a, b, c in combinations(range(n), 3):
+        ia, ib, ic = ids[:, a], ids[:, b], ids[:, c]
+        total += t211[ia, ib, ic] + t211[ib, ia, ic] + t211[ic, ia, ib]
+    quads = list(combinations(range(n), 4))
+    halves = {h for a, b, c, e in quads for h in ((a, b), (c, e))}
+    step = max(1, _CHUNK_BYTES // (8 * N * max(1, len(halves))))
+    for lo in range(0, B, step):
+        P = V[0][ids[lo : lo + step]]  # (chunk, n, N)
+        pairs = {(a, b): P[:, a] * P[:, b] for a, b in halves}
+        for a, b, c, e in quads:
+            sums = np.einsum("sn,sn->s", pairs[a, b], pairs[c, e])
+            total[lo : lo + step] += sums * sums
+    return total / N**2
 
 
 def _family_best(q, n, family, basis, tol) -> FamilyBest:
-    C, b, betas = closed_form_sweep(q, n, family, (3, 4), basis)
+    """The family's best set: sequential minimisation of beta_3, beta_4, then full patterns.
+
+    beta_3 and beta_4 of every set come from support tables over the
+    universe of columns and only prune (_keep_minimal_within); the sets they
+    cannot decide, the minimiser when it matters, and the winner are
+    evaluated exactly with beta_k_stack, so every field has the bits of the
+    exact sweep.
+    """
+    C = np.concatenate(list(_q2_coefficient_blocks(q, n)))
+    V = _universe_values(q, family, basis)
     alive = np.arange(len(C))
     decided = None
-    for col, k in ((0, 3), (1, 4)):
-        keep = _keep_minimal(betas[alive, col], tol)
+    for k, table_beta in ((3, _table_beta3), (4, _table_beta4)):
+        keep = _keep_minimal_within(
+            table_beta(_universe_ids(C[alive], q), V),
+            lambda idx: _closed_form_betas(C[alive[idx]], q, family, (k,), basis)[:, 0],
+            tol,
+            _table_eps(q * q, n),
+        )
         if not keep.all():
             decided = k
             alive = alive[keep]
 
-    # Design objects and full patterns only for the survivors; the
-    # winner's pattern is among them
-    survivors = _family_rows(expand_stack(C[alive], q), b[alive], q, family)
+    # full patterns only for the survivors; the winner's pattern is among them
+    b = _closed_form_shifts(C[alive], q, family)
+    survivors = _family_rows(expand_stack(C[alive], q), b, q, family)
     patterns = [beta_pattern(Design(q, rows), basis=basis).values for rows in survivors]
+    idx = np.arange(len(alive))
     if len(alive) > 1:
         idx, sub_decided = _rank_candidates(np.array(patterns), tol)
         if sub_decided is not None:
             decided = sub_decided
-        alive = alive[idx]
-        patterns = [patterns[i] for i in idx]
 
-    order = sorted(range(len(alive)), key=lambda i: C[alive[i]].tolist())
-    win = alive[order[0]]
+    order = sorted(idx, key=lambda i: C[alive[i]].tolist())
+    win = order[0]
+    beta3, beta4 = beta_k_stack(survivors[win][None], (3, 4), basis)[0].tolist()
     return FamilyBest(
         family=family,
-        generators=C[win].tolist(),
+        generators=C[alive[win]].tolist(),
         b=b[win].tolist(),
-        beta3=float(betas[win, 0]),
-        beta4=float(betas[win, 1]),
-        pattern=patterns[order[0]],
+        beta3=beta3,
+        beta4=beta4,
+        pattern=patterns[win],
         ties=[C[alive[i]].tolist() for i in order],
         evaluations=len(C),
         decided_k=decided,
@@ -501,10 +652,15 @@ def search_q2(q: PrimeLevel, n: int, tol: float = DEFAULT_TOL) -> Q2Report:
 
 def _theorem1(q, nmax) -> list:
     basis = orthonormal_basis(q)
+    V = _universe_values(q, "williams", basis)
     failures = []
     for n in range(3, nmax + 1):
-        C, _, betas = closed_form_sweep(q, n, "williams", (3,), basis)
-        for coeffs, v in zip(C, betas[:, 0]):
+        C = np.concatenate(list(_q2_coefficient_blocks(q, n)))
+        # a table value this far below the threshold passes; the others are
+        # decided, and printed, by their exact beta_3
+        suspect = C[_table_beta3(_universe_ids(C, q), V) > _ZERO_TOL - _table_eps(q * q, n)]
+        betas = _closed_form_betas(suspect, q, "williams", (3,), basis)[:, 0]
+        for coeffs, v in zip(suspect, betas):
             if v > _ZERO_TOL:
                 failures.append(f"n={n} C={coeffs.tolist()}: beta3={v:.3g}")
     return failures
@@ -514,12 +670,11 @@ def _theorem2(q, nmax) -> list:
     basis = orthonormal_basis(q)
     failures = []
     for n in range(3, min(nmax, 4) + 1):
-        shifts = _shift_vectors(np.arange(q ** (n - 2)), q, n - 2)
         C = np.concatenate(list(_q2_coefficient_blocks(q, n)))
         for coeffs in C[_classify_stack(C, q) == RecursiveType.TYPE_II]:
             gen = GeneratorSet(q, coeffs)
-            betas = shift_betas(gen, "williams", shifts, (3,), basis)[:, 0]
-            zeros = shifts[betas <= _ZERO_TOL].tolist()
+            grid = shift_grid_beta(gen, "williams", 3, basis)
+            zeros = np.argwhere(grid <= _ZERO_TOL).tolist()
             expect = optimal_shift_williams(gen)
             if zeros != [expect]:
                 failures.append(
@@ -531,8 +686,9 @@ def _theorem2(q, nmax) -> list:
 def _theorem4(q, nmax) -> list:
     failures = []
     for n in range(3, nmax + 1):
-        for C, _, rows in _closed_form_stacks(q, n, "williams"):
-            for coeffs in C[~mirror_symmetric_stack(rows, q)]:
+        C = np.concatenate(list(_q2_coefficient_blocks(q, n)))
+        for part, rows in _closed_form_stacks(C, q, "williams"):
+            for coeffs in part[~mirror_symmetric_stack(rows, q)]:
                 failures.append(f"n={n} C={coeffs.tolist()}: not mirror-symmetric")
     return failures
 

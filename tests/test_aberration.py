@@ -22,7 +22,6 @@ from wtdesigns import (
 from wtdesigns import aberration, optimal
 from wtdesigns.aberration import _pattern_by_pairs, beta_k_stack, compositions
 from wtdesigns.designs import expand_stack
-from wtdesigns.optimal import closed_form_sweep
 
 
 def enumeration_beta_k(design, k, basis):
@@ -153,7 +152,8 @@ def test_stacked_beta_k_is_bit_identical(q, n, family, monkeypatch):
     assert np.array_equal(beta_k_stack(stack, (3, 4), basis), want)
     # the integer stacks of the generator sweep, also in chunks of 7, build
     # the same designs
-    _, _, betas = closed_form_sweep(q, n, family, (3, 4), basis)
+    C = np.concatenate(list(optimal._q2_coefficient_blocks(q, n)))
+    betas = optimal._closed_form_betas(C, q, family, (3, 4), basis)
     assert np.array_equal(betas, want)
 
 

@@ -1,6 +1,7 @@
 """Closed-form shifts, exhaustive shift searches, generator-space searches."""
 
 import json
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -29,7 +30,9 @@ from wtdesigns import (
     williams,
     williams_value,
 )
-from wtdesigns.aberration import DEFAULT_TOL
+from wtdesigns import optimal
+from wtdesigns.aberration import DEFAULT_TOL, beta_k_stack
+from wtdesigns.recursion import RecursiveType, _classify_stack
 
 
 # --- closed-form shifts -----------------------------------------------------
@@ -131,6 +134,46 @@ def test_shift_betas_validates_input():
 def test_grid_rejects_unknown_family():
     with pytest.raises(InputError):
         shift_grid_beta(GeneratorSet(5, [[1, 1]]), "affine", 3)
+
+
+def test_grid_refuses_degrees_out_of_range():
+    # n(q-1) = 16 here; 0 used to give a grid of ones and 99 one of zeros
+    gen = GeneratorSet(5, [[1, 1], [1, 2]])
+    for k in (0, -1, 17, 99):
+        with pytest.raises(InputError, match="out of range"):
+            shift_grid_beta(gen, "williams", k)
+    shifts = np.array(list(product(range(5), repeat=2)))
+    want = shift_betas(gen, "williams", shifts, (16,))[:, 0]
+    assert np.allclose(shift_grid_beta(gen, "williams", 16).reshape(-1), want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("family", ["linear", "williams"])
+def test_grid_with_more_dependent_columns_than_the_degree(family):
+    # m = 4 > k: the tables of smaller dependent-column sets are folded into
+    # the largest ones before they reach the grid
+    gen = GeneratorSet(5, [[1, 1], [1, 2], [1, 3], [1, 4]])
+    basis = orthonormal_basis(5)
+    shifts = np.array(list(product(range(5), repeat=4)))
+    ks = (1, 2, 3, 4, 5)
+    want = shift_betas(gen, family, shifts, ks, basis)
+    for t, k in enumerate(ks):
+        grid = shift_grid_beta(gen, family, k, basis)
+        assert grid.shape == (5,) * 4
+        assert np.allclose(grid.reshape(-1), want[:, t], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("positions", [1, 2, 3, 4])
+def test_support_table_matches_brute_force(positions, monkeypatch):
+    rng = np.random.default_rng(positions)
+    values = [rng.normal(size=(v, 11)) for v in (5, 1, 4, 3)[:positions]]
+    letters = "abcd"[:positions]
+    spec = ",".join(f"{a}n" for a in letters) + "->" + letters
+    sums = np.einsum(spec, *values)
+    for chunk in (optimal._CHUNK_BYTES, 8):  # one candidate of the head per chunk
+        monkeypatch.setattr(optimal, "_CHUNK_BYTES", chunk)
+        got = optimal._support_table(values)
+        assert got.shape == sums.shape
+        assert np.allclose(got, sums * sums, rtol=1e-13, atol=0)
 
 
 # --- exhaustive shift search ---------------------------------------------------
@@ -307,6 +350,45 @@ def test_verify_theorem_reports_failing_sets(monkeypatch):
         assert verify_theorem(theorem, 5, 4)[0] == line
 
 
+def _exact_theorem1(q, nmax):
+    # the oracle: exact beta_3 of every Williams set at its closed-form shift
+    basis = orthonormal_basis(q)
+    failures = []
+    for n in range(3, nmax + 1):
+        C, betas = closed_form_sweep(q, n, "williams", (3,), basis)
+        for coeffs, v in zip(C, betas[:, 0]):
+            if v > 1e-9:
+                failures.append(f"n={n} C={coeffs.tolist()}: beta3={v:.3g}")
+    return failures
+
+
+@pytest.mark.parametrize("center", ["closed form", "patched to 0"])
+@pytest.mark.parametrize("q", [5, 7, 11])
+def test_theorem1_equals_the_exact_sweep(q, center, monkeypatch):
+    if center != "closed form":
+        monkeypatch.setattr(optimal, "center_preimage", lambda q: 0)
+    nmax = q + 1 if q <= 7 else 5  # the CLI default
+    want = _exact_theorem1(q, nmax)
+    assert (want == []) == (center == "closed form")
+    assert verify_theorem(1, q, nmax) == want
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_theorem2_grid_zero_sets_equal_the_per_shift_ones(q):
+    basis = orthonormal_basis(q)
+    checked = 0
+    for n in (3, 4):
+        shifts = np.array(list(product(range(q), repeat=n - 2)))
+        C = np.concatenate(list(optimal._q2_coefficient_blocks(q, n)))
+        for coeffs in C[_classify_stack(C, q) == RecursiveType.TYPE_II]:
+            gen = GeneratorSet(q, coeffs)
+            grid = shift_grid_beta(gen, "williams", 3, basis)
+            per_shift = shift_betas(gen, "williams", shifts, (3,), basis)[:, 0]
+            assert np.argwhere(grid <= 1e-9).tolist() == shifts[per_shift <= 1e-9].tolist()
+            checked += 1
+    assert checked == {5: 6 + 18, 7: 12 + 127}[q]  # type II, not type I
+
+
 def test_verify_theorem_validates_input():
     with pytest.raises(InputError, match="theorem"):
         verify_theorem(3, 5, 4)
@@ -385,3 +467,175 @@ def test_search_q2_json_shape():
         "family", "generators", "b", "beta", "ties", "evaluations", "decided_k",
     }
     assert d["standard"]["beta"] == pytest.approx([0.125, 0.525], abs=1e-9)
+
+
+# --- generator-space search: tables prune, exact enumeration prints ---------------
+
+def closed_form_sweep(q, n, family, ks, basis):
+    """The exact oracle: beta_k_stack of every reduced set at its closed-form shift.
+
+    Returns the (B, m, 2) coefficient stack in enumerate_q2_generators order
+    and the (B, len(ks)) measures.
+    """
+    C = np.concatenate(list(optimal._q2_coefficient_blocks(q, n)))
+    stacks = optimal._closed_form_stacks(C, q, family, ks)
+    return C, np.concatenate([beta_k_stack(rows, ks, basis) for _, rows in stacks])
+
+
+@lru_cache(maxsize=None)
+def _exact_cell(q, n, family):
+    C, betas = closed_form_sweep(q, n, family, (3, 4), orthonormal_basis(q))
+    C.setflags(write=False)
+    betas.setflags(write=False)
+    return C, betas
+
+
+def _exact_family_best(q, n, family):
+    # the generator search without tables: exact beta_3 and beta_4 of every
+    # set, _keep_minimal on each, then full patterns ranked for the survivors
+    from wtdesigns.optimal import FamilyBest, _keep_minimal, _rank_candidates
+
+    basis = orthonormal_basis(q)
+    C, betas = _exact_cell(q, n, family)
+    b = optimal._closed_form_shifts(C, q, family)
+    alive = np.arange(len(C))
+    decided = None
+    for col, k in ((0, 3), (1, 4)):
+        keep = _keep_minimal(betas[alive, col], DEFAULT_TOL)
+        if not keep.all():
+            decided = k
+            alive = alive[keep]
+    patterns = [
+        beta_pattern(build_design(GeneratorSet(q, C[i]), b[i], family), basis=basis).values
+        for i in alive
+    ]
+    if len(alive) > 1:
+        idx, sub_decided = _rank_candidates(np.array(patterns), DEFAULT_TOL)
+        if sub_decided is not None:
+            decided = sub_decided
+        alive = alive[idx]
+        patterns = [patterns[i] for i in idx]
+    order = sorted(range(len(alive)), key=lambda i: C[alive[i]].tolist())
+    win = alive[order[0]]
+    return FamilyBest(
+        family=family,
+        generators=C[win].tolist(),
+        b=b[win].tolist(),
+        beta3=float(betas[win, 0]),
+        beta4=float(betas[win, 1]),
+        pattern=patterns[order[0]],
+        ties=[C[alive[i]].tolist() for i in order],
+        evaluations=len(C),
+        decided_k=decided,
+    )
+
+
+# every cell of the q2-25run and q2-49run tables, and the five-column cells
+# of q = 11 and 13, where one exact sweep takes seconds
+Q2_CELLS = (
+    [(5, n) for n in range(3, 7)]
+    + [(7, n) for n in range(3, 9)]
+    + [pytest.param(q, 5, marks=pytest.mark.slow) for q in (11, 13)]
+)
+
+
+@pytest.mark.parametrize("q,n", Q2_CELLS)
+def test_search_q2_equals_the_exact_sweep(q, n):
+    rep = search_q2(q, n)
+    for family in ("linear", "williams"):
+        got, want = getattr(rep, family), _exact_family_best(q, n, family)
+        # repr prints every float to the last bit
+        assert got == want
+        assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("q,n", Q2_CELLS)
+def test_table_betas_stay_far_inside_the_band(q, n):
+    basis = orthonormal_basis(q)
+    assert optimal._TABLE_EPS <= DEFAULT_TOL / 100
+    assert optimal._table_eps(q * q, n) == optimal._TABLE_EPS
+    for family in ("linear", "williams"):
+        C, betas = _exact_cell(q, n, family)
+        ids = optimal._universe_ids(C, q)
+        V = optimal._universe_values(q, family, basis)
+        for table_beta, exact in ((optimal._table_beta3, betas[:, 0]),
+                                  (optimal._table_beta4, betas[:, 1])):
+            deviation = np.abs(table_beta(ids, V) - exact).max()
+            assert deviation <= optimal._TABLE_EPS / 1000, (family, table_beta)
+
+
+def test_table_betas_do_not_depend_on_the_chunk_size(monkeypatch):
+    basis = orthonormal_basis(7)
+    C, betas = _exact_cell(7, 6, "williams")
+    ids = optimal._universe_ids(C, 7)
+    V = optimal._universe_values(7, "williams", basis)
+    # three sets per chunk of quadruple sums, one head column per table chunk
+    monkeypatch.setattr(optimal, "_CHUNK_BYTES", 3 * 8 * 49)
+    assert np.abs(optimal._table_beta3(ids, V) - betas[:, 0]).max() <= 1e-13
+    assert np.abs(optimal._table_beta4(ids, V) - betas[:, 1]).max() <= 1e-13
+
+
+def _recording(exact):
+    asked = []
+
+    def exact_of(idx):
+        asked.extend(idx.tolist())
+        return exact[idx]
+
+    return exact_of, asked
+
+
+def test_band_decides_values_near_the_cut_exactly():
+    from wtdesigns.optimal import _keep_minimal, _keep_minimal_within
+
+    eps, tol = optimal._TABLE_EPS, DEFAULT_TOL
+    # cut = 1 + 1e-8; sets 1 and 2 sit just inside and just outside it, and
+    # their approximations err by 0.6 eps towards the other side
+    exact = np.array([1.0, 1.0 + tol - 0.3 * eps, 1.0 + tol + 0.3 * eps, 2.0])
+    approx = exact + np.array([0.0, 0.6, -0.6, 0.0]) * eps
+    exact_of, asked = _recording(exact)
+    keep = _keep_minimal_within(approx, exact_of, tol, eps)
+    assert keep.tolist() == _keep_minimal(exact, tol).tolist() == [True, True, False, False]
+    assert sorted(set(asked)) == [0, 1, 2]
+
+
+def test_band_takes_the_cut_from_the_exact_minimum():
+    from wtdesigns.optimal import _keep_minimal, _keep_minimal_within
+
+    eps, tol = optimal._TABLE_EPS, DEFAULT_TOL
+    # the approximate minimum is 0.5 eps too high; set 1 lies 0.2 eps past
+    # the exact cut, inside the cut that the approximate minimum would give
+    exact = np.array([1.0, 1.0 + tol + 0.2 * eps, 3.0])
+    approx = exact + np.array([0.5, 0.0, 0.0]) * eps
+    exact_of, _ = _recording(exact)
+    keep = _keep_minimal_within(approx, exact_of, tol, eps)
+    assert keep.tolist() == _keep_minimal(exact, tol).tolist() == [True, False, False]
+
+
+def test_band_leaves_clear_decisions_to_the_tables():
+    from wtdesigns.optimal import _keep_minimal_within
+
+    approx = np.array([0.5, 0.5 + 1e-15, 0.7, 1e-30])
+    exact_of, asked = _recording(approx)
+    keep = _keep_minimal_within(approx, exact_of, DEFAULT_TOL, optimal._TABLE_EPS)
+    assert keep.tolist() == [False, False, False, True]
+    assert asked == []
+
+
+def test_band_matches_keep_minimal_on_random_clusters():
+    from wtdesigns.optimal import _keep_minimal, _keep_minimal_within
+
+    eps, tol = optimal._TABLE_EPS, DEFAULT_TOL
+    rng = np.random.default_rng(20261018)
+    for _ in range(2000):
+        mn = rng.choice([0.0, 1e-31, 0.3, 1.0, 7.5])
+        cut = mn + tol * max(1.0, mn)
+        # values clustered at the minimum and at the cut, within a few eps
+        exact = np.concatenate([
+            [mn], mn + rng.uniform(0, 3 * eps, 4), cut + rng.uniform(-3 * eps, 3 * eps, 6),
+            mn + rng.uniform(0, 1, 3),
+        ])
+        approx = exact + rng.uniform(-eps, eps, exact.shape)
+        exact_of, _ = _recording(exact)
+        keep = _keep_minimal_within(approx, exact_of, tol, eps)
+        assert keep.tolist() == _keep_minimal(exact, tol).tolist()
