@@ -11,7 +11,7 @@ Families:
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from math import comb
+from math import comb, prod
 from typing import Optional
 
 import numpy as np
@@ -164,29 +164,52 @@ def _support_table(values) -> np.ndarray:
     head, *mid, last = values
     N = head.shape[1]
     shape = tuple(len(v) for v in values)
-    width = int(np.prod(shape[1:-1]))
+    width = prod(shape[1:-1])
     step = max(1, _CHUNK_BYTES // (8 * N * width))
     out = np.empty((shape[0], width, shape[-1]))
     for lo in range(0, shape[0], step):
-        prod = head[lo : lo + step, None, :]
+        terms = head[lo : lo + step, None, :]
         for v in mid:
-            prod = (prod[:, :, None, :] * v[None, None]).reshape(len(prod), -1, N)
-        sums = prod @ last.T
+            terms = (terms[:, :, None, :] * v[None, None]).reshape(len(terms), -1, N)
+        sums = terms @ last.T
         out[lo : lo + step] = sums * sums
     return out.reshape(shape)
+
+
+def _fold_tables(out: np.ndarray, tables: list) -> None:
+    """Write into out the sum of tables, arrays that broadcast to its shape.
+
+    Each table spans a distinct set of axes and has size 1 off them, so
+    some axis is spanned by some tables and not by others. The first such
+    axis splits them: the tables that span it are folded into out, and the
+    others into a grid without that axis, which is then added along it.
+    Each nested split adds an axis that every table folded into out spans,
+    so out is written at most once more than the widest table has axes,
+    and every grid a split allocates is out.shape[a] times smaller than
+    the array it is added to.
+    """
+    if len(tables) == 1:
+        out[...] = tables[0]
+        return
+    a = next(a for a in range(out.ndim) if len({t.shape[a] for t in tables}) > 1)
+    _fold_tables(out, [t for t in tables if t.shape[a] > 1])
+    sub = np.empty(out.shape[:a] + (1,) + out.shape[a + 1 :])
+    _fold_tables(sub, [t for t in tables if t.shape[a] == 1])
+    out += sub
 
 
 def shift_grid_beta(gen: GeneratorSet, family: str, k: int, basis=None) -> np.ndarray:
     """beta_k of every shift vector at once, as an array of shape (q,)*m.
 
-    Each exponent vector u touches at most k columns, so its contribution
-    depends only on the shifts of the dependent columns in its support: a
-    _support_table over those shifts. The tables are summed per set of
-    dependent columns, and each smaller set's sum is broadcast into one of
-    the largest sets that contain it, so the (q,)*m grid is touched once per
-    largest set. This evaluates all q^m candidates for the price of the
-    tables; the values are accurate to rounding, and search_shifts only
-    prunes on them.
+    Every member is an orthogonal array of strength 2, so an exponent
+    vector whose support has fewer than three columns has a run-sum of
+    exactly zero and is skipped. Any other exponent vector's term depends
+    only on the shifts of the dependent columns in its support: a
+    _support_table over those shifts. The tables are summed and divided by
+    N^2 per set of dependent columns, and _fold_tables adds them up into
+    the grid axis by axis. This evaluates all q^m candidates for the price
+    of the tables; the values are accurate to rounding, not bit-identical
+    to shift_betas, and search_shifts only prunes on them.
     """
     if family not in FAMILIES:
         raise InputError(f"family must be one of {FAMILIES}, got {family!r}")
@@ -206,19 +229,20 @@ def shift_grid_beta(gen: GeneratorSet, family: str, k: int, basis=None) -> np.nd
     ind_vals = [B[:, None, relabel[base[:, j]]] for j in range(d)]
     shifted = (dep[None, :, :] + np.arange(q)[:, None, None]) % q  # (q shifts, N, m)
     dep_vals = [B[:, relabel[shifted[:, :, i]]] for i in range(m)]
-    top = min(k, m)
     tables = {}
-    for u in compositions(k, n, q - 1):
-        support = np.flatnonzero(u)
+    for u in compositions(k, n, q - 1).tolist():
+        support = [j for j in range(n) if u[j]]
+        if len(support) < 3:
+            continue
         values = [ind_vals[j][u[j]] if j < d else dep_vals[j - d][u[j]] for j in support]
-        axes = [j - d for j in support if j >= d]
-        host = tuple(sorted(axes + [a for a in range(m) if a not in axes][: top - len(axes)]))
-        table = tables.setdefault(host, np.zeros((q,) * top))
-        table += _support_table(values).reshape([q if a in axes else 1 for a in host])
-    total = np.zeros((q,) * m)
-    for host, table in tables.items():
-        total += table.reshape([q if a in host else 1 for a in range(m)])
-    return total / N**2
+        axes = tuple(j - d for j in support if j >= d)
+        table = _support_table(values).reshape([q if a in axes else 1 for a in range(m)])
+        tables[axes] = tables.get(axes, 0.0) + table
+    if not tables:  # k <= 2
+        return np.zeros((q,) * m)
+    grid = np.empty((q,) * m)
+    _fold_tables(grid, [t / N**2 for t in tables.values()])
+    return grid
 
 
 def _shift_vectors(idx, q: int, m: int) -> np.ndarray:
@@ -273,6 +297,21 @@ def _patterns_for(gen, family, shifts, k_max, basis) -> np.ndarray:
     return np.asarray(out, dtype=float)
 
 
+def _alive_betas(gen, family, k, alive_idx, basis) -> np.ndarray:
+    """beta_k at the flat grid indices alive_idx, or at every shift vector for None.
+
+    The grid is not kept: with every shift alive the values are a view of
+    it, and it is freed once search_shifts has cut on them.
+    """
+    if k > 5:
+        # supports get wide and the grid tables stop paying off;
+        # fall back to per-candidate evaluation of the survivors
+        idx = np.arange(gen.q**gen.m) if alive_idx is None else alive_idx
+        return shift_betas(gen, family, _shift_vectors(idx, gen.q, gen.m), (k,), basis)[:, 0]
+    grid = shift_grid_beta(gen, family, k, basis).reshape(-1)
+    return grid if alive_idx is None else grid[alive_idx]
+
+
 def search_shifts(
     gen: GeneratorSet,
     family: str,
@@ -288,9 +327,13 @@ def search_shifts(
     columns), so beta_1 = beta_2 = 0 at every shift and pruning starts at
     degree 3. While more than one candidate is alive, degrees 3..5 prune
     on the grid evaluation, and higher degrees on per-candidate measures
-    while more than _DIRECT_LIMIT are alive. Both are exact, so the result
-    never depends on the pruning path; only the survivors get full
-    patterns, on which they are ranked.
+    while more than _DIRECT_LIMIT are alive. Only the survivors get full
+    patterns, on which they are ranked. The per-candidate measures are
+    beta_k_stack values, but the grid is accurate only to rounding, so a
+    shift vector within rounding of a cut could fall on either side of it.
+    What holds the ranking is the test suite: it compares the grid with the
+    per-host accumulation it replaced and with a full pattern per shift,
+    and replays the recorded search outputs byte for byte.
     """
     if family not in FAMILIES:
         raise InputError(f"family must be one of {FAMILIES}, got {family!r}")
@@ -307,22 +350,20 @@ def search_shifts(
         raise InputError(f"k_max={k_max} out of range 1..{K}")
     basis = orthonormal_basis(q)
 
-    alive_idx = np.arange(total)
+    alive_idx = None  # every shift vector, until the first cut
+    alive = total
     decided = None
     k = 2  # beta_1 = beta_2 = 0 at strength 2
-    while k < k_max and len(alive_idx) > (1 if k < 5 else _DIRECT_LIMIT):
+    while k < k_max and alive > (1 if k < 5 else _DIRECT_LIMIT):
         k += 1
-        if k > 5:
-            # supports get wide and the grid tables stop paying off;
-            # fall back to per-candidate evaluation of the survivors
-            vals = shift_betas(gen, family, _shift_vectors(alive_idx, q, m), (k,), basis)[:, 0]
-        else:
-            vals = shift_grid_beta(gen, family, k, basis).reshape(-1)[alive_idx]
-        keep = _keep_minimal(vals, tol)
+        keep = _keep_minimal(_alive_betas(gen, family, k, alive_idx, basis), tol)
         if not keep.all():
             decided = k
-            alive_idx = alive_idx[keep]
+            alive_idx = np.flatnonzero(keep) if alive_idx is None else alive_idx[keep]
+            alive = len(alive_idx)
 
+    if alive_idx is None:
+        alive_idx = np.arange(total)
     shifts = _shift_vectors(alive_idx, q, m)
     patterns = _patterns_for(gen, family, shifts, k_max, basis)
     sub_alive, sub_decided = _rank_candidates(patterns, tol)
@@ -368,6 +409,24 @@ def _q2_coefficient_blocks(q: PrimeLevel, n: int):
     scales = np.array(list(product(range(1, half + 1), repeat=m)), dtype=np.int64)
     for slopes in combinations(range(1, q), m):
         yield np.stack([scales, (scales * np.array(slopes)) % q], axis=2)
+
+
+def _check_q2_cell(q: int, n: int) -> None:
+    """Refuse a (q, n) cell of more than SEARCH_CAP reduced generator sets, before any work."""
+    sets = comb(q - 1, n - 2) * ((q - 1) // 2) ** (n - 2)
+    if sets > SEARCH_CAP:
+        raise CapExceededError(
+            f"q={q} n={n} has {sets} reduced generator sets, over the cap of {SEARCH_CAP}"
+        )
+
+
+def _q2_coefficients(q: PrimeLevel, n: int) -> np.ndarray:
+    """Every reduced coefficient set of the (q, n) cell as one (B, m, 2) stack.
+
+    Cells of more than SEARCH_CAP sets are refused (_check_q2_cell).
+    """
+    _check_q2_cell(q, n)
+    return np.concatenate(list(_q2_coefficient_blocks(q, n)))
 
 
 @dataclass(frozen=True)
@@ -585,7 +644,7 @@ def _family_best(q, n, family, basis, tol) -> FamilyBest:
     evaluated exactly with beta_k_stack, so every field has the bits of the
     exact sweep.
     """
-    C = np.concatenate(list(_q2_coefficient_blocks(q, n)))
+    C = _q2_coefficients(q, n)
     V = _universe_values(q, family, basis)
     alive = np.arange(len(C))
     decided = None
@@ -633,8 +692,9 @@ def search_q2(q: PrimeLevel, n: int, tol: float = DEFAULT_TOL) -> Q2Report:
     per-family winner minimizes the aliasing pattern sequentially, with all
     pattern-equal generator sets reported as ties.
     """
-    basis = orthonormal_basis(q)
     std = standard_generators(q, n)
+    _check_q2_cell(q, n)
+    basis = orthonormal_basis(q)
     std_pattern = beta_pattern(expand(std), basis=basis)
     linear = _family_best(q, n, "linear", basis, tol)
     will = _family_best(q, n, "williams", basis, tol)
@@ -650,12 +710,12 @@ def search_q2(q: PrimeLevel, n: int, tol: float = DEFAULT_TOL) -> Q2Report:
     )
 
 
-def _theorem1(q, nmax) -> list:
+def _theorem1(q, ns) -> list:
     basis = orthonormal_basis(q)
     V = _universe_values(q, "williams", basis)
     failures = []
-    for n in range(3, nmax + 1):
-        C = np.concatenate(list(_q2_coefficient_blocks(q, n)))
+    for n in ns:
+        C = _q2_coefficients(q, n)
         # a table value this far below the threshold passes; the others are
         # decided, and printed, by their exact beta_3
         suspect = C[_table_beta3(_universe_ids(C, q), V) > _ZERO_TOL - _table_eps(q * q, n)]
@@ -666,11 +726,11 @@ def _theorem1(q, nmax) -> list:
     return failures
 
 
-def _theorem2(q, nmax) -> list:
+def _theorem2(q, ns) -> list:
     basis = orthonormal_basis(q)
     failures = []
-    for n in range(3, min(nmax, 4) + 1):
-        C = np.concatenate(list(_q2_coefficient_blocks(q, n)))
+    for n in ns:
+        C = _q2_coefficients(q, n)
         for coeffs in C[_classify_stack(C, q) == RecursiveType.TYPE_II]:
             gen = GeneratorSet(q, coeffs)
             grid = shift_grid_beta(gen, "williams", 3, basis)
@@ -683,10 +743,10 @@ def _theorem2(q, nmax) -> list:
     return failures
 
 
-def _theorem4(q, nmax) -> list:
+def _theorem4(q, ns) -> list:
     failures = []
-    for n in range(3, nmax + 1):
-        C = np.concatenate(list(_q2_coefficient_blocks(q, n)))
+    for n in ns:
+        C = _q2_coefficients(q, n)
         for part, rows in _closed_form_stacks(C, q, "williams"):
             for coeffs in part[~mirror_symmetric_stack(rows, q)]:
                 failures.append(f"n={n} C={coeffs.tolist()}: not mirror-symmetric")
@@ -694,6 +754,7 @@ def _theorem4(q, nmax) -> list:
 
 
 _THEOREMS = {1: _theorem1, 2: _theorem2, 4: _theorem4}
+_THEOREM_NMAX = {2: 4}  # theorem 2 is checked up to n = 4 whatever nmax is
 
 
 def verify_theorem(theorem: int, q: PrimeLevel, nmax: int) -> list:
@@ -710,4 +771,7 @@ def verify_theorem(theorem: int, q: PrimeLevel, nmax: int) -> list:
         raise InputError(f"theorem must be one of {tuple(_THEOREMS)}, got {theorem!r}")
     if not 3 <= nmax <= q + 1:
         raise InputError(f"nmax={nmax} out of range 3..{q + 1} for q={q}")
-    return _THEOREMS[theorem](q, nmax)
+    ns = range(3, min(nmax, _THEOREM_NMAX.get(theorem, nmax)) + 1)
+    for n in ns:
+        _check_q2_cell(q, n)
+    return _THEOREMS[theorem](q, ns)

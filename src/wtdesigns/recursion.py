@@ -222,13 +222,13 @@ def count_recursive(q: PrimeLevel, n: int):
     column generator space; counts are cumulative, a type-I design adds to
     all three.
     """
-    from .optimal import _q2_coefficient_blocks
+    from .optimal import _q2_coefficients
 
     if q not in (5, 7):
         raise InputError(f"counts are tabulated for q in {{5, 7}}, got {q}")
     if not 3 <= n <= q + 1:
         raise InputError(f"n={n} out of range 3..{q + 1} for q={q}")
-    labels = _classify_stack(np.concatenate(list(_q2_coefficient_blocks(q, n))), q)
+    labels = _classify_stack(_q2_coefficients(q, n), q)
     c1 = int((labels == RecursiveType.TYPE_I).sum())
     c2 = c1 + int((labels == RecursiveType.TYPE_II).sum())
     c3 = c2 + int((labels == RecursiveType.TYPE_III).sum())

@@ -153,6 +153,48 @@ def test_search_large_scan_needs_force(capsys):
     assert "--force" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("searchq2", "--q", "13", "--n", "8"),  # C(12,6) * 6^6 = 43.1M sets
+    ("verify", "--theorem", "1", "--q", "13", "--nmax", "14"),  # n = 7: 6.2M sets
+    ("verify", "--theorem", "4", "--q", "11", "--nmax", "8"),  # n = 8: 3.3M sets
+])
+def test_oversized_q2_cells_are_refused_before_any_work(capsys, monkeypatch, argv):
+    from wtdesigns import optimal
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the cap check")
+
+    # an internal error would exit 3
+    for name in ("_q2_coefficient_blocks", "beta_pattern", "orthonormal_basis"):
+        monkeypatch.setattr(optimal, name, no_work)
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert "over the cap of 2000000" in err
+
+
+def test_q2_cells_up_to_the_cap_run(capsys, monkeypatch):
+    from wtdesigns import optimal
+
+    # q=7 has C(6,2) * 3^2 = 135 reduced sets at n=4 and 540 at n=5
+    monkeypatch.setattr(optimal, "SEARCH_CAP", 135)
+    assert run(capsys, "searchq2", "--q", "7", "--n", "4")[0] == 0
+    assert run(capsys, "verify", "--theorem", "4", "--q", "7", "--nmax", "4")[0] == 0
+    assert run(capsys, "verify", "--theorem", "4", "--q", "7", "--nmax", "5")[0] == 2
+    # theorem 2 builds no cell above n = 4, whatever nmax says
+    assert run(capsys, "verify", "--theorem", "2", "--q", "7", "--nmax", "8")[0] == 0
+    monkeypatch.setattr(optimal, "SEARCH_CAP", 134)
+    assert run(capsys, "searchq2", "--q", "7", "--n", "4")[0] == 2
+    assert run(capsys, "verify", "--theorem", "2", "--q", "7", "--nmax", "8")[0] == 2
+
+
+@pytest.mark.slow
+def test_searchq2_q13_n5_still_runs(capsys):
+    code, stdout, _ = run(capsys, "searchq2", "--q", "13", "--n", "5")
+    assert code == 0
+    assert stdout.startswith("standard: ")
+
+
 # --- classify / count / searchq2 -----------------------------------------------------
 
 def test_classify_output(capsys):
@@ -304,6 +346,8 @@ RECORDED_STDOUT = {
         "PASS (closed-form shift zeroes the degree-3 measure, q=7, n<=8)\n",
     ("verify", "--theorem", "2", "--q", "7"):
         "PASS (unique zero shift for type-II designs, q=7, n<=8)\n",
+    ("verify", "--theorem", "2", "--q", "11"):
+        "PASS (unique zero shift for type-II designs, q=11, n<=5)\n",
     ("verify", "--theorem", "4", "--q", "7"):
         "PASS (mirror symmetry at the closed-form shift, q=7, n<=8)\n",
     ("reproduce", "--table", "example1"):
@@ -360,25 +404,27 @@ SHIFT_REFERENCE = Q2_REFERENCE.with_name("shift-scan.json")
 
 
 def _recorded_shift_searches():
+    # every pooled 125- and 625-shift set of the benchmark, and two 7^6- and
+    # one 11^6-shift set, whose searches prune on shift_grid_beta
     with open(SHIFT_REFERENCE, encoding="utf-8") as fh:
         ref = json.load(fh)
+    cells = [(5, 5, 16), (5, 6, 16), (7, 8, 2), (11, 8, 1)]
     return [
-        (gens, family, ref["outputs"][f"5|{n}|{family}|{gens}"])
-        for n in (5, 6)
-        for gens in ref["pool"][f"5,{n}"]
+        (q, gens, family, ref["outputs"][f"{q}|{n}|{family}|{gens}"])
+        for q, n, count in cells
+        for gens in ref["pool"][f"{q},{n}"][:count]
         for family in ("linear", "williams")
     ]
 
 
 def test_search_json_matches_recorded_bytes(capsys):
-    # every pooled 125- and 625-shift search of the benchmark, both families
-    for gens, family, want in _recorded_shift_searches():
+    for q, gens, family, want in _recorded_shift_searches():
         code, stdout, _ = run(
-            capsys, "search", "--q", "5", "--generators", gens,
+            capsys, "search", "--q", str(q), "--generators", gens,
             "--family", family, "--json", "--force",
         )
         assert code == 0
-        assert stdout == want, (gens, family)
+        assert stdout == want, (q, gens, family)
 
 
 def test_no_arguments_is_usage_error(capsys):

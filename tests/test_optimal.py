@@ -3,6 +3,7 @@
 import json
 from functools import lru_cache
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +34,8 @@ from wtdesigns import (
 from wtdesigns import optimal
 from wtdesigns.aberration import DEFAULT_TOL, beta_k_stack
 from wtdesigns.recursion import RecursiveType, _classify_stack
+
+SHIFT_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "shift-scan.json"
 
 
 # --- closed-form shifts -----------------------------------------------------
@@ -162,6 +165,99 @@ def test_grid_with_more_dependent_columns_than_the_degree(family):
         assert np.allclose(grid.reshape(-1), want[:, t], rtol=0, atol=1e-12)
 
 
+def _host_grid(gen, family, k, basis):
+    # the oracle: every exponent vector's support table, zero supports too,
+    # added into a host table over min(k, m) dependent columns, and every
+    # host broadcast into the grid one at a time
+    from wtdesigns.aberration import compositions
+    from wtdesigns.designs import expand_stack, williams_table
+
+    q, m, n = gen.q, gen.m, gen.n
+    d = n - m
+    full = expand_stack(gen.C[None], q)[0]
+    base, dep = full[:, :d], full[:, d:]
+    N = base.shape[0]
+    relabel = williams_table(q) if family == "williams" else np.arange(q)
+    B = basis.values
+    ind_vals = [B[:, None, relabel[base[:, j]]] for j in range(d)]
+    shifted = (dep[None, :, :] + np.arange(q)[:, None, None]) % q
+    dep_vals = [B[:, relabel[shifted[:, :, i]]] for i in range(m)]
+    top = min(k, m)
+    tables = {}
+    for u in compositions(k, n, q - 1):
+        support = np.flatnonzero(u)
+        values = [ind_vals[j][u[j]] if j < d else dep_vals[j - d][u[j]] for j in support]
+        axes = [j - d for j in support if j >= d]
+        host = tuple(sorted(axes + [a for a in range(m) if a not in axes][: top - len(axes)]))
+        table = tables.setdefault(host, np.zeros((q,) * top))
+        table += optimal._support_table(values).reshape([q if a in axes else 1 for a in host])
+    total = np.zeros((q,) * m)
+    for host, table in tables.items():
+        total += table.reshape([q if a in host else 1 for a in range(m)])
+    return total / N**2
+
+
+def _pooled_set(q, n, i=0):
+    with open(SHIFT_REFERENCE, encoding="utf-8") as fh:
+        gens = json.load(fh)["pool"][f"{q},{n}"][i]
+    return GeneratorSet(q, [[int(c) for c in row.split(",")] for row in gens.split(";")])
+
+
+# m = 1..6 dependent columns, so k > m in some rows at every degree; the
+# rows with three independent columns have supports on independent columns
+# alone
+GRID_ORACLE_SETS = [
+    (5, [[1, 1]]),
+    (5, [[1, 2], [2, 1]]),
+    (5, [[1, 1], [1, 2], [1, 3]]),
+    (5, [[1, 1], [1, 2], [1, 3], [1, 4]]),
+    (5, [[1, 1, 1]]),
+    (5, [[1, 1, 1], [1, 2, 3]]),
+    (5, [[1, 1, 1], [1, 2, 3], [1, 4, 2], [0, 1, 1], [1, 0, 1]]),
+    (5, [[1, 1, 1], [1, 2, 3], [1, 4, 2], [0, 1, 1], [1, 0, 1], [1, 1, 2]]),
+    (7, [[2, 2]]),
+    (7, [[1, 3], [2, 5]]),
+    (7, [[1, 1], [1, 2], [1, 3], [1, 4]]),
+    (7, [[1, 1], [1, 2], [1, 3], [1, 4], [1, 5]]),
+    (7, [[2, 2], [3, 6], [3, 2], [3, 5], [2, 3], [3, 4]]),
+]
+
+
+@pytest.mark.parametrize("family", ["linear", "williams"])
+@pytest.mark.parametrize("q,C", GRID_ORACLE_SETS)
+def test_grid_matches_the_host_accumulation(q, C, family):
+    gen = GeneratorSet(q, C)
+    basis = orthonormal_basis(q)
+    for k in (3, 4, 5, 6):
+        want = _host_grid(gen, family, k, basis)
+        got = shift_grid_beta(gen, family, k, basis)
+        assert got.shape == want.shape
+        assert (np.abs(got - want) <= 1e-12 * np.maximum(1.0, want)).all(), k
+
+
+@pytest.mark.parametrize("family", ["linear", "williams"])
+def test_pooled_q11_grid_matches_the_host_accumulation(family):
+    gen = _pooled_set(11, 8)
+    basis = orthonormal_basis(11)
+    want = _host_grid(gen, family, 3, basis)
+    got = shift_grid_beta(gen, family, 3, basis)
+    assert (np.abs(got - want) <= 1e-12 * np.maximum(1.0, want)).all()
+
+
+def test_fold_adds_every_table_once():
+    # tables on every subset of up to three of four axes, in any order
+    from itertools import combinations
+
+    rng = np.random.default_rng(8)
+    axes = [S for r in range(4) for S in combinations(range(4), r)]
+    rng.shuffle(axes)
+    tables = [rng.random([3 if a in S else 1 for a in range(4)]) for S in axes]
+    for count in (1, 2, len(tables)):
+        out = np.full((3,) * 4, np.nan)
+        optimal._fold_tables(out, tables[:count])
+        assert np.allclose(out, sum(np.broadcast_to(t, (3,) * 4) for t in tables[:count]))
+
+
 @pytest.mark.parametrize("positions", [1, 2, 3, 4])
 def test_support_table_matches_brute_force(positions, monkeypatch):
     rng = np.random.default_rng(positions)
@@ -247,6 +343,23 @@ def test_search_through_the_fallback_matches_the_default_run(monkeypatch):
     assert search_shifts(gen, "linear") == default
 
 
+def test_fallback_starts_from_every_shift_when_nothing_was_cut(monkeypatch):
+    # a tolerance this wide cuts nothing, so the per-candidate evaluation
+    # of degree 6 starts from all shift vectors
+    monkeypatch.setattr(optimal, "_DIRECT_LIMIT", 1)
+    calls = []
+    betas = optimal.shift_betas
+
+    def counted(gen, family, shifts, ks, basis=None):
+        calls.append((len(shifts), ks))
+        return betas(gen, family, shifts, ks, basis)
+
+    monkeypatch.setattr(optimal, "shift_betas", counted)
+    report = search_shifts(GeneratorSet(5, [[1, 2], [2, 1]]), "williams", k_max=6, tol=1e9)
+    assert calls == [(25, (6,))]
+    assert len(report.ties) == 25 and report.decided_k is None
+
+
 def _ranked_on_full_patterns(gen, family, k_max=None):
     # the oracle: a full pattern for every shift vector, ranked directly
     from wtdesigns.optimal import SearchReport, _rank_candidates
@@ -319,7 +432,7 @@ def test_strength_two_grids_vanish_below_degree_three(family):
                  (5, [[1, 1], [1, 2], [1, 3], [1, 4]])):
         gen = GeneratorSet(q, C)
         for k in (1, 2):
-            assert shift_grid_beta(gen, family, k).max() < 1e-20
+            assert (shift_grid_beta(gen, family, k) == 0.0).all()
 
 
 def test_search_report_json_shape():
