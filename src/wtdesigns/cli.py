@@ -24,7 +24,7 @@ from .designs import (
 from .errors import CapExceededError, InputError
 from .fieldmath import check_odd_prime
 from .models import estimate_variances, info_matrix_csv, information_matrix
-from .optimal import SEARCH_CAP, search_q2, search_shifts, verify_theorem
+from .optimal import SEARCH_CAP, search_q2, search_shifts, verified_nmax, verify_theorem
 from .orthopoly import orthonormal_basis
 from .recursion import classify, count_recursive
 
@@ -78,11 +78,7 @@ def _design_from_args(args) -> Design:
 
 
 def cmd_construct(args) -> int:
-    gen = parse_generator_text(args.generators, check_odd_prime(args.q))
-    b = [int(v) for v in args.b.split(",")] if args.b else [0] * gen.m
-    design = linear_permute(gen, b)
-    if args.williams:
-        design = williams(design)
+    design = _design_from_args(args)
     save_design(design, args.out)
     basis = orthonormal_basis(design.q)
     print(f"N={design.runs} n={design.n_factors} strength={strength(design, 3)}")
@@ -193,17 +189,18 @@ def cmd_verify(args) -> int:
         print(f"error: --nmax must lie in 3..{q + 1}", file=sys.stderr)
         return USAGE_EXIT
     failures = verify_theorem(args.theorem, q, nmax)
+    covered = verified_nmax(args.theorem, nmax)
     label = {
         1: "closed-form shift zeroes the degree-3 measure",
         2: "unique zero shift for type-II designs",
         4: "mirror symmetry at the closed-form shift",
     }[args.theorem]
     if failures:
-        print(f"FAIL ({label}, q={q}, n<={nmax}):")
+        print(f"FAIL ({label}, q={q}, n<={covered}):")
         for f in failures[:20]:
             print("  " + f)
         return MISMATCH_EXIT
-    print(f"PASS ({label}, q={q}, n<={nmax})")
+    print(f"PASS ({label}, q={q}, n<={covered})")
     return 0
 
 

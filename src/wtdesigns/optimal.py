@@ -37,15 +37,12 @@ from .designs import (
     williams_table,
 )
 from .errors import CapExceededError, InputError
-from .fieldmath import PrimeLevel, check_odd_prime, full_factorial
+from .fieldmath import PrimeLevel, check_odd_prime
 from .orthopoly import orthonormal_basis
 from .recursion import RecursiveType, _classify_stack
 
 FAMILIES = ("linear", "williams")
 SEARCH_CAP = 2_000_000
-# the k > 5 fallback scores survivors one design at a time, so it runs only
-# while more than this many are alive; fewer go straight to full patterns
-_DIRECT_LIMIT = 2048
 _ZERO_TOL = 1e-9  # a measure at most this large counts as zero in verify_theorem
 
 
@@ -83,22 +80,59 @@ def optimal_shift_linear(gen: GeneratorSet) -> list:
     return _closed_form_shifts(gen.C, gen.q, "linear").tolist()
 
 
-def build_design(gen: GeneratorSet, b, family: str) -> Design:
-    """The family member at shift vector b."""
+def _check_family(family: str) -> None:
     if family not in FAMILIES:
         raise InputError(f"family must be one of {FAMILIES}, got {family!r}")
+
+
+def build_design(gen: GeneratorSet, b, family: str) -> Design:
+    """The family member at shift vector b."""
+    _check_family(family)
     design = linear_permute(gen, b)
     return williams(design) if family == "williams" else design
 
 
-def _family_rows(expanded: np.ndarray, b: np.ndarray, q: int, family: str) -> np.ndarray:
-    """Family members of expanded designs at the (B, m) shift stack b, shape (B, N, n).
+def _member_stacks(C, b, q: int, family: str, ks=()):
+    """Level stacks of family members, designs_per_chunk designs for the degrees ks at a time.
 
-    The stacked form of build_design: shift_stack, then williams_levels for
-    the Williams family.
+    The stacked form of build_design. C is either a GeneratorSet, expanded
+    once (under expand's run cap) and shifted by every row of the (B, m)
+    shift stack b, or a (B, m, d) coefficient stack whose sets are shifted
+    by their own rows of b. Yields (chunk, N, n) stacks in the order of b;
+    the Williams family maps their levels by williams_levels.
     """
-    rows = shift_stack(expanded, b, q)
-    return williams_levels(rows, q) if family == "williams" else rows
+    single = isinstance(C, GeneratorSet)
+    m, d = C.C.shape if single else C.shape[1:]
+    step = designs_per_chunk(q**d, m + d, q, ks)
+    if single:
+        expanded = expand(C).rows[None]
+    for lo in range(0, len(b), step):
+        part = slice(lo, lo + step)
+        rows = shift_stack(expanded if single else expand_stack(C[part], q), b[part], q)
+        yield williams_levels(rows, q) if family == "williams" else rows
+
+
+def _member_betas(C, b, q: int, family: str, ks, basis) -> np.ndarray:
+    """beta_k of the _member_stacks members, shape (len(b), len(ks)).
+
+    By beta_k_stack, so each row has the bits of beta_k(build_design(...))
+    of its member, whatever else is in the stack.
+    """
+    out = np.empty((len(b), len(ks)))
+    lo = 0
+    for rows in _member_stacks(C, b, q, family, ks):
+        out[lo : lo + len(rows)] = beta_k_stack(rows, ks, basis)
+        lo += len(rows)
+    return out
+
+
+def _member_patterns(C, b, q: int, family: str, k_max, basis) -> np.ndarray:
+    """The (beta_1, ..., beta_k_max) patterns of the _member_stacks members, one row each."""
+    return np.array([
+        beta_pattern(Design(q, rows), k_max, basis).values
+        for stack in _member_stacks(C, b, q, family)
+        for rows in stack
+    ])
 
 
 @dataclass(frozen=True)
@@ -211,8 +245,7 @@ def shift_grid_beta(gen: GeneratorSet, family: str, k: int, basis=None) -> np.nd
     of the tables; the values are accurate to rounding, not bit-identical
     to shift_betas, and search_shifts only prunes on them.
     """
-    if family not in FAMILIES:
-        raise InputError(f"family must be one of {FAMILIES}, got {family!r}")
+    _check_family(family)
     q, m, n = gen.q, gen.m, gen.n
     K = n * (q - 1)
     if not 1 <= k <= K:
@@ -245,23 +278,6 @@ def shift_grid_beta(gen: GeneratorSet, family: str, k: int, basis=None) -> np.nd
     return grid
 
 
-def _shift_vectors(idx, q: int, m: int) -> np.ndarray:
-    """The (len(idx), m) shift vectors at the flat indices idx of the (q,)*m grid."""
-    return np.stack(np.unravel_index(idx, (q,) * m), axis=1)
-
-
-def _shift_stacks(gen, family, shifts, ks=()):
-    """Level stacks of the family members at each shift vector, in chunks.
-
-    The generator set is expanded once; each member shifts its dependent
-    columns. Chunks hold designs_per_chunk designs for the degrees ks.
-    """
-    expanded = expand(gen).rows[None]
-    step = designs_per_chunk(expanded.shape[1], gen.n, gen.q, ks)
-    for lo in range(0, len(shifts), step):
-        yield _family_rows(expanded, shifts[lo : lo + step], gen.q, family)
-
-
 def shift_betas(gen: GeneratorSet, family: str, shifts, ks, basis=None) -> np.ndarray:
     """beta_k of the family member at each shift vector, shape (len(shifts), len(ks)).
 
@@ -270,8 +286,7 @@ def shift_betas(gen: GeneratorSet, family: str, shifts, ks, basis=None) -> np.nd
     the generator set is expanded once and the members are evaluated as
     stacks.
     """
-    if family not in FAMILIES:
-        raise InputError(f"family must be one of {FAMILIES}, got {family!r}")
+    _check_family(family)
     shifts = np.asarray(shifts, dtype=np.int64)
     if shifts.ndim != 2 or shifts.shape[1] != gen.m:
         raise InputError(f"shifts must have shape (S, {gen.m}), got {shifts.shape}")
@@ -281,35 +296,7 @@ def shift_betas(gen: GeneratorSet, family: str, shifts, ks, basis=None) -> np.nd
             raise InputError(f"k={k} out of range 1..{K}")
     if basis is None:
         basis = orthonormal_basis(gen.q)
-    out = np.empty((len(shifts), len(ks)))
-    lo = 0
-    for rows in _shift_stacks(gen, family, shifts, ks):
-        out[lo : lo + len(rows)] = beta_k_stack(rows, ks, basis)
-        lo += len(rows)
-    return out
-
-
-def _patterns_for(gen, family, shifts, k_max, basis) -> np.ndarray:
-    out = []
-    for stack in _shift_stacks(gen, family, shifts):
-        for rows in stack:
-            out.append(beta_pattern(Design(gen.q, rows), k_max, basis).values)
-    return np.asarray(out, dtype=float)
-
-
-def _alive_betas(gen, family, k, alive_idx, basis) -> np.ndarray:
-    """beta_k at the flat grid indices alive_idx, or at every shift vector for None.
-
-    The grid is not kept: with every shift alive the values are a view of
-    it, and it is freed once search_shifts has cut on them.
-    """
-    if k > 5:
-        # supports get wide and the grid tables stop paying off;
-        # fall back to per-candidate evaluation of the survivors
-        idx = np.arange(gen.q**gen.m) if alive_idx is None else alive_idx
-        return shift_betas(gen, family, _shift_vectors(idx, gen.q, gen.m), (k,), basis)[:, 0]
-    grid = shift_grid_beta(gen, family, k, basis).reshape(-1)
-    return grid if alive_idx is None else grid[alive_idx]
+    return _member_betas(gen, shifts, gen.q, family, ks, basis)
 
 
 def search_shifts(
@@ -325,18 +312,15 @@ def search_shifts(
     pattern minimizers; the tie list holds every minimizer. Every member is
     an orthogonal array of strength 2 (GeneratorSet refuses proportional
     columns), so beta_1 = beta_2 = 0 at every shift and pruning starts at
-    degree 3. While more than one candidate is alive, degrees 3..5 prune
-    on the grid evaluation, and higher degrees on per-candidate measures
-    while more than _DIRECT_LIMIT are alive. Only the survivors get full
-    patterns, on which they are ranked. The per-candidate measures are
-    beta_k_stack values, but the grid is accurate only to rounding, so a
+    degree 3. While more than one candidate is alive, degrees 3..5 (up to
+    k_max) prune on shift_grid_beta; the survivors then get full patterns,
+    on which they are ranked. The grid is accurate only to rounding, so a
     shift vector within rounding of a cut could fall on either side of it.
     What holds the ranking is the test suite: it compares the grid with the
     per-host accumulation it replaced and with a full pattern per shift,
     and replays the recorded search outputs byte for byte.
     """
-    if family not in FAMILIES:
-        raise InputError(f"family must be one of {FAMILIES}, got {family!r}")
+    _check_family(family)
     q, m = gen.q, gen.m
     total = q**m
     if total > cap:
@@ -351,21 +335,23 @@ def search_shifts(
     basis = orthonormal_basis(q)
 
     alive_idx = None  # every shift vector, until the first cut
-    alive = total
     decided = None
-    k = 2  # beta_1 = beta_2 = 0 at strength 2
-    while k < k_max and alive > (1 if k < 5 else _DIRECT_LIMIT):
-        k += 1
-        keep = _keep_minimal(_alive_betas(gen, family, k, alive_idx, basis), tol)
+    # beta_1 = beta_2 = 0 at strength 2; above degree 5 the supports get
+    # wide and the grid tables stop paying off
+    for k in range(3, min(k_max, 5) + 1):
+        grid = shift_grid_beta(gen, family, k, basis).reshape(-1)
+        keep = _keep_minimal(grid if alive_idx is None else grid[alive_idx], tol)
+        del grid  # not kept through the next degree or the full patterns
         if not keep.all():
             decided = k
             alive_idx = np.flatnonzero(keep) if alive_idx is None else alive_idx[keep]
-            alive = len(alive_idx)
+            if len(alive_idx) == 1:
+                break
 
     if alive_idx is None:
         alive_idx = np.arange(total)
-    shifts = _shift_vectors(alive_idx, q, m)
-    patterns = _patterns_for(gen, family, shifts, k_max, basis)
+    shifts = np.stack(np.unravel_index(alive_idx, (q,) * m), axis=1)
+    patterns = _member_patterns(gen, shifts, q, family, k_max, basis)
     sub_alive, sub_decided = _rank_candidates(patterns, tol)
     if sub_decided is not None:
         decided = sub_decided
@@ -486,32 +472,12 @@ def standard_generators(q: PrimeLevel, n: int) -> GeneratorSet:
     return GeneratorSet(q, [[1, s] for s in range(1, n - 1)])
 
 
-def _closed_form_stacks(C: np.ndarray, q: int, family: str, ks=()):
-    """The q^2-run sets of a (B, m, 2) coefficient stack at their closed-form shifts, in chunks.
-
-    Yields (C, rows): a chunk of the coefficients and the family members'
-    (B, N, n) level stack, designs_per_chunk designs for the degrees ks at a
-    time. No GeneratorSet or Design objects are built.
-    """
-    b = _closed_form_shifts(C, q, family)
-    step = designs_per_chunk(q * q, C.shape[1] + 2, q, ks)
-    for lo in range(0, len(C), step):
-        part = slice(lo, lo + step)
-        yield C[part], _family_rows(expand_stack(C[part], q), b[part], q, family)
-
-
 def _closed_form_betas(C: np.ndarray, q: int, family: str, ks, basis) -> np.ndarray:
     """Exact beta_k of the sets of a (B, m, 2) coefficient stack at their closed-form shifts.
 
-    Shape (B, len(ks)), by beta_k_stack, so each row has the bits of
-    beta_k(build_design(...)) of its set, whatever else is in the stack.
+    Shape (B, len(ks)); see _member_betas.
     """
-    out = np.empty((len(C), len(ks)))
-    lo = 0
-    for _, rows in _closed_form_stacks(C, q, family, ks):
-        out[lo : lo + len(rows)] = beta_k_stack(rows, ks, basis)
-        lo += len(rows)
-    return out
+    return _member_betas(C, _closed_form_shifts(C, q, family), q, family, ks, basis)
 
 
 # Half-width of the band around a cut inside which a table value of beta_3 or
@@ -580,11 +546,11 @@ def _universe_values(q: int, family: str, basis) -> np.ndarray:
     """
     half = (q - 1) // 2
     dep = np.array(list(product(range(1, half + 1), range(1, q))), dtype=np.int64)
-    coef = np.vstack([np.eye(2, dtype=np.int64), dep])
-    levels = (full_factorial(q, 2) @ coef.T + _closed_form_shifts(coef, q, family)) % q
-    if family == "williams":
-        levels = williams_levels(levels, q)
-    return basis.values[1:3, levels.T]
+    # each universe column as the one dependent column of a (U, 1, 2) stack
+    C = np.vstack([np.eye(2, dtype=np.int64), dep])[:, None, :]
+    members = _member_stacks(C, _closed_form_shifts(C, q, family), q, family)
+    levels = np.concatenate([rows[:, :, 2] for rows in members])
+    return basis.values[1:3, levels]
 
 
 def _universe_ids(C: np.ndarray, q: int) -> np.ndarray:
@@ -660,26 +626,25 @@ def _family_best(q, n, family, basis, tol) -> FamilyBest:
             alive = alive[keep]
 
     # full patterns only for the survivors; the winner's pattern is among them
-    b = _closed_form_shifts(C[alive], q, family)
-    survivors = _family_rows(expand_stack(C[alive], q), b, q, family)
-    patterns = [beta_pattern(Design(q, rows), basis=basis).values for rows in survivors]
-    idx = np.arange(len(alive))
-    if len(alive) > 1:
-        idx, sub_decided = _rank_candidates(np.array(patterns), tol)
-        if sub_decided is not None:
-            decided = sub_decided
+    survivors = C[alive]
+    b = _closed_form_shifts(survivors, q, family)
+    patterns = _member_patterns(survivors, b, q, family, None, basis)
+    idx, sub_decided = _rank_candidates(patterns, tol)
+    if sub_decided is not None:
+        decided = sub_decided
 
-    order = sorted(idx, key=lambda i: C[alive[i]].tolist())
+    order = sorted(idx, key=lambda i: survivors[i].tolist())
     win = order[0]
-    beta3, beta4 = beta_k_stack(survivors[win][None], (3, 4), basis)[0].tolist()
+    exact = _closed_form_betas(survivors[win : win + 1], q, family, (3, 4), basis)
+    beta3, beta4 = exact[0].tolist()
     return FamilyBest(
         family=family,
-        generators=C[alive[win]].tolist(),
+        generators=survivors[win].tolist(),
         b=b[win].tolist(),
         beta3=beta3,
         beta4=beta4,
-        pattern=patterns[win],
-        ties=[C[alive[i]].tolist() for i in order],
+        pattern=tuple(patterns[win].tolist()),
+        ties=[survivors[i].tolist() for i in order],
         evaluations=len(C),
         decided_k=decided,
     )
@@ -747,14 +712,24 @@ def _theorem4(q, ns) -> list:
     failures = []
     for n in ns:
         C = _q2_coefficients(q, n)
-        for part, rows in _closed_form_stacks(C, q, "williams"):
-            for coeffs in part[~mirror_symmetric_stack(rows, q)]:
-                failures.append(f"n={n} C={coeffs.tolist()}: not mirror-symmetric")
+        b = _closed_form_shifts(C, q, "williams")
+        mirrored = np.concatenate([
+            mirror_symmetric_stack(rows, q) for rows in _member_stacks(C, b, q, "williams")
+        ])
+        for coeffs in C[~mirrored]:
+            failures.append(f"n={n} C={coeffs.tolist()}: not mirror-symmetric")
     return failures
 
 
 _THEOREMS = {1: _theorem1, 2: _theorem2, 4: _theorem4}
-_THEOREM_NMAX = {2: 4}  # theorem 2 is checked up to n = 4 whatever nmax is
+
+
+def verified_nmax(theorem: int, nmax: int) -> int:
+    """The largest column count that verify_theorem(theorem, q, nmax) covers.
+
+    Theorem 2 is checked up to n = 4 whatever nmax is.
+    """
+    return min(nmax, 4) if theorem == 2 else nmax
 
 
 def verify_theorem(theorem: int, q: PrimeLevel, nmax: int) -> list:
@@ -771,7 +746,7 @@ def verify_theorem(theorem: int, q: PrimeLevel, nmax: int) -> list:
         raise InputError(f"theorem must be one of {tuple(_THEOREMS)}, got {theorem!r}")
     if not 3 <= nmax <= q + 1:
         raise InputError(f"nmax={nmax} out of range 3..{q + 1} for q={q}")
-    ns = range(3, min(nmax, _THEOREM_NMAX.get(theorem, nmax)) + 1)
+    ns = range(3, verified_nmax(theorem, nmax) + 1)
     for n in ns:
         _check_q2_cell(q, n)
     return _THEOREMS[theorem](q, ns)

@@ -21,7 +21,6 @@ from wtdesigns import (
 )
 from wtdesigns import aberration, optimal
 from wtdesigns.aberration import _pattern_by_pairs, beta_k_stack, compositions
-from wtdesigns.designs import expand_stack
 
 
 def enumeration_beta_k(design, k, basis):
@@ -171,7 +170,7 @@ def test_stacked_beta_k_sampled_large_cells(q, family):
     single = np.array([[beta_k(d, k, basis) for k in (3, 4)] for d in designs])
     assert np.array_equal(single, want)
     b = optimal._closed_form_shifts(C, q, family)
-    rows = optimal._family_rows(expand_stack(C, q), b, q, family)
+    rows = np.concatenate(list(optimal._member_stacks(C, b, q, family)))
     assert np.array_equal(beta_k_stack(rows, (3, 4), basis), want)
 
 

@@ -75,6 +75,16 @@ def test_construct_rejects_bad_generator_text(tmp_path, capsys):
     assert code == 2
 
 
+def test_construct_refuses_missing_generators(tmp_path, capsys):
+    # construct reads its flags as beta and model do: invalid input, exit 2
+    out = tmp_path / "x.txt"
+    code, stdout, err = run(capsys, "construct", "--q", "5", "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert "--generators" in err
+    assert not out.exists()
+
+
 def test_missing_out_flag_is_usage_error(capsys):
     code, _, err = run(capsys, "construct", "--q", "5", "--generators", "1,1")
     assert code == 1
@@ -345,9 +355,9 @@ RECORDED_STDOUT = {
     ("verify", "--theorem", "1", "--q", "7"):
         "PASS (closed-form shift zeroes the degree-3 measure, q=7, n<=8)\n",
     ("verify", "--theorem", "2", "--q", "7"):
-        "PASS (unique zero shift for type-II designs, q=7, n<=8)\n",
+        "PASS (unique zero shift for type-II designs, q=7, n<=4)\n",
     ("verify", "--theorem", "2", "--q", "11"):
-        "PASS (unique zero shift for type-II designs, q=11, n<=5)\n",
+        "PASS (unique zero shift for type-II designs, q=11, n<=4)\n",
     ("verify", "--theorem", "4", "--q", "7"):
         "PASS (mirror symmetry at the closed-form shift, q=7, n<=8)\n",
     ("reproduce", "--table", "example1"):

@@ -329,35 +329,16 @@ def test_staged_search_agrees_with_grid_minimum():
         assert compare_patterns(win_pattern, other) <= 0
 
 
-def test_search_through_the_fallback_matches_the_default_run(monkeypatch):
-    # these two shift vectors tie on the whole pattern, so pruning never
-    # gets down to one candidate; with _DIRECT_LIMIT forced down to 1 the
-    # per-candidate evaluation prunes every degree above 5 as well, and
-    # must leave the report unchanged
-    from wtdesigns import optimal
-
-    gen = GeneratorSet(5, [[2, 2], [2, 4]])
-    default = search_shifts(gen, "linear")
-    assert default.ties == [[0, 3], [3, 2]]
-    monkeypatch.setattr(optimal, "_DIRECT_LIMIT", 1)
-    assert search_shifts(gen, "linear") == default
-
-
-def test_fallback_starts_from_every_shift_when_nothing_was_cut(monkeypatch):
-    # a tolerance this wide cuts nothing, so the per-candidate evaluation
-    # of degree 6 starts from all shift vectors
-    monkeypatch.setattr(optimal, "_DIRECT_LIMIT", 1)
-    calls = []
-    betas = optimal.shift_betas
-
-    def counted(gen, family, shifts, ks, basis=None):
-        calls.append((len(shifts), ks))
-        return betas(gen, family, shifts, ks, basis)
-
-    monkeypatch.setattr(optimal, "shift_betas", counted)
-    report = search_shifts(GeneratorSet(5, [[1, 2], [2, 1]]), "williams", k_max=6, tol=1e9)
-    assert calls == [(25, (6,))]
-    assert len(report.ties) == 25 and report.decided_k is None
+def test_nothing_cut_ranks_every_shift_on_full_patterns():
+    # a tolerance this wide cuts nothing on the grid, so all 25 shift
+    # vectors go on to full patterns, and those cut nothing either
+    gen = GeneratorSet(5, [[1, 2], [2, 1]])
+    report = search_shifts(gen, "williams", k_max=6, tol=1e9)
+    assert report.ties == [list(b) for b in product(range(5), repeat=2)]
+    assert report.decided_k is None
+    assert report.b == [0, 0]
+    want = beta_pattern(build_design(gen, [0, 0], "williams"), 6).values
+    assert report.pattern == want
 
 
 def _ranked_on_full_patterns(gen, family, k_max=None):
@@ -502,6 +483,12 @@ def test_theorem2_grid_zero_sets_equal_the_per_shift_ones(q):
     assert checked == {5: 6 + 18, 7: 12 + 127}[q]  # type II, not type I
 
 
+def test_verified_nmax_is_the_range_verify_theorem_covers():
+    # theorem 2 stops at n = 4; the others cover the nmax they are given
+    assert [optimal.verified_nmax(2, nmax) for nmax in (3, 4, 5, 8)] == [3, 4, 4, 4]
+    assert [optimal.verified_nmax(theorem, 8) for theorem in (1, 4)] == [8, 8]
+
+
 def test_verify_theorem_validates_input():
     with pytest.raises(InputError, match="theorem"):
         verify_theorem(3, 5, 4)
@@ -591,8 +578,9 @@ def closed_form_sweep(q, n, family, ks, basis):
     and the (B, len(ks)) measures.
     """
     C = np.concatenate(list(optimal._q2_coefficient_blocks(q, n)))
-    stacks = optimal._closed_form_stacks(C, q, family, ks)
-    return C, np.concatenate([beta_k_stack(rows, ks, basis) for _, rows in stacks])
+    b = optimal._closed_form_shifts(C, q, family)
+    stacks = optimal._member_stacks(C, b, q, family, ks)
+    return C, np.concatenate([beta_k_stack(rows, ks, basis) for rows in stacks])
 
 
 @lru_cache(maxsize=None)
