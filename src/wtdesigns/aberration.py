@@ -25,7 +25,7 @@ import numpy as np
 
 from .designs import Design
 from .errors import InputError
-from .orthopoly import OrthonormalBasis, orthonormal_basis
+from .orthopoly import orthonormal_basis
 
 DEFAULT_TOL = 1e-8
 
@@ -63,8 +63,8 @@ def compositions(k: int, n: int, cap: int) -> np.ndarray:
     return arr
 
 
-def _check_k(design: Design, k: int):
-    K = design.n_factors * (design.q - 1)
+def _check_k(k: int, n: int, q: int):
+    K = n * (q - 1)
     if not 1 <= k <= K:
         raise InputError(f"k={k} out of range 1..{K}")
 
@@ -105,19 +105,18 @@ def _support_index(k: int, n: int, q: int) -> np.ndarray:
     return idx
 
 
-def beta_k_stack(rows, ks, basis: OrthonormalBasis) -> np.ndarray:
-    """beta_k of every design in a (B, N, n) stack of level arrays.
+def beta_k_stack(rows, ks, q: int) -> np.ndarray:
+    """beta_k of every design in a (B, N, n) stack of levels in {0, ..., q-1}.
 
-    All designs share basis.q. Returns shape (B, len(ks)), column t holding
-    beta_{ks[t]}. The result is bit-identical to the plain enumeration: per
-    exponent vector, the product over columns of p_{u_j}(x_ij) (zero
-    exponents contribute exact 1.0 factors and are skipped), summed over the
-    runs, squared and summed. The stack is processed in chunks of
-    designs_per_chunk designs.
+    Returns shape (B, len(ks)), column t holding beta_{ks[t]}. The result
+    is bit-identical to the plain enumeration: per exponent vector, the
+    product over columns of p_{u_j}(x_ij) (zero exponents contribute exact
+    1.0 factors and are skipped), summed over the runs, squared and summed.
+    The stack is processed in chunks of designs_per_chunk designs.
     """
     rows = np.asarray(rows)
     B, N, n = rows.shape
-    q = basis.q
+    P = orthonormal_basis(q).values
     idxs = [_support_index(k, n, q) for k in ks]
     step = designs_per_chunk(N, n, q, ks)
     out = np.empty((B, len(idxs)))
@@ -125,7 +124,7 @@ def beta_k_stack(rows, ks, basis: OrthonormalBasis) -> np.ndarray:
         chunk = rows[lo : lo + step]
         # W[b, j*q + u, i] = p_u(x_ij); the last row is 1.0
         W = np.empty((len(chunk), n * q + 1, N))
-        W[:, : n * q] = basis.values[:, chunk].transpose(1, 3, 0, 2).reshape(-1, n * q, N)
+        W[:, : n * q] = P[:, chunk].transpose(1, 3, 0, 2).reshape(-1, n * q, N)
         W[:, n * q] = 1.0
         for t, idx in enumerate(idxs):
             # np.take keeps the (b, C, N) product contiguous, so each row sum
@@ -138,17 +137,13 @@ def beta_k_stack(rows, ks, basis: OrthonormalBasis) -> np.ndarray:
     return np.maximum(out, 0.0)
 
 
-def beta_k(design: Design, k: int, basis: OrthonormalBasis = None) -> float:
+def beta_k(design: Design, k: int) -> float:
     """Single aliasing measure beta_k, by direct enumeration of exponents."""
-    _check_k(design, k)
-    if basis is None:
-        basis = orthonormal_basis(design.q)
-    elif basis.q != design.q:
-        raise InputError("basis level count does not match the design")
-    return float(beta_k_stack(design.rows[None], (k,), basis)[0, 0])
+    _check_k(k, design.n_factors, design.q)
+    return float(beta_k_stack(design.rows[None], (k,), design.q)[0, 0])
 
 
-def _pattern_by_pairs(design: Design, basis: OrthonormalBasis) -> np.ndarray:
+def _pattern_by_pairs(design: Design) -> np.ndarray:
     """Full pattern (beta_0, ..., beta_K) at once.
 
     Uses the identity sum_u t^|u| |sum_i prod_j p_{u_j}(x_ij)|^2
@@ -162,7 +157,7 @@ def _pattern_by_pairs(design: Design, basis: OrthonormalBasis) -> np.ndarray:
     convolved, then gathered back into full N^2 row order for the sum.
     """
     q = design.q
-    B = basis.values
+    B = orthonormal_basis(q).values
     N, n = design.rows.shape
     G = np.einsum("ua,ub->uab", B, B)  # (q, q, q): degree-indexed kernel
     first, second = np.triu_indices(N)
@@ -184,19 +179,16 @@ def _pattern_by_pairs(design: Design, basis: OrthonormalBasis) -> np.ndarray:
     return np.ascontiguousarray(coeffs.T[pair.ravel()]).sum(axis=0) / N**2
 
 
-def beta_pattern(design: Design, k_max: int = None, basis: OrthonormalBasis = None) -> BetaPattern:
+def beta_pattern(design: Design, k_max: int = None) -> BetaPattern:
     """The pattern (beta_1, ..., beta_k_max); full length n(q-1) by default."""
-    K = design.n_factors * (design.q - 1)
     if k_max is None:
-        k_max = K
-    _check_k(design, k_max)
-    if basis is None:
-        basis = orthonormal_basis(design.q)
+        k_max = design.n_factors * (design.q - 1)
+    _check_k(k_max, design.n_factors, design.q)
     if k_max <= 4 and design.runs > 512:
         # cheaper to enumerate a few exponent shells than to convolve pairs
-        vals = [beta_k(design, k, basis) for k in range(1, k_max + 1)]
+        vals = [beta_k(design, k) for k in range(1, k_max + 1)]
     else:
-        vals = _pattern_by_pairs(design, basis)[1 : k_max + 1]
+        vals = _pattern_by_pairs(design)[1 : k_max + 1]
     vals = np.maximum(np.asarray(vals, dtype=float), 0.0)
     return BetaPattern(q=design.q, n=design.n_factors, values=tuple(vals.tolist()))
 
@@ -217,14 +209,11 @@ def compare_patterns(a, b, tol: float = DEFAULT_TOL) -> int:
     return 0
 
 
-def beta_sum_check(design: Design, basis: OrthonormalBasis = None) -> float:
+def beta_sum_check(design: Design) -> float:
     """Numerically computed sum of the full pattern, sum_k beta_k.
 
     For a design whose N rows are distinct this must equal q^n / N - 1,
     a consequence of the completeness of the contrast basis. Returned as a
     value so callers can assert it against the closed form.
     """
-    if basis is None:
-        basis = orthonormal_basis(design.q)
-    full = _pattern_by_pairs(design, basis)
-    return float(full[1:].sum())
+    return float(_pattern_by_pairs(design)[1:].sum())

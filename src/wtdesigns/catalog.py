@@ -21,7 +21,6 @@ from .optimal import (
     shift_grid_beta,
     standard_generators,
 )
-from .orthopoly import orthonormal_basis
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +183,9 @@ class _Checker:
 
 def _reproduce_example1(g):
     gen = GeneratorSet(g["q"], g["generators"])
-    basis = orthonormal_basis(g["q"])
     shifts = np.arange(g["q"])[:, None]
-    linear = shift_betas(gen, "linear", shifts, (3, 4), basis).tolist()
-    will = shift_betas(gen, "williams", shifts, (3, 4), basis).tolist()
+    linear = shift_betas(gen, "linear", shifts, (3, 4)).tolist()
+    will = shift_betas(gen, "williams", shifts, (3, 4)).tolist()
     chk = _Checker()
     lines = ["b    linear b3/b4     williams b3/b4"]
     for b in range(g["q"]):
@@ -206,9 +204,8 @@ def _reproduce_example1(g):
 
 def _reproduce_example5(g):
     gen = GeneratorSet(g["q"], g["generators"])
-    basis = orthonormal_basis(g["q"])
     shifts = np.arange(g["q"])[:, None]
-    got = shift_betas(gen, "williams", shifts, (3,), basis)[:, 0].tolist()
+    got = shift_betas(gen, "williams", shifts, (3,))[:, 0].tolist()
     chk = _Checker()
     for b, v in enumerate(got):
         chk.printed(f"b={b} beta3", v, g["values"][b])
@@ -304,8 +301,7 @@ def _reproduce_info_compare(g):
 
 def _reproduce_example7(g):
     gen = GeneratorSet(g["q"], g["generators"])
-    basis = orthonormal_basis(g["q"])
-    grid = shift_grid_beta(gen, "williams", 3, basis)
+    grid = shift_grid_beta(gen, "williams", 3)
     zeros = np.argwhere(grid <= 1e-9)
     chk = _Checker()
     chk.exact("count of shifts with beta3 = 0", len(zeros), 1)
@@ -313,7 +309,7 @@ def _reproduce_example7(g):
     chk.exact("best shift vector", best, g["best_b"])
     lines = [f"scanned {grid.size} shift vectors"]
     if best is not None:
-        b4 = float(shift_betas(gen, "williams", [best], (4,), basis)[0, 0])
+        b4 = float(shift_betas(gen, "williams", [best], (4,))[0, 0])
         chk.printed("beta4 at the best shift", b4, g["beta4"])
         lines.append(f"unique zero-beta3 shift: {best}, beta4 = {b4:.4f}")
     return lines, chk.failures

@@ -24,8 +24,7 @@ from .designs import (
 from .errors import CapExceededError, InputError
 from .fieldmath import check_odd_prime
 from .models import estimate_variances, info_matrix_csv, information_matrix
-from .optimal import SEARCH_CAP, search_q2, search_shifts, verified_nmax, verify_theorem
-from .orthopoly import orthonormal_basis
+from .optimal import search_q2, search_shifts, verified_nmax, verify_theorem
 from .recursion import classify, count_recursive
 
 CLI_SCAN_LIMIT = 100_000  # larger shift scans need --force
@@ -70,7 +69,10 @@ def _design_from_args(args) -> Design:
     gen = parse_generator_text(args.generators, check_odd_prime(args.q))
     b = [0] * gen.m
     if getattr(args, "b", None):
-        b = [int(v) for v in args.b.split(",")]
+        try:
+            b = [int(v) for v in args.b.split(",")]
+        except ValueError as exc:
+            raise InputError(f"malformed shift vector {args.b!r}") from exc
     design = linear_permute(gen, b)
     if getattr(args, "williams", False):
         design = williams(design)
@@ -80,11 +82,8 @@ def _design_from_args(args) -> Design:
 def cmd_construct(args) -> int:
     design = _design_from_args(args)
     save_design(design, args.out)
-    basis = orthonormal_basis(design.q)
     print(f"N={design.runs} n={design.n_factors} strength={strength(design, 3)}")
-    print(
-        f"beta3={beta_k(design, 3, basis):.4f} beta4={beta_k(design, 4, basis):.4f}"
-    )
+    print(f"beta3={beta_k(design, 3):.4f} beta4={beta_k(design, 4):.4f}")
     print(f"written to {args.out}")
     return 0
 
@@ -92,7 +91,7 @@ def cmd_construct(args) -> int:
 def cmd_beta(args) -> int:
     design = _design_from_args(args)
     K = design.n_factors * (design.q - 1)
-    k_max = args.kmax if args.kmax else K
+    k_max = K if args.kmax is None else args.kmax
     if not 1 <= k_max <= K:
         print(f"error: --kmax must lie in 1..{K}", file=sys.stderr)
         return USAGE_EXIT
@@ -111,7 +110,7 @@ def cmd_search(args) -> int:
         raise CapExceededError(
             f"shift space has {total} candidates; rerun with --force to scan it"
         )
-    report = search_shifts(gen, args.family, k_max=args.kmax, cap=SEARCH_CAP)
+    report = search_shifts(gen, args.family, k_max=args.kmax)
     if args.json:
         print(json.dumps(report.to_json_dict(gen.q, gen.n)))
     else:
@@ -184,7 +183,7 @@ def cmd_reproduce(args) -> int:
 
 def cmd_verify(args) -> int:
     q = check_odd_prime(args.q)
-    nmax = args.nmax if args.nmax else (q + 1 if q <= 7 else 5)
+    nmax = args.nmax if args.nmax is not None else (q + 1 if q <= 7 else 5)
     if not 3 <= nmax <= q + 1:
         print(f"error: --nmax must lie in 3..{q + 1}", file=sys.stderr)
         return USAGE_EXIT

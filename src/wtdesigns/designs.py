@@ -126,13 +126,14 @@ def shift_stack(rows: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     return out
 
 
-def expand(gen: GeneratorSet, cap: int = RUN_CAP) -> Design:
-    """Expand a generator set into its regular design (see expand_stack)."""
+def expand(gen: GeneratorSet) -> Design:
+    """Expand a generator set into its regular design (see expand_stack).
+
+    Designs of more than RUN_CAP runs are refused with CapExceededError.
+    """
     runs = gen.q ** (gen.n - gen.m)
-    if runs > cap:
-        raise CapExceededError(
-            f"run count {runs} exceeds the cap of {cap}; raise cap= to proceed"
-        )
+    if runs > RUN_CAP:
+        raise CapExceededError(f"run count {runs} exceeds the cap of {RUN_CAP}")
     return Design(gen.q, expand_stack(gen.C[None], gen.q)[0])
 
 
@@ -285,7 +286,10 @@ def load_design(path) -> Design:
             vals = line.split()
             if len(vals) != n:
                 raise InputError(f"{path}:{lineno}: expected {n} values")
-            rows.append([int(v) for v in vals])
+            try:
+                rows.append([int(v) for v in vals])
+            except ValueError as exc:
+                raise InputError(f"{path}:{lineno}: levels must be integers") from exc
     if len(rows) != N:
         raise InputError(f"{path}: header promised {N} rows, found {len(rows)}")
     return Design(q, rows)

@@ -9,6 +9,7 @@ class InputError(ValueError):
 class CapExceededError(InputError):
     """A run-count or search-size guard would be exceeded.
 
-    Raised instead of silently attempting a huge computation; pass a larger
-    cap (or the CLI --force flag) to proceed deliberately.
+    Raised instead of silently attempting a huge computation. The guards
+    are designs.RUN_CAP and optimal.SEARCH_CAP; the CLI --force flag lifts
+    only the CLI's own shift-scan limit.
     """

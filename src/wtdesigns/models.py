@@ -13,7 +13,7 @@ import numpy as np
 
 from .designs import Design
 from .errors import InputError
-from .orthopoly import OrthonormalBasis, orthonormal_basis
+from .orthopoly import orthonormal_basis
 
 _SINGULAR_TOL = 1e-10
 
@@ -46,16 +46,13 @@ class InfoSummary:
         self.matrix.setflags(write=False)
 
 
-def model_matrix(design: Design, basis: OrthonormalBasis = None) -> ModelMatrix:
+def model_matrix(design: Design) -> ModelMatrix:
     """N x (1 + 2n + n(n-1)/2) matrix in the fixed column order above."""
-    if design.q < 3:
-        raise InputError("the quadratic contrast needs at least 3 levels")
-    if basis is None:
-        basis = orthonormal_basis(design.q)
+    P = orthonormal_basis(design.q).values
     rows = design.rows
     N, n = rows.shape
-    lin = basis.values[1][rows]
-    quad = basis.values[2][rows]
+    lin = P[1][rows]
+    quad = P[2][rows]
     cols = [np.ones(N)]
     cols += [lin[:, j] for j in range(n)]
     cols += [quad[:, j] for j in range(n)]
@@ -93,13 +90,9 @@ def estimate_variances(design: Design) -> list:
     return list(zip(mm.labels, np.diag(inv).tolist()))
 
 
-def info_matrix_csv(summary: InfoSummary, rounded: bool = False) -> str:
-    """CSV rendering; rounded=True gives the 3-decimal display view."""
+def info_matrix_csv(summary: InfoSummary) -> str:
+    """CSV rendering at full precision: every entry printed with repr."""
     lines = ["," + ",".join(summary.labels)]
     for label, row in zip(summary.labels, summary.matrix):
-        if rounded:
-            cells = [f"{v:.3f}" for v in row]
-        else:
-            cells = [repr(float(v)) for v in row]
-        lines.append(label + "," + ",".join(cells))
+        lines.append(label + "," + ",".join(repr(float(v)) for v in row))
     return "\n".join(lines) + "\n"

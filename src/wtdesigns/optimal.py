@@ -19,6 +19,7 @@ import numpy as np
 from .aberration import (
     _CHUNK_BYTES,
     DEFAULT_TOL,
+    _check_k,
     beta_k_stack,
     beta_pattern,
     compositions,
@@ -112,7 +113,7 @@ def _member_stacks(C, b, q: int, family: str, ks=()):
         yield williams_levels(rows, q) if family == "williams" else rows
 
 
-def _member_betas(C, b, q: int, family: str, ks, basis) -> np.ndarray:
+def _member_betas(C, b, q: int, family: str, ks) -> np.ndarray:
     """beta_k of the _member_stacks members, shape (len(b), len(ks)).
 
     By beta_k_stack, so each row has the bits of beta_k(build_design(...))
@@ -121,15 +122,15 @@ def _member_betas(C, b, q: int, family: str, ks, basis) -> np.ndarray:
     out = np.empty((len(b), len(ks)))
     lo = 0
     for rows in _member_stacks(C, b, q, family, ks):
-        out[lo : lo + len(rows)] = beta_k_stack(rows, ks, basis)
+        out[lo : lo + len(rows)] = beta_k_stack(rows, ks, q)
         lo += len(rows)
     return out
 
 
-def _member_patterns(C, b, q: int, family: str, k_max, basis) -> np.ndarray:
+def _member_patterns(C, b, q: int, family: str, k_max) -> np.ndarray:
     """The (beta_1, ..., beta_k_max) patterns of the _member_stacks members, one row each."""
     return np.array([
-        beta_pattern(Design(q, rows), k_max, basis).values
+        beta_pattern(Design(q, rows), k_max).values
         for stack in _member_stacks(C, b, q, family)
         for rows in stack
     ])
@@ -232,7 +233,7 @@ def _fold_tables(out: np.ndarray, tables: list) -> None:
     out += sub
 
 
-def shift_grid_beta(gen: GeneratorSet, family: str, k: int, basis=None) -> np.ndarray:
+def shift_grid_beta(gen: GeneratorSet, family: str, k: int) -> np.ndarray:
     """beta_k of every shift vector at once, as an array of shape (q,)*m.
 
     Every member is an orthogonal array of strength 2, so an exponent
@@ -247,17 +248,13 @@ def shift_grid_beta(gen: GeneratorSet, family: str, k: int, basis=None) -> np.nd
     """
     _check_family(family)
     q, m, n = gen.q, gen.m, gen.n
-    K = n * (q - 1)
-    if not 1 <= k <= K:
-        raise InputError(f"k={k} out of range 1..{K}")
-    if basis is None:
-        basis = orthonormal_basis(q)
+    _check_k(k, n, q)
     d = n - m
     full = expand_stack(gen.C[None], q)[0]
     base, dep = full[:, :d], full[:, d:]
     N = base.shape[0]
     relabel = williams_table(q) if family == "williams" else np.arange(q)
-    B = basis.values
+    B = orthonormal_basis(q).values
     # (q degrees, 1, N) per independent column, (q degrees, q shifts, N) per dependent one
     ind_vals = [B[:, None, relabel[base[:, j]]] for j in range(d)]
     shifted = (dep[None, :, :] + np.arange(q)[:, None, None]) % q  # (q shifts, N, m)
@@ -278,7 +275,7 @@ def shift_grid_beta(gen: GeneratorSet, family: str, k: int, basis=None) -> np.nd
     return grid
 
 
-def shift_betas(gen: GeneratorSet, family: str, shifts, ks, basis=None) -> np.ndarray:
+def shift_betas(gen: GeneratorSet, family: str, shifts, ks) -> np.ndarray:
     """beta_k of the family member at each shift vector, shape (len(shifts), len(ks)).
 
     shifts is an (S, m) array of shift vectors; column t holds beta_{ks[t]}.
@@ -290,20 +287,15 @@ def shift_betas(gen: GeneratorSet, family: str, shifts, ks, basis=None) -> np.nd
     shifts = np.asarray(shifts, dtype=np.int64)
     if shifts.ndim != 2 or shifts.shape[1] != gen.m:
         raise InputError(f"shifts must have shape (S, {gen.m}), got {shifts.shape}")
-    K = gen.n * (gen.q - 1)
     for k in ks:
-        if not 1 <= k <= K:
-            raise InputError(f"k={k} out of range 1..{K}")
-    if basis is None:
-        basis = orthonormal_basis(gen.q)
-    return _member_betas(gen, shifts, gen.q, family, ks, basis)
+        _check_k(k, gen.n, gen.q)
+    return _member_betas(gen, shifts, gen.q, family, ks)
 
 
 def search_shifts(
     gen: GeneratorSet,
     family: str,
     k_max: int = None,
-    cap: int = SEARCH_CAP,
     tol: float = DEFAULT_TOL,
 ) -> SearchReport:
     """Exhaustively evaluate all q^m shift vectors and rank them sequentially.
@@ -323,23 +315,22 @@ def search_shifts(
     _check_family(family)
     q, m = gen.q, gen.m
     total = q**m
-    if total > cap:
+    if total > SEARCH_CAP:
         raise CapExceededError(
-            f"shift space of size {total} exceeds the cap of {cap}"
+            f"shift space of size {total} exceeds the cap of {SEARCH_CAP}"
         )
     K = gen.n * (q - 1)
     if k_max is None:
         k_max = K
     if not 1 <= k_max <= K:
         raise InputError(f"k_max={k_max} out of range 1..{K}")
-    basis = orthonormal_basis(q)
 
     alive_idx = None  # every shift vector, until the first cut
     decided = None
     # beta_1 = beta_2 = 0 at strength 2; above degree 5 the supports get
     # wide and the grid tables stop paying off
     for k in range(3, min(k_max, 5) + 1):
-        grid = shift_grid_beta(gen, family, k, basis).reshape(-1)
+        grid = shift_grid_beta(gen, family, k).reshape(-1)
         keep = _keep_minimal(grid if alive_idx is None else grid[alive_idx], tol)
         del grid  # not kept through the next degree or the full patterns
         if not keep.all():
@@ -351,7 +342,7 @@ def search_shifts(
     if alive_idx is None:
         alive_idx = np.arange(total)
     shifts = np.stack(np.unravel_index(alive_idx, (q,) * m), axis=1)
-    patterns = _member_patterns(gen, shifts, q, family, k_max, basis)
+    patterns = _member_patterns(gen, shifts, q, family, k_max)
     sub_alive, sub_decided = _rank_candidates(patterns, tol)
     if sub_decided is not None:
         decided = sub_decided
@@ -472,12 +463,12 @@ def standard_generators(q: PrimeLevel, n: int) -> GeneratorSet:
     return GeneratorSet(q, [[1, s] for s in range(1, n - 1)])
 
 
-def _closed_form_betas(C: np.ndarray, q: int, family: str, ks, basis) -> np.ndarray:
+def _closed_form_betas(C: np.ndarray, q: int, family: str, ks) -> np.ndarray:
     """Exact beta_k of the sets of a (B, m, 2) coefficient stack at their closed-form shifts.
 
     Shape (B, len(ks)); see _member_betas.
     """
-    return _member_betas(C, _closed_form_shifts(C, q, family), q, family, ks, basis)
+    return _member_betas(C, _closed_form_shifts(C, q, family), q, family, ks)
 
 
 # Half-width of the band around a cut inside which a table value of beta_3 or
@@ -534,7 +525,7 @@ def _keep_minimal_within(approx: np.ndarray, exact_of, tol: float, eps: float) -
     return keep
 
 
-def _universe_values(q: int, family: str, basis) -> np.ndarray:
+def _universe_values(q: int, family: str) -> np.ndarray:
     """p_1 and p_2 of every column a reduced q^2-run set can hold, at its closed-form shift.
 
     A column is fixed by its coefficient vector: the universe lists (1, 0),
@@ -550,7 +541,7 @@ def _universe_values(q: int, family: str, basis) -> np.ndarray:
     C = np.vstack([np.eye(2, dtype=np.int64), dep])[:, None, :]
     members = _member_stacks(C, _closed_form_shifts(C, q, family), q, family)
     levels = np.concatenate([rows[:, :, 2] for rows in members])
-    return basis.values[1:3, levels]
+    return orthonormal_basis(q).values[1:3, levels]
 
 
 def _universe_ids(C: np.ndarray, q: int) -> np.ndarray:
@@ -601,7 +592,7 @@ def _table_beta4(ids: np.ndarray, V: np.ndarray) -> np.ndarray:
     return total / N**2
 
 
-def _family_best(q, n, family, basis, tol) -> FamilyBest:
+def _family_best(q, n, family, tol) -> FamilyBest:
     """The family's best set: sequential minimisation of beta_3, beta_4, then full patterns.
 
     beta_3 and beta_4 of every set come from support tables over the
@@ -611,13 +602,13 @@ def _family_best(q, n, family, basis, tol) -> FamilyBest:
     exact sweep.
     """
     C = _q2_coefficients(q, n)
-    V = _universe_values(q, family, basis)
+    V = _universe_values(q, family)
     alive = np.arange(len(C))
     decided = None
     for k, table_beta in ((3, _table_beta3), (4, _table_beta4)):
         keep = _keep_minimal_within(
             table_beta(_universe_ids(C[alive], q), V),
-            lambda idx: _closed_form_betas(C[alive[idx]], q, family, (k,), basis)[:, 0],
+            lambda idx: _closed_form_betas(C[alive[idx]], q, family, (k,))[:, 0],
             tol,
             _table_eps(q * q, n),
         )
@@ -628,14 +619,14 @@ def _family_best(q, n, family, basis, tol) -> FamilyBest:
     # full patterns only for the survivors; the winner's pattern is among them
     survivors = C[alive]
     b = _closed_form_shifts(survivors, q, family)
-    patterns = _member_patterns(survivors, b, q, family, None, basis)
+    patterns = _member_patterns(survivors, b, q, family, None)
     idx, sub_decided = _rank_candidates(patterns, tol)
     if sub_decided is not None:
         decided = sub_decided
 
     order = sorted(idx, key=lambda i: survivors[i].tolist())
     win = order[0]
-    exact = _closed_form_betas(survivors[win : win + 1], q, family, (3, 4), basis)
+    exact = _closed_form_betas(survivors[win : win + 1], q, family, (3, 4))
     beta3, beta4 = exact[0].tolist()
     return FamilyBest(
         family=family,
@@ -659,10 +650,9 @@ def search_q2(q: PrimeLevel, n: int, tol: float = DEFAULT_TOL) -> Q2Report:
     """
     std = standard_generators(q, n)
     _check_q2_cell(q, n)
-    basis = orthonormal_basis(q)
-    std_pattern = beta_pattern(expand(std), basis=basis)
-    linear = _family_best(q, n, "linear", basis, tol)
-    will = _family_best(q, n, "williams", basis, tol)
+    std_pattern = beta_pattern(expand(std))
+    linear = _family_best(q, n, "linear", tol)
+    will = _family_best(q, n, "williams", tol)
     return Q2Report(
         q=q,
         n=n,
@@ -676,15 +666,14 @@ def search_q2(q: PrimeLevel, n: int, tol: float = DEFAULT_TOL) -> Q2Report:
 
 
 def _theorem1(q, ns) -> list:
-    basis = orthonormal_basis(q)
-    V = _universe_values(q, "williams", basis)
+    V = _universe_values(q, "williams")
     failures = []
     for n in ns:
         C = _q2_coefficients(q, n)
         # a table value this far below the threshold passes; the others are
         # decided, and printed, by their exact beta_3
         suspect = C[_table_beta3(_universe_ids(C, q), V) > _ZERO_TOL - _table_eps(q * q, n)]
-        betas = _closed_form_betas(suspect, q, "williams", (3,), basis)[:, 0]
+        betas = _closed_form_betas(suspect, q, "williams", (3,))[:, 0]
         for coeffs, v in zip(suspect, betas):
             if v > _ZERO_TOL:
                 failures.append(f"n={n} C={coeffs.tolist()}: beta3={v:.3g}")
@@ -692,13 +681,12 @@ def _theorem1(q, ns) -> list:
 
 
 def _theorem2(q, ns) -> list:
-    basis = orthonormal_basis(q)
     failures = []
     for n in ns:
         C = _q2_coefficients(q, n)
         for coeffs in C[_classify_stack(C, q) == RecursiveType.TYPE_II]:
             gen = GeneratorSet(q, coeffs)
-            grid = shift_grid_beta(gen, "williams", 3, basis)
+            grid = shift_grid_beta(gen, "williams", 3)
             zeros = np.argwhere(grid <= _ZERO_TOL).tolist()
             expect = optimal_shift_williams(gen)
             if zeros != [expect]:

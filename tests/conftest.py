@@ -2,8 +2,6 @@
 
 import pytest
 
-from wtdesigns import orthonormal_basis
-
 # One line per criterion is printed after the run, PASS/FAIL/NOT RUN.
 CRITERIA = {
     1: "25-run one-generator shift table",
@@ -28,16 +26,6 @@ def record_criterion(num: int, ok: bool, detail: str = ""):
 def acceptance():
     """Recorder: call acceptance(num, ok, detail) before asserting."""
     return record_criterion
-
-
-@pytest.fixture(scope="session")
-def basis5():
-    return orthonormal_basis(5)
-
-
-@pytest.fixture(scope="session")
-def basis7():
-    return orthonormal_basis(7)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -37,15 +37,15 @@ SHIFT_TABLE_25 = {
 }
 
 
-def test_criterion_1_shift_table(acceptance, basis5):
+def test_criterion_1_shift_table(acceptance):
     t0 = time.perf_counter()
     gen = wt.GeneratorSet(5, [[1, 1]])
     mismatches = []
     for family, rows in SHIFT_TABLE_25.items():
         for b, (p3, p4) in enumerate(rows):
             design = wt.build_design(gen, [b], family)
-            got3 = wt.beta_k(design, 3, basis5)
-            got4 = wt.beta_k(design, 4, basis5)
+            got3 = wt.beta_k(design, 3)
+            got4 = wt.beta_k(design, 4)
             if abs(got3 - float(p3)) > 5e-4:
                 mismatches.append(f"{family} b={b} beta3 {got3:.4f} vs {p3}")
             if abs(got4 - float(p4)) > 5e-4:
@@ -62,7 +62,7 @@ def test_criterion_1_shift_table(acceptance, basis5):
 SCAN_49 = ["0.0009", "0.0031", "0.0047", "0.0047", "0.0031", "0.0009", "0"]
 
 
-def test_criterion_2_closed_form_shift(acceptance, basis7):
+def test_criterion_2_closed_form_shift(acceptance):
     t0 = time.perf_counter()
     gen = wt.GeneratorSet(7, [[2, 2]])
     problems = []
@@ -70,11 +70,11 @@ def test_criterion_2_closed_form_shift(acceptance, basis7):
     if bstar != [6]:
         problems.append(f"closed-form shift {bstar} != [6]")
     best = wt.build_design(gen, [6], "williams")
-    got4 = wt.beta_k(best, 4, basis7)
+    got4 = wt.beta_k(best, 4)
     if abs(got4 - 0.0196) > 5e-5:
         problems.append(f"beta4 at the closed-form shift: {got4:.5f} vs 0.0196")
     for b, printed in enumerate(SCAN_49):
-        got3 = wt.beta_k(wt.build_design(gen, [b], "williams"), 3, basis7)
+        got3 = wt.beta_k(wt.build_design(gen, [b], "williams"), 3)
         if abs(got3 - float(printed)) > 5e-5:
             problems.append(f"b={b} beta3 {got3:.5f} vs {printed}")
     elapsed = time.perf_counter() - t0
@@ -168,13 +168,13 @@ def test_criterion_4_comparison_tables(acceptance):
 
 # --- criterion 5: 49-run linear-family zero set ---------------------------------
 
-def test_criterion_5_linear_zero_set(acceptance, basis7):
+def test_criterion_5_linear_zero_set(acceptance):
     gen = wt.GeneratorSet(7, [[2, 2]])
     zeros = {}
     for b in range(7):
         d = wt.build_design(gen, [b], "linear")
-        if wt.beta_k(d, 3, basis7) <= 1e-9:
-            zeros[b] = wt.beta_k(d, 4, basis7)
+        if wt.beta_k(d, 3) <= 1e-9:
+            zeros[b] = wt.beta_k(d, 4)
     got4 = sorted(zeros.values())
     want4 = sorted((0.0417, 0.0417, 0.0625))
     ok = set(zeros) == {0, 3, 5} and all(
@@ -188,10 +188,10 @@ def test_criterion_5_linear_zero_set(acceptance, basis7):
 # --- criterion 6: full 7^6 shift scan --------------------------------------------
 
 @pytest.mark.slow
-def test_criterion_6_full_shift_scan(acceptance, basis7):
+def test_criterion_6_full_shift_scan(acceptance):
     t0 = time.perf_counter()
     gen = wt.GeneratorSet(7, [[1, 1], [1, 2], [1, 4], [1, 5], [2, 5], [2, 6]])
-    grid3 = wt.shift_grid_beta(gen, "williams", 3, basis7)
+    grid3 = wt.shift_grid_beta(gen, "williams", 3)
     zero_shifts = np.argwhere(grid3 <= 1e-9)
     problems = []
     if zero_shifts.shape[0] != 1:
@@ -200,7 +200,7 @@ def test_criterion_6_full_shift_scan(acceptance, basis7):
     if winner != [2, 4, 1, 3, 5, 0]:
         problems.append(f"unique zero at {winner}, expected [2, 4, 1, 3, 5, 0]")
     best = wt.build_design(gen, [2, 4, 1, 3, 5, 0], "williams")
-    got4 = wt.beta_k(best, 4, basis7)
+    got4 = wt.beta_k(best, 4)
     if abs(got4 - 9.677) > 5e-4:
         problems.append(f"beta4 {got4:.4f} vs 9.677")
     report = wt.search_shifts(gen, "williams")
@@ -217,9 +217,8 @@ def test_criterion_6_full_shift_scan(acceptance, basis7):
 
 def test_criterion_7_seventeen_level_counterexample(acceptance):
     gen = wt.GeneratorSet(17, [[2, 4]])
-    basis = wt.orthonormal_basis(17)
     vals = {
-        b: wt.beta_k(wt.build_design(gen, [b], "williams"), 3, basis)
+        b: wt.beta_k(wt.build_design(gen, [b], "williams"), 3)
         for b in range(17)
     }
     ok = vals[14] <= 1e-9 and vals[4] <= 1e-9
@@ -340,11 +339,10 @@ def _sweep_strength_preservation(problems):
 
 def _sweep_sum_identity(problems):
     for q in (3, 5, 7):
-        basis = wt.orthonormal_basis(q)
         for n in range(3, q + 2):
             for gen in wt.enumerate_q2_generators(q, n):
                 d = wt.expand(gen)
-                got = wt.beta_sum_check(d, basis)
+                got = wt.beta_sum_check(d)
                 expect = q**n / d.runs - 1
                 if abs(got - expect) > 1e-6:
                     problems.append(
@@ -366,7 +364,6 @@ def _sweep_closed_form_shift(problems):
                 f"q={q} theorem {theorem}: {f}"
                 for f in wt.verify_theorem(theorem, q, nmax)
             )
-        basis = wt.orthonormal_basis(q)
         seen = 0
         for n in range(3, nmax + 1):
             for block in _q2_coefficient_blocks(q, n):
@@ -378,7 +375,7 @@ def _sweep_closed_form_shift(problems):
                     design = wt.build_design(
                         gen, wt.optimal_shift_williams(gen), "williams"
                     )
-                    odd = wt.beta_pattern(design, basis=basis).values[0::2]
+                    odd = wt.beta_pattern(design).values[0::2]
                     if max(odd) > 1e-9:
                         problems.append(
                             f"q={q} C={gen.C.tolist()}: odd measure {max(odd):.2e}"
@@ -387,14 +384,13 @@ def _sweep_closed_form_shift(problems):
 
 def _sweep_unique_zero_for_type_two(problems):
     for q in (5, 7):
-        basis = wt.orthonormal_basis(q)
         for n in (3, 4):
             C = np.concatenate(list(_q2_coefficient_blocks(q, n)))
             labels = _classify_stack(C, q)
             kept = (labels == wt.RecursiveType.TYPE_I) | (labels == wt.RecursiveType.TYPE_II)
             for coeffs in C[kept]:
                 gen = wt.GeneratorSet(q, coeffs)
-                grid = wt.shift_grid_beta(gen, "williams", 3, basis)
+                grid = wt.shift_grid_beta(gen, "williams", 3)
                 zeros = np.argwhere(grid <= 1e-9)
                 expect = wt.optimal_shift_williams(gen)
                 if zeros.shape[0] != 1 or zeros[0].tolist() != expect:

@@ -85,6 +85,28 @@ def test_construct_refuses_missing_generators(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["construct", "beta"])
+def test_non_integer_shift_is_refused(tmp_path, capsys, command):
+    out = tmp_path / "x.txt"
+    argv = [command, "--q", "5", "--generators", "1,1", "--b", "x"]
+    if command == "construct":
+        argv += ["--out", str(out)]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert "malformed shift vector 'x'" in err
+    assert not out.exists()
+
+
+def test_non_integer_design_entry_is_refused(tmp_path, capsys):
+    path = tmp_path / "d.txt"
+    path.write_text("# q=5 N=2 n=2\n0 1\n1 x\n", encoding="utf-8")
+    code, stdout, err = run(capsys, "beta", "--design", str(path))
+    assert code == 2
+    assert stdout == ""
+    assert f"{path}:3: levels must be integers" in err
+
+
 def test_missing_out_flag_is_usage_error(capsys):
     code, _, err = run(capsys, "construct", "--q", "5", "--generators", "1,1")
     assert code == 1
@@ -112,11 +134,13 @@ def test_beta_json_has_machine_precision(capsys):
 
 
 def test_beta_kmax_out_of_range_is_usage_error(capsys):
-    code, _, err = run(
-        capsys, "beta", "--q", "5", "--generators", "1,1", "--kmax", "99",
-    )
-    assert code == 1
-    assert "kmax" in err
+    for kmax in ("99", "0"):
+        code, stdout, err = run(
+            capsys, "beta", "--q", "5", "--generators", "1,1", "--kmax", kmax,
+        )
+        assert code == 1
+        assert stdout == ""
+        assert "--kmax must lie in 1..12" in err
 
 
 def test_beta_needs_a_design_source(capsys):
@@ -169,14 +193,16 @@ def test_search_large_scan_needs_force(capsys):
     ("verify", "--theorem", "4", "--q", "11", "--nmax", "8"),  # n = 8: 3.3M sets
 ])
 def test_oversized_q2_cells_are_refused_before_any_work(capsys, monkeypatch, argv):
-    from wtdesigns import optimal
+    from wtdesigns import aberration, optimal
 
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the cap check")
 
-    # an internal error would exit 3
+    # an internal error would exit 3; the kernels fetch the basis through
+    # these two modules
     for name in ("_q2_coefficient_blocks", "beta_pattern", "orthonormal_basis"):
         monkeypatch.setattr(optimal, name, no_work)
+    monkeypatch.setattr(aberration, "orthonormal_basis", no_work)
     code, stdout, err = run(capsys, *argv)
     assert code == 2
     assert stdout == ""
@@ -330,9 +356,11 @@ def test_verify_rejects_unknown_theorem(capsys):
 
 
 def test_verify_nmax_range(capsys):
-    code, _, err = run(capsys, "verify", "--theorem", "1", "--q", "5", "--nmax", "9")
-    assert code == 1
-    assert "nmax" in err
+    for nmax in ("9", "0"):
+        code, stdout, err = run(capsys, "verify", "--theorem", "1", "--q", "5", "--nmax", nmax)
+        assert code == 1
+        assert stdout == ""
+        assert "--nmax must lie in 3..6" in err
 
 
 def test_verify_failure_lists_the_first_twenty(monkeypatch, capsys):

@@ -89,9 +89,14 @@ def test_expand_small_design_rows():
     ]
 
 
-def test_expand_respects_cap():
-    with pytest.raises(CapExceededError):
-        expand(GeneratorSet(5, [[1, 1]]), cap=10)
+def test_expand_respects_cap(monkeypatch):
+    from wtdesigns import designs
+
+    monkeypatch.setattr(designs, "RUN_CAP", 24)
+    with pytest.raises(CapExceededError, match="run count 25 exceeds the cap of 24"):
+        expand(GeneratorSet(5, [[1, 1]]))
+    monkeypatch.setattr(designs, "RUN_CAP", 25)
+    assert expand(GeneratorSet(5, [[1, 1]])).runs == 25
 
 
 def test_linear_permute_shifts_dependent_columns_only():

@@ -93,10 +93,3 @@ def test_csv_round_trips_full_precision():
         cells = line.split(",")
         assert cells[0] == info.labels[i]
         assert np.allclose([float(c) for c in cells[1:]], info.matrix[i], atol=0)
-
-
-def test_csv_rounded_view():
-    info = information_matrix(expand(GeneratorSet(5, [[1, 1]])))
-    text = info_matrix_csv(info, rounded=True)
-    cell = text.splitlines()[1].split(",")[1]
-    assert cell == "1.000"

@@ -87,13 +87,12 @@ def test_build_design_dispatch():
 
 def test_grid_matches_per_shift_evaluation():
     gen = GeneratorSet(5, [[1, 1], [1, 2]])
-    basis = orthonormal_basis(5)
     for family in ("linear", "williams"):
         for k in (3, 4):
-            grid = shift_grid_beta(gen, family, k, basis)
+            grid = shift_grid_beta(gen, family, k)
             assert grid.shape == (5, 5)
             for b in product(range(5), repeat=2):
-                direct = beta_k(build_design(gen, list(b), family), k, basis)
+                direct = beta_k(build_design(gen, list(b), family), k)
                 assert grid[b] == pytest.approx(direct, abs=1e-9)
 
 
@@ -111,17 +110,16 @@ def test_shift_betas_is_bit_identical(q, C, monkeypatch):
     from wtdesigns import optimal
 
     gen = GeneratorSet(q, C)
-    basis = orthonormal_basis(q)
     shifts = np.array(list(product(range(q), repeat=gen.m)))
     # stacks of 6 shift vectors: 6 divides no q^m here
     monkeypatch.setattr(optimal, "designs_per_chunk", lambda *args: 6)
     for family in ("linear", "williams"):
         for ks in ((3,), (3, 4)):
             want = np.array([
-                [beta_k(build_design(gen, list(b), family), k, basis) for k in ks]
+                [beta_k(build_design(gen, list(b), family), k) for k in ks]
                 for b in shifts
             ])
-            assert np.array_equal(shift_betas(gen, family, shifts, ks, basis), want)
+            assert np.array_equal(shift_betas(gen, family, shifts, ks), want)
 
 
 def test_shift_betas_validates_input():
@@ -155,12 +153,11 @@ def test_grid_with_more_dependent_columns_than_the_degree(family):
     # m = 4 > k: the tables of smaller dependent-column sets are folded into
     # the largest ones before they reach the grid
     gen = GeneratorSet(5, [[1, 1], [1, 2], [1, 3], [1, 4]])
-    basis = orthonormal_basis(5)
     shifts = np.array(list(product(range(5), repeat=4)))
     ks = (1, 2, 3, 4, 5)
-    want = shift_betas(gen, family, shifts, ks, basis)
+    want = shift_betas(gen, family, shifts, ks)
     for t, k in enumerate(ks):
-        grid = shift_grid_beta(gen, family, k, basis)
+        grid = shift_grid_beta(gen, family, k)
         assert grid.shape == (5,) * 4
         assert np.allclose(grid.reshape(-1), want[:, t], rtol=0, atol=1e-12)
 
@@ -230,7 +227,7 @@ def test_grid_matches_the_host_accumulation(q, C, family):
     basis = orthonormal_basis(q)
     for k in (3, 4, 5, 6):
         want = _host_grid(gen, family, k, basis)
-        got = shift_grid_beta(gen, family, k, basis)
+        got = shift_grid_beta(gen, family, k)
         assert got.shape == want.shape
         assert (np.abs(got - want) <= 1e-12 * np.maximum(1.0, want)).all(), k
 
@@ -240,7 +237,7 @@ def test_pooled_q11_grid_matches_the_host_accumulation(family):
     gen = _pooled_set(11, 8)
     basis = orthonormal_basis(11)
     want = _host_grid(gen, family, 3, basis)
-    got = shift_grid_beta(gen, family, 3, basis)
+    got = shift_grid_beta(gen, family, 3)
     assert (np.abs(got - want) <= 1e-12 * np.maximum(1.0, want)).all()
 
 
@@ -298,9 +295,12 @@ def test_search_winner_is_lexicographically_first_tie():
     assert report.b == min(report.ties)
 
 
-def test_search_respects_cap():
-    with pytest.raises(CapExceededError):
-        search_shifts(GeneratorSet(5, [[1, 1], [1, 2]]), "williams", cap=10)
+def test_search_respects_cap(monkeypatch):
+    monkeypatch.setattr(optimal, "SEARCH_CAP", 24)
+    with pytest.raises(CapExceededError, match="25 exceeds the cap of 24"):
+        search_shifts(GeneratorSet(5, [[1, 1], [1, 2]]), "williams")
+    monkeypatch.setattr(optimal, "SEARCH_CAP", 25)
+    assert search_shifts(GeneratorSet(5, [[1, 1], [1, 2]]), "williams").evaluations == 25
 
 
 def test_search_validates_k_max():
@@ -315,17 +315,16 @@ def test_staged_search_agrees_with_grid_minimum():
     # must reach the true grid minimum of the first deciding degree and
     # beat a spread of spot-checked candidates on the full pattern
     gen = GeneratorSet(7, [[1, 1], [1, 2], [1, 3], [1, 4], [1, 5]])
-    basis = orthonormal_basis(7)
     report = search_shifts(gen, "williams")
     assert report.evaluations == 7**5
-    grid3 = shift_grid_beta(gen, "williams", 3, basis)
+    grid3 = shift_grid_beta(gen, "williams", 3)
     win = build_design(gen, report.b, "williams")
-    assert beta_k(win, 3, basis) == pytest.approx(float(grid3.min()), abs=1e-9)
+    assert beta_k(win, 3) == pytest.approx(float(grid3.min()), abs=1e-9)
     rng = np.random.default_rng(20260817)
-    win_pattern = beta_pattern(win, basis=basis)
+    win_pattern = beta_pattern(win)
     for _ in range(60):
         b = rng.integers(0, 7, size=5).tolist()
-        other = beta_pattern(build_design(gen, b, "williams"), basis=basis)
+        other = beta_pattern(build_design(gen, b, "williams"))
         assert compare_patterns(win_pattern, other) <= 0
 
 
@@ -345,10 +344,9 @@ def _ranked_on_full_patterns(gen, family, k_max=None):
     # the oracle: a full pattern for every shift vector, ranked directly
     from wtdesigns.optimal import SearchReport, _rank_candidates
 
-    basis = orthonormal_basis(gen.q)
     shifts = [list(b) for b in product(range(gen.q), repeat=gen.m)]
     patterns = np.array([
-        beta_pattern(build_design(gen, b, family), k_max, basis).values
+        beta_pattern(build_design(gen, b, family), k_max).values
         for b in shifts
     ])
     alive, decided = _rank_candidates(patterns, DEFAULT_TOL)
@@ -446,10 +444,9 @@ def test_verify_theorem_reports_failing_sets(monkeypatch):
 
 def _exact_theorem1(q, nmax):
     # the oracle: exact beta_3 of every Williams set at its closed-form shift
-    basis = orthonormal_basis(q)
     failures = []
     for n in range(3, nmax + 1):
-        C, betas = closed_form_sweep(q, n, "williams", (3,), basis)
+        C, betas = closed_form_sweep(q, n, "williams", (3,))
         for coeffs, v in zip(C, betas[:, 0]):
             if v > 1e-9:
                 failures.append(f"n={n} C={coeffs.tolist()}: beta3={v:.3g}")
@@ -469,15 +466,14 @@ def test_theorem1_equals_the_exact_sweep(q, center, monkeypatch):
 
 @pytest.mark.parametrize("q", [5, 7])
 def test_theorem2_grid_zero_sets_equal_the_per_shift_ones(q):
-    basis = orthonormal_basis(q)
     checked = 0
     for n in (3, 4):
         shifts = np.array(list(product(range(q), repeat=n - 2)))
         C = np.concatenate(list(optimal._q2_coefficient_blocks(q, n)))
         for coeffs in C[_classify_stack(C, q) == RecursiveType.TYPE_II]:
             gen = GeneratorSet(q, coeffs)
-            grid = shift_grid_beta(gen, "williams", 3, basis)
-            per_shift = shift_betas(gen, "williams", shifts, (3,), basis)[:, 0]
+            grid = shift_grid_beta(gen, "williams", 3)
+            per_shift = shift_betas(gen, "williams", shifts, (3,))[:, 0]
             assert np.argwhere(grid <= 1e-9).tolist() == shifts[per_shift <= 1e-9].tolist()
             checked += 1
     assert checked == {5: 6 + 18, 7: 12 + 127}[q]  # type II, not type I
@@ -571,7 +567,7 @@ def test_search_q2_json_shape():
 
 # --- generator-space search: tables prune, exact enumeration prints ---------------
 
-def closed_form_sweep(q, n, family, ks, basis):
+def closed_form_sweep(q, n, family, ks):
     """The exact oracle: beta_k_stack of every reduced set at its closed-form shift.
 
     Returns the (B, m, 2) coefficient stack in enumerate_q2_generators order
@@ -580,12 +576,12 @@ def closed_form_sweep(q, n, family, ks, basis):
     C = np.concatenate(list(optimal._q2_coefficient_blocks(q, n)))
     b = optimal._closed_form_shifts(C, q, family)
     stacks = optimal._member_stacks(C, b, q, family, ks)
-    return C, np.concatenate([beta_k_stack(rows, ks, basis) for rows in stacks])
+    return C, np.concatenate([beta_k_stack(rows, ks, q) for rows in stacks])
 
 
 @lru_cache(maxsize=None)
 def _exact_cell(q, n, family):
-    C, betas = closed_form_sweep(q, n, family, (3, 4), orthonormal_basis(q))
+    C, betas = closed_form_sweep(q, n, family, (3, 4))
     C.setflags(write=False)
     betas.setflags(write=False)
     return C, betas
@@ -596,7 +592,6 @@ def _exact_family_best(q, n, family):
     # set, _keep_minimal on each, then full patterns ranked for the survivors
     from wtdesigns.optimal import FamilyBest, _keep_minimal, _rank_candidates
 
-    basis = orthonormal_basis(q)
     C, betas = _exact_cell(q, n, family)
     b = optimal._closed_form_shifts(C, q, family)
     alive = np.arange(len(C))
@@ -607,7 +602,7 @@ def _exact_family_best(q, n, family):
             decided = k
             alive = alive[keep]
     patterns = [
-        beta_pattern(build_design(GeneratorSet(q, C[i]), b[i], family), basis=basis).values
+        beta_pattern(build_design(GeneratorSet(q, C[i]), b[i], family)).values
         for i in alive
     ]
     if len(alive) > 1:
@@ -652,13 +647,12 @@ def test_search_q2_equals_the_exact_sweep(q, n):
 
 @pytest.mark.parametrize("q,n", Q2_CELLS)
 def test_table_betas_stay_far_inside_the_band(q, n):
-    basis = orthonormal_basis(q)
     assert optimal._TABLE_EPS <= DEFAULT_TOL / 100
     assert optimal._table_eps(q * q, n) == optimal._TABLE_EPS
     for family in ("linear", "williams"):
         C, betas = _exact_cell(q, n, family)
         ids = optimal._universe_ids(C, q)
-        V = optimal._universe_values(q, family, basis)
+        V = optimal._universe_values(q, family)
         for table_beta, exact in ((optimal._table_beta3, betas[:, 0]),
                                   (optimal._table_beta4, betas[:, 1])):
             deviation = np.abs(table_beta(ids, V) - exact).max()
@@ -666,10 +660,9 @@ def test_table_betas_stay_far_inside_the_band(q, n):
 
 
 def test_table_betas_do_not_depend_on_the_chunk_size(monkeypatch):
-    basis = orthonormal_basis(7)
     C, betas = _exact_cell(7, 6, "williams")
     ids = optimal._universe_ids(C, 7)
-    V = optimal._universe_values(7, "williams", basis)
+    V = optimal._universe_values(7, "williams")
     # three sets per chunk of quadruple sums, one head column per table chunk
     monkeypatch.setattr(optimal, "_CHUNK_BYTES", 3 * 8 * 49)
     assert np.abs(optimal._table_beta3(ids, V) - betas[:, 0]).max() <= 1e-13

@@ -1,11 +1,13 @@
 """Orthonormal contrast basis construction and its independent cross-checks."""
 
+import inspect
 from fractions import Fraction
 from math import factorial, sqrt
 
 import numpy as np
 import pytest
 
+import wtdesigns
 from wtdesigns import InputError, linear_poly_cosine, orthonormal_basis
 from wtdesigns.orthopoly import MAX_LEVELS
 
@@ -120,3 +122,15 @@ def test_basis_refuses_levels_beyond_the_accurate_range(q):
     # and by more than the values themselves at q=41
     with pytest.raises(InputError, match="largest level count"):
         orthonormal_basis(q)
+
+
+def test_no_public_callable_takes_a_basis():
+    # the contrast basis is a function of q, which every design carries;
+    # exception classes have no signature to inspect
+    takes_basis = [
+        name for name in wtdesigns.__all__
+        if callable(obj := getattr(wtdesigns, name))
+        and not (isinstance(obj, type) and issubclass(obj, Exception))
+        and "basis" in inspect.signature(obj).parameters
+    ]
+    assert takes_basis == []
