@@ -40,6 +40,7 @@ from .optimal import (
     SearchReport,
     build_design,
     center_preimage,
+    count_recursive,
     enumerate_q2_generators,
     optimal_shift_linear,
     optimal_shift_williams,
@@ -51,7 +52,7 @@ from .optimal import (
     verify_theorem,
 )
 from .orthopoly import OrthonormalBasis, linear_poly_cosine, orthonormal_basis
-from .recursion import RecursiveType, classify, count_recursive
+from .recursion import RecursiveType, classify
 
 __version__ = "0.1.0"
 

@@ -112,28 +112,25 @@ def beta_k_stack(rows, ks, q: int) -> np.ndarray:
     is bit-identical to the plain enumeration: per exponent vector, the
     product over columns of p_{u_j}(x_ij) (zero exponents contribute exact
     1.0 factors and are skipped), summed over the runs, squared and summed.
-    The stack is processed in chunks of designs_per_chunk designs.
+    One pass over the whole stack: callers bound it, as _member_stacks does.
     """
     rows = np.asarray(rows)
     B, N, n = rows.shape
     P = orthonormal_basis(q).values
-    idxs = [_support_index(k, n, q) for k in ks]
-    step = designs_per_chunk(N, n, q, ks)
-    out = np.empty((B, len(idxs)))
-    for lo in range(0, B, step):
-        chunk = rows[lo : lo + step]
-        # W[b, j*q + u, i] = p_u(x_ij); the last row is 1.0
-        W = np.empty((len(chunk), n * q + 1, N))
-        W[:, : n * q] = P[:, chunk].transpose(1, 3, 0, 2).reshape(-1, n * q, N)
-        W[:, n * q] = 1.0
-        for t, idx in enumerate(idxs):
-            # np.take keeps the (b, C, N) product contiguous, so each row sum
-            # reduces N values in the same order as a single design's would
-            prod = np.take(W, idx[:, 0], axis=1)
-            for col in idx.T[1:]:
-                prod *= np.take(W, col, axis=1)
-            sums = prod.sum(axis=2)
-            out[lo : lo + step, t] = (sums * sums).sum(axis=1) / N**2
+    # W[b, j*q + u, i] = p_u(x_ij); the last row is 1.0
+    W = np.empty((B, n * q + 1, N))
+    W[:, : n * q] = P[:, rows].transpose(1, 3, 0, 2).reshape(-1, n * q, N)
+    W[:, n * q] = 1.0
+    out = np.empty((B, len(ks)))
+    for t, k in enumerate(ks):
+        idx = _support_index(k, n, q)
+        # np.take keeps the (b, C, N) product contiguous, so each row sum
+        # reduces N values in the same order as a single design's would
+        prod = np.take(W, idx[:, 0], axis=1)
+        for col in idx.T[1:]:
+            prod *= np.take(W, col, axis=1)
+        sums = prod.sum(axis=2)
+        out[:, t] = (sums * sums).sum(axis=1) / N**2
     return np.maximum(out, 0.0)
 
 
@@ -193,20 +190,42 @@ def beta_pattern(design: Design, k_max: int = None) -> BetaPattern:
     return BetaPattern(q=design.q, n=design.n_factors, values=tuple(vals.tolist()))
 
 
+def _cut(mn: float, tol: float) -> float:
+    """The largest value that ties the minimum mn: mn + tol * max(1, mn)."""
+    return mn + tol * max(1.0, mn)
+
+
+def _keep_minimal(values: np.ndarray, tol: float) -> np.ndarray:
+    return values <= _cut(float(values.min()), tol)
+
+
+def _rank_candidates(patterns: np.ndarray, tol: float):
+    """Drop, degree by degree, the live rows above the _cut of their minimum; returns
+    (kept indices, decided_k), decided_k being the last degree that dropped a row."""
+    alive = np.arange(patterns.shape[0])
+    decided = None
+    for k in range(patterns.shape[1]):
+        keep = _keep_minimal(patterns[alive, k], tol)
+        if not keep.all():
+            decided = k + 1
+            alive = alive[keep]
+        if len(alive) == 1:
+            break
+    return alive, decided
+
+
 def compare_patterns(a, b, tol: float = DEFAULT_TOL) -> int:
     """Sequential comparison: -1, 0 or 1.
 
-    The first index where the entries differ by more than
-    tol * max(1, a_k, b_k) decides; patterns with no such index are equal.
+    The two-row case of _rank_candidates: the first index where an entry
+    exceeds _cut(min(a_k, b_k), tol) decides; with no such index, they tie.
     """
     va = a.values if isinstance(a, BetaPattern) else tuple(a)
     vb = b.values if isinstance(b, BetaPattern) else tuple(b)
     if len(va) != len(vb):
         raise InputError("patterns must have equal length to compare")
-    for x, y in zip(va, vb):
-        if abs(x - y) > tol * max(1.0, x, y):
-            return -1 if x < y else 1
-    return 0
+    alive, _ = _rank_candidates(np.array([va, vb], dtype=float), tol)
+    return 0 if len(alive) == 2 else (-1 if alive[0] == 0 else 1)
 
 
 def beta_sum_check(design: Design) -> float:

@@ -14,6 +14,7 @@ from .errors import InputError
 from .models import estimate_variances, information_matrix
 from .optimal import (
     build_design,
+    count_recursive,
     optimal_shift_linear,
     optimal_shift_williams,
     search_q2,
@@ -215,8 +216,6 @@ def _reproduce_example5(g):
 
 
 def _reproduce_counts(g):
-    from .recursion import count_recursive
-
     chk = _Checker()
     lines = ["q  n  typeI  typeII  typeIII"]
     for q, n, expect in g["rows"]:

@@ -24,8 +24,8 @@ from .designs import (
 from .errors import CapExceededError, InputError
 from .fieldmath import check_odd_prime
 from .models import estimate_variances, info_matrix_csv, information_matrix
-from .optimal import search_q2, search_shifts, verified_nmax, verify_theorem
-from .recursion import classify, count_recursive
+from .optimal import count_recursive, search_q2, search_shifts, verified_nmax, verify_theorem
+from .recursion import classify
 
 CLI_SCAN_LIMIT = 100_000  # larger shift scans need --force
 
@@ -159,6 +159,7 @@ def cmd_searchq2(args) -> int:
 def cmd_model(args) -> int:
     design = _design_from_args(args)
     info = information_matrix(design)
+    variances = estimate_variances(design)  # refuses a singular design before any output
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(info_matrix_csv(info))
@@ -167,7 +168,7 @@ def cmd_model(args) -> int:
     for row in info.matrix:
         print("  " + " ".join(f"{v:6.3f}" for v in row))
     print("variance factors:")
-    for label, v in estimate_variances(design):
+    for label, v in variances:
         print(f"  {label:10s} {v:.3f}")
     return 0
 

@@ -1,8 +1,8 @@
 """Optimal level-permutation searches.
 
 Closed-form shift vectors for both design families, exhaustive best-shift
-search over all q^m shift vectors, and the generator-space search over all
-regular designs with two independent columns (q^2 runs).
+search over all q^m shift vectors, and every sweep of the reduced q^2-run
+generator space: the search, the recursive-type tallies, the theorem checks.
 
 Families:
     linear   : the design with dependent columns shifted by b
@@ -20,6 +20,9 @@ from .aberration import (
     _CHUNK_BYTES,
     DEFAULT_TOL,
     _check_k,
+    _cut,
+    _keep_minimal,
+    _rank_candidates,
     beta_k_stack,
     beta_pattern,
     compositions,
@@ -160,26 +163,6 @@ class SearchReport:
             "evaluations": self.evaluations,
             "decided_k": self.decided_k,
         }
-
-
-def _keep_minimal(values: np.ndarray, tol: float) -> np.ndarray:
-    mn = float(values.min())
-    return values <= mn + tol * max(1.0, mn)
-
-
-def _rank_candidates(patterns: np.ndarray, tol: float):
-    """Sequentially filter candidate rows; returns (kept indices, decided_k)."""
-    alive = np.arange(patterns.shape[0])
-    decided = None
-    for k in range(patterns.shape[1]):
-        vals = patterns[alive, k]
-        keep = _keep_minimal(vals, tol)
-        if not keep.all():
-            decided = k + 1
-            alive = alive[keep]
-        if len(alive) == 1:
-            break
-    return alive, decided
 
 
 def _support_table(values) -> np.ndarray:
@@ -371,6 +354,12 @@ def enumerate_q2_generators(q: PrimeLevel, n: int):
             yield GeneratorSet(q, C)
 
 
+def _check_q2_columns(q: int, n: int, name: str = "n") -> None:
+    """Refuse a column count outside 3..q+1: a q^2-run design has at most q+1 columns."""
+    if not 3 <= n <= q + 1:
+        raise InputError(f"{name}={n} out of range 3..{q + 1} for q={q}")
+
+
 def _q2_coefficient_blocks(q: PrimeLevel, n: int):
     """The coefficients of enumerate_q2_generators, in its order.
 
@@ -379,8 +368,7 @@ def _q2_coefficient_blocks(q: PrimeLevel, n: int):
     vector c in product order.
     """
     q = check_odd_prime(q)
-    if not 3 <= n <= q + 1:
-        raise InputError(f"n={n} out of range 3..{q + 1} for q={q}")
+    _check_q2_columns(q, n)
     m = n - 2
     half = (q - 1) // 2
     scales = np.array(list(product(range(1, half + 1), repeat=m)), dtype=np.int64)
@@ -458,8 +446,7 @@ class Q2Report:
 
 def standard_generators(q: PrimeLevel, n: int) -> GeneratorSet:
     """The common q^2-run choice: columns x1, x2, x1+x2, x1+2*x2, ..."""
-    if not 3 <= n <= q + 1:
-        raise InputError(f"n={n} out of range 3..{q + 1} for q={q}")
+    _check_q2_columns(q, n)
     return GeneratorSet(q, [[1, s] for s in range(1, n - 1)])
 
 
@@ -512,16 +499,14 @@ def _keep_minimal_within(approx: np.ndarray, exact_of, tol: float, eps: float) -
     taken from the exact minimum, so the mask equals _keep_minimal(exact).
     """
     lo = float(approx.min()) - eps  # the exact minimum lies in [lo, lo + 2 eps]
-    cut_lo = lo + tol * max(1.0, lo)
-    cut_hi = lo + 2 * eps + tol * max(1.0, lo + 2 * eps)
-    keep = approx <= cut_lo - eps
-    band = np.flatnonzero(~keep & (approx <= cut_hi + eps))
+    keep = approx <= _cut(lo, tol) - eps
+    band = np.flatnonzero(~keep & (approx <= _cut(lo + 2 * eps, tol) + eps))
     if len(band):
         near = np.flatnonzero(approx <= lo + 3 * eps)
         both = np.union1d(near, band)
         exact = exact_of(both)
         mn = float(exact[np.isin(both, near)].min())
-        keep[band] = exact[np.isin(both, band)] <= mn + tol * max(1.0, mn)
+        keep[band] = exact[np.isin(both, band)] <= _cut(mn, tol)
     return keep
 
 
@@ -665,6 +650,21 @@ def search_q2(q: PrimeLevel, n: int, tol: float = DEFAULT_TOL) -> Q2Report:
     )
 
 
+def count_recursive(q: PrimeLevel, n: int):
+    """Tally (type I, type II, type III) over the reduced two-independent-
+    column generator space; counts are cumulative, a type-I design adds to
+    all three.
+    """
+    if q not in (5, 7):
+        raise InputError(f"counts are tabulated for q in {{5, 7}}, got {q}")
+    _check_q2_columns(q, n)
+    labels = _classify_stack(_q2_coefficients(q, n), q)
+    c1 = int((labels == RecursiveType.TYPE_I).sum())
+    c2 = c1 + int((labels == RecursiveType.TYPE_II).sum())
+    c3 = c2 + int((labels == RecursiveType.TYPE_III).sum())
+    return c1, c2, c3
+
+
 def _theorem1(q, ns) -> list:
     V = _universe_values(q, "williams")
     failures = []
@@ -732,8 +732,7 @@ def verify_theorem(theorem: int, q: PrimeLevel, nmax: int) -> list:
     q = check_odd_prime(q)
     if theorem not in _THEOREMS:
         raise InputError(f"theorem must be one of {tuple(_THEOREMS)}, got {theorem!r}")
-    if not 3 <= nmax <= q + 1:
-        raise InputError(f"nmax={nmax} out of range 3..{q + 1} for q={q}")
+    _check_q2_columns(q, nmax, "nmax")
     ns = range(3, verified_nmax(theorem, nmax) + 1)
     for n in ns:
         _check_q2_cell(q, n)

@@ -16,8 +16,8 @@ strictest regime under which some starting set reaches every column.
 One closure serves every caller. It runs on a (B, n, d) stack of column
 vectors, tries every d-subset of the n columns as a starting set, and gives
 one label per design: `classify` is the B = 1 call, and `_classify_stack`
-labels a whole q^2-run coefficient stack (as `count_recursive` and theorem 2
-sweep it).
+labels a whole q^2-run coefficient stack. The q^2 generator space and its
+sweeps (`count_recursive`, theorem 2) belong to `optimal`, which calls it.
 
 - Reach table: for each unordered column pair and coefficient pair, the
   column that c1*w_a + c2*w_b lands on, if any. Each regime keeps the
@@ -46,7 +46,6 @@ import numpy as np
 
 from .designs import GeneratorSet
 from .errors import InputError
-from .fieldmath import PrimeLevel
 
 # target codes per design chunk of a stack: bounds the (B, q-1, q-1, P, d) arrays
 _CHUNK_TARGETS = 1 << 16
@@ -215,21 +214,3 @@ def _classify_stack(C: np.ndarray, q: int) -> np.ndarray:
     B = C.shape[0]
     cols = np.concatenate([np.broadcast_to(np.eye(2, dtype=np.int64), (B, 2, 2)), C], axis=1)
     return np.array(_TYPES, dtype=object)[_closure_types(cols, q)]
-
-
-def count_recursive(q: PrimeLevel, n: int):
-    """Tally (type I, type II, type III) over the reduced two-independent-
-    column generator space; counts are cumulative, a type-I design adds to
-    all three.
-    """
-    from .optimal import _q2_coefficients
-
-    if q not in (5, 7):
-        raise InputError(f"counts are tabulated for q in {{5, 7}}, got {q}")
-    if not 3 <= n <= q + 1:
-        raise InputError(f"n={n} out of range 3..{q + 1} for q={q}")
-    labels = _classify_stack(_q2_coefficients(q, n), q)
-    c1 = int((labels == RecursiveType.TYPE_I).sum())
-    c2 = c1 + int((labels == RecursiveType.TYPE_II).sum())
-    c3 = c2 + int((labels == RecursiveType.TYPE_III).sum())
-    return c1, c2, c3

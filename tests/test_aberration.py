@@ -136,14 +136,15 @@ def test_stacked_beta_k_is_bit_identical(q, n, family, monkeypatch):
     # B = 1, through beta_k
     single = np.array([[beta_k(d, k) for k in (3, 4)] for d in designs])
     assert np.array_equal(single, want)
-    # the whole cell as one stack, in chunks of 7 designs: B is no multiple of 7
+    # chunks of 7 designs for _member_stacks below (B is no multiple of 7);
+    # beta_k_stack takes the whole cell as one stack, in one pass
     widest = max(n * q + 1, len(compositions(4, n, q - 1)))
     monkeypatch.setattr(aberration, "_CHUNK_BYTES", 7 * 8 * widest * q * q)
     assert aberration.designs_per_chunk(q * q, n, q, (3, 4)) == 7
     stack = np.stack([d.rows for d in designs])
     assert len(designs) % 7 != 0
     assert np.array_equal(beta_k_stack(stack, (3, 4), q), want)
-    # the integer stacks of the generator sweep, also in chunks of 7, build
+    # the integer stacks of the generator sweep, in those chunks of 7, build
     # the same designs
     C = np.concatenate(list(optimal._q2_coefficient_blocks(q, n)))
     betas = optimal._closed_form_betas(C, q, family, (3, 4))
@@ -247,12 +248,15 @@ def test_compare_first_differing_index_decides():
 
 
 def test_compare_uses_relative_tolerance():
-    # 1000 vs 1000 + 1e-6 is within tol * max(1, a, b) for tol 1e-8? no;
-    # with tol=1e-2 it is, and the later entry decides instead
+    # an entry ties the smaller one up to min + tol * max(1, min): with
+    # tol=1e-2, 1000 + 1e-6 ties 1000 and the later entry decides instead
     a = (1000.0, 1.0)
     b = (1000.0 + 1e-6, 2.0)
     assert compare_patterns(a, b, tol=1e-2) == -1
     assert compare_patterns(a, b, tol=1e-12) == -1  # first entry decides, a smaller
+    # the cut is 1000 + 10 = 1010, so 1010.05 is larger, as the searches rank it
+    assert compare_patterns((1000.0,), (1010.05,), tol=1e-2) == -1
+    assert compare_patterns((1010.05,), (1000.0,), tol=1e-2) == 1
 
 
 def test_compare_accepts_pattern_objects():

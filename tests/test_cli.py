@@ -289,10 +289,16 @@ def test_model_csv_written(tmp_path, capsys):
     assert header.split(",")[1:4] == ["const", "x1", "x2"]
 
 
-def test_model_reports_singularity(capsys):
-    code, _, err = run(capsys, "model", "--q", "3", "--generators", "1,1")
+def test_model_reports_singularity(tmp_path, capsys):
+    # refused before any output: no partial report, no CSV file
+    csv_path = tmp_path / "info.csv"
+    code, stdout, err = run(
+        capsys, "model", "--q", "3", "--generators", "1,1", "--csv", str(csv_path),
+    )
     assert code == 2
     assert "singular" in err
+    assert stdout == ""
+    assert not csv_path.exists()
 
 
 # --- reproduce / verify -----------------------------------------------------------------

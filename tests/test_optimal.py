@@ -32,7 +32,7 @@ from wtdesigns import (
     williams_value,
 )
 from wtdesigns import optimal
-from wtdesigns.aberration import DEFAULT_TOL, beta_k_stack
+from wtdesigns.aberration import DEFAULT_TOL, _keep_minimal, _rank_candidates, beta_k_stack
 from wtdesigns.recursion import RecursiveType, _classify_stack
 
 SHIFT_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "shift-scan.json"
@@ -342,7 +342,7 @@ def test_nothing_cut_ranks_every_shift_on_full_patterns():
 
 def _ranked_on_full_patterns(gen, family, k_max=None):
     # the oracle: a full pattern for every shift vector, ranked directly
-    from wtdesigns.optimal import SearchReport, _rank_candidates
+    from wtdesigns.optimal import SearchReport
 
     shifts = [list(b) for b in product(range(gen.q), repeat=gen.m)]
     patterns = np.array([
@@ -488,9 +488,9 @@ def test_verified_nmax_is_the_range_verify_theorem_covers():
 def test_verify_theorem_validates_input():
     with pytest.raises(InputError, match="theorem"):
         verify_theorem(3, 5, 4)
-    with pytest.raises(InputError, match="nmax"):
+    with pytest.raises(InputError, match=r"^nmax=7 out of range 3\.\.6 for q=5$"):
         verify_theorem(1, 5, 7)
-    with pytest.raises(InputError, match="nmax"):
+    with pytest.raises(InputError, match=r"^nmax=2 out of range 3\.\.6 for q=5$"):
         verify_theorem(1, 5, 2)
     with pytest.raises(InputError):
         verify_theorem(1, 9, 4)
@@ -590,7 +590,7 @@ def _exact_cell(q, n, family):
 def _exact_family_best(q, n, family):
     # the generator search without tables: exact beta_3 and beta_4 of every
     # set, _keep_minimal on each, then full patterns ranked for the survivors
-    from wtdesigns.optimal import FamilyBest, _keep_minimal, _rank_candidates
+    from wtdesigns.optimal import FamilyBest
 
     C, betas = _exact_cell(q, n, family)
     b = optimal._closed_form_shifts(C, q, family)
@@ -680,7 +680,7 @@ def _recording(exact):
 
 
 def test_band_decides_values_near_the_cut_exactly():
-    from wtdesigns.optimal import _keep_minimal, _keep_minimal_within
+    from wtdesigns.optimal import _keep_minimal_within
 
     eps, tol = optimal._TABLE_EPS, DEFAULT_TOL
     # cut = 1 + 1e-8; sets 1 and 2 sit just inside and just outside it, and
@@ -694,7 +694,7 @@ def test_band_decides_values_near_the_cut_exactly():
 
 
 def test_band_takes_the_cut_from_the_exact_minimum():
-    from wtdesigns.optimal import _keep_minimal, _keep_minimal_within
+    from wtdesigns.optimal import _keep_minimal_within
 
     eps, tol = optimal._TABLE_EPS, DEFAULT_TOL
     # the approximate minimum is 0.5 eps too high; set 1 lies 0.2 eps past
@@ -717,7 +717,7 @@ def test_band_leaves_clear_decisions_to_the_tables():
 
 
 def test_band_matches_keep_minimal_on_random_clusters():
-    from wtdesigns.optimal import _keep_minimal, _keep_minimal_within
+    from wtdesigns.optimal import _keep_minimal_within
 
     eps, tol = optimal._TABLE_EPS, DEFAULT_TOL
     rng = np.random.default_rng(20261018)

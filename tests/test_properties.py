@@ -24,6 +24,7 @@ from wtdesigns import (
     williams_inverse,
     williams_value,
 )
+from wtdesigns.aberration import DEFAULT_TOL, _rank_candidates
 
 SMALL_PRIMES = (3, 5, 7)
 MORE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 97)
@@ -119,6 +120,10 @@ def test_compare_is_antisymmetric(pair):
     a, b = pair
     assert compare_patterns(a, b) == -compare_patterns(b, a)
     assert compare_patterns(a, a) == 0
+    # the searches' ranking rule on the two rows: both kept is a tie,
+    # otherwise the kept row is the smaller pattern
+    alive, _ = _rank_candidates(np.array([a, b]), DEFAULT_TOL)
+    assert compare_patterns(a, b) == {(0, 1): 0, (0,): -1, (1,): 1}[tuple(alive.tolist())]
 
 
 @settings(max_examples=50, deadline=None)

@@ -23,10 +23,9 @@ from wtdesigns import (
     InputError,
     RecursiveType,
     classify,
-    count_recursive,
     rank_mod,
 )
-from wtdesigns.optimal import _q2_coefficient_blocks
+from wtdesigns.optimal import _q2_coefficient_blocks, count_recursive
 from wtdesigns import recursion
 from wtdesigns.recursion import _classify_stack, _saturate
 
