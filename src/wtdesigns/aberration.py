@@ -18,6 +18,7 @@ full N^2 order. A faster kernel must reproduce the same operations in the
 same order, not only the same value to rounding.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -190,6 +191,12 @@ def beta_pattern(design: Design, k_max: int = None) -> BetaPattern:
     return BetaPattern(q=design.q, n=design.n_factors, values=tuple(vals.tolist()))
 
 
+def _check_tol(tol: float) -> None:
+    """Refuse a ranking tolerance that is not a finite number >= 0."""
+    if not 0 <= tol < math.inf:
+        raise InputError(f"tol must be finite and >= 0, got {tol!r}")
+
+
 def _cut(mn: float, tol: float) -> float:
     """The largest value that ties the minimum mn: mn + tol * max(1, mn)."""
     return mn + tol * max(1.0, mn)
@@ -222,6 +229,7 @@ def compare_patterns(a, b, tol: float = DEFAULT_TOL) -> int:
     """
     va = a.values if isinstance(a, BetaPattern) else tuple(a)
     vb = b.values if isinstance(b, BetaPattern) else tuple(b)
+    _check_tol(tol)
     if len(va) != len(vb):
         raise InputError("patterns must have equal length to compare")
     alive, _ = _rank_candidates(np.array([va, vb], dtype=float), tol)

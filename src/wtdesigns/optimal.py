@@ -10,7 +10,7 @@ Families:
 """
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import comb, prod
 from typing import Optional
 
@@ -20,6 +20,7 @@ from .aberration import (
     _CHUNK_BYTES,
     DEFAULT_TOL,
     _check_k,
+    _check_tol,
     _cut,
     _keep_minimal,
     _rank_candidates,
@@ -296,6 +297,7 @@ def search_shifts(
     and replays the recorded search outputs byte for byte.
     """
     _check_family(family)
+    _check_tol(tol)
     q, m = gen.q, gen.m
     total = q**m
     if total > SEARCH_CAP:
@@ -392,6 +394,79 @@ def _q2_coefficients(q: PrimeLevel, n: int) -> np.ndarray:
     """
     _check_q2_cell(q, n)
     return np.concatenate(list(_q2_coefficient_blocks(q, n)))
+
+
+def _inverses(q: int) -> np.ndarray:
+    """inv[x] = x^-1 mod q for x in 1..q-1; inv[0] = 0."""
+    return np.array([0] + [pow(x, -1, q) for x in range(1, q)], dtype=np.int64)
+
+
+def _cell_index(C: np.ndarray, q: int) -> np.ndarray:
+    """Position of each reduced set of a (..., m, 2) stack in _q2_coefficients' order.
+
+    The slope set's rank among combinations(range(1, q), m), lexicographic,
+    times ((q-1)/2)^m, plus the scale vector's rank in product order.
+    """
+    m = C.shape[-2]
+    half = (q - 1) // 2
+    t = C[..., 1] * _inverses(q)[C[..., 0]] % q - 1  # ascending slopes - 1, in 0..q-2
+    binom = np.array([[comb(x, k) for k in range(m + 1)] for x in range(q - 1)])
+    slope_rank = comb(q - 1, m) - 1 - binom[q - 2 - t, m - np.arange(m)].sum(axis=-1)
+    scale_rank = ((C[..., 0] - 1) * half ** np.arange(m - 1, -1, -1)).sum(axis=-1)
+    return slope_rank * half**m + scale_rank
+
+
+def _reduced_images(C: np.ndarray, q: int) -> np.ndarray:
+    """The images of the sets of a (B, m, 2) coefficient stack under the Cheng-Ye group, (B, G, m, 2).
+
+    A group element takes an ordered pair (a, b) of the n columns, with a
+    sign s, as the new independent pair (x_a, s x_b). Every other column is
+    re-expressed in that basis, negated if need be so that its first
+    coefficient lies in 1..(q-1)/2 (a level reversal), and the columns are
+    sorted by slope: a reduced set of the same cell, of the same design up
+    to column permutation and level reversal. s = -1 on x_a gives the same
+    images after the negations, so G = 2n(n-1). The identity, (0, 1, +1),
+    is element 0.
+    """
+    B, m, _ = C.shape
+    n = m + 2
+    half = (q - 1) // 2
+    inv = _inverses(q)
+    elems = [
+        (a, b, s, [j for j in range(n) if j not in (a, b)])
+        for a, b in permutations(range(n), 2)
+        for s in (1, -1)
+    ]
+    a, b, s, others = (np.array(x, dtype=np.int64) for x in zip(*elems))
+    cols = np.concatenate([np.broadcast_to(np.eye(2, dtype=np.int64), (B, 2, 2)), C], axis=1)
+    x, y, v = cols[:, a], cols[:, b] * s[:, None], cols[:, others]  # (B, G, 2) twice, (B, G, m, 2)
+    # v = alpha x + beta y, solved by Cramer's rule mod q
+    det = inv[(x[..., 0] * y[..., 1] - x[..., 1] * y[..., 0]) % q][..., None]
+    alpha = det * (y[..., 1, None] * v[..., 0] - y[..., 0, None] * v[..., 1]) % q
+    beta = det * (x[..., 0, None] * v[..., 1] - x[..., 1, None] * v[..., 0]) % q
+    flip = alpha > half
+    alpha = np.where(flip, q - alpha, alpha)
+    beta = np.where(flip, q - beta, beta)  # beta != 0: no column is proportional to x
+    order = np.argsort(beta * inv[alpha] % q, axis=-1)
+    return np.stack(
+        [np.take_along_axis(alpha, order, axis=-1), np.take_along_axis(beta, order, axis=-1)],
+        axis=-1,
+    )
+
+
+def _orbit_ids(C: np.ndarray, q: int) -> np.ndarray:
+    """The Cheng-Ye orbit of each set of a (B, m, 2) coefficient stack, as one int64 each.
+
+    The smallest _cell_index over the set's _reduced_images, so two sets
+    share an id exactly when they are images of each other. Sets are taken
+    in chunks whose image stacks hold about _CHUNK_BYTES each.
+    """
+    m = C.shape[1]
+    step = max(1, _CHUNK_BYTES // (8 * 2 * (m + 2) * (m + 1) * m * 2))  # (chunk, G, m, 2) int64
+    return np.concatenate([
+        _cell_index(_reduced_images(C[lo : lo + step], q), q).min(axis=1)
+        for lo in range(0, len(C), step)
+    ])
 
 
 @dataclass(frozen=True)
@@ -583,8 +658,18 @@ def _family_best(q, n, family, tol) -> FamilyBest:
     beta_3 and beta_4 of every set come from support tables over the
     universe of columns and only prune (_keep_minimal_within); the sets they
     cannot decide, the minimiser when it matters, and the winner are
-    evaluated exactly with beta_k_stack, so every field has the bits of the
-    exact sweep.
+    evaluated exactly with beta_k_stack, so beta3 and beta4 have the bits of
+    the exact sweep.
+
+    The survivors are ranked one Cheng-Ye orbit at a time (_orbit_ids).
+    Column permutation and level reversal preserve the pattern at the
+    closed-form shift up to rounding (within 2e-13 of max(1, beta_k) on the
+    sampled orbits of the tests), so
+    only each orbit's lexicographically smallest survivor gets a full
+    pattern, and every survivor of a kept orbit is a tie. The winner heads
+    the ties, so it is a representative and pattern is its own. With tol=0
+    the members of an orbit still tie, where ranking each member's own
+    pattern could split them on rounding.
     """
     C = _q2_coefficients(q, n)
     V = _universe_values(q, family)
@@ -601,26 +686,30 @@ def _family_best(q, n, family, tol) -> FamilyBest:
             decided = k
             alive = alive[keep]
 
-    # full patterns only for the survivors; the winner's pattern is among them
+    # survivors in tolist order
     survivors = C[alive]
-    b = _closed_form_shifts(survivors, q, family)
-    patterns = _member_patterns(survivors, b, q, family, None)
-    idx, sub_decided = _rank_candidates(patterns, tol)
+    survivors = survivors[np.lexsort(survivors.reshape(len(survivors), -1).T[::-1])]
+    orbit = _orbit_ids(survivors, q)
+    # each orbit's first survivor, in lexicographic order
+    first = np.sort(np.unique(orbit, return_index=True)[1])
+    reps = survivors[first]
+    b = _closed_form_shifts(reps, q, family)
+    patterns = _member_patterns(reps, b, q, family, None)
+    kept, sub_decided = _rank_candidates(patterns, tol)
     if sub_decided is not None:
         decided = sub_decided
 
-    order = sorted(idx, key=lambda i: survivors[i].tolist())
-    win = order[0]
-    exact = _closed_form_betas(survivors[win : win + 1], q, family, (3, 4))
+    win = kept[0]
+    exact = _closed_form_betas(reps[win : win + 1], q, family, (3, 4))
     beta3, beta4 = exact[0].tolist()
     return FamilyBest(
         family=family,
-        generators=survivors[win].tolist(),
+        generators=reps[win].tolist(),
         b=b[win].tolist(),
         beta3=beta3,
         beta4=beta4,
         pattern=tuple(patterns[win].tolist()),
-        ties=[survivors[i].tolist() for i in order],
+        ties=survivors[np.isin(orbit, orbit[first[kept]])].tolist(),
         evaluations=len(C),
         decided_k=decided,
     )
@@ -631,8 +720,15 @@ def search_q2(q: PrimeLevel, n: int, tol: float = DEFAULT_TOL) -> Q2Report:
 
     Every reduced generator set is evaluated at its closed-form shift; the
     per-family winner minimizes the aliasing pattern sequentially, with all
-    pattern-equal generator sets reported as ties.
+    pattern-equal generator sets reported as ties. Column permutation and
+    level reversal (Cheng and Ye, 2004) preserve the pattern, so the sets
+    left after beta_3 and beta_4 are ranked one orbit at a time, on the full
+    pattern of the orbit's lexicographically smallest member; a family's
+    pattern is its winner's own (_family_best). tol=0 therefore ties the
+    members of an orbit, which the rounding of their own patterns could
+    split. tol must be finite and >= 0.
     """
+    _check_tol(tol)
     std = standard_generators(q, n)
     _check_q2_cell(q, n)
     std_pattern = beta_pattern(expand(std))

@@ -267,3 +267,10 @@ def test_compare_accepts_pattern_objects():
 def test_compare_rejects_length_mismatch():
     with pytest.raises(InputError):
         compare_patterns((0.1,), (0.1, 0.2))
+
+
+@pytest.mark.parametrize("tol", [-1, -1e-300, float("nan"), float("inf")])
+def test_compare_rejects_a_tolerance_that_is_not_finite_and_nonnegative(tol):
+    with pytest.raises(InputError, match="tol"):
+        compare_patterns((1, 2), (1, 3), tol=tol)
+    assert compare_patterns((1, 2), (1, 3), tol=0) == -1

@@ -32,6 +32,7 @@ from wtdesigns import (
     williams_value,
 )
 from wtdesigns import optimal
+from wtdesigns.designs import mirror_symmetric_stack
 from wtdesigns.aberration import DEFAULT_TOL, _keep_minimal, _rank_candidates, beta_k_stack
 from wtdesigns.recursion import RecursiveType, _classify_stack
 
@@ -303,6 +304,12 @@ def test_search_respects_cap(monkeypatch):
     assert search_shifts(GeneratorSet(5, [[1, 1], [1, 2]]), "williams").evaluations == 25
 
 
+@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+def test_search_rejects_a_tolerance_that_is_not_finite_and_nonnegative(tol):
+    with pytest.raises(InputError, match="tol"):
+        search_shifts(GeneratorSet(5, [[1, 1]]), "williams", tol=tol)
+
+
 def test_search_validates_k_max():
     with pytest.raises(InputError):
         search_shifts(GeneratorSet(5, [[1, 1]]), "williams", k_max=0)
@@ -556,6 +563,12 @@ def test_search_q2_winner_heads_tie_list():
     assert rep.williams.beta3 <= 1e-9
 
 
+@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+def test_search_q2_rejects_a_tolerance_that_is_not_finite_and_nonnegative(tol):
+    with pytest.raises(InputError, match="tol"):
+        search_q2(5, 3, tol=tol)
+
+
 def test_search_q2_json_shape():
     d = json.loads(json.dumps(search_q2(5, 3).to_json_dict()))
     assert set(d) == {"q", "n", "standard", "linear", "williams"}
@@ -733,3 +746,81 @@ def test_band_matches_keep_minimal_on_random_clusters():
         exact_of, _ = _recording(exact)
         keep = _keep_minimal_within(approx, exact_of, tol, eps)
         assert keep.tolist() == _keep_minimal(exact, tol).tolist()
+
+
+# --- Cheng-Ye orbits of the q^2 generator space --------------------------------
+
+ORBIT_CELLS = [(5, n) for n in range(3, 7)] + [(7, n) for n in range(3, 9)] + [(11, 4), (13, 3)]
+
+
+@pytest.mark.parametrize("q,n", ORBIT_CELLS)
+def test_group_images_are_reduced_sets_of_the_same_orbit(q, n):
+    C = optimal._q2_coefficients(q, n)
+    assert optimal._cell_index(C, q).tolist() == list(range(len(C)))
+    rng = np.random.default_rng(100 * q + n)
+    sample = C if len(C) <= 60 else C[rng.choice(len(C), 60, replace=False)]
+    images = optimal._reduced_images(sample, q)
+    assert images.shape == (len(sample), 2 * n * (n - 1), n - 2, 2)
+    assert (images[:, 0] == sample).all()  # element 0 is the identity
+    idx = optimal._cell_index(images, q)
+    assert ((0 <= idx) & (idx < len(C))).all()
+    assert (C[idx] == images).all()  # every image is a reduced set of the cell
+    ids = optimal._orbit_ids(sample, q)
+    image_ids = optimal._orbit_ids(images.reshape(-1, n - 2, 2), q).reshape(idx.shape)
+    assert (image_ids == ids[:, None]).all()
+
+
+def test_orbit_counts_of_the_tabulated_cells():
+    counts = {
+        q: [len(np.unique(optimal._orbit_ids(optimal._q2_coefficients(q, n), q))) for n in ns]
+        for q, ns in ((5, range(3, 7)), (7, range(3, 9)))
+    }
+    assert counts == {5: [2, 3, 3, 2], 7: [4, 12, 18, 32, 26, 16]}
+
+
+def test_orbit_ids_do_not_depend_on_the_chunk_size(monkeypatch):
+    C = optimal._q2_coefficients(7, 6)
+    want = optimal._orbit_ids(C, 7)
+    monkeypatch.setattr(optimal, "_CHUNK_BYTES", 1)  # one set per chunk
+    assert (optimal._orbit_ids(C[:50], 7) == want[:50]).all()
+
+
+# sampled sets per cell; q = 11 and 13 at few columns, where a pattern is cheap
+INVARIANCE_CELLS = (
+    [(5, n, 3) for n in range(3, 7)] + [(7, n, 2) for n in range(4, 9)] + [(11, 4, 1), (13, 3, 1)]
+)
+
+
+@pytest.mark.parametrize("family", ["linear", "williams"])
+@pytest.mark.parametrize("q,n,sets", INVARIANCE_CELLS)
+def test_orbit_members_share_pattern_mirror_flag_and_type(q, n, sets, family):
+    # the invariance that _family_best's ranking by representatives rests on
+    C = optimal._q2_coefficients(q, n)
+    rng = np.random.default_rng(100 * q + n)
+    for i in rng.choice(len(C), sets, replace=False):
+        members = np.unique(optimal._reduced_images(C[i : i + 1], q)[0], axis=0)
+        assert len(members) > 1
+        b = optimal._closed_form_shifts(members, q, family)
+        P = optimal._member_patterns(members, b, q, family, None)
+        assert (np.abs(P - P[0]) <= DEFAULT_TOL / 100 * np.maximum(1.0, np.abs(P[0]))).all()
+        mirrored = np.concatenate([
+            mirror_symmetric_stack(rows, q) for rows in optimal._member_stacks(members, b, q, family)
+        ])
+        assert len(set(mirrored.tolist())) == 1
+        assert len(set(_classify_stack(members, q).tolist())) == 1
+
+
+def test_full_patterns_one_per_surviving_orbit(monkeypatch):
+    # 14 linear and 56 Williams survivors, one orbit each: a full pattern for
+    # the standard design and one per orbit, against 71 before orbits
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return beta_pattern(*args, **kwargs)
+
+    monkeypatch.setattr(optimal, "beta_pattern", counted)
+    rep = search_q2(7, 8)
+    orbits = [len(np.unique(optimal._orbit_ids(np.array(f.ties), 7))) for f in (rep.linear, rep.williams)]
+    assert (len(rep.linear.ties), len(rep.williams.ties), orbits) == (14, 56, [1, 1])
+    assert len(calls) <= 1 + sum(orbits)
