@@ -417,7 +417,7 @@ def _cell_index(C: np.ndarray, q: int) -> np.ndarray:
 
 
 def _reduced_images(C: np.ndarray, q: int) -> np.ndarray:
-    """The images of the sets of a (B, m, 2) coefficient stack under the Cheng-Ye group, (B, G, m, 2).
+    """Images of the sets of a (B, m, 2) coefficient stack under the Cheng-Ye group: (B, G, m, 2).
 
     A group element takes an ordered pair (a, b) of the n columns, with a
     sign s, as the new independent pair (x_a, s x_b). Every other column is
@@ -664,12 +664,11 @@ def _family_best(q, n, family, tol) -> FamilyBest:
     The survivors are ranked one Cheng-Ye orbit at a time (_orbit_ids).
     Column permutation and level reversal preserve the pattern at the
     closed-form shift up to rounding (within 2e-13 of max(1, beta_k) on the
-    sampled orbits of the tests), so
-    only each orbit's lexicographically smallest survivor gets a full
-    pattern, and every survivor of a kept orbit is a tie. The winner heads
-    the ties, so it is a representative and pattern is its own. With tol=0
-    the members of an orbit still tie, where ranking each member's own
-    pattern could split them on rounding.
+    sampled orbits of the tests), so only each orbit's lexicographically
+    smallest survivor gets a full pattern, and every survivor of a kept
+    orbit is a tie. The winner heads the ties, so it is a representative
+    and pattern is its own. With tol=0 the members of an orbit still tie,
+    where ranking each member's own pattern could split them on rounding.
     """
     C = _q2_coefficients(q, n)
     V = _universe_values(q, family)

@@ -803,9 +803,8 @@ def test_orbit_members_share_pattern_mirror_flag_and_type(q, n, sets, family):
         b = optimal._closed_form_shifts(members, q, family)
         P = optimal._member_patterns(members, b, q, family, None)
         assert (np.abs(P - P[0]) <= DEFAULT_TOL / 100 * np.maximum(1.0, np.abs(P[0]))).all()
-        mirrored = np.concatenate([
-            mirror_symmetric_stack(rows, q) for rows in optimal._member_stacks(members, b, q, family)
-        ])
+        stacks = optimal._member_stacks(members, b, q, family)
+        mirrored = np.concatenate([mirror_symmetric_stack(rows, q) for rows in stacks])
         assert len(set(mirrored.tolist())) == 1
         assert len(set(_classify_stack(members, q).tolist())) == 1
 
@@ -821,6 +820,8 @@ def test_full_patterns_one_per_surviving_orbit(monkeypatch):
 
     monkeypatch.setattr(optimal, "beta_pattern", counted)
     rep = search_q2(7, 8)
-    orbits = [len(np.unique(optimal._orbit_ids(np.array(f.ties), 7))) for f in (rep.linear, rep.williams)]
+    orbits = [
+        len(np.unique(optimal._orbit_ids(np.array(f.ties), 7))) for f in (rep.linear, rep.williams)
+    ]
     assert (len(rep.linear.ties), len(rep.williams.ties), orbits) == (14, 56, [1, 1])
     assert len(calls) <= 1 + sum(orbits)
