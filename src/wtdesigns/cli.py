@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success (or verification pass), 1 usage error, 2 invalid
-mathematical input, 3 internal failure, 4 verification or reproduction
-mismatch. All printed values are deterministic for a given flag set.
+mathematical input or a file that cannot be read or written, 3 internal
+failure, 4 verification or reproduction mismatch. All printed values are
+deterministic for a given flag set.
 """
 
 import argparse
@@ -175,10 +176,10 @@ def cmd_model(args) -> int:
 
 def cmd_reproduce(args) -> int:
     report = reproduce(args.table)
-    print(report.text, end="")
-    if args.csv:
+    if args.csv:  # before stdout, so a file that cannot be written prints no report
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(report.text)
+    print(report.text, end="")
     return 0 if report.ok else MISMATCH_EXIT
 
 
@@ -199,6 +200,8 @@ def cmd_verify(args) -> int:
         print(f"FAIL ({label}, q={q}, n<={covered}):")
         for f in failures[:20]:
             print("  " + f)
+        if len(failures) > 20:
+            print(f"  ... and {len(failures) - 20} more")
         return MISMATCH_EXIT
     print(f"PASS ({label}, q={q}, n<={covered})")
     return 0
@@ -282,7 +285,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, OSError) as exc:  # a file that cannot be read or written is input too
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_EXIT
     except Exception as exc:  # noqa: BLE001 - contract maps these to exit 3

@@ -21,7 +21,6 @@ from .aberration import (
     DEFAULT_TOL,
     _check_k,
     _check_tol,
-    _cut,
     _keep_minimal,
     _rank_candidates,
     beta_k_stack,
@@ -454,19 +453,26 @@ def _reduced_images(C: np.ndarray, q: int) -> np.ndarray:
     )
 
 
-def _orbit_ids(C: np.ndarray, q: int) -> np.ndarray:
-    """The Cheng-Ye orbit of each set of a (B, m, 2) coefficient stack, as one int64 each.
+def _cell_orbits(C: np.ndarray, q: int) -> np.ndarray:
+    """The Cheng-Ye orbit of every set of a whole cell, as one int64 each.
 
-    The smallest _cell_index over the set's _reduced_images, so two sets
-    share an id exactly when they are images of each other. Sets are taken
-    in chunks whose image stacks hold about _CHUNK_BYTES each.
+    C is _q2_coefficients(q, n), so a set's _cell_index is its row. A set's
+    orbit is the smallest _cell_index over its _reduced_images: two sets
+    share it exactly when they are images of each other. The next
+    unlabelled sets, in cell order, are taken in batches that double up to
+    image stacks of about _CHUNK_BYTES, and each batch row's smallest index
+    is written to all of its images. Image 0 is the identity, so every
+    batch labels at least its own rows.
     """
     m = C.shape[1]
-    step = max(1, _CHUNK_BYTES // (8 * 2 * (m + 2) * (m + 1) * m * 2))  # (chunk, G, m, 2) int64
-    return np.concatenate([
-        _cell_index(_reduced_images(C[lo : lo + step], q), q).min(axis=1)
-        for lo in range(0, len(C), step)
-    ])
+    cap = max(1, _CHUNK_BYTES // (8 * 2 * (m + 2) * (m + 1) * m * 2))  # (batch, G, m, 2) int64
+    orbit = np.full(len(C), -1, dtype=np.int64)
+    step = 1
+    while (todo := np.flatnonzero(orbit < 0)).size:
+        idx = _cell_index(_reduced_images(C[todo[:step]], q), q)
+        orbit[idx] = idx.min(axis=1, keepdims=True)
+        step = min(2 * step, cap)
+    return orbit
 
 
 @dataclass(frozen=True)
@@ -533,18 +539,17 @@ def _closed_form_betas(C: np.ndarray, q: int, family: str, ks) -> np.ndarray:
     return _member_betas(C, _closed_form_shifts(C, q, family), q, family, ks)
 
 
-# Half-width of the band around a cut inside which a table value of beta_3 or
-# beta_4 does not decide its set. The largest deviation from beta_k_stack
-# measured on the cells of the q2-25run and q2-49run tables and on q=11, 13
-# n=5 is 7.1e-15 (q=7 n=8), over 10^4 times smaller; and at DEFAULT_TOL / 100
-# the band stays narrow next to the ranking tolerance. _table_eps proves the
-# forward error below it up to n = 9 (n = 8 at q = 23), and widens the
-# band beyond.
+# Margin that _theorem1 leaves below _ZERO_TOL: a set whose table beta_3 lies
+# farther than this below the threshold passes without an exact evaluation.
+# The largest deviation of a table beta_3 from beta_k_stack measured on the
+# cells of the q2-25run and q2-49run tables and on q=11, 13 n=5 is at most
+# 7.1e-15, over 10^4 times smaller. _table_eps proves the forward error below
+# it up to n = 9 (n = 8 at q = 23), and widens the margin beyond.
 _TABLE_EPS = 1e-10
 
 
 def _table_eps(N: int, n: int) -> float:
-    """Bound on |table value - beta_k_stack value| of beta_3 and beta_4, n columns, N runs.
+    """Bound on |table value - beta_k_stack value| of beta_3, n columns, N runs.
 
     Every support term of degree 3 or 4 on at least three columns has a
     run-sum s with sum_i |prod_j p_{u_j}(x_ij)| <= N: Cauchy-Schwarz over
@@ -553,36 +558,16 @@ def _table_eps(N: int, n: int) -> float:
     order, is off by at most gamma_{N+2} = (N+2)u/(1-(N+2)u), u = 2^-53,
     and its square, at most 1, by at most (2N+12)u with the rounding of
     the square and the division. Two evaluations of T such terms differ by
-    at most T(4N+24)u, plus 2T^2 u for adding the terms up; T = 3C(n,3) +
-    C(n,4) covers beta_4 and beta_3. Terms on one or two columns are
-    exactly zero and evaluate to at most gamma_{N+2}^2 each. Returns the
-    larger of that bound and _TABLE_EPS. The bound is 3e-12 at q=13 n=5
-    and 1.8e-11 at q=7 n=8; it passes _TABLE_EPS only from n = 10 at
-    q >= 11 (n = 9 at q = 23), cells of 10^7 sets and more.
+    at most T(4N+24)u, plus 2T^2 u for adding the terms up. T = 3C(n,3) +
+    C(n,4) counts the terms of beta_4, so it covers the C(n,3) of beta_3
+    with room to spare. Terms on one or two columns are exactly zero and
+    evaluate to at most gamma_{N+2}^2 each. Returns the larger of that
+    bound and _TABLE_EPS. The bound is 3e-12 at q=13 n=5 and 1.8e-11 at
+    q=7 n=8; it passes _TABLE_EPS only from n = 10 at q >= 11 (n = 9 at
+    q = 23), cells of 10^7 sets and more.
     """
     T = 3 * comb(n, 3) + comb(n, 4)
     return max(_TABLE_EPS, T * (4 * N + 24 + 2 * T) * 2.0**-53)
-
-
-def _keep_minimal_within(approx: np.ndarray, exact_of, tol: float, eps: float) -> np.ndarray:
-    """_keep_minimal of exact values known through approximations within eps.
-
-    exact_of(idx) returns the exact values at the positions idx. A value
-    farther than eps from every cut the minimum allows is decided by its
-    approximation. Only if some value is not, the sets that may hold the
-    minimum and the undecided ones are evaluated exactly, and the cut is
-    taken from the exact minimum, so the mask equals _keep_minimal(exact).
-    """
-    lo = float(approx.min()) - eps  # the exact minimum lies in [lo, lo + 2 eps]
-    keep = approx <= _cut(lo, tol) - eps
-    band = np.flatnonzero(~keep & (approx <= _cut(lo + 2 * eps, tol) + eps))
-    if len(band):
-        near = np.flatnonzero(approx <= lo + 3 * eps)
-        both = np.union1d(near, band)
-        exact = exact_of(both)
-        mn = float(exact[np.isin(both, near)].min())
-        keep[band] = exact[np.isin(both, band)] <= _cut(mn, tol)
-    return keep
 
 
 def _universe_values(q: int, family: str) -> np.ndarray:
@@ -625,90 +610,46 @@ def _table_beta3(ids: np.ndarray, V: np.ndarray) -> np.ndarray:
     return total / V.shape[2] ** 2
 
 
-def _table_beta4(ids: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """beta_4 of each set of universe columns, within _table_eps.
-
-    Per column triple, the (2,1,1) universe^3 table at each choice of the
-    squared column; per column quadruple, its (1,1,1,1) squared run-sum,
-    summed per set in chunks whose column-pair products take about
-    _CHUNK_BYTES together. There is no universe^4 table.
-    """
-    t211 = _support_table([V[1], V[0], V[0]])
-    B, n = ids.shape
-    N = V.shape[2]
-    total = np.zeros(B)
-    for a, b, c in combinations(range(n), 3):
-        ia, ib, ic = ids[:, a], ids[:, b], ids[:, c]
-        total += t211[ia, ib, ic] + t211[ib, ia, ic] + t211[ic, ia, ib]
-    quads = list(combinations(range(n), 4))
-    halves = {h for a, b, c, e in quads for h in ((a, b), (c, e))}
-    step = max(1, _CHUNK_BYTES // (8 * N * max(1, len(halves))))
-    for lo in range(0, B, step):
-        P = V[0][ids[lo : lo + step]]  # (chunk, n, N)
-        pairs = {(a, b): P[:, a] * P[:, b] for a, b in halves}
-        for a, b, c, e in quads:
-            sums = np.einsum("sn,sn->s", pairs[a, b], pairs[c, e])
-            total[lo : lo + step] += sums * sums
-    return total / N**2
-
-
-def _family_best(q, n, family, tol) -> FamilyBest:
+def _family_best(C, orbit, reps, q, family, tol) -> FamilyBest:
     """The family's best set: sequential minimisation of beta_3, beta_4, then full patterns.
 
-    beta_3 and beta_4 of every set come from support tables over the
-    universe of columns and only prune (_keep_minimal_within); the sets they
-    cannot decide, the minimiser when it matters, and the winner are
-    evaluated exactly with beta_k_stack, so beta3 and beta4 have the bits of
-    the exact sweep.
-
-    The survivors are ranked one Cheng-Ye orbit at a time (_orbit_ids).
-    Column permutation and level reversal preserve the pattern at the
-    closed-form shift up to rounding (within 2e-13 of max(1, beta_k) on the
-    sampled orbits of the tests), so only each orbit's lexicographically
-    smallest survivor gets a full pattern, and every survivor of a kept
-    orbit is a tie. The winner heads the ties, so it is a representative
-    and pattern is its own. With tol=0 the members of an orbit still tie,
-    where ranking each member's own pattern could split them on rounding.
+    C is the whole cell in tolist order, orbit its _cell_orbits labels and
+    reps the position of each orbit's first (lexicographically smallest)
+    member. Column permutation and level reversal preserve the pattern at
+    the closed-form shift up to rounding (within 2e-13 of max(1, beta_k)
+    on the sampled orbits of the tests), so the search prunes one orbit at
+    a time: the representatives' exact beta_3 and beta_4 (beta_k_stack)
+    cut them with _keep_minimal, each surviving representative gets one
+    full pattern, and _rank_candidates ranks those. Every member of a kept
+    orbit is a tie. The winner is a representative, so beta3, beta4 and
+    pattern are its own.
     """
-    C = _q2_coefficients(q, n)
-    V = _universe_values(q, family)
-    alive = np.arange(len(C))
+    betas = _closed_form_betas(C[reps], q, family, (3, 4))
+    alive = np.arange(len(reps))
     decided = None
-    for k, table_beta in ((3, _table_beta3), (4, _table_beta4)):
-        keep = _keep_minimal_within(
-            table_beta(_universe_ids(C[alive], q), V),
-            lambda idx: _closed_form_betas(C[alive[idx]], q, family, (k,))[:, 0],
-            tol,
-            _table_eps(q * q, n),
-        )
+    for col, k in ((0, 3), (1, 4)):
+        keep = _keep_minimal(betas[alive, col], tol)
         if not keep.all():
             decided = k
             alive = alive[keep]
 
-    # survivors in tolist order
-    survivors = C[alive]
-    survivors = survivors[np.lexsort(survivors.reshape(len(survivors), -1).T[::-1])]
-    orbit = _orbit_ids(survivors, q)
-    # each orbit's first survivor, in lexicographic order
-    first = np.sort(np.unique(orbit, return_index=True)[1])
-    reps = survivors[first]
-    b = _closed_form_shifts(reps, q, family)
-    patterns = _member_patterns(reps, b, q, family, None)
+    survivors = C[reps[alive]]
+    b = _closed_form_shifts(survivors, q, family)
+    patterns = _member_patterns(survivors, b, q, family, None)
     kept, sub_decided = _rank_candidates(patterns, tol)
     if sub_decided is not None:
         decided = sub_decided
 
     win = kept[0]
-    exact = _closed_form_betas(reps[win : win + 1], q, family, (3, 4))
-    beta3, beta4 = exact[0].tolist()
+    beta3, beta4 = betas[alive[win]].tolist()
     return FamilyBest(
         family=family,
-        generators=reps[win].tolist(),
+        generators=survivors[win].tolist(),
         b=b[win].tolist(),
         beta3=beta3,
         beta4=beta4,
         pattern=tuple(patterns[win].tolist()),
-        ties=survivors[np.isin(orbit, orbit[first[kept]])].tolist(),
+        ties=C[np.isin(orbit, orbit[reps[alive[kept]]])].tolist(),
         evaluations=len(C),
         decided_k=decided,
     )
@@ -720,19 +661,23 @@ def search_q2(q: PrimeLevel, n: int, tol: float = DEFAULT_TOL) -> Q2Report:
     Every reduced generator set is evaluated at its closed-form shift; the
     per-family winner minimizes the aliasing pattern sequentially, with all
     pattern-equal generator sets reported as ties. Column permutation and
-    level reversal (Cheng and Ye, 2004) preserve the pattern, so the sets
-    left after beta_3 and beta_4 are ranked one orbit at a time, on the full
-    pattern of the orbit's lexicographically smallest member; a family's
-    pattern is its winner's own (_family_best). tol=0 therefore ties the
-    members of an orbit, which the rounding of their own patterns could
-    split. tol must be finite and >= 0.
+    level reversal (Cheng and Ye, 2004) preserve the pattern, so every set
+    of the cell is labelled with its orbit once (_cell_orbits), and each
+    family is pruned and ranked one orbit at a time, on the exact beta_3,
+    beta_4 and full pattern of the orbit's lexicographically smallest
+    member (_family_best). The ties are whole orbits, with tol=0 too.
+    tol must be finite and >= 0.
     """
     _check_tol(tol)
     std = standard_generators(q, n)
-    _check_q2_cell(q, n)
+    C = _q2_coefficients(q, n)
     std_pattern = beta_pattern(expand(std))
-    linear = _family_best(q, n, "linear", tol)
-    will = _family_best(q, n, "williams", tol)
+    orbit = _cell_orbits(C, q)
+    order = np.lexsort(C.reshape(len(C), -1).T[::-1])  # tolist order
+    C, orbit = C[order], orbit[order]
+    reps = np.sort(np.unique(orbit, return_index=True)[1])
+    linear = _family_best(C, orbit, reps, q, "linear", tol)
+    will = _family_best(C, orbit, reps, q, "williams", tol)
     return Q2Report(
         q=q,
         n=n,
@@ -761,6 +706,9 @@ def count_recursive(q: PrimeLevel, n: int):
 
 
 def _theorem1(q, ns) -> list:
+    # Every set is screened, not one per orbit: orbit members share beta_3
+    # only at a shift that satisfies the theorem's closed form, so a check
+    # on representatives would assume what it checks.
     V = _universe_values(q, "williams")
     failures = []
     for n in ns:

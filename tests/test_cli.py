@@ -1,7 +1,7 @@
 """Command-line behavior: outputs, file side effects, the exit-code contract.
 
-Exit codes: 0 success, 1 usage, 2 invalid mathematical input, 3 internal,
-4 verification or reproduction mismatch.
+Exit codes: 0 success, 1 usage, 2 invalid mathematical input or a file that
+cannot be read or written, 3 internal, 4 verification or reproduction mismatch.
 """
 
 import json
@@ -301,6 +301,24 @@ def test_model_reports_singularity(tmp_path, capsys):
     assert not csv_path.exists()
 
 
+# --- files that cannot be read or written ---------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ("beta", "--design", "{missing}"),
+    ("beta", "--design", "{dir}"),
+    ("construct", "--q", "5", "--generators", "1,1", "--out", "{missing}/x.txt"),
+    ("reproduce", "--table", "q2-25run", "--csv", "{missing}/x.csv"),
+], ids=["beta-missing", "beta-directory", "construct-out", "reproduce-csv"])
+def test_unusable_files_are_input_errors(tmp_path, capsys, argv):
+    missing = tmp_path / "missing"
+    argv = [a.format(missing=missing, dir=tmp_path) for a in argv]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: ") and str(tmp_path) in err
+    assert not missing.exists()
+
+
 # --- reproduce / verify -----------------------------------------------------------------
 
 def test_reproduce_pass_exits_zero(tmp_path, capsys):
@@ -380,7 +398,18 @@ def test_verify_failure_lists_the_first_twenty(monkeypatch, capsys):
     assert code == 4
     lines = stdout.splitlines()
     assert lines[0] == "FAIL (mirror symmetry at the closed-form shift, q=7, n<=8):"
-    assert lines[1:] == [f"  n=3 C=[[{i}]]: broken" for i in range(20)]
+    assert lines[1:] == [f"  n=3 C=[[{i}]]: broken" for i in range(20)] + ["  ... and 5 more"]
+
+
+def test_verify_failure_of_twenty_sets_lists_them_all(monkeypatch, capsys):
+    from wtdesigns import cli
+
+    monkeypatch.setattr(
+        cli, "verify_theorem", lambda theorem, q, nmax: [f"set {i}" for i in range(20)]
+    )
+    code, stdout, _ = run(capsys, "verify", "--theorem", "4", "--q", "7")
+    assert code == 4
+    assert stdout.splitlines()[1:] == [f"  set {i}" for i in range(20)]
 
 
 # recorded stdout, byte for byte: the theorem checks and the shift tables

@@ -664,88 +664,17 @@ def test_table_betas_stay_far_inside_the_band(q, n):
     assert optimal._table_eps(q * q, n) == optimal._TABLE_EPS
     for family in ("linear", "williams"):
         C, betas = _exact_cell(q, n, family)
-        ids = optimal._universe_ids(C, q)
-        V = optimal._universe_values(q, family)
-        for table_beta, exact in ((optimal._table_beta3, betas[:, 0]),
-                                  (optimal._table_beta4, betas[:, 1])):
-            deviation = np.abs(table_beta(ids, V) - exact).max()
-            assert deviation <= optimal._TABLE_EPS / 1000, (family, table_beta)
+        ids, V = optimal._universe_ids(C, q), optimal._universe_values(q, family)
+        deviation = np.abs(optimal._table_beta3(ids, V) - betas[:, 0]).max()
+        assert deviation <= optimal._TABLE_EPS / 1000, family
 
 
 def test_table_betas_do_not_depend_on_the_chunk_size(monkeypatch):
     C, betas = _exact_cell(7, 6, "williams")
     ids = optimal._universe_ids(C, 7)
     V = optimal._universe_values(7, "williams")
-    # three sets per chunk of quadruple sums, one head column per table chunk
-    monkeypatch.setattr(optimal, "_CHUNK_BYTES", 3 * 8 * 49)
+    monkeypatch.setattr(optimal, "_CHUNK_BYTES", 3 * 8 * 49)  # one head column per table chunk
     assert np.abs(optimal._table_beta3(ids, V) - betas[:, 0]).max() <= 1e-13
-    assert np.abs(optimal._table_beta4(ids, V) - betas[:, 1]).max() <= 1e-13
-
-
-def _recording(exact):
-    asked = []
-
-    def exact_of(idx):
-        asked.extend(idx.tolist())
-        return exact[idx]
-
-    return exact_of, asked
-
-
-def test_band_decides_values_near_the_cut_exactly():
-    from wtdesigns.optimal import _keep_minimal_within
-
-    eps, tol = optimal._TABLE_EPS, DEFAULT_TOL
-    # cut = 1 + 1e-8; sets 1 and 2 sit just inside and just outside it, and
-    # their approximations err by 0.6 eps towards the other side
-    exact = np.array([1.0, 1.0 + tol - 0.3 * eps, 1.0 + tol + 0.3 * eps, 2.0])
-    approx = exact + np.array([0.0, 0.6, -0.6, 0.0]) * eps
-    exact_of, asked = _recording(exact)
-    keep = _keep_minimal_within(approx, exact_of, tol, eps)
-    assert keep.tolist() == _keep_minimal(exact, tol).tolist() == [True, True, False, False]
-    assert sorted(set(asked)) == [0, 1, 2]
-
-
-def test_band_takes_the_cut_from_the_exact_minimum():
-    from wtdesigns.optimal import _keep_minimal_within
-
-    eps, tol = optimal._TABLE_EPS, DEFAULT_TOL
-    # the approximate minimum is 0.5 eps too high; set 1 lies 0.2 eps past
-    # the exact cut, inside the cut that the approximate minimum would give
-    exact = np.array([1.0, 1.0 + tol + 0.2 * eps, 3.0])
-    approx = exact + np.array([0.5, 0.0, 0.0]) * eps
-    exact_of, _ = _recording(exact)
-    keep = _keep_minimal_within(approx, exact_of, tol, eps)
-    assert keep.tolist() == _keep_minimal(exact, tol).tolist() == [True, False, False]
-
-
-def test_band_leaves_clear_decisions_to_the_tables():
-    from wtdesigns.optimal import _keep_minimal_within
-
-    approx = np.array([0.5, 0.5 + 1e-15, 0.7, 1e-30])
-    exact_of, asked = _recording(approx)
-    keep = _keep_minimal_within(approx, exact_of, DEFAULT_TOL, optimal._TABLE_EPS)
-    assert keep.tolist() == [False, False, False, True]
-    assert asked == []
-
-
-def test_band_matches_keep_minimal_on_random_clusters():
-    from wtdesigns.optimal import _keep_minimal_within
-
-    eps, tol = optimal._TABLE_EPS, DEFAULT_TOL
-    rng = np.random.default_rng(20261018)
-    for _ in range(2000):
-        mn = rng.choice([0.0, 1e-31, 0.3, 1.0, 7.5])
-        cut = mn + tol * max(1.0, mn)
-        # values clustered at the minimum and at the cut, within a few eps
-        exact = np.concatenate([
-            [mn], mn + rng.uniform(0, 3 * eps, 4), cut + rng.uniform(-3 * eps, 3 * eps, 6),
-            mn + rng.uniform(0, 1, 3),
-        ])
-        approx = exact + rng.uniform(-eps, eps, exact.shape)
-        exact_of, _ = _recording(exact)
-        keep = _keep_minimal_within(approx, exact_of, tol, eps)
-        assert keep.tolist() == _keep_minimal(exact, tol).tolist()
 
 
 # --- Cheng-Ye orbits of the q^2 generator space --------------------------------
@@ -758,21 +687,27 @@ def test_group_images_are_reduced_sets_of_the_same_orbit(q, n):
     C = optimal._q2_coefficients(q, n)
     assert optimal._cell_index(C, q).tolist() == list(range(len(C)))
     rng = np.random.default_rng(100 * q + n)
-    sample = C if len(C) <= 60 else C[rng.choice(len(C), 60, replace=False)]
-    images = optimal._reduced_images(sample, q)
-    assert images.shape == (len(sample), 2 * n * (n - 1), n - 2, 2)
-    assert (images[:, 0] == sample).all()  # element 0 is the identity
+    pick = np.arange(len(C)) if len(C) <= 60 else rng.choice(len(C), 60, replace=False)
+    images = optimal._reduced_images(C[pick], q)
+    assert images.shape == (len(pick), 2 * n * (n - 1), n - 2, 2)
+    assert (images[:, 0] == C[pick]).all()  # element 0 is the identity
     idx = optimal._cell_index(images, q)
     assert ((0 <= idx) & (idx < len(C))).all()
     assert (C[idx] == images).all()  # every image is a reduced set of the cell
-    ids = optimal._orbit_ids(sample, q)
-    image_ids = optimal._orbit_ids(images.reshape(-1, n - 2, 2), q).reshape(idx.shape)
-    assert (image_ids == ids[:, None]).all()
+    orbit = optimal._cell_orbits(C, q)
+    assert (orbit[idx] == orbit[pick, None]).all()
+
+
+@pytest.mark.parametrize("q,n", ORBIT_CELLS)
+def test_cell_orbits_equal_the_smallest_image_index(q, n):
+    C = optimal._q2_coefficients(q, n)
+    brute = optimal._cell_index(optimal._reduced_images(C, q), q).min(axis=1)
+    assert (optimal._cell_orbits(C, q) == brute).all()
 
 
 def test_orbit_counts_of_the_tabulated_cells():
     counts = {
-        q: [len(np.unique(optimal._orbit_ids(optimal._q2_coefficients(q, n), q))) for n in ns]
+        q: [len(np.unique(optimal._cell_orbits(optimal._q2_coefficients(q, n), q))) for n in ns]
         for q, ns in ((5, range(3, 7)), (7, range(3, 9)))
     }
     assert counts == {5: [2, 3, 3, 2], 7: [4, 12, 18, 32, 26, 16]}
@@ -780,9 +715,9 @@ def test_orbit_counts_of_the_tabulated_cells():
 
 def test_orbit_ids_do_not_depend_on_the_chunk_size(monkeypatch):
     C = optimal._q2_coefficients(7, 6)
-    want = optimal._orbit_ids(C, 7)
-    monkeypatch.setattr(optimal, "_CHUNK_BYTES", 1)  # one set per chunk
-    assert (optimal._orbit_ids(C[:50], 7) == want[:50]).all()
+    want = optimal._cell_orbits(C, 7)
+    monkeypatch.setattr(optimal, "_CHUNK_BYTES", 1)  # one set per batch
+    assert (optimal._cell_orbits(C, 7) == want).all()
 
 
 # sampled sets per cell; q = 11 and 13 at few columns, where a pattern is cheap
@@ -820,8 +755,19 @@ def test_full_patterns_one_per_surviving_orbit(monkeypatch):
 
     monkeypatch.setattr(optimal, "beta_pattern", counted)
     rep = search_q2(7, 8)
+    orbit = optimal._cell_orbits(optimal._q2_coefficients(7, 8), 7)
     orbits = [
-        len(np.unique(optimal._orbit_ids(np.array(f.ties), 7))) for f in (rep.linear, rep.williams)
+        len(np.unique(orbit[optimal._cell_index(np.array(f.ties), 7)]))
+        for f in (rep.linear, rep.williams)
     ]
     assert (len(rep.linear.ties), len(rep.williams.ties), orbits) == (14, 56, [1, 1])
     assert len(calls) <= 1 + sum(orbits)
+
+
+@pytest.mark.parametrize("q,n", [(5, n) for n in range(3, 7)] + [(7, n) for n in range(3, 9)])
+def test_tol_zero_ties_whole_orbits(q, n):
+    orbit = optimal._cell_orbits(optimal._q2_coefficients(q, n), q)
+    rep = search_q2(q, n, tol=0)
+    for f in (rep.linear, rep.williams):
+        tied = orbit[optimal._cell_index(np.array(f.ties), q)]
+        assert len(tied) == np.isin(orbit, tied).sum(), f.family
