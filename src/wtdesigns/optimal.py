@@ -47,7 +47,7 @@ from .recursion import RecursiveType, _classify_stack
 
 FAMILIES = ("linear", "williams")
 SEARCH_CAP = 2_000_000
-_ZERO_TOL = 1e-9  # a measure at most this large counts as zero in verify_theorem
+_ZERO_TOL = 1e-9  # a measure at most this large counts as zero (verify_theorem, reproduce)
 
 
 def center_preimage(q: PrimeLevel) -> int:
@@ -233,7 +233,7 @@ def shift_grid_beta(gen: GeneratorSet, family: str, k: int) -> np.ndarray:
     q, m, n = gen.q, gen.m, gen.n
     _check_k(k, n, q)
     d = n - m
-    full = expand_stack(gen.C[None], q)[0]
+    full = expand(gen).rows
     base, dep = full[:, :d], full[:, d:]
     N = base.shape[0]
     relabel = williams_table(q) if family == "williams" else np.arange(q)
@@ -476,18 +476,16 @@ def _cell_orbits(C: np.ndarray, q: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class FamilyBest:
-    """Winner of a generator-space search for one family."""
+class FamilyBest(SearchReport):
+    """Winner of a generator-space search for one family.
 
-    family: str
-    generators: list
-    b: list
+    Its ties are generator sets, not shift vectors, and b is the winner's
+    closed-form shift. beta3 and beta4 are the winner's exact beta_3 and
+    beta_4 (beta_k_stack), the values the search pruned on.
+    """
+
     beta3: float
     beta4: float
-    pattern: tuple
-    ties: list
-    evaluations: int
-    decided_k: Optional[int]
 
 
 @dataclass(frozen=True)
@@ -503,15 +501,10 @@ class Q2Report:
 
     def to_json_dict(self) -> dict:
         def fam(f):
-            return {
-                "family": f.family,
-                "generators": f.generators,
-                "b": f.b,
-                "beta": [f.beta3, f.beta4],
-                "ties": f.ties,
-                "evaluations": f.evaluations,
-                "decided_k": f.decided_k,
-            }
+            out = f.to_json_dict(self.q, self.n)
+            del out["q"], out["n"]
+            out["beta"] = [f.beta3, f.beta4]
+            return out
 
         return {
             "q": self.q,
@@ -531,54 +524,32 @@ def standard_generators(q: PrimeLevel, n: int) -> GeneratorSet:
     return GeneratorSet(q, [[1, s] for s in range(1, n - 1)])
 
 
-def _closed_form_betas(C: np.ndarray, q: int, family: str, ks) -> np.ndarray:
-    """Exact beta_k of the sets of a (B, m, 2) coefficient stack at their closed-form shifts.
-
-    Shape (B, len(ks)); see _member_betas.
-    """
-    return _member_betas(C, _closed_form_shifts(C, q, family), q, family, ks)
-
-
 # Margin that _theorem1 leaves below _ZERO_TOL: a set whose table beta_3 lies
 # farther than this below the threshold passes without an exact evaluation.
-# The largest deviation of a table beta_3 from beta_k_stack measured on the
-# cells of the q2-25run and q2-49run tables and on q=11, 13 n=5 is at most
-# 7.1e-15, over 10^4 times smaller. _table_eps proves the forward error below
-# it up to n = 9 (n = 8 at q = 23), and widens the margin beyond.
+# The table and beta_k_stack both add up beta_3's T = C(n,3) terms on three
+# columns, the squared run-sums of degree (1, 1, 1) divided by N^2. Each
+# run-sum s has sum_i |p_1(x_ia) p_1(x_ib) p_1(x_ic)| <= N: Cauchy-Schwarz
+# over one column and a pair, each with mean square 1 at strength 2. So any
+# evaluation of s/N, in any product and summation order, is off by at most
+# gamma_{N+2} = (N+2)u/(1-(N+2)u), u = 2^-53, and its square, at most 1, by
+# at most (2N+12)u with the rounding of the square and the division. Two
+# evaluations of beta_3 differ by at most T(4N+24)u, plus 2T^2 u for adding
+# the terms up; beta_k_stack's terms on one or two columns are exactly zero
+# and evaluate to at most gamma_{N+2}^2 each. On the cells that SEARCH_CAP
+# admits the bound peaks at 2.25e-12 (q=11 n=7), and the tests hold it below
+# _TABLE_EPS / 10. The largest deviation measured, on the cells of the
+# q2-25run and q2-49run tables and on q=11, 13 n=5, is 7.1e-15.
 _TABLE_EPS = 1e-10
 
 
-def _table_eps(N: int, n: int) -> float:
-    """Bound on |table value - beta_k_stack value| of beta_3, n columns, N runs.
-
-    Every support term of degree 3 or 4 on at least three columns has a
-    run-sum s with sum_i |prod_j p_{u_j}(x_ij)| <= N: Cauchy-Schwarz over
-    two groups of at most two columns, each group's mean square being 1 at
-    strength 2. So any evaluation of s/N, in any product and summation
-    order, is off by at most gamma_{N+2} = (N+2)u/(1-(N+2)u), u = 2^-53,
-    and its square, at most 1, by at most (2N+12)u with the rounding of
-    the square and the division. Two evaluations of T such terms differ by
-    at most T(4N+24)u, plus 2T^2 u for adding the terms up. T = 3C(n,3) +
-    C(n,4) counts the terms of beta_4, so it covers the C(n,3) of beta_3
-    with room to spare. Terms on one or two columns are exactly zero and
-    evaluate to at most gamma_{N+2}^2 each. Returns the larger of that
-    bound and _TABLE_EPS. The bound is 3e-12 at q=13 n=5 and 1.8e-11 at
-    q=7 n=8; it passes _TABLE_EPS only from n = 10 at q >= 11 (n = 9 at
-    q = 23), cells of 10^7 sets and more.
-    """
-    T = 3 * comb(n, 3) + comb(n, 4)
-    return max(_TABLE_EPS, T * (4 * N + 24 + 2 * T) * 2.0**-53)
-
-
-def _universe_values(q: int, family: str) -> np.ndarray:
-    """p_1 and p_2 of every column a reduced q^2-run set can hold, at its closed-form shift.
+def _universe_p1(q: int, family: str) -> np.ndarray:
+    """p_1 of every column a reduced q^2-run set can hold, at its closed-form shift.
 
     A column is fixed by its coefficient vector: the universe lists (1, 0),
     (0, 1), then (c1, c2) for c1 in 1..(q-1)/2 and c2 in 1..q-1 in product
-    order (_universe_ids gives a set's rows). Returns V with V[u-1, a, i] =
-    p_u of universe column a in run i of the full factorial, shape
-    (2, U, q^2). An independent column's closed-form shift is 0, as it is
-    never shifted.
+    order (_universe_ids gives a set's rows). Returns P with P[a, i] = p_1 of
+    universe column a in run i of the full factorial, shape (U, q^2). An
+    independent column's closed-form shift is 0, as it is never shifted.
     """
     half = (q - 1) // 2
     dep = np.array(list(product(range(1, half + 1), range(1, q))), dtype=np.int64)
@@ -586,7 +557,7 @@ def _universe_values(q: int, family: str) -> np.ndarray:
     C = np.vstack([np.eye(2, dtype=np.int64), dep])[:, None, :]
     members = _member_stacks(C, _closed_form_shifts(C, q, family), q, family)
     levels = np.concatenate([rows[:, :, 2] for rows in members])
-    return orthonormal_basis(q).values[1:3, levels]
+    return orthonormal_basis(q).values[1, levels]
 
 
 def _universe_ids(C: np.ndarray, q: int) -> np.ndarray:
@@ -595,19 +566,19 @@ def _universe_ids(C: np.ndarray, q: int) -> np.ndarray:
     return np.concatenate([np.broadcast_to([0, 1], (len(C), 2)), dep], axis=1)
 
 
-def _table_beta3(ids: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """beta_3 of each set of universe columns, within _table_eps.
+def _table_beta3(ids: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """beta_3 of each set of universe columns, within rounding (see _TABLE_EPS).
 
-    ids is a (B, n) stack of universe rows and V the _universe_values.
+    ids is a (B, n) stack of universe rows and P the _universe_p1.
     Strength 2 zeroes the terms on one or two columns, so beta_3 is the sum
     over the set's column triples of their (1,1,1) squared run-sums, looked
     up in one universe^3 table.
     """
-    t111 = _support_table([V[0]] * 3)
+    t111 = _support_table([P] * 3)
     total = np.zeros(len(ids))
     for a, b, c in combinations(range(ids.shape[1]), 3):
         total += t111[ids[:, a], ids[:, b], ids[:, c]]
-    return total / V.shape[2] ** 2
+    return total / P.shape[1] ** 2
 
 
 def _family_best(C, orbit, reps, q, family, tol) -> FamilyBest:
@@ -618,23 +589,19 @@ def _family_best(C, orbit, reps, q, family, tol) -> FamilyBest:
     member. Column permutation and level reversal preserve the pattern at
     the closed-form shift up to rounding (within 2e-13 of max(1, beta_k)
     on the sampled orbits of the tests), so the search prunes one orbit at
-    a time: the representatives' exact beta_3 and beta_4 (beta_k_stack)
-    cut them with _keep_minimal, each surviving representative gets one
-    full pattern, and _rank_candidates ranks those. Every member of a kept
-    orbit is a tie. The winner is a representative, so beta3, beta4 and
-    pattern are its own.
+    a time: _rank_candidates cuts the representatives on their exact
+    beta_3 and beta_4 (beta_k_stack), each surviving representative gets
+    one full pattern, and _rank_candidates ranks those. Every member of a
+    kept orbit is a tie. The winner is a representative, so beta3, beta4
+    and pattern are its own.
     """
-    betas = _closed_form_betas(C[reps], q, family, (3, 4))
-    alive = np.arange(len(reps))
-    decided = None
-    for col, k in ((0, 3), (1, 4)):
-        keep = _keep_minimal(betas[alive, col], tol)
-        if not keep.all():
-            decided = k
-            alive = alive[keep]
+    b = _closed_form_shifts(C[reps], q, family)
+    betas = _member_betas(C[reps], b, q, family, (3, 4))
+    alive, decided = _rank_candidates(betas, tol)
+    if decided is not None:
+        decided += 2  # column 0 is beta_3
 
-    survivors = C[reps[alive]]
-    b = _closed_form_shifts(survivors, q, family)
+    survivors, b = C[reps[alive]], b[alive]
     patterns = _member_patterns(survivors, b, q, family, None)
     kept, sub_decided = _rank_candidates(patterns, tol)
     if sub_decided is not None:
@@ -705,51 +672,40 @@ def count_recursive(q: PrimeLevel, n: int):
     return c1, c2, c3
 
 
-def _theorem1(q, ns) -> list:
+# Each theorem checks one cell, the (B, m, 2) stack C of _q2_coefficients, and
+# returns a (set, why) pair per failing set, in cell order.
+
+
+def _theorem1(C, q) -> list:
     # Every set is screened, not one per orbit: orbit members share beta_3
     # only at a shift that satisfies the theorem's closed form, so a check
     # on representatives would assume what it checks.
-    V = _universe_values(q, "williams")
+    ids = _universe_ids(C, q)
+    # a table value this far below the threshold passes; the others are
+    # decided, and printed, by their exact beta_3
+    suspect = C[_table_beta3(ids, _universe_p1(q, "williams")) > _ZERO_TOL - _TABLE_EPS]
+    b = _closed_form_shifts(suspect, q, "williams")
+    betas = _member_betas(suspect, b, q, "williams", (3,))[:, 0]
+    return [(coeffs, f"beta3={v:.3g}") for coeffs, v in zip(suspect, betas) if v > _ZERO_TOL]
+
+
+def _theorem2(C, q) -> list:
     failures = []
-    for n in ns:
-        C = _q2_coefficients(q, n)
-        # a table value this far below the threshold passes; the others are
-        # decided, and printed, by their exact beta_3
-        suspect = C[_table_beta3(_universe_ids(C, q), V) > _ZERO_TOL - _table_eps(q * q, n)]
-        betas = _closed_form_betas(suspect, q, "williams", (3,))[:, 0]
-        for coeffs, v in zip(suspect, betas):
-            if v > _ZERO_TOL:
-                failures.append(f"n={n} C={coeffs.tolist()}: beta3={v:.3g}")
+    for coeffs in C[_classify_stack(C, q) == RecursiveType.TYPE_II]:
+        gen = GeneratorSet(q, coeffs)
+        zeros = np.argwhere(shift_grid_beta(gen, "williams", 3) <= _ZERO_TOL).tolist()
+        expect = optimal_shift_williams(gen)
+        if zeros != [expect]:
+            failures.append((coeffs, f"zero set {zeros}, expected [{expect}]"))
     return failures
 
 
-def _theorem2(q, ns) -> list:
-    failures = []
-    for n in ns:
-        C = _q2_coefficients(q, n)
-        for coeffs in C[_classify_stack(C, q) == RecursiveType.TYPE_II]:
-            gen = GeneratorSet(q, coeffs)
-            grid = shift_grid_beta(gen, "williams", 3)
-            zeros = np.argwhere(grid <= _ZERO_TOL).tolist()
-            expect = optimal_shift_williams(gen)
-            if zeros != [expect]:
-                failures.append(
-                    f"n={n} C={gen.C.tolist()}: zero set {zeros}, expected [{expect}]"
-                )
-    return failures
-
-
-def _theorem4(q, ns) -> list:
-    failures = []
-    for n in ns:
-        C = _q2_coefficients(q, n)
-        b = _closed_form_shifts(C, q, "williams")
-        mirrored = np.concatenate([
-            mirror_symmetric_stack(rows, q) for rows in _member_stacks(C, b, q, "williams")
-        ])
-        for coeffs in C[~mirrored]:
-            failures.append(f"n={n} C={coeffs.tolist()}: not mirror-symmetric")
-    return failures
+def _theorem4(C, q) -> list:
+    b = _closed_form_shifts(C, q, "williams")
+    mirrored = np.concatenate([
+        mirror_symmetric_stack(rows, q) for rows in _member_stacks(C, b, q, "williams")
+    ])
+    return [(coeffs, "not mirror-symmetric") for coeffs in C[~mirrored]]
 
 
 _THEOREMS = {1: _theorem1, 2: _theorem2, 4: _theorem4}
@@ -779,4 +735,8 @@ def verify_theorem(theorem: int, q: PrimeLevel, nmax: int) -> list:
     ns = range(3, verified_nmax(theorem, nmax) + 1)
     for n in ns:
         _check_q2_cell(q, n)
-    return _THEOREMS[theorem](q, ns)
+    return [
+        f"n={n} C={coeffs.tolist()}: {why}"
+        for n in ns
+        for coeffs, why in _THEOREMS[theorem](_q2_coefficients(q, n), q)
+    ]

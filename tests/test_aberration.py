@@ -147,7 +147,7 @@ def test_stacked_beta_k_is_bit_identical(q, n, family, monkeypatch):
     # the integer stacks of the generator sweep, in those chunks of 7, build
     # the same designs
     C = np.concatenate(list(optimal._q2_coefficient_blocks(q, n)))
-    betas = optimal._closed_form_betas(C, q, family, (3, 4))
+    betas = optimal._member_betas(C, optimal._closed_form_shifts(C, q, family), q, family, (3, 4))
     assert np.array_equal(betas, want)
 
 

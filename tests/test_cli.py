@@ -187,6 +187,22 @@ def test_search_large_scan_needs_force(capsys):
     assert "--force" in err
 
 
+def test_search_refuses_a_design_over_the_run_cap_before_the_grid(capsys, monkeypatch):
+    from wtdesigns import designs, optimal
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("grid work started before the run cap check")
+
+    monkeypatch.setattr(designs, "RUN_CAP", 100)
+    monkeypatch.setattr(optimal, "_support_table", no_work)
+    code, stdout, err = run(
+        capsys, "search", "--q", "5", "--generators", "1,1,1", "--family", "linear",
+    )
+    assert code == 2
+    assert stdout == ""
+    assert "run count 125 exceeds the cap of 100" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("searchq2", "--q", "13", "--n", "8"),  # C(12,6) * 6^6 = 43.1M sets
     ("verify", "--theorem", "1", "--q", "13", "--nmax", "14"),  # n = 7: 6.2M sets

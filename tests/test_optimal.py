@@ -3,6 +3,7 @@
 import json
 from functools import lru_cache
 from itertools import product
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,7 @@ from wtdesigns import (
 from wtdesigns import optimal
 from wtdesigns.designs import mirror_symmetric_stack
 from wtdesigns.aberration import DEFAULT_TOL, _keep_minimal, _rank_candidates, beta_k_stack
+from wtdesigns.orthopoly import MAX_LEVELS
 from wtdesigns.recursion import RecursiveType, _classify_stack
 
 SHIFT_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "shift-scan.json"
@@ -147,6 +149,15 @@ def test_grid_refuses_degrees_out_of_range():
     shifts = np.array(list(product(range(5), repeat=2)))
     want = shift_betas(gen, "williams", shifts, (16,))[:, 0]
     assert np.allclose(shift_grid_beta(gen, "williams", 16).reshape(-1), want, rtol=0, atol=1e-12)
+
+
+def test_grid_refuses_a_design_over_the_run_cap(monkeypatch):
+    from wtdesigns import designs
+
+    # 5^3 = 125 runs: the grid goes through expand's cap like every other build
+    monkeypatch.setattr(designs, "RUN_CAP", 100)
+    with pytest.raises(CapExceededError, match="run count 125 exceeds the cap of 100"):
+        shift_grid_beta(GeneratorSet(5, [[1, 1, 1]]), "linear", 3)
 
 
 @pytest.mark.parametrize("family", ["linear", "williams"])
@@ -572,9 +583,9 @@ def test_search_q2_rejects_a_tolerance_that_is_not_finite_and_nonnegative(tol):
 def test_search_q2_json_shape():
     d = json.loads(json.dumps(search_q2(5, 3).to_json_dict()))
     assert set(d) == {"q", "n", "standard", "linear", "williams"}
-    assert set(d["linear"]) == {
+    assert list(d["linear"]) == [
         "family", "generators", "b", "beta", "ties", "evaluations", "decided_k",
-    }
+    ]
     assert d["standard"]["beta"] == pytest.approx([0.125, 0.525], abs=1e-9)
 
 
@@ -661,20 +672,37 @@ def test_search_q2_equals_the_exact_sweep(q, n):
 @pytest.mark.parametrize("q,n", Q2_CELLS)
 def test_table_betas_stay_far_inside_the_band(q, n):
     assert optimal._TABLE_EPS <= DEFAULT_TOL / 100
-    assert optimal._table_eps(q * q, n) == optimal._TABLE_EPS
     for family in ("linear", "williams"):
         C, betas = _exact_cell(q, n, family)
-        ids, V = optimal._universe_ids(C, q), optimal._universe_values(q, family)
-        deviation = np.abs(optimal._table_beta3(ids, V) - betas[:, 0]).max()
+        ids, P = optimal._universe_ids(C, q), optimal._universe_p1(q, family)
+        deviation = np.abs(optimal._table_beta3(ids, P) - betas[:, 0]).max()
         assert deviation <= optimal._TABLE_EPS / 1000, family
+
+
+def test_beta3_rounding_bound_stays_inside_the_margin():
+    # the forward-error bound of the _TABLE_EPS comment, T = C(n,3) terms of
+    # N = q^2 runs, on every cell that SEARCH_CAP admits: raising the cap past
+    # the margin fails here
+    worst = 0.0
+    for q in range(3, MAX_LEVELS + 1):
+        if any(q % p == 0 for p in range(2, q)):
+            continue
+        for n in range(3, q + 2):
+            try:
+                optimal._check_q2_cell(q, n)
+            except CapExceededError:
+                continue
+            N, T = q * q, comb(n, 3)
+            worst = max(worst, T * (4 * N + 24 + 2 * T) * 2.0**-53)
+    assert 0 < worst <= optimal._TABLE_EPS / 10
 
 
 def test_table_betas_do_not_depend_on_the_chunk_size(monkeypatch):
     C, betas = _exact_cell(7, 6, "williams")
     ids = optimal._universe_ids(C, 7)
-    V = optimal._universe_values(7, "williams")
+    P = optimal._universe_p1(7, "williams")
     monkeypatch.setattr(optimal, "_CHUNK_BYTES", 3 * 8 * 49)  # one head column per table chunk
-    assert np.abs(optimal._table_beta3(ids, V) - betas[:, 0]).max() <= 1e-13
+    assert np.abs(optimal._table_beta3(ids, P) - betas[:, 0]).max() <= 1e-13
 
 
 # --- Cheng-Ye orbits of the q^2 generator space --------------------------------

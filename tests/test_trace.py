@@ -5,6 +5,7 @@ and calls count hooks with their arguments, so a renamed or re-signed
 public function would otherwise break only a traced benchmark run.
 """
 
+import importlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -33,6 +34,41 @@ def _targets(spans):
     return out
 
 
+def _package_names():
+    # every module-level name of every loaded wtdesigns module, by identity
+    return {
+        (modname, key): value
+        for modname, mod in list(sys.modules.items())
+        if modname == "wtdesigns" or modname.startswith("wtdesigns.")
+        for key, value in vars(mod).items()
+    }
+
+
+def test_every_traced_name_resolves_and_uninstall_restores_the_package():
+    # first in the file, so that no other traced run has touched the package yet
+    spans = _load_spans()
+    missing = []
+    for modname, attr, _, _ in spans.TARGETS:
+        owner = importlib.import_module(f"wtdesigns.{modname}")
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.append(f"{modname}.{attr}")
+    assert missing == []
+    before, targets = _package_names(), _targets(spans)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        wrapped = _targets(spans)
+    finally:
+        tracer.uninstall()
+    assert all(wrapped[key] is not fn for key, fn in targets.items())
+    after = _package_names()
+    assert after.keys() == before.keys()
+    assert [key for key, value in before.items() if after[key] is not value] == []
+    assert all(_targets(spans)[key] is fn for key, fn in targets.items())
+
+
 def test_tracer_wraps_a_search_call(capsys):
     spans = _load_spans()
     assert cli.main(ARGV) == 0
@@ -53,3 +89,4 @@ def test_tracer_wraps_a_search_call(capsys):
     metrics = tracer.layer_metrics()
     assert metrics["optimal.search_shifts.scanned"] == (25, "count")
     assert metrics["optimal.search_shifts.full_patterns"][0] == tracer.calls["aberration.beta_pattern"]
+
