@@ -26,6 +26,7 @@ import numpy as np
 
 from .designs import Design
 from .errors import InputError
+from .fieldmath import check_int
 from .orthopoly import orthonormal_basis
 
 DEFAULT_TOL = 1e-8
@@ -64,10 +65,11 @@ def compositions(k: int, n: int, cap: int) -> np.ndarray:
     return arr
 
 
-def _check_k(k: int, n: int, q: int):
+def _check_k(k: int, n: int, q: int, name: str = "k") -> None:
+    """Refuse a degree that is not an integer in 1..n(q-1)."""
     K = n * (q - 1)
-    if not 1 <= k <= K:
-        raise InputError(f"k={k} out of range 1..{K}")
+    if not 1 <= check_int(k, name) <= K:
+        raise InputError(f"{name}={k} out of range 1..{K}")
 
 
 _CHUNK_BYTES = 2**19  # about 0.5 MB per float array of a stacked kernel
@@ -206,19 +208,24 @@ def _keep_minimal(values: np.ndarray, tol: float) -> np.ndarray:
     return values <= _cut(float(values.min()), tol)
 
 
-def _rank_candidates(patterns: np.ndarray, tol: float):
-    """Drop, degree by degree, the live rows above the _cut of their minimum; returns
-    (kept indices, decided_k), decided_k being the last degree that dropped a row."""
-    alive = np.arange(patterns.shape[0])
+def _rank_candidates(count: int, columns, tol: float):
+    """Cut count rows on an iterable of columns, each count long: column by column, drop the
+    live rows above the _cut of their minimum. Returns (kept indices, decided_k), decided_k
+    being the 1-based position of the last column that dropped a row. No column is pulled
+    after a cut that leaves one row live, and the first cut reads its column in place."""
+    alive = None  # every row, until the first cut
     decided = None
-    for k in range(patterns.shape[1]):
-        keep = _keep_minimal(patterns[alive, k], tol)
+    k = 0
+    for column in columns:
+        k += 1
+        keep = _keep_minimal(column if alive is None else column[alive], tol)
+        del column  # not held while the next one is built
         if not keep.all():
-            decided = k + 1
-            alive = alive[keep]
-        if len(alive) == 1:
+            decided = k
+            alive = np.flatnonzero(keep) if alive is None else alive[keep]
+        if np.count_nonzero(keep) == 1:  # the rows live after this cut
             break
-    return alive, decided
+    return (np.arange(count) if alive is None else alive), decided
 
 
 def compare_patterns(a, b, tol: float = DEFAULT_TOL) -> int:
@@ -232,7 +239,10 @@ def compare_patterns(a, b, tol: float = DEFAULT_TOL) -> int:
     _check_tol(tol)
     if len(va) != len(vb):
         raise InputError("patterns must have equal length to compare")
-    alive, _ = _rank_candidates(np.array([va, vb], dtype=float), tol)
+    rows = np.array([va, vb], dtype=float)
+    if not np.isfinite(rows).all():
+        raise InputError("patterns must be finite to compare")
+    alive, _ = _rank_candidates(2, rows.T, tol)
     return 0 if len(alive) == 2 else (-1 if alive[0] == 0 else 1)
 
 

@@ -13,19 +13,18 @@ import sys
 
 from .aberration import beta_k, beta_pattern
 from .catalog import TABLE_IDS, reproduce
-from .designs import (
-    Design,
-    GeneratorSet,
-    linear_permute,
-    load_design,
-    save_design,
-    strength,
-    williams,
-)
+from .designs import Design, GeneratorSet, load_design, save_design, strength
 from .errors import CapExceededError, InputError
 from .fieldmath import check_odd_prime
 from .models import estimate_variances, info_matrix_csv, information_matrix
-from .optimal import count_recursive, search_q2, search_shifts, verified_nmax, verify_theorem
+from .optimal import (
+    build_design,
+    count_recursive,
+    search_q2,
+    search_shifts,
+    verified_nmax,
+    verify_theorem,
+)
 from .recursion import classify
 
 CLI_SCAN_LIMIT = 100_000  # larger shift scans need --force
@@ -74,10 +73,7 @@ def _design_from_args(args) -> Design:
             b = [int(v) for v in args.b.split(",")]
         except ValueError as exc:
             raise InputError(f"malformed shift vector {args.b!r}") from exc
-    design = linear_permute(gen, b)
-    if getattr(args, "williams", False):
-        design = williams(design)
-    return design
+    return build_design(gen, b, "williams" if args.williams else "linear")
 
 
 def cmd_construct(args) -> int:
@@ -89,14 +85,20 @@ def cmd_construct(args) -> int:
     return 0
 
 
+def _kmax_out_of_range(kmax, n: int, q: int) -> bool:
+    """True, after printing the usage error, when kmax is set and outside 1..n(q-1)."""
+    K = n * (q - 1)
+    if kmax is None or 1 <= kmax <= K:
+        return False
+    print(f"error: --kmax must lie in 1..{K}", file=sys.stderr)
+    return True
+
+
 def cmd_beta(args) -> int:
     design = _design_from_args(args)
-    K = design.n_factors * (design.q - 1)
-    k_max = K if args.kmax is None else args.kmax
-    if not 1 <= k_max <= K:
-        print(f"error: --kmax must lie in 1..{K}", file=sys.stderr)
+    if _kmax_out_of_range(args.kmax, design.n_factors, design.q):
         return USAGE_EXIT
-    pattern = beta_pattern(design, k_max)
+    pattern = beta_pattern(design, args.kmax)
     if args.json:
         print(json.dumps({"q": design.q, "n": design.n_factors, "beta": list(pattern.values)}))
     else:
@@ -106,6 +108,8 @@ def cmd_beta(args) -> int:
 
 def cmd_search(args) -> int:
     gen = parse_generator_text(args.generators, check_odd_prime(args.q))
+    if _kmax_out_of_range(args.kmax, gen.n, gen.q):
+        return USAGE_EXIT
     total = gen.q**gen.m
     if total > CLI_SCAN_LIMIT and not args.force:
         raise CapExceededError(

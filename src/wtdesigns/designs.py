@@ -13,7 +13,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import CapExceededError, InputError
-from .fieldmath import PrimeLevel, check_odd_prime, full_factorial
+from .fieldmath import PrimeLevel, check_int, check_odd_prime, full_factorial, int_array
 
 RUN_CAP = 10**6  # guard against accidental q^(n-m) blowups
 
@@ -25,7 +25,7 @@ class Design:
 
     def __init__(self, q: PrimeLevel, rows):
         self.q = check_odd_prime(q)
-        arr = np.asarray(rows, dtype=np.int64)
+        arr = int_array(rows, "design entries")
         if arr.ndim != 2 or arr.size == 0:
             raise InputError("design rows must form a nonempty 2-D array")
         if arr.min() < 0 or arr.max() >= self.q:
@@ -59,7 +59,7 @@ class GeneratorSet:
 
     def __init__(self, q: PrimeLevel, C):
         self.q = check_odd_prime(q)
-        arr = np.atleast_2d(np.asarray(C, dtype=np.int64))
+        arr = np.atleast_2d(int_array(C, "generator coefficients"))
         if arr.ndim != 2 or arr.size == 0:
             raise InputError("generator coefficients must form a 2-D array")
         arr = arr % self.q
@@ -67,8 +67,7 @@ class GeneratorSet:
         self.n = self.m + d
         if not arr.any(axis=1).all():
             raise InputError("generator rows must be nonzero")
-        cols = self.column_vectors(arr)
-        prop = _proportional_pairs(cols, self.q)
+        prop = _proportional_pairs(column_vectors(arr), self.q)
         if prop:
             i, j = prop[0]
             raise InputError(
@@ -78,15 +77,21 @@ class GeneratorSet:
         arr.setflags(write=False)
         self.C = arr
 
-    def column_vectors(self, arr=None) -> np.ndarray:
+    def column_vectors(self) -> np.ndarray:
         """Coefficient vectors of all n columns in the independent basis."""
-        if arr is None:
-            arr = self.C
-        d = arr.shape[1]
-        return np.vstack([np.eye(d, dtype=np.int64), arr])
+        return column_vectors(self.C)
 
     def __repr__(self):
         return f"GeneratorSet(q={self.q}, C={self.C.tolist()})"
+
+
+def column_vectors(C: np.ndarray) -> np.ndarray:
+    """The (..., m + d, d) column vectors of a (..., m, d) stack: d unit vectors, then C's rows."""
+    d = C.shape[-1]
+    cols = np.empty(C.shape[:-2] + (d + C.shape[-2], d), dtype=np.int64)
+    cols[..., :d, :] = np.eye(d, dtype=np.int64)
+    cols[..., d:, :] = C
+    return cols
 
 
 def _proportional_pairs(vectors: np.ndarray, q: int):
@@ -139,7 +144,7 @@ def expand(gen: GeneratorSet) -> Design:
 
 def linear_permute(gen: GeneratorSet, b) -> Design:
     """The design with dependent column i shifted by b[i] mod q."""
-    b = np.asarray(b, dtype=np.int64).ravel()
+    b = int_array(b, "shift vector").ravel()
     if b.size != gen.m:
         raise InputError(f"shift vector has length {b.size}, expected {gen.m}")
     return Design(gen.q, shift_stack(expand(gen).rows[None], b[None], gen.q)[0])
@@ -151,7 +156,7 @@ def williams_value(x: int, q: PrimeLevel) -> int:
     W(x) = 2x for x < q/2 and 2(q - x) - 1 otherwise. A bijection of Z_q.
     """
     q = check_odd_prime(q)
-    if not 0 <= x < q:
+    if not 0 <= check_int(x, "level") < q:
         raise InputError(f"level {x} out of range for q={q}")
     return 2 * x if 2 * x < q else 2 * (q - x) - 1
 
@@ -159,7 +164,7 @@ def williams_value(x: int, q: PrimeLevel) -> int:
 def williams_inverse(x: int, q: PrimeLevel) -> int:
     """Inverse of the Williams transformation: x/2 for even x, q-(x+1)/2 odd."""
     q = check_odd_prime(q)
-    if not 0 <= x < q:
+    if not 0 <= check_int(x, "level") < q:
         raise InputError(f"level {x} out of range for q={q}")
     return x // 2 if x % 2 == 0 else q - (x + 1) // 2
 
@@ -184,7 +189,7 @@ def williams(design: Design) -> Design:
 
 def add_constant(design: Design, s: int) -> Design:
     """Shift every entry of the design by s mod q."""
-    return Design(design.q, (design.rows + int(s)) % design.q)
+    return Design(design.q, (design.rows + check_int(s, "shift")) % design.q)
 
 
 def strength(design: Design, t_max: int = None) -> int:
@@ -195,7 +200,7 @@ def strength(design: Design, t_max: int = None) -> int:
     n = design.n_factors
     if t_max is None:
         t_max = n
-    if t_max > n:
+    if check_int(t_max, "t_max") > n:
         raise InputError(f"t_max={t_max} exceeds the column count {n}")
     q, N, rows = design.q, design.runs, design.rows
     best = 0

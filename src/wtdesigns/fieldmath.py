@@ -17,6 +17,25 @@ from .errors import InputError
 PrimeLevel = int
 
 
+def check_int(value, name: str) -> int:
+    """value as a plain int; a value that is not an integer by type, bool included, is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def int_array(values, name: str) -> np.ndarray:
+    """values as an int64 array, refusing any non-integer dtype, bool included.
+
+    Float, string, bool and object input is refused with InputError, not
+    truncated. An empty input passes, so the caller's shape check names it.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu" and arr.size:
+        raise InputError(f"{name} must be integers, got {arr.dtype} values")
+    return arr.astype(np.int64, copy=False)
+
+
 def check_odd_prime(q) -> PrimeLevel:
     """Validate that q is an odd prime and return it as a plain int.
 
@@ -24,9 +43,7 @@ def check_odd_prime(q) -> PrimeLevel:
     so deterministic trial division beats any probabilistic test on
     simplicity alone.
     """
-    if isinstance(q, bool) or not isinstance(q, (int, np.integer)):
-        raise InputError(f"level count must be an integer, got {q!r}")
-    q = int(q)
+    q = check_int(q, "level count")
     if q < 3:
         raise InputError(f"level count must be at least 3, got {q}")
     if q % 2 == 0:
@@ -46,7 +63,7 @@ def rank_mod(M, q: PrimeLevel) -> int:
 
     Gaussian elimination with exact integer arithmetic mod q.
     """
-    A = np.atleast_2d(np.asarray(M, dtype=np.int64)) % q
+    A = np.atleast_2d(int_array(M, "matrix entries")) % q
     if A.ndim != 2:
         raise InputError("rank_mod expects a 2-D array")
     nrow, ncol = A.shape

@@ -21,7 +21,6 @@ from .aberration import (
     DEFAULT_TOL,
     _check_k,
     _check_tol,
-    _keep_minimal,
     _rank_candidates,
     beta_k_stack,
     beta_pattern,
@@ -31,6 +30,7 @@ from .aberration import (
 from .designs import (
     Design,
     GeneratorSet,
+    column_vectors,
     expand,
     expand_stack,
     linear_permute,
@@ -41,7 +41,7 @@ from .designs import (
     williams_table,
 )
 from .errors import CapExceededError, InputError
-from .fieldmath import PrimeLevel, check_odd_prime
+from .fieldmath import PrimeLevel, check_int, check_odd_prime, int_array
 from .orthopoly import orthonormal_basis
 from .recursion import RecursiveType, _classify_stack
 
@@ -267,7 +267,7 @@ def shift_betas(gen: GeneratorSet, family: str, shifts, ks) -> np.ndarray:
     stacks.
     """
     _check_family(family)
-    shifts = np.asarray(shifts, dtype=np.int64)
+    shifts = int_array(shifts, "shifts")
     if shifts.ndim != 2 or shifts.shape[1] != gen.m:
         raise InputError(f"shifts must have shape (S, {gen.m}), got {shifts.shape}")
     for k in ks:
@@ -303,31 +303,20 @@ def search_shifts(
         raise CapExceededError(
             f"shift space of size {total} exceeds the cap of {SEARCH_CAP}"
         )
-    K = gen.n * (q - 1)
     if k_max is None:
-        k_max = K
-    if not 1 <= k_max <= K:
-        raise InputError(f"k_max={k_max} out of range 1..{K}")
+        k_max = gen.n * (q - 1)
+    _check_k(k_max, gen.n, q, "k_max")
 
-    alive_idx = None  # every shift vector, until the first cut
-    decided = None
     # beta_1 = beta_2 = 0 at strength 2; above degree 5 the supports get
-    # wide and the grid tables stop paying off
-    for k in range(3, min(k_max, 5) + 1):
-        grid = shift_grid_beta(gen, family, k).reshape(-1)
-        keep = _keep_minimal(grid if alive_idx is None else grid[alive_idx], tol)
-        del grid  # not kept through the next degree or the full patterns
-        if not keep.all():
-            decided = k
-            alive_idx = np.flatnonzero(keep) if alive_idx is None else alive_idx[keep]
-            if len(alive_idx) == 1:
-                break
-
-    if alive_idx is None:
-        alive_idx = np.arange(total)
+    # wide and the grid tables stop paying off. Each grid is built only if
+    # the cut reaches it.
+    grids = (shift_grid_beta(gen, family, k).reshape(-1) for k in range(3, min(k_max, 5) + 1))
+    alive_idx, decided = _rank_candidates(total, grids, tol)
+    if decided is not None:
+        decided += 2  # the first grid is beta_3
     shifts = np.stack(np.unravel_index(alive_idx, (q,) * m), axis=1)
     patterns = _member_patterns(gen, shifts, q, family, k_max)
-    sub_alive, sub_decided = _rank_candidates(patterns, tol)
+    sub_alive, sub_decided = _rank_candidates(len(patterns), patterns.T, tol)
     if sub_decided is not None:
         decided = sub_decided
     winner = int(sub_alive[0])
@@ -357,7 +346,7 @@ def enumerate_q2_generators(q: PrimeLevel, n: int):
 
 def _check_q2_columns(q: int, n: int, name: str = "n") -> None:
     """Refuse a column count outside 3..q+1: a q^2-run design has at most q+1 columns."""
-    if not 3 <= n <= q + 1:
+    if not 3 <= check_int(n, name) <= q + 1:
         raise InputError(f"{name}={n} out of range 3..{q + 1} for q={q}")
 
 
@@ -427,7 +416,7 @@ def _reduced_images(C: np.ndarray, q: int) -> np.ndarray:
     images after the negations, so G = 2n(n-1). The identity, (0, 1, +1),
     is element 0.
     """
-    B, m, _ = C.shape
+    m = C.shape[1]
     n = m + 2
     half = (q - 1) // 2
     inv = _inverses(q)
@@ -437,7 +426,7 @@ def _reduced_images(C: np.ndarray, q: int) -> np.ndarray:
         for s in (1, -1)
     ]
     a, b, s, others = (np.array(x, dtype=np.int64) for x in zip(*elems))
-    cols = np.concatenate([np.broadcast_to(np.eye(2, dtype=np.int64), (B, 2, 2)), C], axis=1)
+    cols = column_vectors(C)
     x, y, v = cols[:, a], cols[:, b] * s[:, None], cols[:, others]  # (B, G, 2) twice, (B, G, m, 2)
     # v = alpha x + beta y, solved by Cramer's rule mod q
     det = inv[(x[..., 0] * y[..., 1] - x[..., 1] * y[..., 0]) % q][..., None]
@@ -597,13 +586,13 @@ def _family_best(C, orbit, reps, q, family, tol) -> FamilyBest:
     """
     b = _closed_form_shifts(C[reps], q, family)
     betas = _member_betas(C[reps], b, q, family, (3, 4))
-    alive, decided = _rank_candidates(betas, tol)
+    alive, decided = _rank_candidates(len(betas), betas.T, tol)
     if decided is not None:
         decided += 2  # column 0 is beta_3
 
     survivors, b = C[reps[alive]], b[alive]
     patterns = _member_patterns(survivors, b, q, family, None)
-    kept, sub_decided = _rank_candidates(patterns, tol)
+    kept, sub_decided = _rank_candidates(len(patterns), patterns.T, tol)
     if sub_decided is not None:
         decided = sub_decided
 

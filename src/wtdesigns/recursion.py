@@ -44,7 +44,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .designs import GeneratorSet
+from .designs import GeneratorSet, column_vectors
 from .errors import InputError
 
 # target codes per design chunk of a stack: bounds the (B, q-1, q-1, P, d) arrays
@@ -211,6 +211,4 @@ def _classify_stack(C: np.ndarray, q: int) -> np.ndarray:
     reduced coefficients, as `_q2_coefficient_blocks` yields them: no
     GeneratorSet is built, so nothing checks them.
     """
-    B = C.shape[0]
-    cols = np.concatenate([np.broadcast_to(np.eye(2, dtype=np.int64), (B, 2, 2)), C], axis=1)
-    return np.array(_TYPES, dtype=object)[_closure_types(cols, q)]
+    return np.array(_TYPES, dtype=object)[_closure_types(column_vectors(C), q)]

@@ -269,6 +269,25 @@ def test_compare_rejects_length_mismatch():
         compare_patterns((0.1,), (0.1, 0.2))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_compare_rejects_entries_that_are_not_finite(bad):
+    for a, b in (((bad, 1.0), (0.0, 1.0)), ((0.0, 1.0), (0.0, bad))):
+        with pytest.raises(InputError, match="finite"):
+            compare_patterns(a, b)
+
+
+def test_degrees_that_are_not_integers_are_input_errors():
+    d = expand(GeneratorSet(5, [[1, 1]]))
+    for call in (
+        lambda: beta_k(d, 3.0),
+        lambda: beta_k(d, True),
+        lambda: beta_pattern(d, 2.5),
+    ):
+        with pytest.raises(InputError, match="must be an integer"):
+            call()
+    assert beta_k(d, np.int64(3)) == beta_k(d, 3)
+
+
 @pytest.mark.parametrize("tol", [-1, -1e-300, float("nan"), float("inf")])
 def test_compare_rejects_a_tolerance_that_is_not_finite_and_nonnegative(tol):
     with pytest.raises(InputError, match="tol"):

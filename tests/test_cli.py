@@ -143,6 +143,31 @@ def test_beta_kmax_out_of_range_is_usage_error(capsys):
         assert "--kmax must lie in 1..12" in err
 
 
+def test_search_kmax_out_of_range_is_usage_error(capsys, monkeypatch):
+    # beta's rule and message, checked before any search work
+    from wtdesigns import optimal
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("search work started before the --kmax check")
+
+    monkeypatch.setattr(optimal, "shift_grid_beta", no_work)
+    for kmax in ("13", "0"):
+        code, stdout, err = run(
+            capsys, "search", "--q", "5", "--generators", "1,1", "--family", "williams",
+            "--kmax", kmax,
+        )
+        assert code == 1
+        assert stdout == ""
+        assert "--kmax must lie in 1..12" in err
+    # before the scan-size check too: 7^6 shift vectors, no --force
+    code, _, err = run(
+        capsys, "search", "--q", "7", "--generators", "1,1;1,2;1,4;1,5;2,5;2,6",
+        "--family", "williams", "--kmax", "0",
+    )
+    assert code == 1
+    assert "--kmax must lie in 1..48" in err
+
+
 def test_beta_needs_a_design_source(capsys):
     code, _, err = run(capsys, "beta")
     assert code == 2

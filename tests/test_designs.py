@@ -162,6 +162,34 @@ def test_add_constant_wraps():
     assert add_constant(d, 2).rows.tolist() == [[1, 2]]
 
 
+def test_integer_input_is_refused_unless_it_is_an_integer():
+    gen = GeneratorSet(5, [[1, 1]])
+    d = Design(5, [[0, 1]])
+    for make in (
+        lambda: GeneratorSet(5, [[1.5, 1]]),
+        lambda: GeneratorSet(5, [["2", "1"]]),
+        lambda: GeneratorSet(5, [[True, True]]),
+        lambda: Design(5, [[4.9, 1]]),
+        lambda: Design(5, np.ones((2, 2))),  # integer-valued floats too
+        lambda: linear_permute(gen, [1.7]),
+        lambda: add_constant(d, 1.5),
+        lambda: add_constant(d, True),
+        lambda: williams_value(2.5, 5),
+        lambda: williams_inverse(2.0, 5),
+        lambda: strength(d, 2.5),
+    ):
+        with pytest.raises(InputError, match="integer"):
+            make()
+    # integer dtypes of any width pass, as their int64 values
+    assert GeneratorSet(5, np.array([[6, 1]], dtype=np.uint8)).C.tolist() == [[1, 1]]
+    assert Design(5, np.array([[4, 1]], dtype=np.int8)).rows.dtype == np.int64
+    assert linear_permute(gen, np.array([2], dtype=np.int16)).rows.tolist() == (
+        linear_permute(gen, [2]).rows.tolist()
+    )
+    assert add_constant(d, np.int32(2)).rows.tolist() == [[2, 3]]
+    assert williams_value(np.int64(3), 5) == 3
+
+
 # --- strength ---------------------------------------------------------------
 
 def test_strength_of_full_factorial():

@@ -63,6 +63,12 @@ def test_rank_negative_entries_reduce_mod_q():
     assert rank_mod([[-1, 1], [4, -4]], 5) == 1  # -1 = 4 mod 5
 
 
+def test_rank_refuses_entries_that_are_not_integers():
+    for M in ([[1.5, 1], [0, 1]], [[True, False]], [["1", "2"]]):
+        with pytest.raises(InputError, match="integer"):
+            rank_mod(M, 5)
+
+
 def test_enumerate_tuples_order():
     tups = list(enumerate_tuples(3, 2))
     assert tups == [

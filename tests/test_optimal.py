@@ -18,6 +18,7 @@ from wtdesigns import (
     build_design,
     center_preimage,
     compare_patterns,
+    count_recursive,
     enumerate_q2_generators,
     linear_permute,
     optimal_shift_linear,
@@ -322,10 +323,26 @@ def test_search_rejects_a_tolerance_that_is_not_finite_and_nonnegative(tol):
 
 
 def test_search_validates_k_max():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^k_max=0 out of range 1\.\.12$"):
         search_shifts(GeneratorSet(5, [[1, 1]]), "williams", k_max=0)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^k_max=13 out of range 1\.\.12$"):
         search_shifts(GeneratorSet(5, [[1, 1]]), "williams", k_max=13)
+
+
+def test_counts_that_are_not_integers_are_input_errors():
+    gen = GeneratorSet(5, [[1, 1]])
+    for call in (
+        lambda: search_q2(7, 4.0),
+        lambda: verify_theorem(1, 7, 4.0),
+        lambda: count_recursive(5, 3.0),
+        lambda: standard_generators(5, 3.0),
+        lambda: shift_grid_beta(gen, "williams", 3.0),
+        lambda: search_shifts(gen, "williams", k_max=3.5),
+        lambda: search_shifts(gen, "williams", k_max=True),
+        lambda: shift_betas(gen, "williams", [[1.5]], (3,)),
+    ):
+        with pytest.raises(InputError, match="integer"):
+            call()
 
 
 def test_staged_search_agrees_with_grid_minimum():
@@ -367,7 +384,7 @@ def _ranked_on_full_patterns(gen, family, k_max=None):
         beta_pattern(build_design(gen, b, family), k_max).values
         for b in shifts
     ])
-    alive, decided = _rank_candidates(patterns, DEFAULT_TOL)
+    alive, decided = _rank_candidates(len(patterns), patterns.T, DEFAULT_TOL)
     winner = int(alive[0])
     return SearchReport(
         family=family,
@@ -403,6 +420,70 @@ def test_pruning_stops_at_k_max(family, k_max):
         want = _ranked_on_full_patterns(gen, family, k_max)
         assert len(want.pattern) == k_max
         assert search_shifts(gen, family, k_max=k_max) == want
+
+
+def _grid_degrees(monkeypatch):
+    """The degrees of every shift_grid_beta call from now on, in call order."""
+    built = []
+    real = optimal.shift_grid_beta
+
+    def spy(gen, family, k):
+        built.append(k)
+        return real(gen, family, k)
+
+    monkeypatch.setattr(optimal, "shift_grid_beta", spy)
+    return built
+
+
+@pytest.mark.parametrize("q, C, family, degrees", [
+    (7, [[2, 2]], "williams", [3]),  # decided by beta_3 alone
+    (5, [[1, 2], [2, 1], [2, 3]], "linear", [3, 4, 5]),  # decided at k=4, two ties
+    (5, [[1, 1, 1], [1, 2, 3]], "linear", [3, 4, 5]),  # resolution IV: beta_3 cuts nothing
+    (5, [[1, 1, 1], [1, 2, 3]], "williams", [3, 4, 5]),
+])
+def test_search_builds_each_grid_only_while_the_cut_reads_it(monkeypatch, q, C, family, degrees):
+    gen = GeneratorSet(q, C)
+    built = _grid_degrees(monkeypatch)
+    report = search_shifts(gen, family)
+    assert built == degrees
+    if len(degrees) > 1:
+        assert report == _ranked_on_full_patterns(gen, family)
+
+
+def test_rank_candidates_pulls_no_column_past_one_live_row():
+    pulled = []
+
+    def columns(rows):
+        for k in range(4):
+            pulled.append(k)
+            yield np.array(rows[k], dtype=float)
+
+    # a lone row reads one column
+    alive, decided = _rank_candidates(1, columns([[5.0]] * 4), DEFAULT_TOL)
+    assert (alive.tolist(), decided, pulled) == ([0], None, [0])
+    # three rows, one left after the second column
+    pulled.clear()
+    rows = [[0, 0, 1], [0, 1, 2], [9, 9, 9], [9, 9, 9]]
+    alive, decided = _rank_candidates(3, columns(rows), DEFAULT_TOL)
+    assert (alive.tolist(), decided, pulled) == ([0], 2, [0, 1])
+
+
+def test_grid_search_holds_no_copy_of_a_grid():
+    # a q=11 n=8 set of the shift-scan pool: each 11^6 grid is 13.5 MiB, and
+    # the search peaks at about 16.2 MiB; a copy of the first grid would
+    # reach about 30
+    import tracemalloc
+
+    gen = GeneratorSet(11, [[3, 3], [5, 10], [4, 5], [1, 6], [5, 2], [5, 7]])
+    search_shifts(gen, "williams")  # warm the caches outside the trace
+    tracemalloc.start()
+    try:
+        report = search_shifts(gen, "williams")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.evaluations == 11**6
+    assert peak < 22 * 2**20
 
 
 def test_full_patterns_only_for_the_survivors(monkeypatch):
@@ -630,7 +711,7 @@ def _exact_family_best(q, n, family):
         for i in alive
     ]
     if len(alive) > 1:
-        idx, sub_decided = _rank_candidates(np.array(patterns), DEFAULT_TOL)
+        idx, sub_decided = _rank_candidates(len(patterns), np.array(patterns).T, DEFAULT_TOL)
         if sub_decided is not None:
             decided = sub_decided
         alive = alive[idx]

@@ -122,7 +122,7 @@ def test_compare_is_antisymmetric(pair):
     assert compare_patterns(a, a) == 0
     # the searches' ranking rule on the two rows: both kept is a tie,
     # otherwise the kept row is the smaller pattern
-    alive, _ = _rank_candidates(np.array([a, b]), DEFAULT_TOL)
+    alive, _ = _rank_candidates(2, np.array([a, b]).T, DEFAULT_TOL)
     assert compare_patterns(a, b) == {(0, 1): 0, (0,): -1, (1,): 1}[tuple(alive.tolist())]
 
 

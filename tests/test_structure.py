@@ -1,0 +1,59 @@
+"""Rules that one function owns: the package's AST holds no second copy of them."""
+
+import ast
+from pathlib import Path
+
+import wtdesigns
+
+PACKAGE = Path(wtdesigns.__file__).resolve().parent
+
+
+def _references(name):
+    """(module, innermost enclosing function) of every load of name, bare or as an attribute."""
+    found = []
+
+    class Visitor(ast.NodeVisitor):
+        scope = ["<module>"]
+
+        def visit_FunctionDef(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        visit_AsyncFunctionDef = visit_FunctionDef
+
+        def visit_Name(self, node):
+            if node.id == name and isinstance(node.ctx, ast.Load):
+                found.append((module, self.scope[-1]))
+
+        def visit_Attribute(self, node):
+            if node.attr == name and isinstance(node.ctx, ast.Load):
+                found.append((module, self.scope[-1]))
+            self.generic_visit(node)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = path.stem
+        Visitor().visit(ast.parse(path.read_text(encoding="utf-8")))
+    return found
+
+
+def _imported_names(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    return {
+        alias.name.split(".")[-1]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+
+
+def test_the_sequential_cut_is_written_once():
+    # every search cuts through _rank_candidates, which alone applies _keep_minimal
+    assert _references("_keep_minimal") == [("aberration", "_rank_candidates")]
+    assert ("optimal", "search_shifts") in _references("_rank_candidates")
+
+
+def test_cli_builds_family_members_through_build_design():
+    imported = _imported_names("cli")
+    assert "build_design" in imported
+    assert not imported & {"linear_permute", "williams"}
