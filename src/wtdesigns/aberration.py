@@ -18,7 +18,6 @@ full N^2 order. A faster kernel must reproduce the same operations in the
 same order, not only the same value to rounding.
 """
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,7 +28,7 @@ from .errors import InputError
 from .fieldmath import check_int
 from .orthopoly import orthonormal_basis
 
-DEFAULT_TOL = 1e-8
+DEFAULT_TOL = 1e-8  # the one tie band of every ranking, read by _cut alone
 
 
 @dataclass(frozen=True)
@@ -193,22 +192,16 @@ def beta_pattern(design: Design, k_max: int = None) -> BetaPattern:
     return BetaPattern(q=design.q, n=design.n_factors, values=tuple(vals.tolist()))
 
 
-def _check_tol(tol: float) -> None:
-    """Refuse a ranking tolerance that is not a finite number >= 0."""
-    if not 0 <= tol < math.inf:
-        raise InputError(f"tol must be finite and >= 0, got {tol!r}")
+def _cut(mn: float) -> float:
+    """The largest value that ties the minimum mn: mn + DEFAULT_TOL * max(1, mn)."""
+    return mn + DEFAULT_TOL * max(1.0, mn)
 
 
-def _cut(mn: float, tol: float) -> float:
-    """The largest value that ties the minimum mn: mn + tol * max(1, mn)."""
-    return mn + tol * max(1.0, mn)
+def _keep_minimal(values: np.ndarray) -> np.ndarray:
+    return values <= _cut(float(values.min()))
 
 
-def _keep_minimal(values: np.ndarray, tol: float) -> np.ndarray:
-    return values <= _cut(float(values.min()), tol)
-
-
-def _rank_candidates(count: int, columns, tol: float):
+def _rank_candidates(count: int, columns):
     """Cut count rows on an iterable of columns, each count long: column by column, drop the
     live rows above the _cut of their minimum. Returns (kept indices, decided_k), decided_k
     being the 1-based position of the last column that dropped a row. No column is pulled
@@ -218,7 +211,7 @@ def _rank_candidates(count: int, columns, tol: float):
     k = 0
     for column in columns:
         k += 1
-        keep = _keep_minimal(column if alive is None else column[alive], tol)
+        keep = _keep_minimal(column if alive is None else column[alive])
         del column  # not held while the next one is built
         if not keep.all():
             decided = k
@@ -228,21 +221,20 @@ def _rank_candidates(count: int, columns, tol: float):
     return (np.arange(count) if alive is None else alive), decided
 
 
-def compare_patterns(a, b, tol: float = DEFAULT_TOL) -> int:
+def compare_patterns(a, b) -> int:
     """Sequential comparison: -1, 0 or 1.
 
     The two-row case of _rank_candidates: the first index where an entry
-    exceeds _cut(min(a_k, b_k), tol) decides; with no such index, they tie.
+    exceeds _cut(min(a_k, b_k)) decides; with no such index, they tie.
     """
     va = a.values if isinstance(a, BetaPattern) else tuple(a)
     vb = b.values if isinstance(b, BetaPattern) else tuple(b)
-    _check_tol(tol)
     if len(va) != len(vb):
         raise InputError("patterns must have equal length to compare")
     rows = np.array([va, vb], dtype=float)
     if not np.isfinite(rows).all():
         raise InputError("patterns must be finite to compare")
-    alive, _ = _rank_candidates(2, rows.T, tol)
+    alive, _ = _rank_candidates(2, rows.T)
     return 0 if len(alive) == 2 else (-1 if alive[0] == 0 else 1)
 
 

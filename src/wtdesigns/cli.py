@@ -20,6 +20,7 @@ from .models import estimate_variances, info_matrix_csv, information_matrix
 from .optimal import (
     build_design,
     count_recursive,
+    default_nmax,
     search_q2,
     search_shifts,
     verified_nmax,
@@ -189,7 +190,7 @@ def cmd_reproduce(args) -> int:
 
 def cmd_verify(args) -> int:
     q = check_odd_prime(args.q)
-    nmax = args.nmax if args.nmax is not None else (q + 1 if q <= 7 else 5)
+    nmax = args.nmax if args.nmax is not None else default_nmax(q)
     if not 3 <= nmax <= q + 1:
         print(f"error: --nmax must lie in 3..{q + 1}", file=sys.stderr)
         return USAGE_EXIT

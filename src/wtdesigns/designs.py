@@ -195,13 +195,13 @@ def add_constant(design: Design, s: int) -> Design:
 def strength(design: Design, t_max: int = None) -> int:
     """Largest t <= t_max such that every t-column projection is balanced.
 
-    Returns 0 when even single columns are unbalanced.
+    Returns 0 when t_max is 0 or even single columns are unbalanced.
     """
     n = design.n_factors
     if t_max is None:
         t_max = n
-    if check_int(t_max, "t_max") > n:
-        raise InputError(f"t_max={t_max} exceeds the column count {n}")
+    if not 0 <= check_int(t_max, "t_max") <= n:
+        raise InputError(f"t_max={t_max} out of range 0..{n}")
     q, N, rows = design.q, design.runs, design.rows
     best = 0
     for t in range(1, t_max + 1):

@@ -95,14 +95,14 @@ def enumerate_tuples(q: PrimeLevel, k: int) -> Iterator[tuple]:
     The ordering is part of the contract: design row order, file output and
     test goldens all depend on it being stable.
     """
-    if k < 1:
+    if check_int(k, "tuple length") < 1:
         raise InputError(f"tuple length must be at least 1, got {k}")
     return product(range(q), repeat=k)
 
 
 def full_factorial(q: PrimeLevel, k: int) -> np.ndarray:
     """The q**k x k level array whose rows follow enumerate_tuples order."""
-    if k < 1:
+    if check_int(k, "column count") < 1:
         raise InputError(f"column count must be at least 1, got {k}")
     idx = np.arange(q**k, dtype=np.int64)
     cols = [(idx // q**j) % q for j in range(k - 1, -1, -1)]

@@ -18,9 +18,7 @@ import numpy as np
 
 from .aberration import (
     _CHUNK_BYTES,
-    DEFAULT_TOL,
     _check_k,
-    _check_tol,
     _rank_candidates,
     beta_k_stack,
     beta_pattern,
@@ -275,12 +273,7 @@ def shift_betas(gen: GeneratorSet, family: str, shifts, ks) -> np.ndarray:
     return _member_betas(gen, shifts, gen.q, family, ks)
 
 
-def search_shifts(
-    gen: GeneratorSet,
-    family: str,
-    k_max: int = None,
-    tol: float = DEFAULT_TOL,
-) -> SearchReport:
+def search_shifts(gen: GeneratorSet, family: str, k_max: int = None) -> SearchReport:
     """Exhaustively evaluate all q^m shift vectors and rank them sequentially.
 
     The winner is the lexicographically smallest shift vector among all
@@ -296,7 +289,6 @@ def search_shifts(
     and replays the recorded search outputs byte for byte.
     """
     _check_family(family)
-    _check_tol(tol)
     q, m = gen.q, gen.m
     total = q**m
     if total > SEARCH_CAP:
@@ -311,12 +303,12 @@ def search_shifts(
     # wide and the grid tables stop paying off. Each grid is built only if
     # the cut reaches it.
     grids = (shift_grid_beta(gen, family, k).reshape(-1) for k in range(3, min(k_max, 5) + 1))
-    alive_idx, decided = _rank_candidates(total, grids, tol)
+    alive_idx, decided = _rank_candidates(total, grids)
     if decided is not None:
         decided += 2  # the first grid is beta_3
     shifts = np.stack(np.unravel_index(alive_idx, (q,) * m), axis=1)
     patterns = _member_patterns(gen, shifts, q, family, k_max)
-    sub_alive, sub_decided = _rank_candidates(len(patterns), patterns.T, tol)
+    sub_alive, sub_decided = _rank_candidates(len(patterns), patterns.T)
     if sub_decided is not None:
         decided = sub_decided
     winner = int(sub_alive[0])
@@ -366,10 +358,14 @@ def _q2_coefficient_blocks(q: PrimeLevel, n: int):
         yield np.stack([scales, (scales * np.array(slopes)) % q], axis=2)
 
 
+def _q2_cell_sets(q: int, n: int) -> int:
+    """The number of reduced generator sets in the (q, n) cell."""
+    return comb(q - 1, n - 2) * ((q - 1) // 2) ** (n - 2)
+
+
 def _check_q2_cell(q: int, n: int) -> None:
     """Refuse a (q, n) cell of more than SEARCH_CAP reduced generator sets, before any work."""
-    sets = comb(q - 1, n - 2) * ((q - 1) // 2) ** (n - 2)
-    if sets > SEARCH_CAP:
+    if (sets := _q2_cell_sets(q, n)) > SEARCH_CAP:
         raise CapExceededError(
             f"q={q} n={n} has {sets} reduced generator sets, over the cap of {SEARCH_CAP}"
         )
@@ -570,7 +566,7 @@ def _table_beta3(ids: np.ndarray, P: np.ndarray) -> np.ndarray:
     return total / P.shape[1] ** 2
 
 
-def _family_best(C, orbit, reps, q, family, tol) -> FamilyBest:
+def _family_best(C, orbit, reps, q, family) -> FamilyBest:
     """The family's best set: sequential minimisation of beta_3, beta_4, then full patterns.
 
     C is the whole cell in tolist order, orbit its _cell_orbits labels and
@@ -586,13 +582,13 @@ def _family_best(C, orbit, reps, q, family, tol) -> FamilyBest:
     """
     b = _closed_form_shifts(C[reps], q, family)
     betas = _member_betas(C[reps], b, q, family, (3, 4))
-    alive, decided = _rank_candidates(len(betas), betas.T, tol)
+    alive, decided = _rank_candidates(len(betas), betas.T)
     if decided is not None:
         decided += 2  # column 0 is beta_3
 
     survivors, b = C[reps[alive]], b[alive]
     patterns = _member_patterns(survivors, b, q, family, None)
-    kept, sub_decided = _rank_candidates(len(patterns), patterns.T, tol)
+    kept, sub_decided = _rank_candidates(len(patterns), patterns.T)
     if sub_decided is not None:
         decided = sub_decided
 
@@ -611,7 +607,7 @@ def _family_best(C, orbit, reps, q, family, tol) -> FamilyBest:
     )
 
 
-def search_q2(q: PrimeLevel, n: int, tol: float = DEFAULT_TOL) -> Q2Report:
+def search_q2(q: PrimeLevel, n: int) -> Q2Report:
     """Full generator-space search for the best design of each family.
 
     Every reduced generator set is evaluated at its closed-form shift; the
@@ -621,10 +617,8 @@ def search_q2(q: PrimeLevel, n: int, tol: float = DEFAULT_TOL) -> Q2Report:
     of the cell is labelled with its orbit once (_cell_orbits), and each
     family is pruned and ranked one orbit at a time, on the exact beta_3,
     beta_4 and full pattern of the orbit's lexicographically smallest
-    member (_family_best). The ties are whole orbits, with tol=0 too.
-    tol must be finite and >= 0.
+    member (_family_best). The ties are whole orbits.
     """
-    _check_tol(tol)
     std = standard_generators(q, n)
     C = _q2_coefficients(q, n)
     std_pattern = beta_pattern(expand(std))
@@ -632,8 +626,8 @@ def search_q2(q: PrimeLevel, n: int, tol: float = DEFAULT_TOL) -> Q2Report:
     order = np.lexsort(C.reshape(len(C), -1).T[::-1])  # tolist order
     C, orbit = C[order], orbit[order]
     reps = np.sort(np.unique(orbit, return_index=True)[1])
-    linear = _family_best(C, orbit, reps, q, "linear", tol)
-    will = _family_best(C, orbit, reps, q, "williams", tol)
+    linear = _family_best(C, orbit, reps, q, "linear")
+    will = _family_best(C, orbit, reps, q, "williams")
     return Q2Report(
         q=q,
         n=n,
@@ -700,6 +694,15 @@ def _theorem4(C, q) -> list:
 _THEOREMS = {1: _theorem1, 2: _theorem2, 4: _theorem4}
 
 
+def default_nmax(q: PrimeLevel) -> int:
+    """verify's nmax when none is given: q + 1 up to q = 7, else 5, lowered (not below 3)
+    while the cell at nmax holds more than SEARCH_CAP sets, as from q = 23."""
+    nmax = q + 1 if q <= 7 else 5
+    while nmax > 3 and _q2_cell_sets(q, nmax) > SEARCH_CAP:
+        nmax -= 1
+    return nmax
+
+
 def verified_nmax(theorem: int, nmax: int) -> int:
     """The largest column count that verify_theorem(theorem, q, nmax) covers.
 
@@ -718,7 +721,7 @@ def verify_theorem(theorem: int, q: PrimeLevel, nmax: int) -> list:
         4: the Williams family at the closed-form shift is mirror-symmetric.
     """
     q = check_odd_prime(q)
-    if theorem not in _THEOREMS:
+    if check_int(theorem, "theorem") not in _THEOREMS:
         raise InputError(f"theorem must be one of {tuple(_THEOREMS)}, got {theorem!r}")
     _check_q2_columns(q, nmax, "nmax")
     ns = range(3, verified_nmax(theorem, nmax) + 1)

@@ -248,15 +248,16 @@ def test_compare_first_differing_index_decides():
 
 
 def test_compare_uses_relative_tolerance():
-    # an entry ties the smaller one up to min + tol * max(1, min): with
-    # tol=1e-2, 1000 + 1e-6 ties 1000 and the later entry decides instead
-    a = (1000.0, 1.0)
-    b = (1000.0 + 1e-6, 2.0)
-    assert compare_patterns(a, b, tol=1e-2) == -1
-    assert compare_patterns(a, b, tol=1e-12) == -1  # first entry decides, a smaller
-    # the cut is 1000 + 10 = 1010, so 1010.05 is larger, as the searches rank it
-    assert compare_patterns((1000.0,), (1010.05,), tol=1e-2) == -1
-    assert compare_patterns((1010.05,), (1000.0,), tol=1e-2) == 1
+    # an entry ties the smaller one up to min + 1e-8 * max(1, min): at 1000
+    # the band is 1e-5, so 1000 + 1e-6 ties 1000 and the later entry decides
+    assert compare_patterns((1000.0, 1.0), (1000.0 + 1e-6, 2.0)) == -1
+    assert compare_patterns((1000.0, 2.0), (1000.0 + 1e-6, 1.0)) == 1
+    # 1000 + 2e-5 is above the band, so the first entry decides
+    assert compare_patterns((1000.0 + 2e-5, 1.0), (1000.0, 2.0)) == 1
+    assert compare_patterns((1000.0, 2.0), (1000.0 + 2e-5, 1.0)) == -1
+    # below 1 the band is absolute: 0.5 + 5e-9 ties 0.5, 0.5 + 2e-8 does not
+    assert compare_patterns((0.5, 2.0), (0.5 + 5e-9, 1.0)) == 1
+    assert compare_patterns((0.5, 2.0), (0.5 + 2e-8, 1.0)) == -1
 
 
 def test_compare_accepts_pattern_objects():
@@ -286,10 +287,3 @@ def test_degrees_that_are_not_integers_are_input_errors():
         with pytest.raises(InputError, match="must be an integer"):
             call()
     assert beta_k(d, np.int64(3)) == beta_k(d, 3)
-
-
-@pytest.mark.parametrize("tol", [-1, -1e-300, float("nan"), float("inf")])
-def test_compare_rejects_a_tolerance_that_is_not_finite_and_nonnegative(tol):
-    with pytest.raises(InputError, match="tol"):
-        compare_patterns((1, 2), (1, 3), tol=tol)
-    assert compare_patterns((1, 2), (1, 3), tol=0) == -1

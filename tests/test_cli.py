@@ -428,6 +428,13 @@ def test_verify_nmax_range(capsys):
         assert "--nmax must lie in 3..6" in err
 
 
+def test_verify_default_nmax_stays_under_the_cap(capsys):
+    # q=23 n=5 holds 2,049,740 sets, over SEARCH_CAP: the default stops at n=4
+    code, stdout, _ = run(capsys, "verify", "--theorem", "1", "--q", "23")
+    assert code == 0
+    assert stdout == "PASS (closed-form shift zeroes the degree-3 measure, q=23, n<=4)\n"
+
+
 def test_verify_failure_lists_the_first_twenty(monkeypatch, capsys):
     from wtdesigns import cli
 

@@ -212,6 +212,13 @@ def test_strength_rejects_large_t_max():
         strength(Design(3, [[0, 0]]), t_max=3)
 
 
+def test_strength_rejects_negative_t_max():
+    d = expand(GeneratorSet(5, [[1, 1]]))
+    with pytest.raises(InputError, match=r"t_max=-3 out of range 0\.\.3"):
+        strength(d, -3)
+    assert strength(d, 0) == 0
+
+
 # --- comparison and symmetry -----------------------------------------------
 
 def test_same_design_ignores_row_order():

@@ -83,6 +83,12 @@ def test_enumerate_tuples_rejects_empty():
         enumerate_tuples(5, 0)
 
 
+def test_tuple_lengths_that_are_not_integers_are_input_errors():
+    for call in (lambda: enumerate_tuples(5, 2.0), lambda: full_factorial(5, 2.0)):
+        with pytest.raises(InputError, match="must be an integer"):
+            call()
+
+
 def test_full_factorial_matches_tuple_order():
     arr = full_factorial(5, 3)
     assert arr.shape == (125, 3)

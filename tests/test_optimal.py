@@ -316,12 +316,6 @@ def test_search_respects_cap(monkeypatch):
     assert search_shifts(GeneratorSet(5, [[1, 1], [1, 2]]), "williams").evaluations == 25
 
 
-@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
-def test_search_rejects_a_tolerance_that_is_not_finite_and_nonnegative(tol):
-    with pytest.raises(InputError, match="tol"):
-        search_shifts(GeneratorSet(5, [[1, 1]]), "williams", tol=tol)
-
-
 def test_search_validates_k_max():
     with pytest.raises(InputError, match=r"^k_max=0 out of range 1\.\.12$"):
         search_shifts(GeneratorSet(5, [[1, 1]]), "williams", k_max=0)
@@ -334,6 +328,8 @@ def test_counts_that_are_not_integers_are_input_errors():
     for call in (
         lambda: search_q2(7, 4.0),
         lambda: verify_theorem(1, 7, 4.0),
+        lambda: verify_theorem(True, 5, 4),
+        lambda: verify_theorem(1.0, 5, 4),
         lambda: count_recursive(5, 3.0),
         lambda: standard_generators(5, 3.0),
         lambda: shift_grid_beta(gen, "williams", 3.0),
@@ -343,6 +339,16 @@ def test_counts_that_are_not_integers_are_input_errors():
     ):
         with pytest.raises(InputError, match="integer"):
             call()
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 13, 17, 19, 23])
+def test_default_nmax_is_the_largest_admitted_cell(q):
+    nmax = optimal.default_nmax(q)
+    optimal._check_q2_cell(q, nmax)
+    assert nmax == (4 if q == 23 else q + 1 if q <= 7 else 5)
+    if q == 23:
+        with pytest.raises(CapExceededError):
+            optimal._check_q2_cell(q, nmax + 1)
 
 
 def test_staged_search_agrees_with_grid_minimum():
@@ -364,15 +370,19 @@ def test_staged_search_agrees_with_grid_minimum():
 
 
 def test_nothing_cut_ranks_every_shift_on_full_patterns():
-    # a tolerance this wide cuts nothing on the grid, so all 25 shift
-    # vectors go on to full patterns, and those cut nothing either
-    gen = GeneratorSet(5, [[1, 2], [2, 1]])
-    report = search_shifts(gen, "williams", k_max=6, tol=1e9)
-    assert report.ties == [list(b) for b in product(range(5), repeat=2)]
-    assert report.decided_k is None
-    assert report.b == [0, 0]
-    want = beta_pattern(build_design(gen, [0, 0], "williams"), 6).values
-    assert report.pattern == want
+    # resolution IV: beta_3 is zero at every shift, so the beta_3 grid cuts
+    # nothing, and the full patterns up to k_max=3 cut nothing either; at
+    # k_max=2 no grid is built at all
+    for (C, k_max), family in product(
+        (([[1, 1, 1], [1, 2, 3]], 3), ([[1, 2], [2, 1]], 2)), ("linear", "williams")
+    ):
+        gen = GeneratorSet(5, C)
+        report = search_shifts(gen, family, k_max=k_max)
+        assert report.ties == [list(b) for b in product(range(5), repeat=2)]
+        assert report.decided_k is None
+        assert report.b == [0, 0]
+        want = beta_pattern(build_design(gen, [0, 0], family), k_max).values
+        assert report.pattern == want
 
 
 def _ranked_on_full_patterns(gen, family, k_max=None):
@@ -384,7 +394,7 @@ def _ranked_on_full_patterns(gen, family, k_max=None):
         beta_pattern(build_design(gen, b, family), k_max).values
         for b in shifts
     ])
-    alive, decided = _rank_candidates(len(patterns), patterns.T, DEFAULT_TOL)
+    alive, decided = _rank_candidates(len(patterns), patterns.T)
     winner = int(alive[0])
     return SearchReport(
         family=family,
@@ -459,12 +469,12 @@ def test_rank_candidates_pulls_no_column_past_one_live_row():
             yield np.array(rows[k], dtype=float)
 
     # a lone row reads one column
-    alive, decided = _rank_candidates(1, columns([[5.0]] * 4), DEFAULT_TOL)
+    alive, decided = _rank_candidates(1, columns([[5.0]] * 4))
     assert (alive.tolist(), decided, pulled) == ([0], None, [0])
     # three rows, one left after the second column
     pulled.clear()
     rows = [[0, 0, 1], [0, 1, 2], [9, 9, 9], [9, 9, 9]]
-    alive, decided = _rank_candidates(3, columns(rows), DEFAULT_TOL)
+    alive, decided = _rank_candidates(3, columns(rows))
     assert (alive.tolist(), decided, pulled) == ([0], 2, [0, 1])
 
 
@@ -655,12 +665,6 @@ def test_search_q2_winner_heads_tie_list():
     assert rep.williams.beta3 <= 1e-9
 
 
-@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
-def test_search_q2_rejects_a_tolerance_that_is_not_finite_and_nonnegative(tol):
-    with pytest.raises(InputError, match="tol"):
-        search_q2(5, 3, tol=tol)
-
-
 def test_search_q2_json_shape():
     d = json.loads(json.dumps(search_q2(5, 3).to_json_dict()))
     assert set(d) == {"q", "n", "standard", "linear", "williams"}
@@ -702,7 +706,7 @@ def _exact_family_best(q, n, family):
     alive = np.arange(len(C))
     decided = None
     for col, k in ((0, 3), (1, 4)):
-        keep = _keep_minimal(betas[alive, col], DEFAULT_TOL)
+        keep = _keep_minimal(betas[alive, col])
         if not keep.all():
             decided = k
             alive = alive[keep]
@@ -711,7 +715,7 @@ def _exact_family_best(q, n, family):
         for i in alive
     ]
     if len(alive) > 1:
-        idx, sub_decided = _rank_candidates(len(patterns), np.array(patterns).T, DEFAULT_TOL)
+        idx, sub_decided = _rank_candidates(len(patterns), np.array(patterns).T)
         if sub_decided is not None:
             decided = sub_decided
         alive = alive[idx]
@@ -875,8 +879,9 @@ def test_full_patterns_one_per_surviving_orbit(monkeypatch):
 
 @pytest.mark.parametrize("q,n", [(5, n) for n in range(3, 7)] + [(7, n) for n in range(3, 9)])
 def test_tol_zero_ties_whole_orbits(q, n):
+    # the tie band is one fixed value, and the ties it keeps are whole orbits
     orbit = optimal._cell_orbits(optimal._q2_coefficients(q, n), q)
-    rep = search_q2(q, n, tol=0)
+    rep = search_q2(q, n)
     for f in (rep.linear, rep.williams):
         tied = orbit[optimal._cell_index(np.array(f.ties), q)]
         assert len(tied) == np.isin(orbit, tied).sum(), f.family

@@ -24,7 +24,7 @@ from wtdesigns import (
     williams_inverse,
     williams_value,
 )
-from wtdesigns.aberration import DEFAULT_TOL, _rank_candidates
+from wtdesigns.aberration import _rank_candidates
 
 SMALL_PRIMES = (3, 5, 7)
 MORE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 97)
@@ -122,7 +122,7 @@ def test_compare_is_antisymmetric(pair):
     assert compare_patterns(a, a) == 0
     # the searches' ranking rule on the two rows: both kept is a tie,
     # otherwise the kept row is the smaller pattern
-    alive, _ = _rank_candidates(2, np.array([a, b]).T, DEFAULT_TOL)
+    alive, _ = _rank_candidates(2, np.array([a, b]).T)
     assert compare_patterns(a, b) == {(0, 1): 0, (0,): -1, (1,): 1}[tuple(alive.tolist())]
 
 

@@ -1,6 +1,7 @@
 """Rules that one function owns: the package's AST holds no second copy of them."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import wtdesigns
@@ -57,3 +58,13 @@ def test_cli_builds_family_members_through_build_design():
     imported = _imported_names("cli")
     assert "build_design" in imported
     assert not imported & {"linear_permute", "williams"}
+
+
+def test_one_tie_band():
+    # the band is a constant that _cut alone reads; no public call takes a tolerance
+    # (exception classes are skipped: their builtin constructor has no signature)
+    assert _references("DEFAULT_TOL") == [("aberration", "_cut")]
+    for name in wtdesigns.__all__:
+        obj = getattr(wtdesigns, name)
+        if callable(obj) and not (isinstance(obj, type) and issubclass(obj, Exception)):
+            assert "tol" not in inspect.signature(obj).parameters, name
