@@ -14,8 +14,11 @@ Bit identity: JSON output prints floats with repr, so every digit of a
 measure is part of the output. The kernels here keep the order of the
 floating-point operations fixed: products run over the columns in ascending
 order, sums reduce contiguous rows, and the pair identity sums its rows in
-full N^2 order. A faster kernel must reproduce the same operations in the
-same order, not only the same value to rounding.
+full N^2 order, each degree on its own. So the pair identity cut off at
+degree k_max gives the first k_max + 1 entries of the full pattern bit for
+bit: every kept degree gets the same products, added in the same order. A
+faster kernel must reproduce the same operations in the same order, not
+only the same value to rounding.
 """
 
 from dataclasses import dataclass
@@ -142,23 +145,26 @@ def beta_k(design: Design, k: int) -> float:
     return float(beta_k_stack(design.rows[None], (k,), design.q)[0, 0])
 
 
-def _pattern_by_pairs(design: Design) -> np.ndarray:
-    """Full pattern (beta_0, ..., beta_K) at once.
+def _pattern_by_pairs(design: Design, k_max: int = None) -> np.ndarray:
+    """The pattern (beta_0, ..., beta_k_max) at once; k_max = K = n(q-1) by default.
 
     Uses the identity sum_u t^|u| |sum_i prod_j p_{u_j}(x_ij)|^2
     = sum over row pairs (i, i') of prod_j G_t(x_ij, x_i'j) where
     G_t(x, y) = sum_u t^u p_u(x) p_u(y): per column, convolve the
-    degree-indexed kernel coefficients. Cost O(N^2 K q), independent of the
-    number of exponent vectors, and exactly equal to the direct sum.
+    degree-indexed kernel coefficients, dropping every degree above k_max.
+    Cost O(N^2 min(K, k_max) q), independent of the number of exponent
+    vectors, and exactly equal to the direct sum.
 
     G[x, y] and G[y, x] are bitwise equal, so the pairs (i, i') and (i', i)
     carry bitwise equal coefficients: only the N(N+1)/2 unordered pairs are
-    convolved, then gathered back into full N^2 row order for the sum.
+    convolved, then gathered back into full N^2 row order for the sum. The
+    result is the first k_max + 1 entries of the full one, bit for bit.
     """
     q = design.q
     B = orthonormal_basis(q).values
     N, n = design.rows.shape
-    G = np.einsum("ua,ub->uab", B, B)  # (q, q, q): degree-indexed kernel
+    degrees = n * (q - 1) + 1 if k_max is None else k_max + 1
+    G = np.einsum("ua,ub->uab", B, B)[:degrees]  # (degree, q, q): the kernel
     first, second = np.triu_indices(N)
     rows = design.rows
     # coefficients are (degree, pair), so each convolution step adds
@@ -167,14 +173,15 @@ def _pattern_by_pairs(design: Design) -> np.ndarray:
     coeffs = G[:, rows[first, 0], rows[second, 0]] + 0.0
     for j in range(1, n):
         A = G[:, rows[first, j], rows[second, j]]
-        L = coeffs.shape[0]
-        nxt = np.zeros((L + q - 1, len(first)))
-        for d in range(q):
-            nxt[d : d + L] += A[d] * coeffs
+        nxt = np.zeros((min(len(coeffs) + q - 1, degrees), len(first)))
+        for d in range(len(A)):
+            top = min(len(coeffs), len(nxt) - d)
+            nxt[d : d + top] += A[d] * coeffs[:top]
         coeffs = nxt
     pair = np.empty((N, N), dtype=np.intp)
     pair[first, second] = pair[second, first] = np.arange(len(first))
-    # (N^2, K+1) in row-pair order, C-contiguous: the sum adds the rows in turn
+    # (N^2, k_max+1) in row-pair order, C-contiguous: the sum adds the rows in
+    # turn, each column on its own
     return np.ascontiguousarray(coeffs.T[pair.ravel()]).sum(axis=0) / N**2
 
 
@@ -187,7 +194,7 @@ def beta_pattern(design: Design, k_max: int = None) -> BetaPattern:
         # cheaper to enumerate a few exponent shells than to convolve pairs
         vals = [beta_k(design, k) for k in range(1, k_max + 1)]
     else:
-        vals = _pattern_by_pairs(design)[1 : k_max + 1]
+        vals = _pattern_by_pairs(design, k_max)[1:]
     vals = np.maximum(np.asarray(vals, dtype=float), 0.0)
     return BetaPattern(q=design.q, n=design.n_factors, values=tuple(vals.tolist()))
 

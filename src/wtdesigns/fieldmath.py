@@ -63,6 +63,7 @@ def rank_mod(M, q: PrimeLevel) -> int:
 
     Gaussian elimination with exact integer arithmetic mod q.
     """
+    q = check_odd_prime(q)
     A = np.atleast_2d(int_array(M, "matrix entries")) % q
     if A.ndim != 2:
         raise InputError("rank_mod expects a 2-D array")
@@ -95,6 +96,7 @@ def enumerate_tuples(q: PrimeLevel, k: int) -> Iterator[tuple]:
     The ordering is part of the contract: design row order, file output and
     test goldens all depend on it being stable.
     """
+    q = check_odd_prime(q)
     if check_int(k, "tuple length") < 1:
         raise InputError(f"tuple length must be at least 1, got {k}")
     return product(range(q), repeat=k)
@@ -102,6 +104,7 @@ def enumerate_tuples(q: PrimeLevel, k: int) -> Iterator[tuple]:
 
 def full_factorial(q: PrimeLevel, k: int) -> np.ndarray:
     """The q**k x k level array whose rows follow enumerate_tuples order."""
+    q = check_odd_prime(q)
     if check_int(k, "column count") < 1:
         raise InputError(f"column count must be at least 1, got {k}")
     idx = np.arange(q**k, dtype=np.int64)

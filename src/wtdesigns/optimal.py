@@ -10,6 +10,7 @@ Families:
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import comb, prod
 from typing import Optional
@@ -19,6 +20,7 @@ import numpy as np
 from .aberration import (
     _CHUNK_BYTES,
     _check_k,
+    _pattern_by_pairs,
     _rank_candidates,
     beta_k_stack,
     beta_pattern,
@@ -400,6 +402,25 @@ def _cell_index(C: np.ndarray, q: int) -> np.ndarray:
     return slope_rank * half**m + scale_rank
 
 
+@lru_cache(maxsize=None)
+def _group_elements(n: int) -> tuple:
+    """The 2n(n-1) Cheng-Ye group elements of _reduced_images, as read-only arrays.
+
+    Returns (a, b, s, others): element g takes columns a[g] and b[g], with
+    sign s[g] on b[g], as the new independent pair, and others[g] lists the
+    other n - 2 columns in ascending order. Element 0 is (0, 1, +1).
+    """
+    elems = [
+        (a, b, s, [j for j in range(n) if j not in (a, b)])
+        for a, b in permutations(range(n), 2)
+        for s in (1, -1)
+    ]
+    out = tuple(np.array(x, dtype=np.int64) for x in zip(*elems))
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
 def _reduced_images(C: np.ndarray, q: int) -> np.ndarray:
     """Images of the sets of a (B, m, 2) coefficient stack under the Cheng-Ye group: (B, G, m, 2).
 
@@ -412,16 +433,9 @@ def _reduced_images(C: np.ndarray, q: int) -> np.ndarray:
     images after the negations, so G = 2n(n-1). The identity, (0, 1, +1),
     is element 0.
     """
-    m = C.shape[1]
-    n = m + 2
     half = (q - 1) // 2
     inv = _inverses(q)
-    elems = [
-        (a, b, s, [j for j in range(n) if j not in (a, b)])
-        for a, b in permutations(range(n), 2)
-        for s in (1, -1)
-    ]
-    a, b, s, others = (np.array(x, dtype=np.int64) for x in zip(*elems))
+    a, b, s, others = _group_elements(C.shape[1] + 2)
     cols = column_vectors(C)
     x, y, v = cols[:, a], cols[:, b] * s[:, None], cols[:, others]  # (B, G, 2) twice, (B, G, m, 2)
     # v = alpha x + beta y, solved by Cramer's rule mod q
@@ -480,7 +494,6 @@ class Q2Report:
     standard_generators: list
     standard_beta3: float
     standard_beta4: float
-    standard_pattern: tuple
     linear: FamilyBest
     williams: FamilyBest
 
@@ -617,11 +630,15 @@ def search_q2(q: PrimeLevel, n: int) -> Q2Report:
     of the cell is labelled with its orbit once (_cell_orbits), and each
     family is pruned and ranked one orbit at a time, on the exact beta_3,
     beta_4 and full pattern of the orbit's lexicographically smallest
-    member (_family_best). The ties are whole orbits.
+    member (_family_best). The ties are whole orbits. The standard design's
+    beta_3 and beta_4 come from the pair kernel cut off at degree 4, which
+    gives the bits of its full pattern.
     """
     std = standard_generators(q, n)
     C = _q2_coefficients(q, n)
-    std_pattern = beta_pattern(expand(std))
+    # the pair kernel, not beta_pattern: above 512 runs beta_pattern(d, 4)
+    # enumerates, and its bits differ from the full pattern's (q=23)
+    std_beta3, std_beta4 = np.maximum(_pattern_by_pairs(expand(std), 4)[3:], 0.0).tolist()
     orbit = _cell_orbits(C, q)
     order = np.lexsort(C.reshape(len(C), -1).T[::-1])  # tolist order
     C, orbit = C[order], orbit[order]
@@ -632,9 +649,8 @@ def search_q2(q: PrimeLevel, n: int) -> Q2Report:
         q=q,
         n=n,
         standard_generators=std.C.tolist(),
-        standard_beta3=std_pattern.values[2],
-        standard_beta4=std_pattern.values[3],
-        standard_pattern=std_pattern.values,
+        standard_beta3=std_beta3,
+        standard_beta4=std_beta4,
         linear=linear,
         williams=will,
     )

@@ -179,24 +179,47 @@ def test_stacked_beta_k_other_degrees_and_shifts():
     assert np.array_equal(beta_k_stack(stack, ks, 5), want)
 
 
+def assert_pair_kernel_bit_identical(d):
+    # the default and every cut k_max = 1..K against the oracle's prefix, signs too
+    full = full_pairs_pattern(d, orthonormal_basis(d.q))
+    assert np.array_equal(_pattern_by_pairs(d), full)
+    for k in range(1, len(full)):
+        got = _pattern_by_pairs(d, k)
+        assert np.array_equal(got, full[: k + 1]), k
+        assert np.array_equal(np.signbit(got), np.signbit(full[: k + 1])), k
+
+
 @pytest.mark.parametrize("q,C", [
     (3, [[1, 1]]), (5, [[1, 2]]), (5, [[1, 1], [1, 2]]), (7, [[2, 2], [1, 3]]),
 ])
 def test_half_pair_pattern_is_bit_identical(q, C):
-    basis = orthonormal_basis(q)
     gen = GeneratorSet(q, C)
     for family in ("linear", "williams"):
         for b in ([0] * gen.m, [1] * gen.m, optimal_shift_williams(gen)):
-            d = build_design(gen, b, family)
-            assert np.array_equal(_pattern_by_pairs(d), full_pairs_pattern(d, basis))
+            assert_pair_kernel_bit_identical(build_design(gen, b, family))
 
 
 def test_half_pair_pattern_nonregular_rows():
     # repeated rows and an unbalanced column: pairs (i, i) and duplicates
     rng = np.random.default_rng(7)
-    d = Design(5, rng.integers(0, 5, size=(30, 4)))
-    basis = orthonormal_basis(5)
-    assert np.array_equal(_pattern_by_pairs(d), full_pairs_pattern(d, basis))
+    assert_pair_kernel_bit_identical(Design(5, rng.integers(0, 5, size=(30, 4))))
+
+
+def test_truncated_pair_pattern_holds_only_the_kept_degrees():
+    # 625 runs, 5 columns: the (N^2, 7) gather and (7, N(N+1)/2) coefficients
+    # peak at about 45 MiB; all 21 degrees took about 107 MiB
+    import tracemalloc
+
+    d = expand(GeneratorSet(5, [[1, 1, 1, 1]]))
+    beta_pattern(d, 6)  # warm the caches outside the trace
+    tracemalloc.start()
+    try:
+        pattern = beta_pattern(d, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pattern.values) == 6
+    assert peak < 60 * 2**20
 
 
 # --- full patterns -------------------------------------------------------------

@@ -69,6 +69,27 @@ def test_rank_refuses_entries_that_are_not_integers():
             rank_mod(M, 5)
 
 
+BAD_LEVELS = [5.0, 4, 9, 2, 1, True, "5"]
+
+
+@pytest.mark.parametrize("q", BAD_LEVELS)
+def test_rank_refuses_level_counts_that_are_not_odd_primes(q):
+    with pytest.raises(InputError, match="level count"):
+        rank_mod([[2, 0], [0, 1]], q)
+
+
+@pytest.mark.parametrize("q", BAD_LEVELS)
+def test_enumerate_tuples_refuses_level_counts_that_are_not_odd_primes(q):
+    with pytest.raises(InputError, match="level count"):
+        enumerate_tuples(q, 2)
+
+
+@pytest.mark.parametrize("q", BAD_LEVELS)
+def test_full_factorial_refuses_level_counts_that_are_not_odd_primes(q):
+    with pytest.raises(InputError, match="level count"):
+        full_factorial(q, 1)
+
+
 def test_enumerate_tuples_order():
     tups = list(enumerate_tuples(3, 2))
     assert tups == [

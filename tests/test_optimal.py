@@ -20,6 +20,7 @@ from wtdesigns import (
     compare_patterns,
     count_recursive,
     enumerate_q2_generators,
+    expand,
     linear_permute,
     optimal_shift_linear,
     optimal_shift_williams,
@@ -858,15 +859,22 @@ def test_orbit_members_share_pattern_mirror_flag_and_type(q, n, sets, family):
 
 
 def test_full_patterns_one_per_surviving_orbit(monkeypatch):
-    # 14 linear and 56 Williams survivors, one orbit each: a full pattern for
-    # the standard design and one per orbit, against 71 before orbits
-    calls = []
+    # 14 linear and 56 Williams survivors, one orbit each: one full pattern per
+    # orbit, against 71 before orbits, and the standard design's pair kernel
+    # only up to beta_4
+    patterns, kernels = [], []
+    kernel = optimal._pattern_by_pairs
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return beta_pattern(*args, **kwargs)
+    def counted(design, k_max=None):
+        patterns.append(k_max)
+        return beta_pattern(design, k_max)
+
+    def counted_kernel(design, k_max=None):
+        kernels.append(k_max)
+        return kernel(design, k_max)
 
     monkeypatch.setattr(optimal, "beta_pattern", counted)
+    monkeypatch.setattr(optimal, "_pattern_by_pairs", counted_kernel)
     rep = search_q2(7, 8)
     orbit = optimal._cell_orbits(optimal._q2_coefficients(7, 8), 7)
     orbits = [
@@ -874,7 +882,38 @@ def test_full_patterns_one_per_surviving_orbit(monkeypatch):
         for f in (rep.linear, rep.williams)
     ]
     assert (len(rep.linear.ties), len(rep.williams.ties), orbits) == (14, 56, [1, 1])
-    assert len(calls) <= 1 + sum(orbits)
+    assert patterns == [None] * sum(orbits)
+    assert kernels == [4]
+
+
+@pytest.mark.parametrize("q,n", [(5, n) for n in range(3, 7)] + [(7, n) for n in range(3, 9)])
+def test_standard_betas_are_the_full_pattern_bits(q, n):
+    # the q2-25run and q2-49run cells: the kernel cut at degree 4 prints the
+    # same digits as the full pattern
+    rep = search_q2(q, n)
+    full = beta_pattern(expand(standard_generators(q, n))).values
+    assert repr([rep.standard_beta3, rep.standard_beta4]) == repr(list(full[2:4]))
+
+
+def test_standard_betas_keep_the_pair_bits_above_512_runs(monkeypatch):
+    # beta_pattern(d, 4) enumerates above 512 runs, and at q=23 its bits differ
+    # from the pair kernel's; the standard design keeps the full pattern's
+    monkeypatch.setattr(optimal, "_family_best", lambda *args: None)
+    rep = search_q2(23, 3)
+    d = expand(standard_generators(23, 3))
+    full = beta_pattern(d).values
+    assert repr([rep.standard_beta3, rep.standard_beta4]) == repr(list(full[2:4]))
+    assert [rep.standard_beta3, rep.standard_beta4] != list(beta_pattern(d, 4).values[2:4])
+
+
+def test_group_elements_built_once_per_column_count():
+    a, b, s, others = optimal._group_elements(5)
+    assert optimal._group_elements(5)[0] is a
+    assert len(a) == 2 * 5 * 4 and others.shape == (40, 3)
+    assert (a[0], b[0], s[0]) == (0, 1, 1)
+    for arr in (a, b, s, others):
+        with pytest.raises(ValueError):
+            arr[0] = 0
 
 
 @pytest.mark.parametrize("q,n", [(5, n) for n in range(3, 7)] + [(7, n) for n in range(3, 9)])
