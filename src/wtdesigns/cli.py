@@ -77,6 +77,16 @@ def _design_from_args(args) -> Design:
     return build_design(gen, b, "williams" if args.williams else "linear")
 
 
+def _design_flags_conflict(args) -> bool:
+    """True, after printing the usage error, when --design comes with flags it would ignore."""
+    ignored = [f"--{f}" for f in ("q", "generators", "b") if getattr(args, f) is not None]
+    ignored += ["--williams"] if args.williams else []
+    if not (args.design and ignored):
+        return False
+    print(f"error: --design cannot be combined with {', '.join(ignored)}", file=sys.stderr)
+    return True
+
+
 def cmd_construct(args) -> int:
     design = _design_from_args(args)
     save_design(design, args.out)
@@ -96,6 +106,8 @@ def _kmax_out_of_range(kmax, n: int, q: int) -> bool:
 
 
 def cmd_beta(args) -> int:
+    if _design_flags_conflict(args):
+        return USAGE_EXIT
     design = _design_from_args(args)
     if _kmax_out_of_range(args.kmax, design.n_factors, design.q):
         return USAGE_EXIT
@@ -163,6 +175,8 @@ def cmd_searchq2(args) -> int:
 
 
 def cmd_model(args) -> int:
+    if _design_flags_conflict(args):
+        return USAGE_EXIT
     design = _design_from_args(args)
     info = information_matrix(design)
     variances = estimate_variances(design)  # refuses a singular design before any output

@@ -47,7 +47,13 @@ from .recursion import RecursiveType, _classify_stack
 
 FAMILIES = ("linear", "williams")
 SEARCH_CAP = 2_000_000
-_ZERO_TOL = 1e-9  # a measure at most this large counts as zero (verify_theorem, reproduce)
+# A measure at most this large counts as zero (theorem 2's grids, catalog).
+# From q = 17 a nonzero beta_3 can lie below it: one unit of S^2 (_theorem1)
+# is 8.7e-10 at q = 17 and 4.2e-11 at q = 23. Theorem 1 checks the closed-form
+# zero exactly, so a false zero only widens theorem 2's zero set: its test
+# can only err toward FAIL. verify --theorem 2 passes at q = 13, 17, 19 and
+# 23 (0.7, 4.3, 10.0 and 30.6 s in process on a 2-vCPU host).
+_ZERO_TOL = 1e-9
 
 
 def center_preimage(q: PrimeLevel) -> int:
@@ -174,7 +180,9 @@ def _support_table(values) -> np.ndarray:
     table of (sum_i prod_j v_j[a_j, i])^2. The leading positions are
     multiplied out in chunks of about _CHUNK_BYTES and the last one enters
     through a matrix product, so the run-sums are added in BLAS order: the
-    table is accurate to rounding, not bit-identical to beta_k_stack.
+    table is accurate to rounding, not bit-identical to beta_k_stack. On
+    integer values whose run-sums and squares stay below 2^53 every step
+    is exact, and so is the table.
     """
     if len(values) == 1:
         sums = values[0].sum(axis=1)
@@ -522,61 +530,27 @@ def standard_generators(q: PrimeLevel, n: int) -> GeneratorSet:
     return GeneratorSet(q, [[1, s] for s in range(1, n - 1)])
 
 
-# Margin that _theorem1 leaves below _ZERO_TOL: a set whose table beta_3 lies
-# farther than this below the threshold passes without an exact evaluation.
-# The table and beta_k_stack both add up beta_3's T = C(n,3) terms on three
-# columns, the squared run-sums of degree (1, 1, 1) divided by N^2. Each
-# run-sum s has sum_i |p_1(x_ia) p_1(x_ib) p_1(x_ic)| <= N: Cauchy-Schwarz
-# over one column and a pair, each with mean square 1 at strength 2. So any
-# evaluation of s/N, in any product and summation order, is off by at most
-# gamma_{N+2} = (N+2)u/(1-(N+2)u), u = 2^-53, and its square, at most 1, by
-# at most (2N+12)u with the rounding of the square and the division. Two
-# evaluations of beta_3 differ by at most T(4N+24)u, plus 2T^2 u for adding
-# the terms up; beta_k_stack's terms on one or two columns are exactly zero
-# and evaluate to at most gamma_{N+2}^2 each. On the cells that SEARCH_CAP
-# admits the bound peaks at 2.25e-12 (q=11 n=7), and the tests hold it below
-# _TABLE_EPS / 10. The largest deviation measured, on the cells of the
-# q2-25run and q2-49run tables and on q=11, 13 n=5, is 7.1e-15.
-_TABLE_EPS = 1e-10
-
-
-def _universe_p1(q: int, family: str) -> np.ndarray:
-    """p_1 of every column a reduced q^2-run set can hold, at its closed-form shift.
+def _universe_levels(q: int) -> np.ndarray:
+    """Centred Williams levels of every column a reduced q^2-run set can hold.
 
     A column is fixed by its coefficient vector: the universe lists (1, 0),
     (0, 1), then (c1, c2) for c1 in 1..(q-1)/2 and c2 in 1..q-1 in product
-    order (_universe_ids gives a set's rows). Returns P with P[a, i] = p_1 of
-    universe column a in run i of the full factorial, shape (U, q^2). An
-    independent column's closed-form shift is 0, as it is never shifted.
+    order (_universe_ids gives a set's rows). Returns the (U, q^2) float64
+    integers L[a, i] = x - (q-1)/2, x the Williams level of universe column a
+    in run i at its closed-form shift (0 for an independent column).
     """
     half = (q - 1) // 2
     dep = np.array(list(product(range(1, half + 1), range(1, q))), dtype=np.int64)
     # each universe column as the one dependent column of a (U, 1, 2) stack
     C = np.vstack([np.eye(2, dtype=np.int64), dep])[:, None, :]
-    members = _member_stacks(C, _closed_form_shifts(C, q, family), q, family)
-    levels = np.concatenate([rows[:, :, 2] for rows in members])
-    return orthonormal_basis(q).values[1, levels]
+    members = _member_stacks(C, _closed_form_shifts(C, q, "williams"), q, "williams")
+    return np.concatenate([rows[:, :, 2] for rows in members]) - float(half)
 
 
 def _universe_ids(C: np.ndarray, q: int) -> np.ndarray:
     """Universe rows of the n columns of each set of a (B, m, 2) coefficient stack, shape (B, n)."""
     dep = 2 + (C[..., 0] - 1) * (q - 1) + C[..., 1] - 1
     return np.concatenate([np.broadcast_to([0, 1], (len(C), 2)), dep], axis=1)
-
-
-def _table_beta3(ids: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """beta_3 of each set of universe columns, within rounding (see _TABLE_EPS).
-
-    ids is a (B, n) stack of universe rows and P the _universe_p1.
-    Strength 2 zeroes the terms on one or two columns, so beta_3 is the sum
-    over the set's column triples of their (1,1,1) squared run-sums, looked
-    up in one universe^3 table.
-    """
-    t111 = _support_table([P] * 3)
-    total = np.zeros(len(ids))
-    for a, b, c in combinations(range(ids.shape[1]), 3):
-        total += t111[ids[:, a], ids[:, b], ids[:, c]]
-    return total / P.shape[1] ** 2
 
 
 def _family_best(C, orbit, reps, q, family) -> FamilyBest:
@@ -675,17 +649,25 @@ def count_recursive(q: PrimeLevel, n: int):
 # returns a (set, why) pair per failing set, in cell order.
 
 
-def _theorem1(C, q) -> list:
-    # Every set is screened, not one per orbit: orbit members share beta_3
-    # only at a shift that satisfies the theorem's closed form, so a check
-    # on representatives would assume what it checks.
+def _run_sum_totals(C, q) -> np.ndarray:
+    """Each set's sum, over its column triples, of S^2 for the integer run-sum S
+    of their _universe_levels: exact, as |S| < 2^20 and every sum < 2^53."""
+    table = _support_table([_universe_levels(q)] * 3)
     ids = _universe_ids(C, q)
-    # a table value this far below the threshold passes; the others are
-    # decided, and printed, by their exact beta_3
-    suspect = C[_table_beta3(ids, _universe_p1(q, "williams")) > _ZERO_TOL - _TABLE_EPS]
-    b = _closed_form_shifts(suspect, q, "williams")
-    betas = _member_betas(suspect, b, q, "williams", (3,))[:, 0]
-    return [(coeffs, f"beta3={v:.3g}") for coeffs, v in zip(suspect, betas) if v > _ZERO_TOL]
+    triples = combinations(range(ids.shape[1]), 3)
+    return sum(table[ids[:, a], ids[:, b], ids[:, c]] for a, b, c in triples)
+
+
+def _theorem1(C, q) -> list:
+    # Every set is checked, not one per orbit: orbit members share beta_3
+    # only at a shift that satisfies the theorem's closed form, so a check
+    # on representatives would assume what it checks. At strength 2 only
+    # three-column terms remain and p_1 = rho * centred level, so beta_3 =
+    # rho^6 / N^2 * total: a set fails exactly when its total is nonzero.
+    # rho is read first, so q > MAX_LEVELS is refused before the table.
+    rho = orthonormal_basis(q).rho
+    total = _run_sum_totals(C, q)
+    return [(coeffs, f"beta3={rho**6 * t / q**4:.3g}") for coeffs, t in zip(C, total) if t]
 
 
 def _theorem2(C, q) -> list:

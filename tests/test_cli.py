@@ -174,6 +174,21 @@ def test_beta_needs_a_design_source(capsys):
     assert "provide either" in err
 
 
+@pytest.mark.parametrize("command", ["beta", "model"])
+def test_design_file_with_generator_flags_is_usage_error(tmp_path, capsys, command):
+    # --design would drop these flags; refused before the file is read, so a
+    # missing file still gives the usage error
+    missing = tmp_path / "missing.txt"
+    for flags, named in [
+        (["--williams"], "--williams"),
+        (["--q", "5", "--generators", "1,1", "--b", "2"], "--q, --generators, --b"),
+    ]:
+        code, stdout, err = run(capsys, command, "--design", str(missing), *flags)
+        assert code == 1
+        assert stdout == ""
+        assert err == f"error: --design cannot be combined with {named}\n"
+
+
 # --- search ------------------------------------------------------------------------
 
 def test_search_winner(capsys):

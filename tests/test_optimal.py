@@ -2,7 +2,7 @@
 
 import json
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from math import comb
 from pathlib import Path
 
@@ -755,40 +755,66 @@ def test_search_q2_equals_the_exact_sweep(q, n):
         assert repr(got) == repr(want)
 
 
+def _brute_run_sum_totals(q, n):
+    # int64 sums of S^2 over the column triples of every Williams set at its
+    # closed-form shift, S the run-sum of three centred levels
+    C = np.concatenate(list(optimal._q2_coefficient_blocks(q, n)))
+    shifts = optimal._closed_form_shifts(C, q, "williams")
+    totals = []
+    for rows in optimal._member_stacks(C, shifts, q, "williams"):
+        x = rows - (q - 1) // 2
+        totals.append(sum(
+            (x[:, :, a] * x[:, :, b] * x[:, :, c]).sum(axis=1) ** 2
+            for a, b, c in combinations(range(n), 3)
+        ))
+    return C, np.concatenate(totals)
+
+
 @pytest.mark.parametrize("q,n", Q2_CELLS)
 def test_table_betas_stay_far_inside_the_band(q, n):
-    assert optimal._TABLE_EPS <= DEFAULT_TOL / 100
-    for family in ("linear", "williams"):
-        C, betas = _exact_cell(q, n, family)
-        ids, P = optimal._universe_ids(C, q), optimal._universe_p1(q, family)
-        deviation = np.abs(optimal._table_beta3(ids, P) - betas[:, 0]).max()
-        assert deviation <= optimal._TABLE_EPS / 1000, family
+    # theorem 1's run-sum totals are exact, and beta_3 = rho^6 / N^2 times
+    # the total lies within 1e-13 of beta_k_stack's, far inside DEFAULT_TOL
+    C, want = _brute_run_sum_totals(q, n)
+    got = optimal._run_sum_totals(C, q)
+    assert np.array_equal(got, want)
+    _, betas = _exact_cell(q, n, "williams")
+    rho = orthonormal_basis(q).rho
+    assert np.abs(rho**6 * got / q**4 - betas[:, 0]).max() <= 1e-13
 
 
-def test_beta3_rounding_bound_stays_inside_the_margin():
-    # the forward-error bound of the _TABLE_EPS comment, T = C(n,3) terms of
-    # N = q^2 runs, on every cell that SEARCH_CAP admits: raising the cap past
-    # the margin fails here
-    worst = 0.0
-    for q in range(3, MAX_LEVELS + 1):
-        if any(q % p == 0 for p in range(2, q)):
+def test_run_sum_totals_stay_exact_in_float64():
+    # |S| <= N ((q-1)/2)^3 at N = q^2 runs, and a set holds at most C(q+1, 3)
+    # column triples: every total is an integer below 2^53, so float64 holds
+    # it, and every partial sum on the way, exactly
+    checked = 0
+    for q in range(3, MAX_LEVELS + 1, 2):
+        if any(q % p == 0 for p in range(3, q, 2)):
             continue
-        for n in range(3, q + 2):
-            try:
-                optimal._check_q2_cell(q, n)
-            except CapExceededError:
-                continue
-            N, T = q * q, comb(n, 3)
-            worst = max(worst, T * (4 * N + 24 + 2 * T) * 2.0**-53)
-    assert 0 < worst <= optimal._TABLE_EPS / 10
+        assert comb(q + 1, 3) * (q * q * ((q - 1) // 2) ** 3) ** 2 < 2**53, q
+        checked += 1
+    assert checked == 8  # 3, 5, 7, 11, 13, 17, 19, 23
 
 
 def test_table_betas_do_not_depend_on_the_chunk_size(monkeypatch):
-    C, betas = _exact_cell(7, 6, "williams")
-    ids = optimal._universe_ids(C, 7)
-    P = optimal._universe_p1(7, "williams")
+    C, want = _brute_run_sum_totals(7, 6)
     monkeypatch.setattr(optimal, "_CHUNK_BYTES", 3 * 8 * 49)  # one head column per table chunk
-    assert np.abs(optimal._table_beta3(ids, P) - betas[:, 0]).max() <= 1e-13
+    assert np.array_equal(optimal._run_sum_totals(C, 7), want)
+
+
+def test_theorem1_reports_a_beta3_below_the_zero_tolerance(monkeypatch):
+    # at q = 23 one unit of S^2 is 4.2e-11 of beta_3: with a wrong centre,
+    # nine units are a failure that a 1e-9 threshold would pass
+    monkeypatch.setattr(optimal, "center_preimage", lambda q: 0)
+    assert "n=3 C=[[2, 4]]: beta3=3.78e-10" in verify_theorem(1, 23, 3)
+
+
+def test_theorem1_refuses_q_above_max_levels_before_the_table(monkeypatch):
+    def no_table(values):
+        raise AssertionError("the universe table was built for q > MAX_LEVELS")
+
+    monkeypatch.setattr(optimal, "_support_table", no_table)
+    with pytest.raises(InputError, match="q=29 exceeds 23"):
+        verify_theorem(1, 29, 3)
 
 
 # --- Cheng-Ye orbits of the q^2 generator space --------------------------------

@@ -68,3 +68,11 @@ def test_one_tie_band():
         obj = getattr(wtdesigns, name)
         if callable(obj) and not (isinstance(obj, type) and issubclass(obj, Exception)):
             assert "tol" not in inspect.signature(obj).parameters, name
+
+
+def test_theorem1_is_decided_on_the_integer_table():
+    # no float threshold and no per-set enumeration: theorem 1 decides and
+    # prints every set from its exact run-sum total alone
+    exact = {("optimal", "_theorem1"), ("optimal", "_run_sum_totals")}
+    for name in ("_ZERO_TOL", "_member_betas", "beta_k_stack"):
+        assert not exact & set(_references(name)), name
