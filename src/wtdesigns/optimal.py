@@ -9,8 +9,8 @@ Families:
     williams : the Williams transformation of that shifted design
 """
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations, product
 from math import comb, prod
 from typing import Optional
@@ -84,8 +84,11 @@ def optimal_shift_williams(gen: GeneratorSet) -> list:
 def optimal_shift_linear(gen: GeneratorSet) -> list:
     """Closed-form shift vector for the plain linear-permutation family.
 
-    Component i is (1 - sum_j c_ij) * (q-1)/2 mod q; the shifted design is
-    mirror-symmetric around the center level.
+    Component i is b_i = (1 - sum_j c_ij) * (q-1)/2 mod q, so 2 b_i =
+    sum_j c_ij - 1 (mod q), and the shifted design is mirror-symmetric: the
+    reflection x -> -1 - x of the independent levels keeps the runs, and
+    takes column i, c_i.x + b_i, to -sum_j c_ij - c_i.x + b_i, which is
+    -1 - c_i.x - b_i, its reflection. So its odd-degree measures vanish.
     """
     return _closed_form_shifts(gen.C, gen.q, "linear").tolist()
 
@@ -487,12 +490,20 @@ class FamilyBest(SearchReport):
     """Winner of a generator-space search for one family.
 
     Its ties are generator sets, not shift vectors, and b is the winner's
-    closed-form shift. beta3 and beta4 are the winner's exact beta_3 and
-    beta_4 (beta_k_stack), the values the search pruned on.
+    closed-form shift at q levels. beta3 and beta4 are its exact beta_3 and
+    beta_4 (beta_k_stack), as printed. pattern, its full pattern, is built
+    by _member_patterns when first read: the search itself may build none.
     """
 
+    def _pattern(self) -> tuple:
+        C, b = np.array([self.generators]), np.array([self.b])
+        return tuple(_member_patterns(C, b, self.q, self.family, None)[0].tolist())
+
+    # __init__ leaves it unset, so the cached_property computes it on read
+    pattern: tuple = field(init=False, repr=False, compare=False, default=cached_property(_pattern))
     beta3: float
     beta4: float
+    q: int
 
 
 @dataclass(frozen=True)
@@ -506,11 +517,9 @@ class Q2Report:
     williams: FamilyBest
 
     def to_json_dict(self) -> dict:
-        def fam(f):
-            out = f.to_json_dict(self.q, self.n)
-            del out["q"], out["n"]
-            out["beta"] = [f.beta3, f.beta4]
-            return out
+        def fam(f):  # SearchReport's keys, beta holding the printed beta_3 and beta_4
+            keys = ("family", "generators", "b", "beta", "ties", "evaluations", "decided_k")
+            return {k: [f.beta3, f.beta4] if k == "beta" else getattr(f, k) for k in keys}
 
         return {
             "q": self.q,
@@ -554,40 +563,43 @@ def _universe_ids(C: np.ndarray, q: int) -> np.ndarray:
 
 
 def _family_best(C, orbit, reps, q, family) -> FamilyBest:
-    """The family's best set: sequential minimisation of beta_3, beta_4, then full patterns.
+    """The family's best set: sequential minimisation of beta_4, then full patterns.
 
     C is the whole cell in tolist order, orbit its _cell_orbits labels and
     reps the position of each orbit's first (lexicographically smallest)
     member. Column permutation and level reversal preserve the pattern at
     the closed-form shift up to rounding (within 2e-13 of max(1, beta_k)
     on the sampled orbits of the tests), so the search prunes one orbit at
-    a time: _rank_candidates cuts the representatives on their exact
-    beta_3 and beta_4 (beta_k_stack), each surviving representative gets
-    one full pattern, and _rank_candidates ranks those. Every member of a
-    kept orbit is a tie. The winner is a representative, so beta3, beta4
-    and pattern are its own.
+    a time. Every member is mirror-symmetric at its closed-form shift
+    (optimal_shift_linear, theorem 4), so beta_3 is rounding and cuts
+    nothing: _rank_candidates cuts the representatives on their exact
+    beta_4 (beta_k_stack) and, only if two or more survive, ranks them on
+    full patterns. Every member of a kept orbit is a tie. The winner is a
+    representative, so beta3, beta4 and pattern are its own.
     """
     b = _closed_form_shifts(C[reps], q, family)
-    betas = _member_betas(C[reps], b, q, family, (3, 4))
-    alive, decided = _rank_candidates(len(betas), betas.T)
+    beta4 = _member_betas(C[reps], b, q, family, (4,))
+    alive, decided = _rank_candidates(len(beta4), beta4.T)
     if decided is not None:
-        decided += 2  # column 0 is beta_3
+        decided += 3  # the one column is beta_4
 
     survivors, b = C[reps[alive]], b[alive]
-    patterns = _member_patterns(survivors, b, q, family, None)
-    kept, sub_decided = _rank_candidates(len(patterns), patterns.T)
-    if sub_decided is not None:
-        decided = sub_decided
+    kept = [0]
+    if len(alive) > 1:
+        patterns = _member_patterns(survivors, b, q, family, None)
+        kept, sub_decided = _rank_candidates(len(patterns), patterns.T)
+        if sub_decided is not None:
+            decided = sub_decided
 
     win = kept[0]
-    beta3, beta4 = betas[alive[win]].tolist()
+    beta3 = _member_betas(survivors[win][None], b[win][None], q, family, (3,))
     return FamilyBest(
         family=family,
         generators=survivors[win].tolist(),
         b=b[win].tolist(),
-        beta3=beta3,
-        beta4=beta4,
-        pattern=tuple(patterns[win].tolist()),
+        beta3=float(beta3[0, 0]),
+        beta4=float(beta4[alive[win], 0]),
+        q=q,
         ties=C[np.isin(orbit, orbit[reps[alive[kept]]])].tolist(),
         evaluations=len(C),
         decided_k=decided,
@@ -602,11 +614,12 @@ def search_q2(q: PrimeLevel, n: int) -> Q2Report:
     pattern-equal generator sets reported as ties. Column permutation and
     level reversal (Cheng and Ye, 2004) preserve the pattern, so every set
     of the cell is labelled with its orbit once (_cell_orbits), and each
-    family is pruned and ranked one orbit at a time, on the exact beta_3,
-    beta_4 and full pattern of the orbit's lexicographically smallest
-    member (_family_best). The ties are whole orbits. The standard design's
-    beta_3 and beta_4 come from the pair kernel cut off at degree 4, which
-    gives the bits of its full pattern.
+    family is pruned one orbit at a time on the exact beta_4 of the orbit's
+    lexicographically smallest member, and ranked on full patterns only
+    where two or more orbits survive (_family_best). The ties are whole
+    orbits, and a winner's full pattern is built when it is first read.
+    The standard design's beta_3 and beta_4 come from the pair kernel cut
+    off at degree 4, which gives the bits of its full pattern.
     """
     std = standard_generators(q, n)
     C = _q2_coefficients(q, n)
@@ -645,48 +658,49 @@ def count_recursive(q: PrimeLevel, n: int):
     return c1, c2, c3
 
 
-# Each theorem checks one cell, the (B, m, 2) stack C of _q2_coefficients, and
-# returns a (set, why) pair per failing set, in cell order.
+# Each theorem checks the cells of one run, _q2_coefficients stacks C in order
+# of n, and yields a (set, why) pair per failing set, in cell order.
 
 
-def _run_sum_totals(C, q) -> np.ndarray:
-    """Each set's sum, over its column triples, of S^2 for the integer run-sum S
-    of their _universe_levels: exact, as |S| < 2^20 and every sum < 2^53."""
-    table = _support_table([_universe_levels(q)] * 3)
+def _run_sum_totals(C, q, table) -> np.ndarray:
+    """Each set's sum, over its column triples, of S^2 for the integer run-sum S of
+    their _universe_levels, read from their U^3 table: exact, as |S| < 2^20 and every sum < 2^53."""
     ids = _universe_ids(C, q)
     triples = combinations(range(ids.shape[1]), 3)
     return sum(table[ids[:, a], ids[:, b], ids[:, c]] for a, b, c in triples)
 
 
-def _theorem1(C, q) -> list:
+def _theorem1(cells, q):
     # Every set is checked, not one per orbit: orbit members share beta_3
     # only at a shift that satisfies the theorem's closed form, so a check
     # on representatives would assume what it checks. At strength 2 only
     # three-column terms remain and p_1 = rho * centred level, so beta_3 =
     # rho^6 / N^2 * total: a set fails exactly when its total is nonzero.
-    # rho is read first, so q > MAX_LEVELS is refused before the table.
+    # rho is read first, so q > MAX_LEVELS is refused before the one table.
     rho = orthonormal_basis(q).rho
-    total = _run_sum_totals(C, q)
-    return [(coeffs, f"beta3={rho**6 * t / q**4:.3g}") for coeffs, t in zip(C, total) if t]
+    table = _support_table([_universe_levels(q)] * 3)
+    for C in cells:
+        total = _run_sum_totals(C, q, table)
+        yield from ((coeffs, f"beta3={rho**6 * t / q**4:.3g}") for coeffs, t in zip(C, total) if t)
 
 
-def _theorem2(C, q) -> list:
-    failures = []
-    for coeffs in C[_classify_stack(C, q) == RecursiveType.TYPE_II]:
-        gen = GeneratorSet(q, coeffs)
-        zeros = np.argwhere(shift_grid_beta(gen, "williams", 3) <= _ZERO_TOL).tolist()
-        expect = optimal_shift_williams(gen)
-        if zeros != [expect]:
-            failures.append((coeffs, f"zero set {zeros}, expected [{expect}]"))
-    return failures
+def _theorem2(cells, q):
+    for C in cells:
+        for coeffs in C[_classify_stack(C, q) == RecursiveType.TYPE_II]:
+            gen = GeneratorSet(q, coeffs)
+            zeros = np.argwhere(shift_grid_beta(gen, "williams", 3) <= _ZERO_TOL).tolist()
+            expect = optimal_shift_williams(gen)
+            if zeros != [expect]:
+                yield coeffs, f"zero set {zeros}, expected [{expect}]"
 
 
-def _theorem4(C, q) -> list:
-    b = _closed_form_shifts(C, q, "williams")
-    mirrored = np.concatenate([
-        mirror_symmetric_stack(rows, q) for rows in _member_stacks(C, b, q, "williams")
-    ])
-    return [(coeffs, "not mirror-symmetric") for coeffs in C[~mirrored]]
+def _theorem4(cells, q):
+    for C in cells:
+        b = _closed_form_shifts(C, q, "williams")
+        mirrored = np.concatenate([
+            mirror_symmetric_stack(rows, q) for rows in _member_stacks(C, b, q, "williams")
+        ])
+        yield from ((coeffs, "not mirror-symmetric") for coeffs in C[~mirrored])
 
 
 _THEOREMS = {1: _theorem1, 2: _theorem2, 4: _theorem4}
@@ -726,7 +740,6 @@ def verify_theorem(theorem: int, q: PrimeLevel, nmax: int) -> list:
     for n in ns:
         _check_q2_cell(q, n)
     return [
-        f"n={n} C={coeffs.tolist()}: {why}"
-        for n in ns
-        for coeffs, why in _THEOREMS[theorem](_q2_coefficients(q, n), q)
+        f"n={len(coeffs) + 2} C={coeffs.tolist()}: {why}"
+        for coeffs, why in _THEOREMS[theorem]((_q2_coefficients(q, n) for n in ns), q)
     ]

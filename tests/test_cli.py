@@ -536,6 +536,21 @@ def test_searchq2_json_matches_recorded_bytes(capsys, n):
     assert stdout == want
 
 
+LARGE_Q2_REFERENCE = Path(__file__).resolve().parent / "reference" / "searchq2.json"
+
+
+@pytest.mark.parametrize("cell", ["11,5", "13,5", "17,4"])
+def test_searchq2_json_matches_recorded_bytes_on_large_cells(capsys, cell):
+    # 121- to 289-run members, whose winners' full patterns are built only
+    # when read; recorded before the search stopped building them
+    with open(LARGE_Q2_REFERENCE, encoding="utf-8") as fh:
+        want = json.load(fh)["outputs"][cell]
+    q, n = cell.split(",")
+    code, stdout, _ = run(capsys, "searchq2", "--q", q, "--n", n, "--json")
+    assert code == 0
+    assert stdout == want
+
+
 SHIFT_REFERENCE = Q2_REFERENCE.with_name("shift-scan.json")
 
 

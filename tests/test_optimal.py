@@ -699,7 +699,8 @@ def _exact_cell(q, n, family):
 
 def _exact_family_best(q, n, family):
     # the generator search without tables: exact beta_3 and beta_4 of every
-    # set, _keep_minimal on each, then full patterns ranked for the survivors
+    # set, _keep_minimal on each, then full patterns ranked for the survivors;
+    # returns the report and the winner's full pattern
     from wtdesigns.optimal import FamilyBest
 
     C, betas = _exact_cell(q, n, family)
@@ -723,17 +724,18 @@ def _exact_family_best(q, n, family):
         patterns = [patterns[i] for i in idx]
     order = sorted(range(len(alive)), key=lambda i: C[alive[i]].tolist())
     win = alive[order[0]]
-    return FamilyBest(
+    best = FamilyBest(
         family=family,
         generators=C[win].tolist(),
         b=b[win].tolist(),
         beta3=float(betas[win, 0]),
         beta4=float(betas[win, 1]),
-        pattern=patterns[order[0]],
+        q=q,
         ties=[C[alive[i]].tolist() for i in order],
         evaluations=len(C),
         decided_k=decided,
     )
+    return best, patterns[order[0]]
 
 
 # every cell of the q2-25run and q2-49run tables, and the five-column cells
@@ -749,10 +751,30 @@ Q2_CELLS = (
 def test_search_q2_equals_the_exact_sweep(q, n):
     rep = search_q2(q, n)
     for family in ("linear", "williams"):
-        got, want = getattr(rep, family), _exact_family_best(q, n, family)
-        # repr prints every float to the last bit
+        got = getattr(rep, family)
+        want, pattern = _exact_family_best(q, n, family)
+        # repr prints every float to the last bit; the pattern is built on read
         assert got == want
         assert repr(got) == repr(want)
+        assert repr(got.pattern) == repr(pattern)
+
+
+@pytest.mark.parametrize("q,n", [(3, 3), (3, 4)] + Q2_CELLS)
+def test_beta3_cuts_no_set_at_the_closed_form_shift(q, n):
+    # search_q2 cuts on beta_4 alone. At its closed-form shift every linear
+    # member is mirror-symmetric (optimal_shift_linear; theorem 4 checks the
+    # Williams family), so its odd run-sums cancel and beta_3 is rounding,
+    # far inside the tie band, in both families and on every set
+    C = optimal._q2_coefficients(q, n)
+    b = optimal._closed_form_shifts(C, q, "linear")
+    stacks = optimal._member_stacks(C, b, q, "linear")
+    assert np.concatenate([mirror_symmetric_stack(rows, q) for rows in stacks]).all()
+    for family in ("linear", "williams"):
+        assert _exact_cell(q, n, family)[1][:, 0].max() < 1e-20
+
+
+def _universe_table(q):
+    return optimal._support_table([optimal._universe_levels(q)] * 3)
 
 
 def _brute_run_sum_totals(q, n):
@@ -775,7 +797,7 @@ def test_table_betas_stay_far_inside_the_band(q, n):
     # theorem 1's run-sum totals are exact, and beta_3 = rho^6 / N^2 times
     # the total lies within 1e-13 of beta_k_stack's, far inside DEFAULT_TOL
     C, want = _brute_run_sum_totals(q, n)
-    got = optimal._run_sum_totals(C, q)
+    got = optimal._run_sum_totals(C, q, _universe_table(q))
     assert np.array_equal(got, want)
     _, betas = _exact_cell(q, n, "williams")
     rho = orthonormal_basis(q).rho
@@ -798,7 +820,21 @@ def test_run_sum_totals_stay_exact_in_float64():
 def test_table_betas_do_not_depend_on_the_chunk_size(monkeypatch):
     C, want = _brute_run_sum_totals(7, 6)
     monkeypatch.setattr(optimal, "_CHUNK_BYTES", 3 * 8 * 49)  # one head column per table chunk
-    assert np.array_equal(optimal._run_sum_totals(C, 7), want)
+    assert np.array_equal(optimal._run_sum_totals(C, 7, _universe_table(7)), want)
+
+
+def test_theorem1_builds_its_table_once_per_run(monkeypatch):
+    # one U^3 table serves every cell of the run, n = 3..6 here
+    calls = []
+    support_table = optimal._support_table
+
+    def counted(values):
+        calls.append(len(values))
+        return support_table(values)
+
+    monkeypatch.setattr(optimal, "_support_table", counted)
+    assert verify_theorem(1, 11, 6) == []
+    assert calls == [3]
 
 
 def test_theorem1_reports_a_beta3_below_the_zero_tolerance(monkeypatch):
@@ -884,10 +920,14 @@ def test_orbit_members_share_pattern_mirror_flag_and_type(q, n, sets, family):
         assert len(set(_classify_stack(members, q).tolist())) == 1
 
 
+def _surviving_orbits(q, n, family_best):
+    orbit = optimal._cell_orbits(optimal._q2_coefficients(q, n), q)
+    return len(np.unique(orbit[optimal._cell_index(np.array(family_best.ties), q)]))
+
+
 def test_full_patterns_one_per_surviving_orbit(monkeypatch):
-    # 14 linear and 56 Williams survivors, one orbit each: one full pattern per
-    # orbit, against 71 before orbits, and the standard design's pair kernel
-    # only up to beta_4
+    # 14 linear and 56 Williams ties, one orbit each: no full pattern during
+    # the search, and the standard design's pair kernel only up to beta_4
     patterns, kernels = [], []
     kernel = optimal._pattern_by_pairs
 
@@ -902,14 +942,35 @@ def test_full_patterns_one_per_surviving_orbit(monkeypatch):
     monkeypatch.setattr(optimal, "beta_pattern", counted)
     monkeypatch.setattr(optimal, "_pattern_by_pairs", counted_kernel)
     rep = search_q2(7, 8)
-    orbit = optimal._cell_orbits(optimal._q2_coefficients(7, 8), 7)
-    orbits = [
-        len(np.unique(orbit[optimal._cell_index(np.array(f.ties), 7)]))
-        for f in (rep.linear, rep.williams)
-    ]
+    orbits = [_surviving_orbits(7, 8, f) for f in (rep.linear, rep.williams)]
     assert (len(rep.linear.ties), len(rep.williams.ties), orbits) == (14, 56, [1, 1])
-    assert patterns == [None] * sum(orbits)
-    assert kernels == [4]
+    assert patterns == [] and kernels == [4]
+    # a winner's pattern is built on its first read, once
+    first = rep.williams.pattern
+    assert patterns == [None]
+    assert rep.williams.pattern is first and patterns == [None]
+    assert len(first) == 8 * 6
+
+    # q=7 n=3: two linear orbits and one Williams orbit tie on beta_4, so
+    # the linear search ranks two full patterns, one per orbit, and keeps one
+    C = optimal._q2_coefficients(7, 3)
+    orbit = optimal._cell_orbits(C, 7)
+    tied = {}
+    for family in ("linear", "williams"):
+        beta4 = optimal._member_betas(C, optimal._closed_form_shifts(C, 7, family), 7, family, (4,))
+        tied[family] = len(np.unique(orbit[_keep_minimal(beta4[:, 0])]))
+    assert tied == {"linear": 2, "williams": 1}
+    ranked, member_patterns = [], optimal._member_patterns
+
+    def spied(C, b, q, family, k_max):
+        ranked.append((family, len(b)))
+        return member_patterns(C, b, q, family, k_max)
+
+    monkeypatch.setattr(optimal, "_member_patterns", spied)
+    patterns.clear()
+    rep = search_q2(7, 3)
+    assert ranked == [("linear", 2)] and patterns == [None, None]
+    assert _surviving_orbits(7, 3, rep.linear) == 1 and rep.linear.decided_k == 6
 
 
 @pytest.mark.parametrize("q,n", [(5, n) for n in range(3, 7)] + [(7, n) for n in range(3, 9)])
