@@ -13,14 +13,13 @@ from .designs import GeneratorSet, expand
 from .errors import InputError
 from .models import estimate_variances, information_matrix
 from .optimal import (
-    _ZERO_TOL,
+    _triple_totals,
     build_design,
     count_recursive,
     optimal_shift_linear,
     optimal_shift_williams,
     search_q2,
     shift_betas,
-    shift_grid_beta,
     standard_generators,
 )
 
@@ -235,7 +234,8 @@ def _reproduce_q2(g):
         chk.printed(f"n={n} standard beta3", report.standard_beta3, row["standard"][0])
         chk.printed(f"n={n} standard beta4", report.standard_beta4, row["standard"][1])
         for fam_name, fam in (("linear", report.linear), ("williams", report.williams)):
-            if fam.beta3 > _ZERO_TOL:
+            totals = _triple_totals(GeneratorSet(g["q"], fam.generators), fam_name)
+            if totals[tuple(fam.b)]:
                 chk.failures.append(
                     f"n={n} {fam_name} winner beta3 = {fam.beta3:.3g}, expected 0"
                 )
@@ -301,8 +301,8 @@ def _reproduce_info_compare(g):
 
 def _reproduce_example7(g):
     gen = GeneratorSet(g["q"], g["generators"])
-    grid = shift_grid_beta(gen, "williams", 3)
-    zeros = np.argwhere(grid <= _ZERO_TOL)
+    grid = _triple_totals(gen, "williams")
+    zeros = np.argwhere(grid == 0)
     chk = _Checker()
     chk.exact("count of shifts with beta3 = 0", len(zeros), 1)
     best = [int(v) for v in zeros[0]] if len(zeros) else None

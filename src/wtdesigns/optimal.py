@@ -47,13 +47,6 @@ from .recursion import RecursiveType, _classify_stack
 
 FAMILIES = ("linear", "williams")
 SEARCH_CAP = 2_000_000
-# A measure at most this large counts as zero (theorem 2's grids, catalog).
-# From q = 17 a nonzero beta_3 can lie below it: one unit of S^2 (_theorem1)
-# is 8.7e-10 at q = 17 and 4.2e-11 at q = 23. Theorem 1 checks the closed-form
-# zero exactly, so a false zero only widens theorem 2's zero set: its test
-# can only err toward FAIL. verify --theorem 2 passes at q = 13, 17, 19 and
-# 23 (0.7, 4.3, 10.0 and 30.6 s in process on a 2-vCPU host).
-_ZERO_TOL = 1e-9
 
 
 def center_preimage(q: PrimeLevel) -> int:
@@ -227,32 +220,29 @@ def _fold_tables(out: np.ndarray, tables: list) -> None:
     out += sub
 
 
-def shift_grid_beta(gen: GeneratorSet, family: str, k: int) -> np.ndarray:
-    """beta_k of every shift vector at once, as an array of shape (q,)*m.
+def _shift_grid(gen: GeneratorSet, family: str, k: int, P: np.ndarray, divisor: int) -> np.ndarray:
+    """Every shift vector's sum over the degree-k exponent vectors u of
+    (sum_runs prod_j P[u_j](level_j))^2 / divisor, as an array of shape (q,)*m.
 
+    P[u] holds degree u's value at each of the q levels, and P[0] = 1.
     Every member is an orthogonal array of strength 2, so an exponent
-    vector whose support has fewer than three columns has a run-sum of
-    exactly zero and is skipped. Any other exponent vector's term depends
-    only on the shifts of the dependent columns in its support: a
-    _support_table over those shifts. The tables are summed and divided by
-    N^2 per set of dependent columns, and _fold_tables adds them up into
-    the grid axis by axis. This evaluates all q^m candidates for the price
-    of the tables; the values are accurate to rounding, not bit-identical
-    to shift_betas, and search_shifts only prunes on them.
+    vector whose support has fewer than three columns is skipped: on an
+    orthonormal basis its run-sum is exactly zero. Any other exponent
+    vector has entries up to k - 2 only, and its term depends only on the
+    shifts of the dependent columns in its support: a _support_table over
+    those shifts. The tables are summed and divided by divisor per set of
+    dependent columns, and _fold_tables adds them up into the grid axis by
+    axis. This evaluates all q^m candidates for the price of the tables.
     """
-    _check_family(family)
     q, m, n = gen.q, gen.m, gen.n
-    _check_k(k, n, q)
     d = n - m
     full = expand(gen).rows
     base, dep = full[:, :d], full[:, d:]
-    N = base.shape[0]
     relabel = williams_table(q) if family == "williams" else np.arange(q)
-    B = orthonormal_basis(q).values
-    # (q degrees, 1, N) per independent column, (q degrees, q shifts, N) per dependent one
-    ind_vals = [B[:, None, relabel[base[:, j]]] for j in range(d)]
+    # (degrees, 1, N) per independent column, (degrees, q shifts, N) per dependent one
+    ind_vals = [P[:, None, relabel[base[:, j]]] for j in range(d)]
     shifted = (dep[None, :, :] + np.arange(q)[:, None, None]) % q  # (q shifts, N, m)
-    dep_vals = [B[:, relabel[shifted[:, :, i]]] for i in range(m)]
+    dep_vals = [P[:, relabel[shifted[:, :, i]]] for i in range(m)]
     tables = {}
     for u in compositions(k, n, q - 1).tolist():
         support = [j for j in range(n) if u[j]]
@@ -265,8 +255,37 @@ def shift_grid_beta(gen: GeneratorSet, family: str, k: int) -> np.ndarray:
     if not tables:  # k <= 2
         return np.zeros((q,) * m)
     grid = np.empty((q,) * m)
-    _fold_tables(grid, [t / N**2 for t in tables.values()])
+    _fold_tables(grid, [t / divisor for t in tables.values()])
     return grid
+
+
+def shift_grid_beta(gen: GeneratorSet, family: str, k: int) -> np.ndarray:
+    """beta_k of every shift vector at once, as an array of shape (q,)*m.
+
+    The _shift_grid of the orthonormal basis, divided by N^2. The values
+    are accurate to rounding, not bit-identical to shift_betas, and
+    search_shifts only prunes on them.
+    """
+    _check_family(family)
+    _check_k(k, gen.n, gen.q)
+    N = gen.q ** (gen.n - gen.m)
+    return _shift_grid(gen, family, k, orthonormal_basis(gen.q).values[: k - 1], N**2)
+
+
+def _triple_totals(gen: GeneratorSet, family: str) -> np.ndarray:
+    """Every shift vector's sum, over the column triples, of S^2 for the integer
+    run-sum S of the triple's centred levels x - (q-1)/2, shape (q,)*m.
+
+    At strength 2 the only degree-3 exponent vectors with three or more
+    columns in their support are (1, 1, 1) on a triple, and p_1 = rho_1
+    times the centred level, so beta_3 = rho_1^6 / N^2 times the total: a
+    total is zero exactly when beta_3 is. On q^2-run sets up to q =
+    MAX_LEVELS every S^2 and every sum of them is an integer below 2^53,
+    so every step in float64 is exact, and so is the total.
+    """
+    q = gen.q
+    P = np.array([np.ones(q), np.arange(q) - (q - 1) / 2])
+    return _shift_grid(gen, family, 3, P, 1)
 
 
 def shift_betas(gen: GeneratorSet, family: str, shifts, ks) -> np.ndarray:
@@ -492,7 +511,8 @@ class FamilyBest(SearchReport):
     Its ties are generator sets, not shift vectors, and b is the winner's
     closed-form shift at q levels. beta3 and beta4 are its exact beta_3 and
     beta_4 (beta_k_stack), as printed. pattern, its full pattern, is built
-    by _member_patterns when first read: the search itself may build none.
+    by _member_patterns when first read, unless the search ranked on full
+    patterns and handed over the winner's row.
     """
 
     def _pattern(self) -> tuple:
@@ -593,7 +613,7 @@ def _family_best(C, orbit, reps, q, family) -> FamilyBest:
 
     win = kept[0]
     beta3 = _member_betas(survivors[win][None], b[win][None], q, family, (3,))
-    return FamilyBest(
+    best = FamilyBest(
         family=family,
         generators=survivors[win].tolist(),
         b=b[win].tolist(),
@@ -604,6 +624,9 @@ def _family_best(C, orbit, reps, q, family) -> FamilyBest:
         evaluations=len(C),
         decided_k=decided,
     )
+    if len(alive) > 1:  # the ranked row, in the cache the pattern property reads
+        object.__setattr__(best, "pattern", tuple(patterns[win].tolist()))
+    return best
 
 
 def search_q2(q: PrimeLevel, n: int) -> Q2Report:
@@ -685,10 +708,14 @@ def _theorem1(cells, q):
 
 
 def _theorem2(cells, q):
+    # A shift has beta_3 = 0 exactly when its integer triple total is 0.
+    # As in theorem 1, q > MAX_LEVELS is refused before any cell is
+    # classified: the totals are shown exact up to MAX_LEVELS only.
+    orthonormal_basis(q)
     for C in cells:
         for coeffs in C[_classify_stack(C, q) == RecursiveType.TYPE_II]:
             gen = GeneratorSet(q, coeffs)
-            zeros = np.argwhere(shift_grid_beta(gen, "williams", 3) <= _ZERO_TOL).tolist()
+            zeros = np.argwhere(_triple_totals(gen, "williams") == 0).tolist()
             expect = optimal_shift_williams(gen)
             if zeros != [expect]:
                 yield coeffs, f"zero set {zeros}, expected [{expect}]"

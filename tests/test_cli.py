@@ -551,6 +551,20 @@ def test_searchq2_json_matches_recorded_bytes_on_large_cells(capsys, cell):
     assert stdout == want
 
 
+ZERO_SET_REFERENCE = LARGE_Q2_REFERENCE.with_name("zero-sets.json")
+with open(ZERO_SET_REFERENCE, encoding="utf-8") as fh:
+    ZERO_SET_OUTPUTS = json.load(fh)["outputs"]
+
+
+@pytest.mark.parametrize("argv", list(ZERO_SET_OUTPUTS))
+def test_zero_set_calls_match_recorded_bytes(capsys, argv):
+    # theorem 2 at q = 3..13 and the tables that count or check beta_3 = 0,
+    # recorded while these read a 1e-9 screen on the float grid
+    want = ZERO_SET_OUTPUTS[argv]
+    code, stdout, stderr = run(capsys, *argv.split())
+    assert (code, stdout, stderr) == (want["code"], want["stdout"], want["stderr"])
+
+
 SHIFT_REFERENCE = Q2_REFERENCE.with_name("shift-scan.json")
 
 

@@ -35,6 +35,7 @@ from wtdesigns import (
     williams_value,
 )
 from wtdesigns import optimal
+from wtdesigns.cli import parse_generator_text
 from wtdesigns.designs import mirror_symmetric_stack
 from wtdesigns.aberration import DEFAULT_TOL, _keep_minimal, _rank_candidates, beta_k_stack
 from wtdesigns.orthopoly import MAX_LEVELS
@@ -584,9 +585,78 @@ def test_theorem2_grid_zero_sets_equal_the_per_shift_ones(q):
             gen = GeneratorSet(q, coeffs)
             grid = shift_grid_beta(gen, "williams", 3)
             per_shift = shift_betas(gen, "williams", shifts, (3,))[:, 0]
-            assert np.argwhere(grid <= 1e-9).tolist() == shifts[per_shift <= 1e-9].tolist()
+            zeros = np.argwhere(grid <= 1e-9).tolist()
+            assert zeros == shifts[per_shift <= 1e-9].tolist()
+            assert np.argwhere(optimal._triple_totals(gen, "williams") == 0).tolist() == zeros
             checked += 1
     assert checked == {5: 6 + 18, 7: 12 + 127}[q]  # type II, not type I
+
+
+# the q = 5, 7 and 11 grid sets of the shift-scan pool, and example7's set
+TRIPLE_SETS = [
+    (5, "1,2;2,1;2,3"),
+    (7, "2,2;3,6;3,2;3,5;2,3;3,4"),
+    (11, "3,3;5,10;4,5;1,6;5,2;5,7"),
+    (7, "1,1;1,2;1,4;1,5;2,5;2,6"),
+]
+
+
+def _brute_triple_totals(gen, family):
+    # int64: each triple's run-sums S over the shifts of its own dependent
+    # columns, from build_design's centred levels, S^2 broadcast into the grid
+    q, m, d = gen.q, gen.m, gen.n - gen.m
+    levels = np.stack([
+        build_design(gen, [s] * m, family).rows.T - (q - 1) // 2 for s in range(q)
+    ])  # (q shifts, n columns, N runs)
+    total = np.zeros((q,) * m, dtype=np.int64)
+    for triple in combinations(range(gen.n), 3):
+        sums = np.einsum(
+            "ai,bi,ci->abc", *(levels[:, j] if j >= d else levels[:1, j] for j in triple)
+        )
+        shape = [1] * m
+        for j in triple:
+            if j >= d:
+                shape[j - d] = q
+        total += (sums * sums).reshape(shape)
+    return total
+
+
+@pytest.mark.parametrize("family", ["linear", "williams"])
+@pytest.mark.parametrize("q,text", TRIPLE_SETS)
+def test_triple_totals_equal_the_int64_brute_force(q, text, family):
+    # exact at every shift; beta_3's grid is rho^6 / N^2 times them, to rounding
+    gen = parse_generator_text(text, q)
+    got = optimal._triple_totals(gen, family)
+    want = _brute_triple_totals(gen, family)
+    assert np.array_equal(got, want)
+    v = shift_grid_beta(gen, family, 3)
+    scaled = orthonormal_basis(q).rho ** 6 / q**4 * got
+    assert (np.abs(v - scaled) <= 1e-13 * np.maximum(1.0, v)).all()
+
+
+def test_triple_totals_find_the_zeros_the_float_screen_misses():
+    # a type-III set: at q = 23 one unit of S^2 is a beta_3 of 4.2e-11, so a
+    # 1e-9 screen calls all 23 shifts zero; the exact zero is the closed form
+    for q, exact, screened in (
+        (17, [4, 5, 6, 7, 14], [4, 5, 6, 7, 12, 14, 16]),
+        (23, [7], list(range(23))),
+    ):
+        gen = GeneratorSet(q, [[2, 4]])
+        totals = optimal._triple_totals(gen, "williams")
+        grid = shift_grid_beta(gen, "williams", 3)
+        assert np.flatnonzero(totals == 0).tolist() == exact
+        assert np.flatnonzero(grid <= 1e-9).tolist() == screened
+    assert totals[5] == 1 and abs(grid[5] - 4.2e-11) < 1e-12
+    assert optimal_shift_williams(gen) == [7]
+
+
+def test_theorem2_refuses_q_above_max_levels_before_classifying(monkeypatch):
+    def no_classify(C, q):
+        raise AssertionError("a cell was classified for q > MAX_LEVELS")
+
+    monkeypatch.setattr(optimal, "_classify_stack", no_classify)
+    with pytest.raises(InputError, match="q=29 exceeds 23, the largest level count"):
+        verify_theorem(2, 29, 4)
 
 
 def test_verified_nmax_is_the_range_verify_theorem_covers():
@@ -971,6 +1041,10 @@ def test_full_patterns_one_per_surviving_orbit(monkeypatch):
     rep = search_q2(7, 3)
     assert ranked == [("linear", 2)] and patterns == [None, None]
     assert _surviving_orbits(7, 3, rep.linear) == 1 and rep.linear.decided_k == 6
+    # the ranked winner's row is its pattern: reading it builds nothing more
+    ranked_row = rep.linear.pattern
+    assert patterns == [None, None]
+    assert repr(ranked_row) == repr(optimal.FamilyBest._pattern(rep.linear))
 
 
 @pytest.mark.parametrize("q,n", [(5, n) for n in range(3, 7)] + [(7, n) for n in range(3, 9)])

@@ -71,8 +71,22 @@ def test_one_tie_band():
 
 
 def test_theorem1_is_decided_on_the_integer_table():
-    # no float threshold and no per-set enumeration: theorem 1 decides and
-    # prints every set from its exact run-sum total alone
-    exact = {("optimal", "_theorem1"), ("optimal", "_run_sum_totals")}
-    for name in ("_ZERO_TOL", "_member_betas", "beta_k_stack"):
+    # no float grid and no per-set enumeration: theorems 1 and 2 decide every
+    # set from exact run-sum totals alone
+    exact = {
+        ("optimal", "_theorem1"),
+        ("optimal", "_run_sum_totals"),
+        ("optimal", "_theorem2"),
+        ("optimal", "_triple_totals"),
+    }
+    for name in ("_member_betas", "beta_k_stack", "shift_grid_beta"):
         assert not exact & set(_references(name)), name
+
+
+def test_one_zero_test():
+    # beta_3 = 0 means an integer total of 0: no zero tolerance is left, and
+    # neither theorem 2 nor the catalog reads the float grid
+    assert _references("_ZERO_TOL") == []
+    readers = _references("shift_grid_beta")
+    assert ("optimal", "_theorem2") not in readers
+    assert not [ref for ref in readers if ref[0] == "catalog"]
