@@ -9,8 +9,8 @@ Families:
     williams : the Williams transformation of that shifted design
 """
 
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import comb, prod
 from typing import Optional
@@ -38,7 +38,6 @@ from .designs import (
     shift_stack,
     williams,
     williams_levels,
-    williams_table,
 )
 from .errors import CapExceededError, InputError
 from .fieldmath import PrimeLevel, check_int, check_odd_prime, int_array
@@ -170,19 +169,16 @@ class SearchReport:
 def _support_table(values) -> np.ndarray:
     """Squared run-sums of every choice of candidates on the positions of a support.
 
-    values[j] is a (V_j, N) array holding the candidate value vectors of
-    position j: p_{u_j} of a universe column in each run, or of one
-    dependent column at each of its q shifts. Returns the (V_1, ..., V_r)
-    table of (sum_i prod_j v_j[a_j, i])^2. The leading positions are
-    multiplied out in chunks of about _CHUNK_BYTES and the last one enters
-    through a matrix product, so the run-sums are added in BLAS order: the
-    table is accurate to rounding, not bit-identical to beta_k_stack. On
-    integer values whose run-sums and squares stay below 2^53 every step
-    is exact, and so is the table.
+    values[j] is a (V_j, N) array, for two or more positions j, holding the
+    candidate value vectors of position j: p_{u_j} of a universe column in
+    each run, or of one dependent column at each of its q shifts. Returns
+    the (V_1, ..., V_r) table of (sum_i prod_j v_j[a_j, i])^2. The leading
+    positions are multiplied out in chunks of about _CHUNK_BYTES and the
+    last one enters through a matrix product, so the run-sums are added in
+    BLAS order: the table is accurate to rounding, not bit-identical to
+    beta_k_stack. On integer values whose run-sums and squares stay below
+    2^53 every step is exact, and so is the table.
     """
-    if len(values) == 1:
-        sums = values[0].sum(axis=1)
-        return sums * sums
     head, *mid, last = values
     N = head.shape[1]
     shape = tuple(len(v) for v in values)
@@ -236,21 +232,19 @@ def _shift_grid(gen: GeneratorSet, family: str, k: int, P: np.ndarray, divisor: 
     """
     q, m, n = gen.q, gen.m, gen.n
     d = n - m
-    full = expand(gen).rows
-    base, dep = full[:, :d], full[:, d:]
-    relabel = williams_table(q) if family == "williams" else np.arange(q)
+    # member s has every dependent column at shift s: (q shifts, N, n)
+    shifts = np.arange(q)[:, None].repeat(m, axis=1)
+    levels = np.concatenate(list(_member_stacks(gen, shifts, q, family)))
     # (degrees, 1, N) per independent column, (degrees, q shifts, N) per dependent one
-    ind_vals = [P[:, None, relabel[base[:, j]]] for j in range(d)]
-    shifted = (dep[None, :, :] + np.arange(q)[:, None, None]) % q  # (q shifts, N, m)
-    dep_vals = [P[:, relabel[shifted[:, :, i]]] for i in range(m)]
+    vals = [P[:, levels[:1, :, j]] if j < d else P[:, levels[:, :, j]] for j in range(n)]
     tables = {}
     for u in compositions(k, n, q - 1).tolist():
         support = [j for j in range(n) if u[j]]
         if len(support) < 3:
             continue
-        values = [ind_vals[j][u[j]] if j < d else dep_vals[j - d][u[j]] for j in support]
-        axes = tuple(j - d for j in support if j >= d)
-        table = _support_table(values).reshape([q if a in axes else 1 for a in range(m)])
+        axes = tuple(j for j in support if j >= d)
+        table = _support_table([vals[j][u[j]] for j in support])
+        table = table.reshape([q if j in axes else 1 for j in range(d, n)])
         tables[axes] = tables.get(axes, 0.0) + table
     if not tables:  # k <= 2
         return np.zeros((q,) * m)
@@ -505,25 +499,23 @@ def _cell_orbits(C: np.ndarray, q: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class FamilyBest(SearchReport):
-    """Winner of a generator-space search for one family.
+class FamilyBest:
+    """Winner of a generator-space search for one family, as searchq2 prints it.
 
     Its ties are generator sets, not shift vectors, and b is the winner's
     closed-form shift at q levels. beta3 and beta4 are its exact beta_3 and
-    beta_4 (beta_k_stack), as printed. pattern, its full pattern, is built
-    by _member_patterns when first read, unless the search ranked on full
-    patterns and handed over the winner's row.
+    beta_4 (beta_k_stack). Its full pattern is
+    beta_pattern(build_design(GeneratorSet(q, generators), b, family)).
     """
 
-    def _pattern(self) -> tuple:
-        C, b = np.array([self.generators]), np.array([self.b])
-        return tuple(_member_patterns(C, b, self.q, self.family, None)[0].tolist())
-
-    # __init__ leaves it unset, so the cached_property computes it on read
-    pattern: tuple = field(init=False, repr=False, compare=False, default=cached_property(_pattern))
+    family: str
+    generators: list
+    b: list
+    ties: list
+    evaluations: int
+    decided_k: Optional[int]
     beta3: float
     beta4: float
-    q: int
 
 
 @dataclass(frozen=True)
@@ -537,7 +529,7 @@ class Q2Report:
     williams: FamilyBest
 
     def to_json_dict(self) -> dict:
-        def fam(f):  # SearchReport's keys, beta holding the printed beta_3 and beta_4
+        def fam(f):  # search --json's keys, beta holding the printed beta_3 and beta_4
             keys = ("family", "generators", "b", "beta", "ties", "evaluations", "decided_k")
             return {k: [f.beta3, f.beta4] if k == "beta" else getattr(f, k) for k in keys}
 
@@ -595,7 +587,7 @@ def _family_best(C, orbit, reps, q, family) -> FamilyBest:
     nothing: _rank_candidates cuts the representatives on their exact
     beta_4 (beta_k_stack) and, only if two or more survive, ranks them on
     full patterns. Every member of a kept orbit is a tie. The winner is a
-    representative, so beta3, beta4 and pattern are its own.
+    representative, so beta3 and beta4 are its own.
     """
     b = _closed_form_shifts(C[reps], q, family)
     beta4 = _member_betas(C[reps], b, q, family, (4,))
@@ -613,20 +605,16 @@ def _family_best(C, orbit, reps, q, family) -> FamilyBest:
 
     win = kept[0]
     beta3 = _member_betas(survivors[win][None], b[win][None], q, family, (3,))
-    best = FamilyBest(
+    return FamilyBest(
         family=family,
         generators=survivors[win].tolist(),
         b=b[win].tolist(),
-        beta3=float(beta3[0, 0]),
-        beta4=float(beta4[alive[win], 0]),
-        q=q,
         ties=C[np.isin(orbit, orbit[reps[alive[kept]]])].tolist(),
         evaluations=len(C),
         decided_k=decided,
+        beta3=float(beta3[0, 0]),
+        beta4=float(beta4[alive[win], 0]),
     )
-    if len(alive) > 1:  # the ranked row, in the cache the pattern property reads
-        object.__setattr__(best, "pattern", tuple(patterns[win].tolist()))
-    return best
 
 
 def search_q2(q: PrimeLevel, n: int) -> Q2Report:
@@ -640,9 +628,8 @@ def search_q2(q: PrimeLevel, n: int) -> Q2Report:
     family is pruned one orbit at a time on the exact beta_4 of the orbit's
     lexicographically smallest member, and ranked on full patterns only
     where two or more orbits survive (_family_best). The ties are whole
-    orbits, and a winner's full pattern is built when it is first read.
-    The standard design's beta_3 and beta_4 come from the pair kernel cut
-    off at degree 4, which gives the bits of its full pattern.
+    orbits. The standard design's beta_3 and beta_4 come from the pair
+    kernel cut off at degree 4, which gives the bits of its full pattern.
     """
     std = standard_generators(q, n)
     C = _q2_coefficients(q, n)

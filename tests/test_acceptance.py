@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import wtdesigns as wt
-from wtdesigns.optimal import _q2_coefficient_blocks
+from wtdesigns.optimal import _q2_coefficient_blocks, _triple_totals
 from wtdesigns.recursion import _classify_stack
 
 
@@ -223,12 +223,16 @@ def test_criterion_7_seventeen_level_counterexample(acceptance):
     }
     ok = vals[14] <= 1e-9 and vals[4] <= 1e-9
     zero_set = sorted(b for b, v in vals.items() if v <= 1e-9)
-    acceptance(7, ok, f"zero shifts {zero_set}")
+    # the witness is the exact zero set: the 1e-9 screen also passes shifts
+    # 12 and 16, whose integer triple total is 1 (beta_3 = 8.7e-10)
+    exact = np.flatnonzero(_triple_totals(gen, "williams") == 0).tolist()
+    acceptance(7, ok, f"zero shifts {exact}")
     assert vals[14] <= 1e-9 and vals[4] <= 1e-9, vals
     # the closed form picks 14; 4 is a second zero, so the zero shift is
     # not unique outside the type-II class
     assert wt.optimal_shift_williams(gen) == [14]
     assert {4, 14} <= set(zero_set)
+    assert {4, 14} <= set(exact) <= set(zero_set)
 
 
 # --- criterion 8: model diagnostics --------------------------------------------------

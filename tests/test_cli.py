@@ -537,14 +537,16 @@ def test_searchq2_json_matches_recorded_bytes(capsys, n):
 
 
 LARGE_Q2_REFERENCE = Path(__file__).resolve().parent / "reference" / "searchq2.json"
+with open(LARGE_Q2_REFERENCE, encoding="utf-8") as fh:
+    LARGE_Q2_OUTPUTS = json.load(fh)["outputs"]
 
 
-@pytest.mark.parametrize("cell", ["11,5", "13,5", "17,4"])
+@pytest.mark.parametrize("cell", list(LARGE_Q2_OUTPUTS))
 def test_searchq2_json_matches_recorded_bytes_on_large_cells(capsys, cell):
-    # 121- to 289-run members, whose winners' full patterns are built only
-    # when read; recorded before the search stopped building them
-    with open(LARGE_Q2_REFERENCE, encoding="utf-8") as fh:
-        want = json.load(fh)["outputs"][cell]
+    # 121- to 289-run members, recorded before the search stopped building
+    # their full patterns, and the q = 3 and 5 cells, recorded while the
+    # winner's record still carried one
+    want = LARGE_Q2_OUTPUTS[cell]
     q, n = cell.split(",")
     code, stdout, _ = run(capsys, "searchq2", "--q", q, "--n", n, "--json")
     assert code == 0

@@ -201,8 +201,13 @@ def _host_grid(gen, family, k, basis):
         values = [ind_vals[j][u[j]] if j < d else dep_vals[j - d][u[j]] for j in support]
         axes = [j - d for j in support if j >= d]
         host = tuple(sorted(axes + [a for a in range(m) if a not in axes][: top - len(axes)]))
+        if len(values) == 1:  # _support_table takes two or more positions
+            sums = values[0].sum(axis=1)
+            squares = sums * sums
+        else:
+            squares = optimal._support_table(values)
         table = tables.setdefault(host, np.zeros((q,) * top))
-        table += optimal._support_table(values).reshape([q if a in axes else 1 for a in host])
+        table += squares.reshape([q if a in axes else 1 for a in host])
     total = np.zeros((q,) * m)
     for host, table in tables.items():
         total += table.reshape([q if a in host else 1 for a in range(m)])
@@ -270,7 +275,7 @@ def test_fold_adds_every_table_once():
         assert np.allclose(out, sum(np.broadcast_to(t, (3,) * 4) for t in tables[:count]))
 
 
-@pytest.mark.parametrize("positions", [1, 2, 3, 4])
+@pytest.mark.parametrize("positions", [2, 3, 4])
 def test_support_table_matches_brute_force(positions, monkeypatch):
     rng = np.random.default_rng(positions)
     values = [rng.normal(size=(v, 11)) for v in (5, 1, 4, 3)[:positions]]
@@ -769,8 +774,7 @@ def _exact_cell(q, n, family):
 
 def _exact_family_best(q, n, family):
     # the generator search without tables: exact beta_3 and beta_4 of every
-    # set, _keep_minimal on each, then full patterns ranked for the survivors;
-    # returns the report and the winner's full pattern
+    # set, _keep_minimal on each, then full patterns ranked for the survivors
     from wtdesigns.optimal import FamilyBest
 
     C, betas = _exact_cell(q, n, family)
@@ -791,21 +795,18 @@ def _exact_family_best(q, n, family):
         if sub_decided is not None:
             decided = sub_decided
         alive = alive[idx]
-        patterns = [patterns[i] for i in idx]
     order = sorted(range(len(alive)), key=lambda i: C[alive[i]].tolist())
     win = alive[order[0]]
-    best = FamilyBest(
+    return FamilyBest(
         family=family,
         generators=C[win].tolist(),
         b=b[win].tolist(),
-        beta3=float(betas[win, 0]),
-        beta4=float(betas[win, 1]),
-        q=q,
         ties=[C[alive[i]].tolist() for i in order],
         evaluations=len(C),
         decided_k=decided,
+        beta3=float(betas[win, 0]),
+        beta4=float(betas[win, 1]),
     )
-    return best, patterns[order[0]]
 
 
 # every cell of the q2-25run and q2-49run tables, and the five-column cells
@@ -822,11 +823,10 @@ def test_search_q2_equals_the_exact_sweep(q, n):
     rep = search_q2(q, n)
     for family in ("linear", "williams"):
         got = getattr(rep, family)
-        want, pattern = _exact_family_best(q, n, family)
-        # repr prints every float to the last bit; the pattern is built on read
+        want = _exact_family_best(q, n, family)
+        # repr prints every float to the last bit
         assert got == want
         assert repr(got) == repr(want)
-        assert repr(got.pattern) == repr(pattern)
 
 
 @pytest.mark.parametrize("q,n", [(3, 3), (3, 4)] + Q2_CELLS)
@@ -1015,11 +1015,6 @@ def test_full_patterns_one_per_surviving_orbit(monkeypatch):
     orbits = [_surviving_orbits(7, 8, f) for f in (rep.linear, rep.williams)]
     assert (len(rep.linear.ties), len(rep.williams.ties), orbits) == (14, 56, [1, 1])
     assert patterns == [] and kernels == [4]
-    # a winner's pattern is built on its first read, once
-    first = rep.williams.pattern
-    assert patterns == [None]
-    assert rep.williams.pattern is first and patterns == [None]
-    assert len(first) == 8 * 6
 
     # q=7 n=3: two linear orbits and one Williams orbit tie on beta_4, so
     # the linear search ranks two full patterns, one per orbit, and keeps one
@@ -1041,10 +1036,6 @@ def test_full_patterns_one_per_surviving_orbit(monkeypatch):
     rep = search_q2(7, 3)
     assert ranked == [("linear", 2)] and patterns == [None, None]
     assert _surviving_orbits(7, 3, rep.linear) == 1 and rep.linear.decided_k == 6
-    # the ranked winner's row is its pattern: reading it builds nothing more
-    ranked_row = rep.linear.pattern
-    assert patterns == [None, None]
-    assert repr(ranked_row) == repr(optimal.FamilyBest._pattern(rep.linear))
 
 
 @pytest.mark.parametrize("q,n", [(5, n) for n in range(3, 7)] + [(7, n) for n in range(3, 9)])

@@ -90,3 +90,32 @@ def test_one_zero_test():
     readers = _references("shift_grid_beta")
     assert ("optimal", "_theorem2") not in readers
     assert not [ref for ref in readers if ref[0] == "catalog"]
+
+
+def test_one_williams_level_map():
+    # the table is read by designs alone: _member_stacks maps stacks and
+    # designs.williams single designs, both through williams_levels
+    assert {module for module, _ in _references("williams_table")} == {"designs"}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem != "designs":
+            assert "williams_table" not in _imported_names(path.stem), path.stem
+
+
+def test_family_best_is_the_printed_record():
+    # searchq2 prints every field and nothing else; no full pattern rides along
+    from dataclasses import fields
+
+    from wtdesigns.optimal import FamilyBest, SearchReport
+
+    assert not issubclass(FamilyBest, SearchReport)
+    assert FamilyBest.__bases__ == (object,)
+    assert [f.name for f in fields(FamilyBest)] == [
+        "family", "generators", "b", "ties", "evaluations", "decided_k", "beta3", "beta4",
+    ]
+
+
+def test_optimal_writes_no_lazy_state():
+    # no property is computed on first read, and no frozen record is written after __init__
+    assert "cached_property" not in _imported_names("optimal")
+    assert not [ref for ref in _references("cached_property") if ref[0] == "optimal"]
+    assert not [ref for ref in _references("__setattr__") if ref[0] == "optimal"]
