@@ -308,8 +308,10 @@ def search_shifts(gen: GeneratorSet, family: str, k_max: int = None) -> SearchRe
     columns), so beta_1 = beta_2 = 0 at every shift and pruning starts at
     degree 3. While more than one candidate is alive, degrees 3..5 (up to
     k_max) prune on shift_grid_beta; the survivors then get full patterns,
-    on which they are ranked. The grid is accurate only to rounding, so a
-    shift vector within rounding of a cut could fall on either side of it.
+    on which they are ranked. Below k_max = 3 every shift ties, undecided,
+    and only the winner, shift 0...0, gets its pattern. The grid is
+    accurate only to rounding, so a shift vector within rounding of a cut
+    could fall on either side of it.
     What holds the ranking is the test suite: it compares the grid with the
     per-host accumulation it replaced and with a full pattern per shift,
     and replays the recorded search outputs byte for byte.
@@ -333,10 +335,14 @@ def search_shifts(gen: GeneratorSet, family: str, k_max: int = None) -> SearchRe
     if decided is not None:
         decided += 2  # the first grid is beta_3
     shifts = np.stack(np.unravel_index(alive_idx, (q,) * m), axis=1)
-    patterns = _member_patterns(gen, shifts, q, family, k_max)
-    sub_alive, sub_decided = _rank_candidates(len(patterns), patterns.T)
-    if sub_decided is not None:
-        decided = sub_decided
+    if k_max < 3:  # every shift ties on beta_1 = beta_2 = 0: only the winner's pattern is read
+        patterns = _member_patterns(gen, shifts[:1], q, family, k_max)
+        sub_alive = np.arange(total)
+    else:
+        patterns = _member_patterns(gen, shifts, q, family, k_max)
+        sub_alive, sub_decided = _rank_candidates(len(patterns), patterns.T)
+        if sub_decided is not None:
+            decided = sub_decided
     winner = int(sub_alive[0])
     return SearchReport(
         family=family,
@@ -551,20 +557,22 @@ def standard_generators(q: PrimeLevel, n: int) -> GeneratorSet:
     return GeneratorSet(q, [[1, s] for s in range(1, n - 1)])
 
 
-def _universe_levels(q: int) -> np.ndarray:
-    """Centred Williams levels of every column a reduced q^2-run set can hold.
+def _universe_levels(q: int, family: str) -> np.ndarray:
+    """Centred levels, in one family, of every column a reduced q^2-run set can hold.
 
     A column is fixed by its coefficient vector: the universe lists (1, 0),
     (0, 1), then (c1, c2) for c1 in 1..(q-1)/2 and c2 in 1..q-1 in product
     order (_universe_ids gives a set's rows). Returns the (U, q^2) float64
-    integers L[a, i] = x - (q-1)/2, x the Williams level of universe column a
-    in run i at its closed-form shift (0 for an independent column).
+    integers L[a, i] = x - (q-1)/2, x the family's level of universe column
+    a in run i at its closed-form shift (0 for an independent column). A
+    column's levels depend on its own coefficients alone, so a set's member
+    at its closed-form shift is the set's rows of this array.
     """
     half = (q - 1) // 2
     dep = np.array(list(product(range(1, half + 1), range(1, q))), dtype=np.int64)
     # each universe column as the one dependent column of a (U, 1, 2) stack
     C = np.vstack([np.eye(2, dtype=np.int64), dep])[:, None, :]
-    members = _member_stacks(C, _closed_form_shifts(C, q, "williams"), q, "williams")
+    members = _member_stacks(C, _closed_form_shifts(C, q, family), q, family)
     return np.concatenate([rows[:, :, 2] for rows in members]) - float(half)
 
 
@@ -574,26 +582,67 @@ def _universe_ids(C: np.ndarray, q: int) -> np.ndarray:
     return np.concatenate([np.broadcast_to([0, 1], (len(C), 2)), dep], axis=1)
 
 
+def _beta4_keys(C: np.ndarray, q: int, family: str) -> np.ndarray:
+    """The exact beta_4 key of each set of a (B, m, 2) coefficient stack: int64, shape (B,).
+
+    At the closed-form shift, with L the centred levels of _universe_levels,
+    p_1 = rho_1 L and p_2 = rho_2 (L^2 - (q^2-1)/12), where rho_1^2 =
+    12/(q^2-1) and rho_2^2 = 180/((q^2-1)(q^2-4)). Every member is an
+    orthogonal array of strength 2, so a degree-4 exponent vector on fewer
+    than three columns sums to zero over the runs, and on three columns
+    p_2's constant drops out, as any two columns form a full q^2 factorial.
+    Hence N^2 beta_4 (q^2-1)^4 (q^2-4) / 144 = K = 180 (q^2-1) sum I^2 +
+    144 (q^2-4) sum J^2, for the integer run-sums I of L_a^2 L_b L_c (a
+    column a and a pair {b, c} of other columns) and J of L_a L_b L_c L_d
+    (a set of four columns). Returns K / 36: beta_4 orders the sets as the
+    key does, and two sets tie exactly when their keys are equal.
+
+    I and J come from one batched Gram of the pairwise level products, in
+    float64: every partial sum is an integer below N ((q-1)/2)^4 < 2^53, so
+    the Gram is exact, and so are sum I^2 and sum J^2 below 2^53. The key is
+    combined in int64, below 2^63 on every cell that SEARCH_CAP admits up
+    to MAX_LEVELS (both bounds are tested).
+    """
+    n = C.shape[1] + 2
+    L = _universe_levels(q, family)
+    ids = _universe_ids(C, q)
+    # the Gram's rows are the n squares, then the column pairs; its columns are the pairs
+    pairs = list(combinations(range(n), 2))
+    I = [(a, p) for a in range(n) for p, pair in enumerate(pairs) if a not in pair]
+    J = [(n + pairs.index(s[:2]), pairs.index(s[2:])) for s in combinations(range(n), 4)]
+    (i_rows, i_cols), (j_rows, j_cols) = (np.array(t, dtype=int).reshape(-1, 2).T for t in (I, J))
+    first, second = np.array(pairs).T
+    width = (n + len(pairs)) * L.shape[1]
+    step = max(1, _CHUNK_BYTES // (8 * width))
+    sum_i2 = np.empty(len(C))
+    sum_j2 = np.empty(len(C))
+    for lo in range(0, len(C), step):
+        x = L[ids[lo : lo + step]]  # (chunk, n, N)
+        prods = x[:, first] * x[:, second]
+        gram = np.concatenate([x * x, prods], axis=1) @ prods.transpose(0, 2, 1)
+        sum_i2[lo : lo + step] = (gram[:, i_rows, i_cols] ** 2).sum(axis=1)
+        sum_j2[lo : lo + step] = (gram[:, j_rows, j_cols] ** 2).sum(axis=1)
+    return 5 * (q * q - 1) * sum_i2.astype(np.int64) + 4 * (q * q - 4) * sum_j2.astype(np.int64)
+
+
 def _family_best(C, orbit, reps, q, family) -> FamilyBest:
-    """The family's best set: sequential minimisation of beta_4, then full patterns.
+    """The family's best set: the exact beta_4 key, then full patterns.
 
     C is the whole cell in tolist order, orbit its _cell_orbits labels and
     reps the position of each orbit's first (lexicographically smallest)
     member. Column permutation and level reversal preserve the pattern at
-    the closed-form shift up to rounding (within 2e-13 of max(1, beta_k)
-    on the sampled orbits of the tests), so the search prunes one orbit at
-    a time. Every member is mirror-symmetric at its closed-form shift
+    the closed-form shift, so the search works on one set per orbit. Every
+    member is mirror-symmetric at its closed-form shift
     (optimal_shift_linear, theorem 4), so beta_3 is rounding and cuts
-    nothing: _rank_candidates cuts the representatives on their exact
-    beta_4 (beta_k_stack) and, only if two or more survive, ranks them on
+    nothing: the representatives whose integer _beta4_keys equal the
+    smallest are kept, and, only if two or more are, they are ranked on
     full patterns. Every member of a kept orbit is a tie. The winner is a
-    representative, so beta3 and beta4 are its own.
+    representative, so beta3 and beta4 are its own, from beta_k_stack.
     """
     b = _closed_form_shifts(C[reps], q, family)
-    beta4 = _member_betas(C[reps], b, q, family, (4,))
-    alive, decided = _rank_candidates(len(beta4), beta4.T)
-    if decided is not None:
-        decided += 3  # the one column is beta_4
+    keys = _beta4_keys(C[reps], q, family)
+    alive = np.flatnonzero(keys == keys.min())
+    decided = 4 if len(alive) < len(keys) else None
 
     survivors, b = C[reps[alive]], b[alive]
     kept = [0]
@@ -604,7 +653,7 @@ def _family_best(C, orbit, reps, q, family) -> FamilyBest:
             decided = sub_decided
 
     win = kept[0]
-    beta3 = _member_betas(survivors[win][None], b[win][None], q, family, (3,))
+    beta3, beta4 = _member_betas(survivors[win][None], b[win][None], q, family, (3, 4))[0].tolist()
     return FamilyBest(
         family=family,
         generators=survivors[win].tolist(),
@@ -612,8 +661,8 @@ def _family_best(C, orbit, reps, q, family) -> FamilyBest:
         ties=C[np.isin(orbit, orbit[reps[alive[kept]]])].tolist(),
         evaluations=len(C),
         decided_k=decided,
-        beta3=float(beta3[0, 0]),
-        beta4=float(beta4[alive[win], 0]),
+        beta3=beta3,
+        beta4=beta4,
     )
 
 
@@ -625,11 +674,12 @@ def search_q2(q: PrimeLevel, n: int) -> Q2Report:
     pattern-equal generator sets reported as ties. Column permutation and
     level reversal (Cheng and Ye, 2004) preserve the pattern, so every set
     of the cell is labelled with its orbit once (_cell_orbits), and each
-    family is pruned one orbit at a time on the exact beta_4 of the orbit's
-    lexicographically smallest member, and ranked on full patterns only
-    where two or more orbits survive (_family_best). The ties are whole
-    orbits. The standard design's beta_3 and beta_4 come from the pair
-    kernel cut off at degree 4, which gives the bits of its full pattern.
+    family is pruned one orbit at a time on the integer beta_4 key
+    (_beta4_keys) of the orbit's lexicographically smallest member, and
+    ranked on full patterns only where two or more orbits survive
+    (_family_best). The ties are whole orbits. The standard design's
+    beta_3 and beta_4 come from the pair kernel cut off at degree 4, which
+    gives the bits of its full pattern.
     """
     std = standard_generators(q, n)
     C = _q2_coefficients(q, n)
@@ -688,7 +738,7 @@ def _theorem1(cells, q):
     # rho^6 / N^2 * total: a set fails exactly when its total is nonzero.
     # rho is read first, so q > MAX_LEVELS is refused before the one table.
     rho = orthonormal_basis(q).rho
-    table = _support_table([_universe_levels(q)] * 3)
+    table = _support_table([_universe_levels(q, "williams")] * 3)
     for C in cells:
         total = _run_sum_totals(C, q, table)
         yield from ((coeffs, f"beta3={rho**6 * t / q**4:.3g}") for coeffs, t in zip(C, total) if t)

@@ -392,6 +392,28 @@ def test_nothing_cut_ranks_every_shift_on_full_patterns():
         assert report.pattern == want
 
 
+@pytest.mark.parametrize("family", ["linear", "williams"])
+@pytest.mark.parametrize("k_max", [1, 2])
+def test_below_degree_three_only_the_winner_gets_a_pattern(monkeypatch, family, k_max):
+    # beta_1 = beta_2 = 0 at every shift, so all q^m shifts tie undecided and
+    # one pattern, shift 0...0's, is built; on 7^5 shifts as on 5^2
+    calls = []
+
+    def counted(design, k=None):
+        calls.append(k)
+        return beta_pattern(design, k)
+
+    monkeypatch.setattr(optimal, "beta_pattern", counted)
+    small, large = [[1, 2], [2, 1]], [[1, 1], [1, 2], [1, 4], [1, 5], [2, 5]]
+    for gen in (GeneratorSet(5, small), GeneratorSet(7, large)):
+        calls.clear()
+        report = search_shifts(gen, family, k_max=k_max)
+        assert calls == [k_max]
+        assert report.ties == [list(b) for b in product(range(gen.q), repeat=gen.m)]
+        assert report.decided_k is None and report.b == [0] * gen.m
+        assert report.pattern == beta_pattern(build_design(gen, report.b, family), k_max).values
+
+
 def _ranked_on_full_patterns(gen, family, k_max=None):
     # the oracle: a full pattern for every shift vector, ranked directly
     from wtdesigns.optimal import SearchReport
@@ -844,7 +866,7 @@ def test_beta3_cuts_no_set_at_the_closed_form_shift(q, n):
 
 
 def _universe_table(q):
-    return optimal._support_table([optimal._universe_levels(q)] * 3)
+    return optimal._support_table([optimal._universe_levels(q, "williams")] * 3)
 
 
 def _brute_run_sum_totals(q, n):
@@ -921,6 +943,87 @@ def test_theorem1_refuses_q_above_max_levels_before_the_table(monkeypatch):
     monkeypatch.setattr(optimal, "_support_table", no_table)
     with pytest.raises(InputError, match="q=29 exceeds 23"):
         verify_theorem(1, 29, 3)
+
+
+def _representatives(q, n):
+    C = optimal._q2_coefficients(q, n)
+    return C[np.unique(optimal._cell_orbits(C, q))]
+
+
+def _brute_beta4_key(gen, family):
+    # K / 36 from the int64 run-sum tensor of build_design's centred levels
+    q, n = gen.q, gen.n
+    b = optimal._closed_form_shifts(gen.C, q, family)
+    L = build_design(gen, b, family).rows.astype(np.int64) - (q - 1) // 2
+    T = np.einsum("ia,ib,ic,id->abcd", L, L, L, L)
+    sum_i2 = sum(
+        int(T[a, a, b, c]) ** 2
+        for a in range(n)
+        for b, c in combinations(range(n), 2)
+        if a not in (b, c)
+    )
+    sum_j2 = sum(int(T[a, b, c, d]) ** 2 for a, b, c, d in combinations(range(n), 4))
+    return 5 * (q * q - 1) * sum_i2 + 4 * (q * q - 4) * sum_j2
+
+
+KEY_CELLS = [(5, n) for n in range(3, 7)] + [(7, n) for n in range(3, 9)]
+
+
+@pytest.mark.parametrize("family", ["linear", "williams"])
+@pytest.mark.parametrize("q,n", KEY_CELLS)
+def test_beta4_keys_equal_an_int64_brute_force(q, n, family):
+    reps = _representatives(q, n)
+    got = optimal._beta4_keys(reps, q, family)
+    assert got.dtype == np.int64
+    assert got.tolist() == [_brute_beta4_key(GeneratorSet(q, C), family) for C in reps]
+
+
+@pytest.mark.parametrize("family", ["linear", "williams"])
+@pytest.mark.parametrize("q,n", [(3, 3), (3, 4)] + Q2_CELLS)
+def test_beta4_keys_scale_to_beta_k_stack(q, n, family):
+    # beta_4 = 36 K' * 144 / (N^2 (q^2-1)^4 (q^2-4)) for the key K' = K / 36
+    C, betas = _exact_cell(q, n, family)
+    keys = optimal._beta4_keys(C, q, family)
+    scale = 36 * 144 / (q**4 * (q * q - 1) ** 4 * (q * q - 4))  # N = q^2
+    assert np.abs(keys * scale - betas[:, 1]).max() <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "q,n", KEY_CELLS + [pytest.param(11, 5, marks=pytest.mark.slow)]
+)
+def test_beta4_keys_are_constant_on_every_orbit(q, n):
+    C = optimal._q2_coefficients(q, n)
+    orbit = optimal._cell_orbits(C, q)
+    for family in ("linear", "williams"):
+        keys = optimal._beta4_keys(C, q, family)
+        assert (keys == keys[orbit]).all()  # an orbit's label is one of its members
+
+
+def test_beta4_keys_stay_exact_in_int64():
+    # |I|, |J| <= B = N ((q-1)/2)^4 at N = q^2 runs, so every Gram entry is an
+    # integer below 2^53; a set of n columns has n C(n-1, 2) I terms and
+    # C(n, 4) J terms. On every cell that SEARCH_CAP admits, sum I^2 and sum J^2
+    # stay below 2^53 (exact in float64) and the key below 2^63 (int64)
+    checked = 0
+    for q in range(3, MAX_LEVELS + 1, 2):
+        if any(q % p == 0 for p in range(3, q, 2)):
+            continue
+        for n in range(3, q + 2):
+            if optimal._q2_cell_sets(q, n) > optimal.SEARCH_CAP:
+                continue
+            bound = (q * q * ((q - 1) // 2) ** 4) ** 2
+            terms_i, terms_j = n * comb(n - 1, 2), comb(n, 4)
+            assert bound * max(terms_i, terms_j) < 2**53, (q, n)
+            assert bound * (5 * (q * q - 1) * terms_i + 4 * (q * q - 4) * terms_j) < 2**63, (q, n)
+            checked += 1
+    assert checked == 2 + 4 + 6 + 5 + 4 + 3 + 3 + 2  # q = 3, 5, 7, 11, 13, 17, 19, 23
+
+
+def test_beta4_keys_do_not_depend_on_the_chunk_size(monkeypatch):
+    C = optimal._q2_coefficients(7, 6)
+    want = optimal._beta4_keys(C, 7, "williams")
+    monkeypatch.setattr(optimal, "_CHUNK_BYTES", 1)  # one set per chunk
+    assert np.array_equal(optimal._beta4_keys(C, 7, "williams"), want)
 
 
 # --- Cheng-Ye orbits of the q^2 generator space --------------------------------
@@ -1036,6 +1139,24 @@ def test_full_patterns_one_per_surviving_orbit(monkeypatch):
     rep = search_q2(7, 3)
     assert ranked == [("linear", 2)] and patterns == [None, None]
     assert _surviving_orbits(7, 3, rep.linear) == 1 and rep.linear.decided_k == 6
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_search_q2_reads_beta_k_stack_for_its_winners_alone(monkeypatch, n):
+    # the cut is on integer keys: each family makes one _member_betas call,
+    # on its winner at its closed-form shift, for the printed beta_3 and beta_4
+    calls = []
+    member_betas = optimal._member_betas
+
+    def spied(C, b, q, family, ks):
+        calls.append((family, C.tolist(), b.tolist(), tuple(ks)))
+        return member_betas(C, b, q, family, ks)
+
+    monkeypatch.setattr(optimal, "_member_betas", spied)
+    rep = search_q2(7, n)
+    assert calls == [
+        (f.family, [f.generators], [f.b], (3, 4)) for f in (rep.linear, rep.williams)
+    ]
 
 
 @pytest.mark.parametrize("q,n", [(5, n) for n in range(3, 7)] + [(7, n) for n in range(3, 9)])

@@ -83,6 +83,15 @@ def test_theorem1_is_decided_on_the_integer_table():
         assert not exact & set(_references(name)), name
 
 
+def test_q2_cut_is_decided_on_integer_keys():
+    # the representatives' beta_4 key reads no float measure, and one universe
+    # builder serves it and theorem 1's table
+    for name in ("_member_betas", "beta_k_stack", "orthonormal_basis", "_rank_candidates"):
+        assert ("optimal", "_beta4_keys") not in _references(name), name
+    readers = set(_references("_universe_levels"))
+    assert readers == {("optimal", "_beta4_keys"), ("optimal", "_theorem1")}
+
+
 def test_one_zero_test():
     # beta_3 = 0 means an integer total of 0: no zero tolerance is left, and
     # neither theorem 2 nor the catalog reads the float grid
