@@ -417,24 +417,9 @@ def _inverses(q: int) -> np.ndarray:
     return np.array([0] + [pow(x, -1, q) for x in range(1, q)], dtype=np.int64)
 
 
-def _cell_index(C: np.ndarray, q: int) -> np.ndarray:
-    """Position of each reduced set of a (..., m, 2) stack in _q2_coefficients' order.
-
-    The slope set's rank among combinations(range(1, q), m), lexicographic,
-    times ((q-1)/2)^m, plus the scale vector's rank in product order.
-    """
-    m = C.shape[-2]
-    half = (q - 1) // 2
-    t = C[..., 1] * _inverses(q)[C[..., 0]] % q - 1  # ascending slopes - 1, in 0..q-2
-    binom = np.array([[comb(x, k) for k in range(m + 1)] for x in range(q - 1)])
-    slope_rank = comb(q - 1, m) - 1 - binom[q - 2 - t, m - np.arange(m)].sum(axis=-1)
-    scale_rank = ((C[..., 0] - 1) * half ** np.arange(m - 1, -1, -1)).sum(axis=-1)
-    return slope_rank * half**m + scale_rank
-
-
 @lru_cache(maxsize=None)
 def _group_elements(n: int) -> tuple:
-    """The 2n(n-1) Cheng-Ye group elements of _reduced_images, as read-only arrays.
+    """The 2n(n-1) Cheng-Ye group elements of _image_indices, as read-only arrays.
 
     Returns (a, b, s, others): element g takes columns a[g] and b[g], with
     sign s[g] on b[g], as the new independent pair, and others[g] lists the
@@ -451,55 +436,74 @@ def _group_elements(n: int) -> tuple:
     return out
 
 
-def _reduced_images(C: np.ndarray, q: int) -> np.ndarray:
-    """Images of the sets of a (B, m, 2) coefficient stack under the Cheng-Ye group: (B, G, m, 2).
+def _image_tables(q: int, n: int) -> tuple:
+    """The tables of _image_indices for the n-column sets of a cell: (key, weight, where).
 
-    A group element takes an ordered pair (a, b) of the n columns, with a
-    sign s, as the new independent pair (x_a, s x_b). Every other column is
-    re-expressed in that basis, negated if need be so that its first
-    coefficient lies in 1..(q-1)/2 (a level reversal), and the columns are
-    sorted by slope: a reduced set of the same cell, of the same design up
-    to column permutation and level reversal. s = -1 on x_a gives the same
-    images after the negations, so G = 2n(n-1). The identity, (0, 1, +1),
-    is element 0.
+    With X[i, j] = det(column i, column j) mod q, element (a, b, s) writes
+    column v as alpha x_a + beta (s x_b), alpha = X[v, b] / X[a, b] and beta
+    = s X[a, v] / X[a, b]; up to level reversal alpha is in 1..(q-1)/2, and
+    the slope is t = beta / alpha. key[(d q + e) q + f] = (t - 1)(q-1)/2 +
+    alpha - 1 for d = X[a, b], e = X[v, b] and f = s X[a, v], whose flat
+    positions in X are where. An image's cell index (slope set rank, then
+    scale rank) is the sum of weight[i, key_i] over its keys in ascending order.
     """
-    half = (q - 1) // 2
+    m, half = n - 2, (q - 1) // 2
     inv = _inverses(q)
-    a, b, s, others = _group_elements(C.shape[1] + 2)
-    cols = column_vectors(C)
-    x, y, v = cols[:, a], cols[:, b] * s[:, None], cols[:, others]  # (B, G, 2) twice, (B, G, m, 2)
-    # v = alpha x + beta y, solved by Cramer's rule mod q
-    det = inv[(x[..., 0] * y[..., 1] - x[..., 1] * y[..., 0]) % q][..., None]
-    alpha = det * (y[..., 1, None] * v[..., 0] - y[..., 0, None] * v[..., 1]) % q
-    beta = det * (x[..., 0, None] * v[..., 1] - x[..., 1, None] * v[..., 0]) % q
-    flip = alpha > half
-    alpha = np.where(flip, q - alpha, alpha)
-    beta = np.where(flip, q - beta, beta)  # beta != 0: no column is proportional to x
-    order = np.argsort(beta * inv[alpha] % q, axis=-1)
-    return np.stack(
-        [np.take_along_axis(alpha, order, axis=-1), np.take_along_axis(beta, order, axis=-1)],
-        axis=-1,
-    )
+    d, e, f = np.ix_(range(q), range(q), range(q))
+    alpha = e * inv[d] % q
+    key = (f * inv[e] % q - 1) * half + np.minimum(alpha, q - alpha) - 1
+    t, c = np.divmod(np.arange((q - 1) * half), half)  # slope - 1 and alpha - 1 of each key
+    binom = np.array([[comb(x, k) for k in range(m + 1)] for x in range(q - 1)])
+    i = np.arange(m)[:, None]
+    weight = c * half ** (m - 1 - i) - binom[q - 2 - t, m - i] * half**m
+    weight[0] += (comb(q - 1, m) - 1) * half**m
+    a, b, s, others = _group_elements(n)
+    fa = np.where(s[:, None] > 0, a[:, None] * n + others, others * n + a[:, None])
+    return key.ravel().astype(np.int32), weight, (a * n + b, (others * n + b[:, None]).T, fa.T)
+
+
+def _image_indices(C: np.ndarray, q: int, tables: tuple) -> np.ndarray:
+    """The cell index of each Cheng-Ye image of the sets of a (B, m, 2) stack: (G, B).
+
+    Element (a, b, s) takes columns (x_a, s x_b) as the new independent
+    pair and re-expresses every other column in that basis, up to level
+    reversal, sorted by slope: a reduced set of the same design up to column
+    permutation and level reversal. s = -1 on x_a gives the same images, so
+    G = 2n(n-1). Row 0, the identity, holds each set's own index.
+    """
+    key, weight, (ab, vb, av) = tables
+    u, v = column_vectors(C).astype(np.int32).transpose(2, 1, 0)  # (n, B) each
+    X = ((u[:, None] * v - v[:, None] * u) % q).reshape(-1, len(C))  # row i n + j: X[i, j]
+    d, e, f = (np.take(X, at, axis=0) for at in (ab, vb, av))  # (G, B), (m, G, B) twice
+    k = np.take(key, (d * q + e) * q + f)
+    for r in range(len(k)):  # odd-even transposition sort of each image's m keys
+        lo, hi = k[r % 2 : -1 : 2], k[r % 2 + 1 :: 2]
+        lo[:], hi[:] = np.minimum(lo, hi), np.maximum(lo, hi)
+    return sum(np.take(w, row) for w, row in zip(weight, k))
 
 
 def _cell_orbits(C: np.ndarray, q: int) -> np.ndarray:
     """The Cheng-Ye orbit of every set of a whole cell, as one int64 each.
 
-    C is _q2_coefficients(q, n), so a set's _cell_index is its row. A set's
-    orbit is the smallest _cell_index over its _reduced_images: two sets
-    share it exactly when they are images of each other. The next
-    unlabelled sets, in cell order, are taken in batches that double up to
-    image stacks of about _CHUNK_BYTES, and each batch row's smallest index
-    is written to all of its images. Image 0 is the identity, so every
-    batch labels at least its own rows.
+    C is _q2_coefficients(q, n), so a set's cell index is its row. A set's
+    orbit is the smallest index over its _image_indices: two sets share it
+    exactly when they are images of each other. From a cursor past every
+    labelled set, looking 64 sets ahead per set wanted, the next unlabelled
+    sets are taken in batches that double up to key stacks of about
+    _CHUNK_BYTES; each one's smallest index goes to all of its images.
     """
-    m = C.shape[1]
-    cap = max(1, _CHUNK_BYTES // (8 * 2 * (m + 2) * (m + 1) * m * 2))  # (batch, G, m, 2) int64
+    n = C.shape[1] + 2
+    tables = _image_tables(q, n)
+    cap = max(1, _CHUNK_BYTES // (4 * 2 * n * (n - 1) * (n - 2)))  # (m, G, batch) int32 keys
     orbit = np.full(len(C), -1, dtype=np.int64)
-    step = 1
-    while (todo := np.flatnonzero(orbit < 0)).size:
-        idx = _cell_index(_reduced_images(C[todo[:step]], q), q)
-        orbit[idx] = idx.min(axis=1, keepdims=True)
+    start, step = 0, 1
+    while start < len(C):
+        window = orbit[start : start + 64 * step]
+        todo = np.flatnonzero(window < 0)[:step]
+        if len(todo):
+            idx = _image_indices(C[start + todo], q, tables)
+            orbit[idx] = idx.min(axis=0)
+        start += todo[-1] + 1 if len(todo) == step else len(window)
         step = min(2 * step, cap)
     return orbit
 
@@ -666,6 +670,11 @@ def _family_best(C, orbit, reps, q, family) -> FamilyBest:
     )
 
 
+def _tolist_order(C: np.ndarray, q: int) -> np.ndarray:
+    """The order tolist gives a (B, m, 2) stack: its sets as base-q keys, below 2^53 (tested)."""
+    return np.argsort(C.reshape(len(C), -1) @ q ** np.arange(2 * C.shape[1])[::-1], kind="stable")
+
+
 def search_q2(q: PrimeLevel, n: int) -> Q2Report:
     """Full generator-space search for the best design of each family.
 
@@ -673,13 +682,14 @@ def search_q2(q: PrimeLevel, n: int) -> Q2Report:
     per-family winner minimizes the aliasing pattern sequentially, with all
     pattern-equal generator sets reported as ties. Column permutation and
     level reversal (Cheng and Ye, 2004) preserve the pattern, so every set
-    of the cell is labelled with its orbit once (_cell_orbits), and each
-    family is pruned one orbit at a time on the integer beta_4 key
-    (_beta4_keys) of the orbit's lexicographically smallest member, and
-    ranked on full patterns only where two or more orbits survive
-    (_family_best). The ties are whole orbits. The standard design's
-    beta_3 and beta_4 come from the pair kernel cut off at degree 4, which
-    gives the bits of its full pattern.
+    of the cell is labelled with its orbit once, from table lookups on each
+    set's cross products (_cell_orbits). The cell is put in tolist order by
+    one argsort of base-q keys (_tolist_order), and each family is pruned one
+    orbit at a time on the integer beta_4 key (_beta4_keys) of the orbit's
+    lexicographically smallest member, then ranked on full patterns only
+    where two or more orbits survive (_family_best). The ties are whole
+    orbits. The standard design's beta_3 and beta_4 come from the pair
+    kernel cut off at degree 4, which gives the bits of its full pattern.
     """
     std = standard_generators(q, n)
     C = _q2_coefficients(q, n)
@@ -687,7 +697,7 @@ def search_q2(q: PrimeLevel, n: int) -> Q2Report:
     # enumerates, and its bits differ from the full pattern's (q=23)
     std_beta3, std_beta4 = np.maximum(_pattern_by_pairs(expand(std), 4)[3:], 0.0).tolist()
     orbit = _cell_orbits(C, q)
-    order = np.lexsort(C.reshape(len(C), -1).T[::-1])  # tolist order
+    order = _tolist_order(C, q)
     C, orbit = C[order], orbit[order]
     reps = np.sort(np.unique(orbit, return_index=True)[1])
     linear = _family_best(C, orbit, reps, q, "linear")

@@ -36,7 +36,7 @@ from wtdesigns import (
 )
 from wtdesigns import optimal
 from wtdesigns.cli import parse_generator_text
-from wtdesigns.designs import mirror_symmetric_stack
+from wtdesigns.designs import column_vectors, mirror_symmetric_stack
 from wtdesigns.aberration import DEFAULT_TOL, _keep_minimal, _rank_candidates, beta_k_stack
 from wtdesigns.orthopoly import MAX_LEVELS
 from wtdesigns.recursion import RecursiveType, _classify_stack
@@ -999,23 +999,25 @@ def test_beta4_keys_are_constant_on_every_orbit(q, n):
         assert (keys == keys[orbit]).all()  # an orbit's label is one of its members
 
 
+def _admitted_cells():
+    # every (q, n) cell that SEARCH_CAP admits up to MAX_LEVELS
+    primes = [q for q in range(3, MAX_LEVELS + 1, 2) if all(q % p for p in range(3, q, 2))]
+    cells = [(q, n) for q in primes for n in range(3, q + 2)]
+    return [(q, n) for q, n in cells if optimal._q2_cell_sets(q, n) <= optimal.SEARCH_CAP]
+
+
 def test_beta4_keys_stay_exact_in_int64():
     # |I|, |J| <= B = N ((q-1)/2)^4 at N = q^2 runs, so every Gram entry is an
     # integer below 2^53; a set of n columns has n C(n-1, 2) I terms and
     # C(n, 4) J terms. On every cell that SEARCH_CAP admits, sum I^2 and sum J^2
     # stay below 2^53 (exact in float64) and the key below 2^63 (int64)
     checked = 0
-    for q in range(3, MAX_LEVELS + 1, 2):
-        if any(q % p == 0 for p in range(3, q, 2)):
-            continue
-        for n in range(3, q + 2):
-            if optimal._q2_cell_sets(q, n) > optimal.SEARCH_CAP:
-                continue
-            bound = (q * q * ((q - 1) // 2) ** 4) ** 2
-            terms_i, terms_j = n * comb(n - 1, 2), comb(n, 4)
-            assert bound * max(terms_i, terms_j) < 2**53, (q, n)
-            assert bound * (5 * (q * q - 1) * terms_i + 4 * (q * q - 4) * terms_j) < 2**63, (q, n)
-            checked += 1
+    for q, n in _admitted_cells():
+        bound = (q * q * ((q - 1) // 2) ** 4) ** 2
+        terms_i, terms_j = n * comb(n - 1, 2), comb(n, 4)
+        assert bound * max(terms_i, terms_j) < 2**53, (q, n)
+        assert bound * (5 * (q * q - 1) * terms_i + 4 * (q * q - 4) * terms_j) < 2**63, (q, n)
+        checked += 1
     assert checked == 2 + 4 + 6 + 5 + 4 + 3 + 3 + 2  # q = 3, 5, 7, 11, 13, 17, 19, 23
 
 
@@ -1028,19 +1030,93 @@ def test_beta4_keys_do_not_depend_on_the_chunk_size(monkeypatch):
 
 # --- Cheng-Ye orbits of the q^2 generator space --------------------------------
 
+def _cell_index(C, q):
+    """Oracle: the row of each reduced set of a (..., m, 2) stack in _q2_coefficients' order.
+
+    The slope set's rank among combinations(range(1, q), m), lexicographic,
+    times ((q-1)/2)^m, plus the scale vector's rank in product order.
+    """
+    m = C.shape[-2]
+    half = (q - 1) // 2
+    t = C[..., 1] * optimal._inverses(q)[C[..., 0]] % q - 1  # ascending slopes - 1, in 0..q-2
+    binom = np.array([[comb(x, k) for k in range(m + 1)] for x in range(q - 1)])
+    slope_rank = comb(q - 1, m) - 1 - binom[q - 2 - t, m - np.arange(m)].sum(axis=-1)
+    scale_rank = ((C[..., 0] - 1) * half ** np.arange(m - 1, -1, -1)).sum(axis=-1)
+    return slope_rank * half**m + scale_rank
+
+
+def _reduced_images(C, q):
+    """Oracle: the images of a (B, m, 2) stack under the Cheng-Ye group, (B, G, m, 2).
+
+    Element (a, b, s) of optimal._group_elements takes (x_a, s x_b) as the
+    new independent pair; every other column is solved for in that basis by
+    Cramer's rule, negated if need be so that its first coefficient lies in
+    1..(q-1)/2 (a level reversal), and the columns are sorted by slope.
+    """
+    half = (q - 1) // 2
+    inv = optimal._inverses(q)
+    a, b, s, others = optimal._group_elements(C.shape[1] + 2)
+    cols = column_vectors(C)
+    x, y, v = cols[:, a], cols[:, b] * s[:, None], cols[:, others]  # (B, G, 2) twice, (B, G, m, 2)
+    det = inv[(x[..., 0] * y[..., 1] - x[..., 1] * y[..., 0]) % q][..., None]
+    alpha = det * (y[..., 1, None] * v[..., 0] - y[..., 0, None] * v[..., 1]) % q
+    beta = det * (x[..., 0, None] * v[..., 1] - x[..., 1, None] * v[..., 0]) % q
+    flip = alpha > half
+    alpha = np.where(flip, q - alpha, alpha)
+    beta = np.where(flip, q - beta, beta)  # beta != 0: no column is proportional to x
+    order = np.argsort(beta * inv[alpha] % q, axis=-1)
+    return np.stack(
+        [np.take_along_axis(alpha, order, axis=-1), np.take_along_axis(beta, order, axis=-1)],
+        axis=-1,
+    )
+
+
 ORBIT_CELLS = [(5, n) for n in range(3, 7)] + [(7, n) for n in range(3, 9)] + [(11, 4), (13, 3)]
+IMAGE_CELLS = (
+    ORBIT_CELLS
+    + [(17, 4), (19, 4), (23, 3), (23, 4)]
+    + [pytest.param(q, 5, marks=pytest.mark.slow) for q in (11, 13)]
+)
+
+
+@pytest.mark.parametrize("q,n", IMAGE_CELLS)
+def test_image_indices_equal_the_oracle(q, n):
+    # image for image, in _group_elements' order, on every set of the cell;
+    # element 0, the identity, gives each set its own row
+    C = optimal._q2_coefficients(q, n)
+    tables = optimal._image_tables(q, n)
+    for lo in range(0, len(C), 2048):
+        part = C[lo : lo + 2048]
+        got = optimal._image_indices(part, q, tables)
+        assert got.shape == (2 * n * (n - 1), len(part))
+        assert np.array_equal(got[0], lo + np.arange(len(part)))
+        assert np.array_equal(got.T, _cell_index(_reduced_images(part, q), q))
+
+
+def test_tolist_keys_stay_exact():
+    # a set's 2m coefficients are the base-q digits of one key below q^(2m)
+    sizes = {(q, n): q ** (2 * (n - 2)) for q, n in _admitted_cells()}
+    assert max(sizes.values()) == sizes[11, 7] == 11**10 < 2**53
+
+
+@pytest.mark.parametrize("q,n", [(5, n) for n in range(3, 7)] + [(7, n) for n in range(3, 9)])
+def test_tolist_order_equals_lexsort(q, n):
+    C = optimal._q2_coefficients(q, n)
+    want = np.lexsort(C.reshape(len(C), -1).T[::-1])
+    assert np.array_equal(optimal._tolist_order(C, q), want)
+    assert C[want].tolist() == sorted(C.tolist())
 
 
 @pytest.mark.parametrize("q,n", ORBIT_CELLS)
 def test_group_images_are_reduced_sets_of_the_same_orbit(q, n):
     C = optimal._q2_coefficients(q, n)
-    assert optimal._cell_index(C, q).tolist() == list(range(len(C)))
+    assert _cell_index(C, q).tolist() == list(range(len(C)))
     rng = np.random.default_rng(100 * q + n)
     pick = np.arange(len(C)) if len(C) <= 60 else rng.choice(len(C), 60, replace=False)
-    images = optimal._reduced_images(C[pick], q)
+    images = _reduced_images(C[pick], q)
     assert images.shape == (len(pick), 2 * n * (n - 1), n - 2, 2)
     assert (images[:, 0] == C[pick]).all()  # element 0 is the identity
-    idx = optimal._cell_index(images, q)
+    idx = _cell_index(images, q)
     assert ((0 <= idx) & (idx < len(C))).all()
     assert (C[idx] == images).all()  # every image is a reduced set of the cell
     orbit = optimal._cell_orbits(C, q)
@@ -1050,7 +1126,7 @@ def test_group_images_are_reduced_sets_of_the_same_orbit(q, n):
 @pytest.mark.parametrize("q,n", ORBIT_CELLS)
 def test_cell_orbits_equal_the_smallest_image_index(q, n):
     C = optimal._q2_coefficients(q, n)
-    brute = optimal._cell_index(optimal._reduced_images(C, q), q).min(axis=1)
+    brute = _cell_index(_reduced_images(C, q), q).min(axis=1)
     assert (optimal._cell_orbits(C, q) == brute).all()
 
 
@@ -1082,7 +1158,7 @@ def test_orbit_members_share_pattern_mirror_flag_and_type(q, n, sets, family):
     C = optimal._q2_coefficients(q, n)
     rng = np.random.default_rng(100 * q + n)
     for i in rng.choice(len(C), sets, replace=False):
-        members = np.unique(optimal._reduced_images(C[i : i + 1], q)[0], axis=0)
+        members = np.unique(_reduced_images(C[i : i + 1], q)[0], axis=0)
         assert len(members) > 1
         b = optimal._closed_form_shifts(members, q, family)
         P = optimal._member_patterns(members, b, q, family, None)
@@ -1095,7 +1171,7 @@ def test_orbit_members_share_pattern_mirror_flag_and_type(q, n, sets, family):
 
 def _surviving_orbits(q, n, family_best):
     orbit = optimal._cell_orbits(optimal._q2_coefficients(q, n), q)
-    return len(np.unique(orbit[optimal._cell_index(np.array(family_best.ties), q)]))
+    return len(np.unique(orbit[_cell_index(np.array(family_best.ties), q)]))
 
 
 def test_full_patterns_one_per_surviving_orbit(monkeypatch):
@@ -1195,5 +1271,5 @@ def test_tol_zero_ties_whole_orbits(q, n):
     orbit = optimal._cell_orbits(optimal._q2_coefficients(q, n), q)
     rep = search_q2(q, n)
     for f in (rep.linear, rep.williams):
-        tied = orbit[optimal._cell_index(np.array(f.ties), q)]
+        tied = orbit[_cell_index(np.array(f.ties), q)]
         assert len(tied) == np.isin(orbit, tied).sum(), f.family

@@ -128,3 +128,16 @@ def test_optimal_writes_no_lazy_state():
     assert "cached_property" not in _imported_names("optimal")
     assert not [ref for ref in _references("cached_property") if ref[0] == "optimal"]
     assert not [ref for ref in _references("__setattr__") if ref[0] == "optimal"]
+
+
+def test_one_image_path():
+    # orbits are labelled from lookup tables alone: the coefficient-stack image
+    # builder and its ranker are the tests' oracle, and optimal sorts nothing
+    # by lexsort or take_along_axis
+    from wtdesigns import optimal
+
+    assert not hasattr(optimal, "_reduced_images") and not hasattr(optimal, "_cell_index")
+    for name in ("lexsort", "take_along_axis"):
+        assert not [ref for ref in _references(name) if ref[0] == "optimal"], name
+    for name in ("_image_indices", "_image_tables"):
+        assert _references(name) == [("optimal", "_cell_orbits")], name
