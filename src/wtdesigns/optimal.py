@@ -361,33 +361,17 @@ def enumerate_q2_generators(q: PrimeLevel, n: int):
     Dependent columns are pairs (c1, c2) with c1 in 1..(q-1)/2 and
     c2 in 1..q-1; distinct columns must point in distinct projective
     directions, and the direction set is kept in canonical ascending order.
-    Yields exactly C(q-1, n-2) * ((q-1)/2)^(n-2) generator sets.
+    Yields exactly C(q-1, n-2) * ((q-1)/2)^(n-2) generator sets, the rows
+    of _q2_coefficients, so a cell of more than SEARCH_CAP sets is refused.
     """
-    for block in _q2_coefficient_blocks(q, n):
-        for C in block:
-            yield GeneratorSet(q, C)
+    for C in _q2_coefficients(q, n):
+        yield GeneratorSet(q, C)
 
 
 def _check_q2_columns(q: int, n: int, name: str = "n") -> None:
     """Refuse a column count outside 3..q+1: a q^2-run design has at most q+1 columns."""
     if not 3 <= check_int(n, name) <= q + 1:
         raise InputError(f"{name}={n} out of range 3..{q + 1} for q={q}")
-
-
-def _q2_coefficient_blocks(q: PrimeLevel, n: int):
-    """The coefficients of enumerate_q2_generators, in its order.
-
-    Yields one (((q-1)/2)^m, m, 2) block per slope set, m = n - 2: dependent
-    column i is (c_i, c_i * s_i mod q) for the slopes s_i and every scale
-    vector c in product order.
-    """
-    q = check_odd_prime(q)
-    _check_q2_columns(q, n)
-    m = n - 2
-    half = (q - 1) // 2
-    scales = np.array(list(product(range(1, half + 1), repeat=m)), dtype=np.int64)
-    for slopes in combinations(range(1, q), m):
-        yield np.stack([scales, (scales * np.array(slopes)) % q], axis=2)
 
 
 def _q2_cell_sets(q: int, n: int) -> int:
@@ -404,12 +388,21 @@ def _check_q2_cell(q: int, n: int) -> None:
 
 
 def _q2_coefficients(q: PrimeLevel, n: int) -> np.ndarray:
-    """Every reduced coefficient set of the (q, n) cell as one (B, m, 2) stack.
+    """Every reduced coefficient set of the (q, n) cell as one (B, m, 2) int64 stack.
 
-    Cells of more than SEARCH_CAP sets are refused (_check_q2_cell).
+    q, n and the cell size are checked first (a cell of more than
+    SEARCH_CAP sets is refused). With m = n - 2, dependent column i is
+    (c_i, c_i * s_i mod q); the rows run over the slope sets s in
+    combinations order and, within each, over the scale vectors c in
+    product order, built by one broadcast of the scales against the slopes.
     """
+    q = check_odd_prime(q)
+    _check_q2_columns(q, n)
     _check_q2_cell(q, n)
-    return np.concatenate(list(_q2_coefficient_blocks(q, n)))
+    m, half = n - 2, (q - 1) // 2
+    scales = np.array(list(product(range(1, half + 1), repeat=m)), dtype=np.int64)
+    slopes = np.array(list(combinations(range(1, q), m)), dtype=np.int64)[:, None]
+    return np.stack(np.broadcast_arrays(scales, scales * slopes % q), axis=-1).reshape(-1, m, 2)
 
 
 def _inverses(q: int) -> np.ndarray:
@@ -486,11 +479,12 @@ def _cell_orbits(C: np.ndarray, q: int) -> np.ndarray:
     """The Cheng-Ye orbit of every set of a whole cell, as one int64 each.
 
     C is _q2_coefficients(q, n), so a set's cell index is its row. A set's
-    orbit is the smallest index over its _image_indices: two sets share it
-    exactly when they are images of each other. From a cursor past every
-    labelled set, looking 64 sets ahead per set wanted, the next unlabelled
-    sets are taken in batches that double up to key stacks of about
-    _CHUNK_BYTES; each one's smallest index goes to all of its images.
+    orbit is the smallest index over its _image_indices, the row of one of
+    its members: two sets share it exactly when they are images of each
+    other. From a cursor past every labelled set, looking 64 sets ahead per
+    set wanted, the next unlabelled sets are taken in batches that double up
+    to key stacks of about _CHUNK_BYTES; each one's smallest index goes to
+    all of its images.
     """
     n = C.shape[1] + 2
     tables = _image_tables(q, n)
@@ -632,47 +626,42 @@ def _beta4_keys(C: np.ndarray, q: int, family: str) -> np.ndarray:
 def _family_best(C, orbit, reps, q, family) -> FamilyBest:
     """The family's best set: the exact beta_4 key, then full patterns.
 
-    C is the whole cell in tolist order, orbit its _cell_orbits labels and
-    reps the position of each orbit's first (lexicographically smallest)
-    member. Column permutation and level reversal preserve the pattern at
-    the closed-form shift, so the search works on one set per orbit. Every
-    member is mirror-symmetric at its closed-form shift
-    (optimal_shift_linear, theorem 4), so beta_3 is rounding and cuts
-    nothing: the representatives whose integer _beta4_keys equal the
-    smallest are kept, and, only if two or more are, they are ranked on
-    full patterns. Every member of a kept orbit is a tie. The winner is a
-    representative, so beta3 and beta4 are its own, from beta_k_stack.
+    C is the whole cell, orbit its _cell_orbits labels and reps the rows
+    whose label is their own, one member of each orbit. Column permutation
+    and level reversal preserve the pattern at the closed-form shift, so the
+    search works on one set per orbit, whichever member it is. Every member
+    is mirror-symmetric at its closed-form shift (optimal_shift_linear,
+    theorem 4), so beta_3 is rounding and cuts nothing: the representatives
+    whose integer _beta4_keys equal the smallest are kept, and, only if two
+    or more are, they are ranked on full patterns. Every member of a kept
+    orbit is a tie, and the ties are listed in tolist order. The winner is
+    the first tie, so beta3 and beta4 are its own, from beta_k_stack.
     """
-    b = _closed_form_shifts(C[reps], q, family)
     keys = _beta4_keys(C[reps], q, family)
-    alive = np.flatnonzero(keys == keys.min())
+    alive = reps[keys == keys.min()]
     decided = 4 if len(alive) < len(keys) else None
-
-    survivors, b = C[reps[alive]], b[alive]
-    kept = [0]
     if len(alive) > 1:
-        patterns = _member_patterns(survivors, b, q, family, None)
+        b = _closed_form_shifts(C[alive], q, family)
+        patterns = _member_patterns(C[alive], b, q, family, None)
         kept, sub_decided = _rank_candidates(len(patterns), patterns.T)
+        alive = alive[kept]
         if sub_decided is not None:
             decided = sub_decided
 
-    win = kept[0]
-    beta3, beta4 = _member_betas(survivors[win][None], b[win][None], q, family, (3, 4))[0].tolist()
+    ties = sorted(C[np.isin(orbit, alive)].tolist())
+    win = np.array(ties[0])
+    b = _closed_form_shifts(win, q, family)
+    beta3, beta4 = _member_betas(win[None], b[None], q, family, (3, 4))[0].tolist()
     return FamilyBest(
         family=family,
-        generators=survivors[win].tolist(),
-        b=b[win].tolist(),
-        ties=C[np.isin(orbit, orbit[reps[alive[kept]]])].tolist(),
+        generators=ties[0],
+        b=b.tolist(),
+        ties=ties,
         evaluations=len(C),
         decided_k=decided,
         beta3=beta3,
         beta4=beta4,
     )
-
-
-def _tolist_order(C: np.ndarray, q: int) -> np.ndarray:
-    """The order tolist gives a (B, m, 2) stack: its sets as base-q keys, below 2^53 (tested)."""
-    return np.argsort(C.reshape(len(C), -1) @ q ** np.arange(2 * C.shape[1])[::-1], kind="stable")
 
 
 def search_q2(q: PrimeLevel, n: int) -> Q2Report:
@@ -683,13 +672,14 @@ def search_q2(q: PrimeLevel, n: int) -> Q2Report:
     pattern-equal generator sets reported as ties. Column permutation and
     level reversal (Cheng and Ye, 2004) preserve the pattern, so every set
     of the cell is labelled with its orbit once, from table lookups on each
-    set's cross products (_cell_orbits). The cell is put in tolist order by
-    one argsort of base-q keys (_tolist_order), and each family is pruned one
-    orbit at a time on the integer beta_4 key (_beta4_keys) of the orbit's
-    lexicographically smallest member, then ranked on full patterns only
-    where two or more orbits survive (_family_best). The ties are whole
-    orbits. The standard design's beta_3 and beta_4 come from the pair
-    kernel cut off at degree 4, which gives the bits of its full pattern.
+    set's cross products (_cell_orbits). A label is the row of one member of
+    the orbit, and the rows labelled with themselves are the representatives:
+    each family is pruned one orbit at a time on their integer beta_4 key
+    (_beta4_keys), then ranked on full patterns only where two or more orbits
+    survive (_family_best). The ties are whole orbits, sorted, and the
+    winner is the smallest tie. The standard design's beta_3 and beta_4 come
+    from the pair kernel cut off at degree 4, which gives the bits of its
+    full pattern.
     """
     std = standard_generators(q, n)
     C = _q2_coefficients(q, n)
@@ -697,9 +687,7 @@ def search_q2(q: PrimeLevel, n: int) -> Q2Report:
     # enumerates, and its bits differ from the full pattern's (q=23)
     std_beta3, std_beta4 = np.maximum(_pattern_by_pairs(expand(std), 4)[3:], 0.0).tolist()
     orbit = _cell_orbits(C, q)
-    order = _tolist_order(C, q)
-    C, orbit = C[order], orbit[order]
-    reps = np.sort(np.unique(orbit, return_index=True)[1])
+    reps = np.flatnonzero(orbit == np.arange(len(C)))
     linear = _family_best(C, orbit, reps, q, "linear")
     will = _family_best(C, orbit, reps, q, "williams")
     return Q2Report(
@@ -720,7 +708,6 @@ def count_recursive(q: PrimeLevel, n: int):
     """
     if q not in (5, 7):
         raise InputError(f"counts are tabulated for q in {{5, 7}}, got {q}")
-    _check_q2_columns(q, n)
     labels = _classify_stack(_q2_coefficients(q, n), q)
     c1 = int((labels == RecursiveType.TYPE_I).sum())
     c2 = c1 + int((labels == RecursiveType.TYPE_II).sum())

@@ -208,7 +208,7 @@ def _classify_stack(C: np.ndarray, q: int) -> np.ndarray:
     """`classify` of every set in a (B, m, 2) q^2-run coefficient stack.
 
     Returns a (B,) object array of RecursiveType. The rows of C must be valid
-    reduced coefficients, as `_q2_coefficient_blocks` yields them: no
+    reduced coefficients, as `_q2_coefficients` builds them: no
     GeneratorSet is built, so nothing checks them.
     """
     return np.array(_TYPES, dtype=object)[_closure_types(column_vectors(C), q)]

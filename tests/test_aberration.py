@@ -146,7 +146,7 @@ def test_stacked_beta_k_is_bit_identical(q, n, family, monkeypatch):
     assert np.array_equal(beta_k_stack(stack, (3, 4), q), want)
     # the integer stacks of the generator sweep, in those chunks of 7, build
     # the same designs
-    C = np.concatenate(list(optimal._q2_coefficient_blocks(q, n)))
+    C = optimal._q2_coefficients(q, n)
     betas = optimal._member_betas(C, optimal._closed_form_shifts(C, q, family), q, family, (3, 4))
     assert np.array_equal(betas, want)
 
@@ -157,7 +157,7 @@ def test_stacked_beta_k_sampled_large_cells(q, family):
     # every 97th reduced set of the five-column cell: verify_theorem sweeps
     # these cells on stacks only, so the per-design path is checked here
     basis = orthonormal_basis(q)
-    C = np.concatenate(list(optimal._q2_coefficient_blocks(q, 5)))[::97]
+    C = optimal._q2_coefficients(q, 5)[::97]
     shift_of = optimal_shift_linear if family == "linear" else optimal_shift_williams
     gens = [GeneratorSet(q, c) for c in C]
     designs = [build_design(g, shift_of(g), family) for g in gens]

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import wtdesigns as wt
-from wtdesigns.optimal import _q2_coefficient_blocks, _triple_totals
+from wtdesigns.optimal import _q2_coefficients, _triple_totals
 from wtdesigns.recursion import _classify_stack
 
 
@@ -359,8 +359,8 @@ def _sweep_closed_form_shift(problems):
     # every generator set: theorems 1 (degree-3 measure zero) and 4 (mirror
     # symmetry) through the library checks, which cover the same scopes as
     # `verify`'s default nmax; the full odd-degree pattern on every set for
-    # small q and on a deterministic stride for larger q, counted over the
-    # coefficient blocks so that only the strided sets become objects
+    # small q and on a deterministic stride for larger q, counted over each
+    # cell's coefficient stack so that only the strided sets become objects
     scopes = ((5, 6, 1), (7, 8, 1), (11, 5, 499), (13, 5, 499))
     for q, nmax, stride in scopes:
         for theorem in (1, 4):
@@ -370,26 +370,26 @@ def _sweep_closed_form_shift(problems):
             )
         seen = 0
         for n in range(3, nmax + 1):
-            for block in _q2_coefficient_blocks(q, n):
-                # block row i is set number seen + i + 1 of this q
-                strided = block[(-seen - 1) % stride :: stride]
-                seen += len(block)
-                for C in strided:
-                    gen = wt.GeneratorSet(q, C)
-                    design = wt.build_design(
-                        gen, wt.optimal_shift_williams(gen), "williams"
+            cell = _q2_coefficients(q, n)
+            # cell row i is set number seen + i + 1 of this q
+            strided = cell[(-seen - 1) % stride :: stride]
+            seen += len(cell)
+            for C in strided:
+                gen = wt.GeneratorSet(q, C)
+                design = wt.build_design(
+                    gen, wt.optimal_shift_williams(gen), "williams"
+                )
+                odd = wt.beta_pattern(design).values[0::2]
+                if max(odd) > 1e-9:
+                    problems.append(
+                        f"q={q} C={gen.C.tolist()}: odd measure {max(odd):.2e}"
                     )
-                    odd = wt.beta_pattern(design).values[0::2]
-                    if max(odd) > 1e-9:
-                        problems.append(
-                            f"q={q} C={gen.C.tolist()}: odd measure {max(odd):.2e}"
-                        )
 
 
 def _sweep_unique_zero_for_type_two(problems):
     for q in (5, 7):
         for n in (3, 4):
-            C = np.concatenate(list(_q2_coefficient_blocks(q, n)))
+            C = _q2_coefficients(q, n)
             labels = _classify_stack(C, q)
             kept = (labels == wt.RecursiveType.TYPE_I) | (labels == wt.RecursiveType.TYPE_II)
             for coeffs in C[kept]:

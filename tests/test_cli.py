@@ -254,9 +254,10 @@ def test_oversized_q2_cells_are_refused_before_any_work(capsys, monkeypatch, arg
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the cap check")
 
-    # an internal error would exit 3; the kernels fetch the basis through
-    # these two modules
-    for name in ("_q2_coefficient_blocks", "beta_pattern", "orthonormal_basis"):
+    # an internal error would exit 3; the cell builder reads combinations
+    # after its cap check, and the kernels fetch the basis through these two
+    # modules
+    for name in ("combinations", "beta_pattern", "orthonormal_basis"):
         monkeypatch.setattr(optimal, name, no_work)
     monkeypatch.setattr(aberration, "orthonormal_basis", no_work)
     code, stdout, err = run(capsys, *argv)

@@ -607,7 +607,7 @@ def test_theorem2_grid_zero_sets_equal_the_per_shift_ones(q):
     checked = 0
     for n in (3, 4):
         shifts = np.array(list(product(range(q), repeat=n - 2)))
-        C = np.concatenate(list(optimal._q2_coefficient_blocks(q, n)))
+        C = optimal._q2_coefficients(q, n)
         for coeffs in C[_classify_stack(C, q) == RecursiveType.TYPE_II]:
             gen = GeneratorSet(q, coeffs)
             grid = shift_grid_beta(gen, "williams", 3)
@@ -730,6 +730,12 @@ def test_enumeration_range_check():
         list(enumerate_q2_generators(5, 7))
 
 
+def test_enumeration_refuses_oversized_cells():
+    # the generator yields the rows of the one cell builder, under its cap
+    with pytest.raises(CapExceededError, match="over the cap of 2000000"):
+        next(enumerate_q2_generators(13, 8))  # C(12,6) * 6^6 = 43.1M sets
+
+
 def test_standard_generators_frozen():
     assert standard_generators(5, 3).C.tolist() == [[1, 1]]
     assert standard_generators(5, 5).C.tolist() == [[1, 1], [1, 2], [1, 3]]
@@ -780,7 +786,7 @@ def closed_form_sweep(q, n, family, ks):
     Returns the (B, m, 2) coefficient stack in enumerate_q2_generators order
     and the (B, len(ks)) measures.
     """
-    C = np.concatenate(list(optimal._q2_coefficient_blocks(q, n)))
+    C = optimal._q2_coefficients(q, n)
     b = optimal._closed_form_shifts(C, q, family)
     stacks = optimal._member_stacks(C, b, q, family, ks)
     return C, np.concatenate([beta_k_stack(rows, ks, q) for rows in stacks])
@@ -872,7 +878,7 @@ def _universe_table(q):
 def _brute_run_sum_totals(q, n):
     # int64 sums of S^2 over the column triples of every Williams set at its
     # closed-form shift, S the run-sum of three centred levels
-    C = np.concatenate(list(optimal._q2_coefficient_blocks(q, n)))
+    C = optimal._q2_coefficients(q, n)
     shifts = optimal._closed_form_shifts(C, q, "williams")
     totals = []
     for rows in optimal._member_stacks(C, shifts, q, "williams"):
@@ -1093,20 +1099,6 @@ def test_image_indices_equal_the_oracle(q, n):
         assert np.array_equal(got.T, _cell_index(_reduced_images(part, q), q))
 
 
-def test_tolist_keys_stay_exact():
-    # a set's 2m coefficients are the base-q digits of one key below q^(2m)
-    sizes = {(q, n): q ** (2 * (n - 2)) for q, n in _admitted_cells()}
-    assert max(sizes.values()) == sizes[11, 7] == 11**10 < 2**53
-
-
-@pytest.mark.parametrize("q,n", [(5, n) for n in range(3, 7)] + [(7, n) for n in range(3, 9)])
-def test_tolist_order_equals_lexsort(q, n):
-    C = optimal._q2_coefficients(q, n)
-    want = np.lexsort(C.reshape(len(C), -1).T[::-1])
-    assert np.array_equal(optimal._tolist_order(C, q), want)
-    assert C[want].tolist() == sorted(C.tolist())
-
-
 @pytest.mark.parametrize("q,n", ORBIT_CELLS)
 def test_group_images_are_reduced_sets_of_the_same_orbit(q, n):
     C = optimal._q2_coefficients(q, n)
@@ -1127,7 +1119,9 @@ def test_group_images_are_reduced_sets_of_the_same_orbit(q, n):
 def test_cell_orbits_equal_the_smallest_image_index(q, n):
     C = optimal._q2_coefficients(q, n)
     brute = _cell_index(_reduced_images(C, q), q).min(axis=1)
-    assert (optimal._cell_orbits(C, q) == brute).all()
+    orbit = optimal._cell_orbits(C, q)
+    assert (orbit == brute).all()
+    assert (orbit[orbit] == orbit).all()  # a label is the row of one of its members
 
 
 def test_orbit_counts_of_the_tabulated_cells():
@@ -1143,6 +1137,25 @@ def test_orbit_ids_do_not_depend_on_the_chunk_size(monkeypatch):
     want = optimal._cell_orbits(C, 7)
     monkeypatch.setattr(optimal, "_CHUNK_BYTES", 1)  # one set per batch
     assert (optimal._cell_orbits(C, 7) == want).all()
+
+
+@pytest.mark.parametrize("q,n", [(5, n) for n in range(3, 7)] + [(7, n) for n in range(3, 9)])
+def test_search_q2_does_not_depend_on_the_representative(q, n, monkeypatch):
+    # label each orbit by its largest row instead of its smallest: every
+    # orbit of two or more sets is then represented by another member
+    cell_orbits = optimal._cell_orbits
+
+    def largest_row(C, q):
+        orbit = cell_orbits(C, q)
+        last = np.zeros_like(orbit)
+        np.maximum.at(last, orbit, np.arange(len(C)))
+        return last[orbit]
+
+    C = optimal._q2_coefficients(q, n)
+    assert (largest_row(C, q) != cell_orbits(C, q)).any()
+    want = search_q2(q, n).to_json_dict()
+    monkeypatch.setattr(optimal, "_cell_orbits", largest_row)
+    assert search_q2(q, n).to_json_dict() == want
 
 
 # sampled sets per cell; q = 11 and 13 at few columns, where a pattern is cheap

@@ -25,7 +25,7 @@ from wtdesigns import (
     classify,
     rank_mod,
 )
-from wtdesigns.optimal import _q2_coefficient_blocks, count_recursive
+from wtdesigns.optimal import _q2_coefficients, count_recursive
 from wtdesigns import recursion
 from wtdesigns.recursion import _classify_stack, _saturate
 
@@ -99,7 +99,7 @@ def _oracle_classify(gen: GeneratorSet) -> RecursiveType:
 
 
 def _cell(q, n):
-    return np.concatenate(list(_q2_coefficient_blocks(q, n)))
+    return _q2_coefficients(q, n)
 
 
 # --- examples ---------------------------------------------------------------------

@@ -141,3 +141,22 @@ def test_one_image_path():
         assert not [ref for ref in _references(name) if ref[0] == "optimal"], name
     for name in ("_image_indices", "_image_tables"):
         assert _references(name) == [("optimal", "_cell_orbits")], name
+
+
+def test_one_cell_order():
+    # the cell is built once, by one builder, and searched in its own row
+    # order: an orbit's representative is the row that labels it, and only
+    # the ties are sorted
+    from wtdesigns import optimal
+
+    for name in ("_q2_coefficient_blocks", "_tolist_order"):
+        assert not hasattr(optimal, name), name
+    for name in ("argsort", "unique", "lexsort"):
+        assert not [ref for ref in _references(name) if ref[0] == "optimal"], name
+    sweeps = {
+        ("optimal", name)
+        for name in ("search_q2", "count_recursive", "verify_theorem", "enumerate_q2_generators")
+    }
+    assert set(_references("_q2_coefficients")) == sweeps
+    for name in ("product", "combinations"):
+        assert not sweeps & set(_references(name)), name
