@@ -19,19 +19,21 @@ one label per design: `classify` is the B = 1 call, and `_classify_stack`
 labels a whole q^2-run coefficient stack. The q^2 generator space and its
 sweeps (`count_recursive`, theorem 2) belong to `optimal`, which calls it.
 
-- Reach table: for each unordered column pair and coefficient pair, the
-  column that c1*w_a + c2*w_b lands on, if any. Each regime keeps the
-  coefficients it allows, which gives a boolean table of the columns each
-  pair yields.
-- Closure: the reached columns of every (design, start) grow in rounds of
-  "pairs with both columns reached" times the reach table, until a
-  fixpoint; each round before it adds a column, so n rounds suffice.
-- Nesting: the regimes run strictest first. A design that one regime
-  labels drops out, and the others carry their reached sets into the next
-  regime, whose closure contains them.
-- Starts run in bounded chunks. A design keeps the strictest regime any
-  chunk has reached so far, later chunks try only stricter regimes, and
-  the sweep stops once every design is type I.
+- Reach levels: for each unordered column pair {a, b} and column j, the
+  strictest regime in which c1*w_a + c2*w_b = w_j. The pair's columns are
+  independent, so j has at most one coefficient pair. Cramer's rule on a
+  nonzero 2x2 minor of (w_a, w_b) gives it, the other coordinates confirm
+  it, and a (q, q) table gives its regime; a zero coefficient or a failed
+  check gives 3.
+- Closure: L[j] is the strictest regime in which a start reaches column j,
+  0 on the start and 3 elsewhere. Each round lowers L[j] to the least, over
+  the pairs {a, b}, of max(L[a], L[b], level of {a, b} for j). The set
+  {j : L[j] <= r} after t rounds is regime r's reached set after t rounds,
+  so n rounds reach every regime's fixpoint at once. A design's label is
+  the min over its starts of the max over its columns.
+- Starts run in chunks that bound the (design, start, pair, column) cells
+  of a round. A design keeps the strictest label of any chunk so far, and
+  the sweep stops once every design of a chunk is type I.
 
 No start set is rank-checked. A dependent d-subset spans a proper subspace,
 its closure stays inside it, and it misses a unit column, so it can never
@@ -40,16 +42,14 @@ columns of a generator set are proportional, so every pair is independent.
 """
 
 import enum
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
 from .designs import GeneratorSet, column_vectors
-from .errors import InputError
 
-# target codes per design chunk of a stack: bounds the (B, q-1, q-1, P, d) arrays
-_CHUNK_TARGETS = 1 << 16
-# (design, start, pair) cells per start chunk: bounds the (B, S, P) round arrays
+# (design, start, pair, column) cells per chunk: bounds the (B, S, P, n) round arrays
 _CHUNK_CELLS = 1 << 18
 
 
@@ -72,126 +72,99 @@ _TYPES = (
 )
 
 
-def _coefficient_levels(q: int) -> tuple:
-    """(level, mask) pairs: the (q-1, q-1) mask holds the coefficients
-    (c1, c2) whose strictest regime is level 0, 1 or 2.
+@lru_cache(maxsize=None)
+def _field_tables(q: int) -> tuple:
+    """(level, inverse), read-only and cached: level[c1, c2] is the strictest
+    regime of the step c1*w_a + c2*w_b, 3 when a coefficient is 0, and
+    inverse[x] is x^-1 mod q (inverse[0] = 0).
 
-    Entry (c1 - 1, c2 - 1) forms c1*w_a + c2*w_b from the column pair {a, b}.
     The pair is unordered: a step may take either column as w1, so type II
     needs a unit coefficient on either column.
     """
-    unit = np.zeros(q - 1, dtype=bool)
-    unit[[0, q - 2]] = True
-    either = unit[:, None] | unit[None, :]
-    both = unit[:, None] & unit[None, :]
-    return (2, ~either), (1, either & ~both), (0, both)
+    unit = np.zeros(q, dtype=np.int8)
+    unit[[1, q - 1]] = 1
+    level = 2 - unit[:, None] - unit[None, :]
+    level[0] = level[:, 0] = 3
+    inverse = np.array([0] + [pow(x, -1, q) for x in range(1, q)], dtype=np.int64)
+    for table in (level, inverse):
+        table.setflags(write=False)
+    return level, inverse
 
 
+@lru_cache(maxsize=None)
 def _subsets(n: int, k: int) -> np.ndarray:
-    """(C(n, k), k) array of the k-subsets of range(n), in lexicographic order."""
-    return np.array(list(combinations(range(n), k)), dtype=np.intp).reshape(-1, k)
+    """(C(n, k), k) read-only array of the k-subsets of range(n), in lexicographic order."""
+    out = np.array(list(combinations(range(n), k)), dtype=np.intp).reshape(-1, k)
+    out.setflags(write=False)
+    return out
 
 
 def _reach_levels(cols: np.ndarray, q: int, pa, pb) -> np.ndarray:
     """(B, P, n) strictest regime in which the column pair p yields column j.
 
     P runs over the unordered column pairs (pa[p], pb[p]), a < b; 3 marks a
-    column the pair cannot yield. Each target c1*w_a + c2*w_b is found among its own set's
-    columns by a searchsorted on per-set offset codes, so no q^d-sized table
-    is built for d > 2.
+    column the pair cannot yield.
     """
     B, n, d = cols.shape
-    pows = q ** np.arange(d - 1, -1, -1, dtype=np.int64)
-    scaled = (cols[:, None] * np.arange(1, q)[None, :, None, None]) % q
-    targets = (scaled[:, :, None, pa] + scaled[:, None, :, pb]) % q @ pows
-    offsets = np.arange(B, dtype=np.int64) * q**d
-    flat = (cols @ pows + offsets[:, None]).ravel()
-    order = np.argsort(flat)
-    keys = flat[order]
-    targets += offsets[:, None, None, None]
-    pos = np.minimum(np.searchsorted(keys, targets), len(keys) - 1)
-    # a hit at flat position b*n + j gives column j; a miss gives n, a spare slot
-    index = np.where(keys[pos] == targets, order[pos] % n, n)
-
-    levels = np.full((B, len(pa), n + 1), 3, dtype=np.int8)
+    level, inverse = _field_tables(q)
+    r, s = _subsets(d, 2).T
+    # minors[b, i, j, k] = det(w_i, w_j) on the coordinates (r[k], s[k])
+    wi, wj = cols[:, :, None], cols[:, None, :]
+    minors = (wi[..., r] * wj[..., s] - wi[..., s] * wj[..., r]) % q
     rows = np.arange(B)[:, None, None]
-    pairs = np.arange(len(pa))[None, None, :]
-    # the pair's columns are independent, so a column they yield has one
-    # coefficient pair and gets one level
-    for level, mask in _coefficient_levels(q):
-        levels[rows, pairs, index[:, mask]] = level
-    return levels[:, :, :n]
+    a, b, j = pa[:, None], pb[:, None], np.arange(n)
+    # the pair is independent, so some minor is nonzero: Cramer's rule on the first
+    k = (minors[:, pa, pb] != 0).argmax(axis=2)[:, :, None]
+    inv = inverse[minors[rows, a, b, k]]
+    c1 = minors[rows, j, b, k] * inv % q
+    c2 = minors[rows, a, j, k] * inv % q
+    # the other coordinates must agree for w_j to lie in the pair's span
+    off = (c1[..., None] * cols[:, pa, None] + c2[..., None] * cols[:, pb, None] - wj) % q
+    return np.where(off.any(axis=3), 3, level[c1, c2]).astype(np.int8)
 
 
-def _saturate(reached, reach, pa, pb):
-    """Fixpoint of the (B, S, n) reached masks under a (B, P, n) boolean reach table.
+def _minimax_closure(L: np.ndarray, levels: np.ndarray, pa, pb) -> np.ndarray:
+    """Fixpoint of the (B, S, n) start levels L under a (B, P, n) reach-level table.
 
-    Each round adds every column that some pair (pa[p], pb[p]) of reached
-    columns yields, so it takes at most n rounds.
+    Each round lowers L[j] to the least max(L[a], L[b], levels[p, j]) over
+    the pairs p = (a, b). Thresholded at any regime it is that regime's
+    boolean round, so it takes at most n rounds.
     """
-    for _ in range(reached.shape[2]):
-        # a boolean product ORs over the pairs: it saturates, so no pair
-        # count can wrap it back to zero the way a uint8 sum past 255 would
-        grown = reached | ((reached[:, :, pa] & reached[:, :, pb]) @ reach)
-        if np.array_equal(grown, reached):
+    for _ in range(L.shape[2]):
+        step = np.maximum(np.maximum(L[:, :, pa], L[:, :, pb])[..., None], levels[:, None])
+        lowered = np.minimum(L, step.min(axis=2))
+        if np.array_equal(lowered, L):
             break
-        reached = grown
-    return reached
-
-
-def _lower_types(types, levels, starts, pa, pb):
-    """Lower each design's regime index in `types` to the strictest regime
-    in which one of the (S, d) `starts` reaches all of its columns.
-
-    Only regimes stricter than a design's current index are tried.
-    """
-    B, _, n = levels.shape
-    reached = np.zeros((B, len(starts), n), dtype=bool)
-    reached[:, np.arange(len(starts))[:, None], starts] = True
-    live = np.arange(B)
-    for regime in range(3):
-        live = live[types[live] > regime]
-        if not len(live):
-            break
-        # a stricter regime's fixpoint is a valid start for the next one
-        R = _saturate(reached[live], levels[live] <= regime, pa, pb)
-        done = R.all(axis=2).any(axis=1)
-        types[live[done]] = regime
-        reached[live] = R
-        live = live[~done]
-
-
-def _closure_chunk(cols: np.ndarray, starts: np.ndarray, q: int, pa, pb) -> np.ndarray:
-    B = len(cols)
-    levels = _reach_levels(cols, q, pa, pb)
-    types = np.full(B, len(_TYPES) - 1, dtype=np.int8)
-    step = max(1, _CHUNK_CELLS // (B * len(pa)))
-    for lo in range(0, len(starts), step):
-        _lower_types(types, levels, starts[lo : lo + step], pa, pb)
-        if not types.any():
-            break
-    return types
+        L = lowered
+    return L
 
 
 def _closure_types(cols: np.ndarray, q: int) -> np.ndarray:
     """Regime index (position in _TYPES) of each design in a (B, n, d) stack.
 
     A design is labelled by the strictest regime in which one of its d-subsets
-    of columns reaches all n columns. The stack is cut into design chunks that
-    bound the target arrays and keep the offset codes in int64, and the starts
-    into chunks that bound the per-round arrays.
+    of columns reaches all n columns. Designs and then starts are cut into
+    chunks of at most _CHUNK_CELLS (design, start, pair, column) cells.
     """
     B, n, d = cols.shape
-    if q**d >= 2**62:
-        raise InputError(f"q^d = {q}^{d} column codes do not fit in 64 bits")
     pa, pb = _subsets(n, 2).T
     starts = _subsets(n, d)
-    per_set = (n * (n - 1) // 2) * (q - 1) ** 2 * d
-    step = max(1, min(_CHUNK_TARGETS // per_set, 2**62 // q**d))
-    chunks = [
-        _closure_chunk(cols[lo : lo + step], starts, q, pa, pb) for lo in range(0, B, step)
-    ]
-    return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int8)
+    types = np.full(B, len(_TYPES) - 1, dtype=np.int8)
+    per_start = len(pa) * n
+    step = max(1, _CHUNK_CELLS // (per_start * len(starts)))
+    for lo in range(0, B, step):
+        chunk = types[lo : lo + step]
+        levels = _reach_levels(cols[lo : lo + step], q, pa, pb)
+        width = max(1, _CHUNK_CELLS // (len(chunk) * per_start))
+        for first in range(0, len(starts), width):
+            part = starts[first : first + width]
+            L = np.full((len(chunk), len(part), n), len(_TYPES) - 1, dtype=np.int8)
+            L[:, np.arange(len(part))[:, None], part] = 0
+            L = _minimax_closure(L, levels, pa, pb)
+            np.minimum(chunk, L.max(axis=2).min(axis=1), out=chunk)
+            if not chunk.any():
+                break
+    return types
 
 
 def classify(gen: GeneratorSet) -> RecursiveType:

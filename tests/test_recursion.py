@@ -8,7 +8,9 @@ before this package existed. The q=7 n=6..8 tuples were taken from the
 replaced (the oracle `_closure_reaches_all` below); criterion 3 covers these
 cells too, but it fails by design, so it cannot guard them.
 
-The stacked closure is checked against that per-start closure as an oracle.
+The stacked closure is checked against that per-start closure as an oracle,
+and its reach levels against the coefficient-target search they replaced
+(`_target_reach_levels` below).
 """
 
 import json
@@ -25,9 +27,10 @@ from wtdesigns import (
     classify,
     rank_mod,
 )
+from wtdesigns.designs import column_vectors
 from wtdesigns.optimal import _q2_coefficients, count_recursive
 from wtdesigns import recursion
-from wtdesigns.recursion import _classify_stack, _saturate
+from wtdesigns.recursion import _classify_stack, _minimax_closure, _reach_levels, _subsets
 
 FROZEN_COUNTS = {
     (5, 3): (2, 8, 8),
@@ -102,6 +105,44 @@ def _cell(q, n):
     return _q2_coefficients(q, n)
 
 
+# --- oracle: reach levels by searching every coefficient target ----------------------
+
+def _target_reach_levels(cols, q, pa, pb):
+    """(B, P, n) reach levels: every target c1*w_a + c2*w_b, for all (q-1)^2
+    coefficient pairs, found among its own set's columns by a searchsorted on
+    per-set offset codes."""
+    B, n, d = cols.shape
+    pows = q ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    scaled = (cols[:, None] * np.arange(1, q)[None, :, None, None]) % q
+    targets = (scaled[:, :, None, pa] + scaled[:, None, :, pb]) % q @ pows
+    offsets = np.arange(B, dtype=np.int64) * q**d
+    flat = (cols @ pows + offsets[:, None]).ravel()
+    order = np.argsort(flat)
+    keys = flat[order]
+    targets += offsets[:, None, None, None]
+    pos = np.minimum(np.searchsorted(keys, targets), len(keys) - 1)
+    # a hit at flat position b*n + j gives column j; a miss gives n, a spare slot
+    index = np.where(keys[pos] == targets, order[pos] % n, n)
+
+    unit = np.zeros(q - 1, dtype=bool)
+    unit[[0, q - 2]] = True
+    either = unit[:, None] | unit[None, :]
+    both = unit[:, None] & unit[None, :]
+    levels = np.full((B, len(pa), n + 1), 3, dtype=np.int8)
+    rows = np.arange(B)[:, None, None]
+    pairs = np.arange(len(pa))[None, None, :]
+    for level, mask in ((2, ~either), (1, either & ~both), (0, both)):
+        levels[rows, pairs, index[:, mask]] = level
+    return levels[:, :, :n]
+
+
+def _assert_same_reach_levels(cols, q):
+    pa, pb = _subsets(cols.shape[1], 2).T
+    got = _reach_levels(cols, q, pa, pb)
+    assert got.dtype == np.int8
+    assert np.array_equal(got, _target_reach_levels(cols, q, pa, pb))
+
+
 # --- examples ---------------------------------------------------------------------
 
 def test_classify_frozen_examples():
@@ -138,6 +179,15 @@ def test_stacked_closure_matches_oracle(q, n, stride):
     assert list(got) == want
 
 
+REACH_CELLS = [(5, n, 1) for n in range(3, 7)] + [(7, n, 1) for n in (4, 7, 8)]
+REACH_CELLS += [(11, 5, 1), (13, 5, 9), (23, 4, 13)]
+
+
+@pytest.mark.parametrize("q,n,stride", REACH_CELLS)
+def test_reach_levels_match_target_search(q, n, stride):
+    _assert_same_reach_levels(column_vectors(_cell(q, n)[::stride]), q)
+
+
 def test_single_and_stacked_calls_agree():
     for q, n in ((5, 4), (7, 5), (11, 4)):
         C = _cell(q, n)[::7]
@@ -170,6 +220,8 @@ def test_dependent_starts_match_oracle(q, m, seed):
     gens = _random_sets(q, 3, m, 6, seed)
     assert any(_has_dependent_start(g) for g in gens)
     assert [classify(g) for g in gens] == [_oracle_classify(g) for g in gens]
+    for g in gens:
+        _assert_same_reach_levels(g.column_vectors()[None], q)
 
 
 def _projective_plane(q):
@@ -183,24 +235,41 @@ def _projective_plane(q):
 
 
 def test_wide_sets_match_oracle():
-    # q=5, d=3: all 31 points of the plane, 465 column pairs, and a
-    # 26-column subset of them
+    # q=5, d=3: all 31 points of the plane, 465 column pairs, a 26-column
+    # subset of them and every other point
     full = _projective_plane(5)
-    for C in (full, full[[i for i in range(len(full)) if i % 6 != 0]]):
+    wide = (full, full[[i for i in range(len(full)) if i % 6 != 0]])
+    for C in wide + (full[::2],):
         gen = GeneratorSet(5, C)
-        assert gen.n > 24
         assert classify(gen) is _oracle_classify(gen)
+        _assert_same_reach_levels(gen.column_vectors()[None], 5)
+    assert all(GeneratorSet(5, C).n > 24 for C in wide)
+
+
+@pytest.mark.parametrize("d", [3, 40])
+def test_units_and_all_ones_are_not_recursive(d):
+    # a step from two units has weight 2 and one from a unit and the all-ones
+    # column weight d - 1 or d with a nonzero unit coefficient: for d > 2 no
+    # pair yields any column. At d = 40, 3^40 would not fit a 64-bit column code.
+    gen = GeneratorSet(3, [[1] * d])
+    cols = gen.column_vectors()[None]
+    pa, pb = _subsets(gen.n, 2).T
+    assert (_reach_levels(cols, 3, pa, pb) == 3).all()
+    assert classify(gen) is RecursiveType.NOT_RECURSIVE
+    if d == 3:
+        assert _oracle_classify(gen) is RecursiveType.NOT_RECURSIVE
+        _assert_same_reach_levels(cols, 3)
 
 
 def test_round_does_not_wrap_the_pair_count():
-    # 256 reached pairs all yield column 24: a uint8 count would read 0
+    # 256 reached pairs all yield column 24 in type I: a uint8 count of them would read 0
     n = 25
     pa, pb = np.triu_indices(n, 1)
-    reach = np.zeros((1, len(pa), n), dtype=bool)
-    reach[0, np.flatnonzero(pb < n - 1)[:256], n - 1] = True
-    reached = np.zeros((1, 1, n), dtype=bool)
-    reached[..., : n - 1] = True
-    assert _saturate(reached, reach, pa, pb).all()
+    levels = np.full((1, len(pa), n), 3, dtype=np.int8)
+    levels[0, np.flatnonzero(pb < n - 1)[:256], n - 1] = 0
+    L = np.zeros((1, 1, n), dtype=np.int8)
+    L[..., n - 1] = 3
+    assert not _minimax_closure(L, levels, pa, pb).any()
 
 
 def test_stack_matches_recorded_closure_verdicts():
@@ -217,17 +286,17 @@ def test_empty_stack():
     assert _classify_stack(np.empty((0, 3, 2), dtype=np.int64), 5).shape == (0,)
 
 
-@pytest.mark.parametrize("one_design_per_chunk", [True, False])
-def test_small_chunks_give_the_same_labels(monkeypatch, one_design_per_chunk):
-    # one start per chunk: a design's label must be the strictest over all
-    # chunks, and an early stop must wait for every design of its chunk
+# a q=7 n=5 design has 10 starts x 10 pairs x 5 columns = 500 cells: 500 puts
+# one design with all of its starts in a chunk, 350 splits its starts 7 + 3,
+# and 1 gives one start per chunk
+@pytest.mark.parametrize("cells", [500, 350, 1])
+def test_small_chunks_give_the_same_labels(monkeypatch, cells):
+    # a design's label must be the strictest over all chunks of its starts
     C = _cell(7, 5)[::5]
     want = list(_classify_stack(C, 7))
     gens = _random_sets(5, 3, 5, 6, 7) + [GeneratorSet(5, _projective_plane(5)[::2])]
     want_gens = [_oracle_classify(g) for g in gens]
-    if one_design_per_chunk:
-        monkeypatch.setattr(recursion, "_CHUNK_TARGETS", 1)
-    monkeypatch.setattr(recursion, "_CHUNK_CELLS", 1)
+    monkeypatch.setattr(recursion, "_CHUNK_CELLS", cells)
     assert list(_classify_stack(C, 7)) == want
     assert [classify(g) for g in gens] == want_gens
 

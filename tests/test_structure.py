@@ -160,3 +160,20 @@ def test_one_cell_order():
     assert set(_references("_q2_coefficients")) == sweeps
     for name in ("product", "combinations"):
         assert not sweeps & set(_references(name)), name
+
+
+def test_one_closure_path():
+    # reach levels come from cross-product minors and one minimax closure labels
+    # every regime: no coefficient target is searched and no per-regime fixpoint is left
+    from wtdesigns import recursion
+
+    assert not [ref for ref in _references("searchsorted") if ref[0] == "recursion"]
+    for name in ("_saturate", "_lower_types", "_CHUNK_TARGETS", "_coefficient_levels"):
+        assert not hasattr(recursion, name), name
+    # the level table is built once per q, and cached tables are read-only
+    level, inverse = recursion._field_tables(7)
+    assert recursion._field_tables(7)[0] is level
+    assert level.shape == (7, 7) and recursion._field_tables(11)[0].shape == (11, 11)
+    assert recursion._subsets(6, 2) is recursion._subsets(6, 2)
+    for table in (level, inverse, recursion._subsets(6, 2)):
+        assert not table.flags.writeable
