@@ -234,8 +234,7 @@ def _reproduce_q2(g):
         chk.printed(f"n={n} standard beta3", report.standard_beta3, row["standard"][0])
         chk.printed(f"n={n} standard beta4", report.standard_beta4, row["standard"][1])
         for fam_name, fam in (("linear", report.linear), ("williams", report.williams)):
-            totals = _triple_totals(GeneratorSet(g["q"], fam.generators), fam_name)
-            if totals[tuple(fam.b)]:
+            if _triple_totals(np.array([fam.generators]), g["q"], fam_name)[(0, *fam.b)]:
                 chk.failures.append(
                     f"n={n} {fam_name} winner beta3 = {fam.beta3:.3g}, expected 0"
                 )
@@ -301,7 +300,7 @@ def _reproduce_info_compare(g):
 
 def _reproduce_example7(g):
     gen = GeneratorSet(g["q"], g["generators"])
-    grid = _triple_totals(gen, "williams")
+    grid = _triple_totals(gen.C[None], gen.q, "williams")[0]
     zeros = np.argwhere(grid == 0)
     chk = _Checker()
     chk.exact("count of shifts with beta3 = 0", len(zeros), 1)

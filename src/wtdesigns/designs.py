@@ -67,9 +67,9 @@ class GeneratorSet:
         self.n = self.m + d
         if not arr.any(axis=1).all():
             raise InputError("generator rows must be nonzero")
-        prop = _proportional_pairs(column_vectors(arr), self.q)
+        prop = _first_proportional_pair(column_vectors(arr), self.q)
         if prop:
-            i, j = prop[0]
+            i, j = prop
             raise InputError(
                 f"columns {i + 1} and {j + 1} are proportional mod {self.q}; "
                 "the design would not have strength 2"
@@ -94,19 +94,16 @@ def column_vectors(C: np.ndarray) -> np.ndarray:
     return cols
 
 
-def _proportional_pairs(vectors: np.ndarray, q: int):
-    """Pairs (i, j) of rows that are proportional mod q (includes zero rows)."""
+def _first_proportional_pair(vectors: np.ndarray, q: int):
+    """The first pair (i, j), i < j in lexicographic order, of nonzero rows proportional
+    mod q, or None: each row is scaled by the inverse of its first nonzero entry."""
     V = np.asarray(vectors, dtype=np.int64) % q
-    # rows u, v are proportional over the field iff every 2x2 minor vanishes
-    outer = V[:, None, :, None] * V[None, :, None, :]
-    minors = (outer - outer.transpose(0, 1, 3, 2)) % q
-    prop = (minors == 0).all(axis=(2, 3))
-    out = []
-    for i in range(len(V)):
-        for j in range(i + 1, len(V)):
-            if prop[i, j]:
-                out.append((i, j))
-    return out
+    lead = V[np.arange(len(V)), (V != 0).argmax(axis=1)]
+    inverse = np.array([pow(int(x), -1, q) for x in lead], dtype=np.int64)
+    directions = (V * inverse[:, None] % q).tolist()
+    first = {}
+    pairs = [(first.setdefault(tuple(row), j), j) for j, row in enumerate(directions)]
+    return min(((i, j) for i, j in pairs if i != j), default=None)
 
 
 def expand_stack(C: np.ndarray, q: int) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Arithmetic over Z_q for an odd prime q.
 
-Primality validation, matrix rank over the prime field, and deterministic
-tuple enumeration. Everything here is pure and cheap; every other module
-builds on these.
+Primality validation, matrix rank and inverses over the prime field, and
+deterministic tuple enumeration. Everything here is pure and cheap; every
+other module builds on these.
 """
 
+from functools import lru_cache
 from itertools import product
 from typing import Iterator
 
@@ -88,6 +89,14 @@ def rank_mod(M, q: PrimeLevel) -> int:
         if r == nrow:
             break
     return r
+
+
+@lru_cache(maxsize=None)
+def inverse_table(q: int) -> np.ndarray:
+    """inv[x] = x^-1 mod q for x in 1..q-1 and inv[0] = 0, read-only and cached."""
+    inv = np.array([0] + [pow(x, -1, q) for x in range(1, q)], dtype=np.int32)
+    inv.setflags(write=False)
+    return inv
 
 
 def enumerate_tuples(q: PrimeLevel, k: int) -> Iterator[tuple]:

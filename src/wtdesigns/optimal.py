@@ -40,9 +40,9 @@ from .designs import (
     williams_levels,
 )
 from .errors import CapExceededError, InputError
-from .fieldmath import PrimeLevel, check_int, check_odd_prime, int_array
+from .fieldmath import PrimeLevel, check_int, check_odd_prime, int_array, inverse_table
 from .orthopoly import orthonormal_basis
-from .recursion import RecursiveType, _classify_stack
+from .recursion import RecursiveType, _classify_stack, _subsets
 
 FAMILIES = ("linear", "williams")
 SEARCH_CAP = 2_000_000
@@ -170,14 +170,13 @@ def _support_table(values) -> np.ndarray:
     """Squared run-sums of every choice of candidates on the positions of a support.
 
     values[j] is a (V_j, N) array, for two or more positions j, holding the
-    candidate value vectors of position j: p_{u_j} of a universe column in
-    each run, or of one dependent column at each of its q shifts. Returns
+    candidate value vectors of position j: p_{u_j} of an independent column
+    in each run, or of a dependent column at each of its q shifts. Returns
     the (V_1, ..., V_r) table of (sum_i prod_j v_j[a_j, i])^2. The leading
     positions are multiplied out in chunks of about _CHUNK_BYTES and the
     last one enters through a matrix product, so the run-sums are added in
     BLAS order: the table is accurate to rounding, not bit-identical to
-    beta_k_stack. On integer values whose run-sums and squares stay below
-    2^53 every step is exact, and so is the table.
+    beta_k_stack.
     """
     head, *mid, last = values
     N = head.shape[1]
@@ -211,27 +210,27 @@ def _fold_tables(out: np.ndarray, tables: list) -> None:
         return
     a = next(a for a in range(out.ndim) if len({t.shape[a] for t in tables}) > 1)
     _fold_tables(out, [t for t in tables if t.shape[a] > 1])
-    sub = np.empty(out.shape[:a] + (1,) + out.shape[a + 1 :])
+    sub = np.empty(out.shape[:a] + (1,) + out.shape[a + 1 :], dtype=out.dtype)
     _fold_tables(sub, [t for t in tables if t.shape[a] == 1])
     out += sub
 
 
-def _shift_grid(gen: GeneratorSet, family: str, k: int, P: np.ndarray, divisor: int) -> np.ndarray:
-    """Every shift vector's sum over the degree-k exponent vectors u of
-    (sum_runs prod_j P[u_j](level_j))^2 / divisor, as an array of shape (q,)*m.
+def shift_grid_beta(gen: GeneratorSet, family: str, k: int) -> np.ndarray:
+    """beta_k of every shift vector at once, as an array of shape (q,)*m.
 
-    P[u] holds degree u's value at each of the q levels, and P[0] = 1.
-    Every member is an orthogonal array of strength 2, so an exponent
-    vector whose support has fewer than three columns is skipped: on an
-    orthonormal basis its run-sum is exactly zero. Any other exponent
-    vector has entries up to k - 2 only, and its term depends only on the
-    shifts of the dependent columns in its support: a _support_table over
-    those shifts. The tables are summed and divided by divisor per set of
-    dependent columns, and _fold_tables adds them up into the grid axis by
-    axis. This evaluates all q^m candidates for the price of the tables.
+    Every member is an orthogonal array of strength 2, so an exponent vector
+    whose support has fewer than three columns is skipped: its run-sum is
+    exactly zero. Any other exponent vector has entries up to k - 2 only,
+    and its term depends only on the shifts of the dependent columns in its
+    support: a _support_table over those shifts, added per set of dependent
+    columns, divided by N^2 and folded into the grid by _fold_tables. The
+    values are accurate to rounding, not bit-identical to shift_betas, and
+    search_shifts only prunes on them.
     """
-    q, m, n = gen.q, gen.m, gen.n
-    d = n - m
+    _check_family(family)
+    _check_k(k, gen.n, gen.q)
+    q, m, n, d = gen.q, gen.m, gen.n, gen.n - gen.m
+    P = orthonormal_basis(q).values[: k - 1]
     # member s has every dependent column at shift s: (q shifts, N, n)
     shifts = np.arange(q)[:, None].repeat(m, axis=1)
     levels = np.concatenate(list(_member_stacks(gen, shifts, q, family)))
@@ -249,37 +248,8 @@ def _shift_grid(gen: GeneratorSet, family: str, k: int, P: np.ndarray, divisor: 
     if not tables:  # k <= 2
         return np.zeros((q,) * m)
     grid = np.empty((q,) * m)
-    _fold_tables(grid, [t / divisor for t in tables.values()])
+    _fold_tables(grid, [t / q ** (2 * d) for t in tables.values()])
     return grid
-
-
-def shift_grid_beta(gen: GeneratorSet, family: str, k: int) -> np.ndarray:
-    """beta_k of every shift vector at once, as an array of shape (q,)*m.
-
-    The _shift_grid of the orthonormal basis, divided by N^2. The values
-    are accurate to rounding, not bit-identical to shift_betas, and
-    search_shifts only prunes on them.
-    """
-    _check_family(family)
-    _check_k(k, gen.n, gen.q)
-    N = gen.q ** (gen.n - gen.m)
-    return _shift_grid(gen, family, k, orthonormal_basis(gen.q).values[: k - 1], N**2)
-
-
-def _triple_totals(gen: GeneratorSet, family: str) -> np.ndarray:
-    """Every shift vector's sum, over the column triples, of S^2 for the integer
-    run-sum S of the triple's centred levels x - (q-1)/2, shape (q,)*m.
-
-    At strength 2 the only degree-3 exponent vectors with three or more
-    columns in their support are (1, 1, 1) on a triple, and p_1 = rho_1
-    times the centred level, so beta_3 = rho_1^6 / N^2 times the total: a
-    total is zero exactly when beta_3 is. On q^2-run sets up to q =
-    MAX_LEVELS every S^2 and every sum of them is an integer below 2^53,
-    so every step in float64 is exact, and so is the total.
-    """
-    q = gen.q
-    P = np.array([np.ones(q), np.arange(q) - (q - 1) / 2])
-    return _shift_grid(gen, family, 3, P, 1)
 
 
 def shift_betas(gen: GeneratorSet, family: str, shifts, ks) -> np.ndarray:
@@ -405,9 +375,17 @@ def _q2_coefficients(q: PrimeLevel, n: int) -> np.ndarray:
     return np.stack(np.broadcast_arrays(scales, scales * slopes % q), axis=-1).reshape(-1, m, 2)
 
 
-def _inverses(q: int) -> np.ndarray:
-    """inv[x] = x^-1 mod q for x in 1..q-1; inv[0] = 0."""
-    return np.array([0] + [pow(x, -1, q) for x in range(1, q)], dtype=np.int64)
+def _cross_products(C: np.ndarray, q: int) -> np.ndarray:
+    """X[i, j] = det(column i, column j) mod q of each set of a (B, m, 2) stack: int32 (n, n, B)."""
+    u, v = np.ascontiguousarray(column_vectors(C).transpose(2, 1, 0), dtype=np.int32)  # (n, B)
+    return (u[:, None] * v - v[:, None] * u) % q
+
+
+def _coordinates(X: np.ndarray, q: int, a, b, c) -> np.ndarray:
+    """lambda q + mu for column c = lambda a + mu b, by Cramer's rule on the _cross_products X
+    (two columns of a q^2-run set are independent): shape (..., B) for index arrays (...)."""
+    inv = inverse_table(q)[X[a, b]]
+    return X[c, b] * inv % q * q + X[a, c] * inv % q
 
 
 @lru_cache(maxsize=None)
@@ -441,7 +419,7 @@ def _image_tables(q: int, n: int) -> tuple:
     scale rank) is the sum of weight[i, key_i] over its keys in ascending order.
     """
     m, half = n - 2, (q - 1) // 2
-    inv = _inverses(q)
+    inv = inverse_table(q)
     d, e, f = np.ix_(range(q), range(q), range(q))
     alpha = e * inv[d] % q
     key = (f * inv[e] % q - 1) * half + np.minimum(alpha, q - alpha) - 1
@@ -465,8 +443,7 @@ def _image_indices(C: np.ndarray, q: int, tables: tuple) -> np.ndarray:
     G = 2n(n-1). Row 0, the identity, holds each set's own index.
     """
     key, weight, (ab, vb, av) = tables
-    u, v = column_vectors(C).astype(np.int32).transpose(2, 1, 0)  # (n, B) each
-    X = ((u[:, None] * v - v[:, None] * u) % q).reshape(-1, len(C))  # row i n + j: X[i, j]
+    X = _cross_products(C, q).reshape(-1, len(C))  # row i n + j: X[i, j]
     d, e, f = (np.take(X, at, axis=0) for at in (ab, vb, av))  # (G, B), (m, G, B) twice
     k = np.take(key, (d * q + e) * q + f)
     for r in range(len(k)):  # odd-even transposition sort of each image's m keys
@@ -555,72 +532,96 @@ def standard_generators(q: PrimeLevel, n: int) -> GeneratorSet:
     return GeneratorSet(q, [[1, s] for s in range(1, n - 1)])
 
 
-def _universe_levels(q: int, family: str) -> np.ndarray:
-    """Centred levels, in one family, of every column a reduced q^2-run set can hold.
+def _centred_levels(q: int, family: str) -> np.ndarray:
+    """f(y) - (q-1)/2 for the family's level f(y) of a column at linear level y: int64 (q,)."""
+    y = np.arange(q)
+    return (williams_levels(y, q) if family == "williams" else y) - (q - 1) // 2
 
-    A column is fixed by its coefficient vector: the universe lists (1, 0),
-    (0, 1), then (c1, c2) for c1 in 1..(q-1)/2 and c2 in 1..q-1 in product
-    order (_universe_ids gives a set's rows). Returns the (U, q^2) float64
-    integers L[a, i] = x - (q-1)/2, x the family's level of universe column
-    a in run i at its closed-form shift (0 for an independent column). A
-    column's levels depend on its own coefficients alone, so a set's member
-    at its closed-form shift is the set's rows of this array.
+
+def _planes(q: int) -> np.ndarray:
+    """(q^2, q^2) levels lambda y1 + mu y2 mod q: row lambda q + mu, column y1 q + y2. For
+    columns a, b, c = lambda a + mu b at shifts s, (y1, y2) = (a.x + s_a, b.x + s_b) runs
+    once through the runs, and c is at level lambda y1 + mu y2 + s_c - lambda s_a - mu s_b."""
+    lam, mu = np.divmod(np.arange(q * q), q)
+    return (lam[:, None] * lam + mu[:, None] * mu) % q
+
+
+def _closed_form_sums(q: int, family: str) -> tuple:
+    """Run-sums over the _planes at closed-form shifts: int64 (S, I, J) = (A @ w,
+    (A * A) @ w, (A * w) @ A.T), for A the centred levels and w = A[q] A[1].
+
+    The closed-form shift is affine in the coefficients, so the column lambda a + mu b
+    is offset by that of (lambda, mu). Every partial sum is an integer below 2^53.
     """
-    half = (q - 1) // 2
-    dep = np.array(list(product(range(1, half + 1), range(1, q))), dtype=np.int64)
-    # each universe column as the one dependent column of a (U, 1, 2) stack
-    C = np.vstack([np.eye(2, dtype=np.int64), dep])[:, None, :]
-    members = _member_stacks(C, _closed_form_shifts(C, q, family), q, family)
-    return np.concatenate([rows[:, :, 2] for rows in members]) - float(half)
+    offsets = _closed_form_shifts(np.stack(np.divmod(np.arange(q * q), q), axis=1), q, family)
+    A = _centred_levels(q, family)[(_planes(q) + offsets[:, None]) % q].astype(float)
+    w = A[q] * A[1]
+    return tuple(t.astype(np.int64) for t in (A @ w, (A * A) @ w, A * w @ A.T))
 
 
-def _universe_ids(C: np.ndarray, q: int) -> np.ndarray:
-    """Universe rows of the n columns of each set of a (B, m, 2) coefficient stack, shape (B, n)."""
-    dep = 2 + (C[..., 0] - 1) * (q - 1) + C[..., 1] - 1
-    return np.concatenate([np.broadcast_to([0, 1], (len(C), 2)), dep], axis=1)
+@lru_cache(maxsize=None)
+def _triple_table(q: int, family: str) -> np.ndarray:
+    """T[lambda q + mu, o] = sum over the _planes of f(y1) f(y2) f(lambda y1 + mu y2 + o),
+    f the _centred_levels: int64 (q^2, q), read-only and cached. A histogram of
+    f(y1) f(y2) times the circulant of f, exact in float64: integers < 2^53."""
+    f, V = _centred_levels(q, family), _planes(q)
+    w = np.broadcast_to(f[V[q]] * f[V[1]], V.shape)
+    hist = np.bincount((np.arange(q * q)[:, None] * q + V).ravel(), w.ravel(), q**3)
+    T = (hist.reshape(q * q, q) @ f[(np.arange(q)[:, None] + np.arange(q)) % q]).astype(np.int64)
+    T.setflags(write=False)
+    return T
+
+
+def _triple_totals(C: np.ndarray, q: int, family: str) -> np.ndarray:
+    """Every shift vector's sum, over the column triples, of S^2 for the integer run-sum
+    S of their centred levels, for each set of a (B, m, 2) stack: int64 (B,) + (q,)*m.
+
+    At strength 2, beta_3 = rho_1^6 / N^2 times the total. Triple (a, b, lambda a + mu b)
+    has S = T[lambda q + mu, s_c - lambda s_a - mu s_b] (_triple_table), a table over its
+    dependent columns' shifts (s = 0 elsewhere), added per axes and folded by _fold_tables.
+    """
+    B, m = C.shape[:2]
+    X, T = _cross_products(C, q), _triple_table(q, family)
+    s = [0, 0] + [np.arange(q).reshape((1,) * i + (q,) + (1,) * (m - i)) for i in range(1, m + 1)]
+    tables = {}
+    for a, b, c in combinations(range(m + 2), 3):
+        at = _coordinates(X, q, a, b, c).reshape((B,) + (1,) * m)
+        lam, mu = np.divmod(at, q)
+        S = T[at, (s[c] - lam * s[a] - mu * s[b]) % q]
+        axes = tuple(j for j in (a, b, c) if j >= 2)
+        tables[axes] = tables.get(axes, 0) + S * S
+    grid = np.empty((B,) + (q,) * m, dtype=np.int64)
+    _fold_tables(grid, list(tables.values()))
+    return grid
 
 
 def _beta4_keys(C: np.ndarray, q: int, family: str) -> np.ndarray:
     """The exact beta_4 key of each set of a (B, m, 2) coefficient stack: int64, shape (B,).
 
-    At the closed-form shift, with L the centred levels of _universe_levels,
-    p_1 = rho_1 L and p_2 = rho_2 (L^2 - (q^2-1)/12), where rho_1^2 =
-    12/(q^2-1) and rho_2^2 = 180/((q^2-1)(q^2-4)). Every member is an
-    orthogonal array of strength 2, so a degree-4 exponent vector on fewer
-    than three columns sums to zero over the runs, and on three columns
-    p_2's constant drops out, as any two columns form a full q^2 factorial.
-    Hence N^2 beta_4 (q^2-1)^4 (q^2-4) / 144 = K = 180 (q^2-1) sum I^2 +
-    144 (q^2-4) sum J^2, for the integer run-sums I of L_a^2 L_b L_c (a
-    column a and a pair {b, c} of other columns) and J of L_a L_b L_c L_d
-    (a set of four columns). Returns K / 36: beta_4 orders the sets as the
-    key does, and two sets tie exactly when their keys are equal.
+    At the closed-form shift, with L the centred levels, p_1 = rho_1 L and
+    p_2 = rho_2 (L^2 - (q^2-1)/12), where rho_1^2 = 12/(q^2-1) and rho_2^2 =
+    180/((q^2-1)(q^2-4)). Every member is an orthogonal array of strength 2,
+    so a degree-4 exponent vector on fewer than three columns sums to zero
+    over the runs, and on three columns p_2's constant drops out, as any two
+    columns form a full q^2 factorial. Hence N^2 beta_4 (q^2-1)^4 (q^2-4) /
+    144 = K = 180 (q^2-1) sum I^2 + 144 (q^2-4) sum J^2, for the integer
+    run-sums I of L_a^2 L_b L_c (a column a and a pair {b, c} of other
+    columns) and J of L_a L_b L_c L_d (a set of four columns). Returns K /
+    36: beta_4 orders the sets as the key does, and two sets tie exactly
+    when their keys are equal.
 
-    I and J come from one batched Gram of the pairwise level products, in
-    float64: every partial sum is an integer below N ((q-1)/2)^4 < 2^53, so
-    the Gram is exact, and so are sum I^2 and sum J^2 below 2^53. The key is
-    combined in int64, below 2^63 on every cell that SEARCH_CAP admits up
-    to MAX_LEVELS (both bounds are tested).
+    I and J are _closed_form_sums read at _coordinates; their squares are below 2^53
+    and the key below 2^63 on every cell SEARCH_CAP admits up to MAX_LEVELS (tested).
     """
     n = C.shape[1] + 2
-    L = _universe_levels(q, family)
-    ids = _universe_ids(C, q)
-    # the Gram's rows are the n squares, then the column pairs; its columns are the pairs
-    pairs = list(combinations(range(n), 2))
-    I = [(a, p) for a in range(n) for p, pair in enumerate(pairs) if a not in pair]
-    J = [(n + pairs.index(s[:2]), pairs.index(s[2:])) for s in combinations(range(n), 4)]
-    (i_rows, i_cols), (j_rows, j_cols) = (np.array(t, dtype=int).reshape(-1, 2).T for t in (I, J))
-    first, second = np.array(pairs).T
-    width = (n + len(pairs)) * L.shape[1]
-    step = max(1, _CHUNK_BYTES // (8 * width))
-    sum_i2 = np.empty(len(C))
-    sum_j2 = np.empty(len(C))
-    for lo in range(0, len(C), step):
-        x = L[ids[lo : lo + step]]  # (chunk, n, N)
-        prods = x[:, first] * x[:, second]
-        gram = np.concatenate([x * x, prods], axis=1) @ prods.transpose(0, 2, 1)
-        sum_i2[lo : lo + step] = (gram[:, i_rows, i_cols] ** 2).sum(axis=1)
-        sum_j2[lo : lo + step] = (gram[:, j_rows, j_cols] ** 2).sum(axis=1)
-    return 5 * (q * q - 1) * sum_i2.astype(np.int64) + 4 * (q * q - 4) * sum_j2.astype(np.int64)
+    _, I, J = _closed_form_sums(q, family)
+    I2, J2 = I * I, (J * J).ravel()
+    X = _cross_products(C, q)
+    x, y, z = _subsets(n, 3).T  # each column of each triple, in the basis of the other two
+    sum_i2 = sum(I2[_coordinates(X, q, *r)].sum(axis=0) for r in ((y, z, x), (x, z, y), (x, y, z)))
+    a, b, c, d = _subsets(n, 4).T
+    sum_j2 = J2[_coordinates(X, q, a, b, c) * q * q + _coordinates(X, q, a, b, d)].sum(axis=0)
+    return 5 * (q * q - 1) * sum_i2 + 4 * (q * q - 4) * sum_j2
 
 
 def _family_best(C, orbit, reps, q, family) -> FamilyBest:
@@ -719,40 +720,34 @@ def count_recursive(q: PrimeLevel, n: int):
 # of n, and yields a (set, why) pair per failing set, in cell order.
 
 
-def _run_sum_totals(C, q, table) -> np.ndarray:
-    """Each set's sum, over its column triples, of S^2 for the integer run-sum S of
-    their _universe_levels, read from their U^3 table: exact, as |S| < 2^20 and every sum < 2^53."""
-    ids = _universe_ids(C, q)
-    triples = combinations(range(ids.shape[1]), 3)
-    return sum(table[ids[:, a], ids[:, b], ids[:, c]] for a, b, c in triples)
-
-
 def _theorem1(cells, q):
-    # Every set is checked, not one per orbit: orbit members share beta_3
-    # only at a shift that satisfies the theorem's closed form, so a check
-    # on representatives would assume what it checks. At strength 2 only
-    # three-column terms remain and p_1 = rho * centred level, so beta_3 =
-    # rho^6 / N^2 * total: a set fails exactly when its total is nonzero.
-    # rho is read first, so q > MAX_LEVELS is refused before the one table.
+    # Every set is checked, not one per orbit: orbit members share beta_3 only
+    # at a shift that satisfies the theorem's closed form. A set fails when its
+    # _triple_totals entry there, a sum of S^2 from the _closed_form_sums, is
+    # nonzero. rho is read first, so q > MAX_LEVELS is refused before the table.
     rho = orthonormal_basis(q).rho
-    table = _support_table([_universe_levels(q, "williams")] * 3)
+    S2 = _closed_form_sums(q, "williams")[0] ** 2
     for C in cells:
-        total = _run_sum_totals(C, q, table)
-        yield from ((coeffs, f"beta3={rho**6 * t / q**4:.3g}") for coeffs, t in zip(C, total) if t)
+        n = C.shape[1] + 2
+        step = _CHUNK_BYTES // (4 * n * n)  # about _CHUNK_BYTES of X per chunk
+        for part in (C[lo : lo + step] for lo in range(0, len(C), step)):
+            X = _cross_products(part, q)
+            total = sum(S2[_coordinates(X, q, a, b, c)] for a, b, c in _subsets(n, 3))
+            yield from ((c, f"beta3={rho**6 * t / q**4:.3g}") for c, t in zip(part, total) if t)
 
 
 def _theorem2(cells, q):
-    # A shift has beta_3 = 0 exactly when its integer triple total is 0.
-    # As in theorem 1, q > MAX_LEVELS is refused before any cell is
-    # classified: the totals are shown exact up to MAX_LEVELS only.
+    # A shift has beta_3 = 0 exactly when its integer triple total is 0, shown
+    # exact up to MAX_LEVELS: as in theorem 1, a larger q is refused first.
     orthonormal_basis(q)
     for C in cells:
-        for coeffs in C[_classify_stack(C, q) == RecursiveType.TYPE_II]:
-            gen = GeneratorSet(q, coeffs)
-            zeros = np.argwhere(_triple_totals(gen, "williams") == 0).tolist()
-            expect = optimal_shift_williams(gen)
-            if zeros != [expect]:
-                yield coeffs, f"zero set {zeros}, expected [{expect}]"
+        C = C[_classify_stack(C, q) == RecursiveType.TYPE_II]
+        step = _CHUNK_BYTES // (8 * q ** C.shape[1])  # about _CHUNK_BYTES of grid per chunk
+        for part in (C[lo : lo + step] for lo in range(0, len(C), step)):
+            expected = _closed_form_shifts(part, q, "williams").tolist()
+            for coeffs, grid, b in zip(part, _triple_totals(part, q, "williams"), expected):
+                if (zeros := np.argwhere(grid == 0).tolist()) != [b]:
+                    yield coeffs, f"zero set {zeros}, expected [{b}]"
 
 
 def _theorem4(cells, q):

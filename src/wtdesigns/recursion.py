@@ -48,6 +48,7 @@ from itertools import combinations
 import numpy as np
 
 from .designs import GeneratorSet, column_vectors
+from .fieldmath import inverse_table
 
 # (design, start, pair, column) cells per chunk: bounds the (B, S, P, n) round arrays
 _CHUNK_CELLS = 1 << 18
@@ -73,10 +74,9 @@ _TYPES = (
 
 
 @lru_cache(maxsize=None)
-def _field_tables(q: int) -> tuple:
-    """(level, inverse), read-only and cached: level[c1, c2] is the strictest
-    regime of the step c1*w_a + c2*w_b, 3 when a coefficient is 0, and
-    inverse[x] is x^-1 mod q (inverse[0] = 0).
+def _level_table(q: int) -> np.ndarray:
+    """level[c1, c2], read-only and cached: the strictest regime of the step
+    c1*w_a + c2*w_b, 3 when a coefficient is 0.
 
     The pair is unordered: a step may take either column as w1, so type II
     needs a unit coefficient on either column.
@@ -85,10 +85,8 @@ def _field_tables(q: int) -> tuple:
     unit[[1, q - 1]] = 1
     level = 2 - unit[:, None] - unit[None, :]
     level[0] = level[:, 0] = 3
-    inverse = np.array([0] + [pow(x, -1, q) for x in range(1, q)], dtype=np.int64)
-    for table in (level, inverse):
-        table.setflags(write=False)
-    return level, inverse
+    level.setflags(write=False)
+    return level
 
 
 @lru_cache(maxsize=None)
@@ -106,7 +104,7 @@ def _reach_levels(cols: np.ndarray, q: int, pa, pb) -> np.ndarray:
     column the pair cannot yield.
     """
     B, n, d = cols.shape
-    level, inverse = _field_tables(q)
+    level, inverse = _level_table(q), inverse_table(q)
     r, s = _subsets(d, 2).T
     # minors[b, i, j, k] = det(w_i, w_j) on the coordinates (r[k], s[k])
     wi, wj = cols[:, :, None], cols[:, None, :]

@@ -22,6 +22,7 @@ from wtdesigns import (
     williams_value,
 )
 from wtdesigns.designs import (
+    _first_proportional_pair,
     expand_stack,
     mirror_symmetric_stack,
     shift_stack,
@@ -76,6 +77,55 @@ def test_generator_set_rejects_proportional_columns():
     with pytest.raises(InputError, match="proportional"):
         GeneratorSet(5, [[1, 0]])
     GeneratorSet(5, [[1, 1], [1, 2]])  # distinct directions are fine
+
+
+def _proportional_pairs(vectors, q):
+    """Oracle: pairs (i, j) of rows that are proportional mod q (includes zero rows)."""
+    V = np.asarray(vectors, dtype=np.int64) % q
+    # rows u, v are proportional over the field iff every 2x2 minor vanishes
+    outer = V[:, None, :, None] * V[None, :, None, :]
+    minors = (outer - outer.transpose(0, 1, 3, 2)) % q
+    prop = (minors == 0).all(axis=(2, 3))
+    out = []
+    for i in range(len(V)):
+        for j in range(i + 1, len(V)):
+            if prop[i, j]:
+                out.append((i, j))
+    return out
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_first_proportional_pair_equals_the_minor_oracle(q):
+    # random nonzero rows, with repeated directions drawn often enough that
+    # most sets hold one or more proportional pairs, some none
+    rng = np.random.default_rng(q)
+    found = 0
+    for _ in range(300):
+        n, d = rng.integers(2, 8), rng.integers(1, 4)
+        V = rng.integers(0, q, size=(n, d))
+        V[~V.any(axis=1), rng.integers(d)] = 1  # rows must be nonzero
+        copies = rng.integers(n, size=rng.integers(0, 3))
+        V[copies] = V[rng.integers(n, size=len(copies))] * rng.integers(1, q, size=(len(copies), 1))
+        want = _proportional_pairs(V, q)
+        assert _first_proportional_pair(V, q) == (want[0] if want else None), V.tolist()
+        found += bool(want)
+    assert 100 < found < 300
+
+
+def test_proportional_check_stays_small_on_many_columns():
+    # 61 columns of 60 coordinates: the minor oracle holds (n, n, d, d)
+    # products, over 300 MiB at its peak; one direction per column does not
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        GeneratorSet(3, [[1] * 60])
+        with pytest.raises(InputError, match="^columns 1 and 61 are proportional mod 3;"):
+            GeneratorSet(3, [[1] + [0] * 59])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 # --- expansion and permutation ---------------------------------------------

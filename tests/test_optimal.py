@@ -36,7 +36,8 @@ from wtdesigns import (
 )
 from wtdesigns import optimal
 from wtdesigns.cli import parse_generator_text
-from wtdesigns.designs import column_vectors, mirror_symmetric_stack
+from wtdesigns.designs import column_vectors, mirror_symmetric_stack, williams_levels
+from wtdesigns.fieldmath import inverse_table
 from wtdesigns.aberration import DEFAULT_TOL, _keep_minimal, _rank_candidates, beta_k_stack
 from wtdesigns.orthopoly import MAX_LEVELS
 from wtdesigns.recursion import RecursiveType, _classify_stack
@@ -614,7 +615,8 @@ def test_theorem2_grid_zero_sets_equal_the_per_shift_ones(q):
             per_shift = shift_betas(gen, "williams", shifts, (3,))[:, 0]
             zeros = np.argwhere(grid <= 1e-9).tolist()
             assert zeros == shifts[per_shift <= 1e-9].tolist()
-            assert np.argwhere(optimal._triple_totals(gen, "williams") == 0).tolist() == zeros
+            totals = optimal._triple_totals(gen.C[None], q, "williams")[0]
+            assert np.argwhere(totals == 0).tolist() == zeros
             checked += 1
     assert checked == {5: 6 + 18, 7: 12 + 127}[q]  # type II, not type I
 
@@ -653,9 +655,9 @@ def _brute_triple_totals(gen, family):
 def test_triple_totals_equal_the_int64_brute_force(q, text, family):
     # exact at every shift; beta_3's grid is rho^6 / N^2 times them, to rounding
     gen = parse_generator_text(text, q)
-    got = optimal._triple_totals(gen, family)
+    got = optimal._triple_totals(gen.C[None], q, family)[0]
     want = _brute_triple_totals(gen, family)
-    assert np.array_equal(got, want)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
     v = shift_grid_beta(gen, family, 3)
     scaled = orthonormal_basis(q).rho ** 6 / q**4 * got
     assert (np.abs(v - scaled) <= 1e-13 * np.maximum(1.0, v)).all()
@@ -669,12 +671,82 @@ def test_triple_totals_find_the_zeros_the_float_screen_misses():
         (23, [7], list(range(23))),
     ):
         gen = GeneratorSet(q, [[2, 4]])
-        totals = optimal._triple_totals(gen, "williams")
+        totals = optimal._triple_totals(gen.C[None], q, "williams")[0]
         grid = shift_grid_beta(gen, "williams", 3)
         assert np.flatnonzero(totals == 0).tolist() == exact
         assert np.flatnonzero(grid <= 1e-9).tolist() == screened
     assert totals[5] == 1 and abs(grid[5] - 4.2e-11) < 1e-12
     assert optimal_shift_williams(gen) == [7]
+
+
+@pytest.mark.parametrize("family", ["linear", "williams"])
+@pytest.mark.parametrize("q", [5, 7])
+def test_batched_triple_totals_equal_the_int64_brute_force(q, family):
+    # theorem 2's one call per cell: every type-II set of n <= 4 at once
+    checked = 0
+    for n in (3, 4):
+        C = optimal._q2_coefficients(q, n)
+        C = C[_classify_stack(C, q) == RecursiveType.TYPE_II]
+        got = optimal._triple_totals(C, q, family)
+        assert got.shape == (len(C),) + (q,) * (n - 2) and got.dtype == np.int64
+        for coeffs, grid in zip(C, got):
+            assert np.array_equal(grid, _brute_triple_totals(GeneratorSet(q, coeffs), family))
+        checked += len(C)
+    assert checked == {5: 6 + 18, 7: 12 + 127}[q]
+
+
+def _centred(q, family, levels):
+    # centred levels of linear levels, from williams_levels, not the table builders
+    levels = np.asarray(levels) % q
+    return (williams_levels(levels, q) if family == "williams" else levels) - (q - 1) // 2
+
+
+def _brute_plane_sums(q, family):
+    # int64 over the q^2 runs x: columns a = (1, 0), b = (0, 1) and every
+    # c = (lambda, mu), each at linear level w.x + its closed-form shift
+    # (1 - w_1 - w_2) g, and T at every offset o of c with a and b unshifted
+    g = center_preimage(q) if family == "williams" else (q - 1) // 2
+    x1, x2 = np.divmod(np.arange(q * q), q)
+    lam, mu = (t[:, None] for t in np.divmod(np.arange(q * q), q))
+    L = _centred(q, family, lam * x1 + mu * x2 + (1 - lam - mu) * g)  # (q^2 columns, q^2 runs)
+    w = _centred(q, family, x1) * _centred(q, family, x2)
+    S = np.array([(w * L[c]).sum() for c in range(q * q)])
+    I = np.array([(w * L[c] ** 2).sum() for c in range(q * q)])
+    J = np.array([[(w * L[c] * L[d]).sum() for d in range(q * q)] for c in range(q * q)])
+    T = np.array([
+        [(w * _centred(q, family, lam[c, 0] * x1 + mu[c, 0] * x2 + o)).sum() for o in range(q)]
+        for c in range(q * q)
+    ])
+    return S, I, J, T
+
+
+@pytest.mark.parametrize("family", ["linear", "williams"])
+@pytest.mark.parametrize("q", [5, 7])
+def test_plane_tables_equal_an_int64_brute_force(q, family):
+    # every entry of theorem 1's S, the key's I and J and the shift grids' T
+    S, I, J, T = _brute_plane_sums(q, family)
+    got = optimal._closed_form_sums(q, family)
+    assert [t.dtype for t in got] == [np.int64] * 3
+    assert np.array_equal(got[0], S) and np.array_equal(got[1], I) and np.array_equal(got[2], J)
+    table = optimal._triple_table(q, family)
+    assert table.dtype == np.int64 and not table.flags.writeable
+    assert np.array_equal(table, T)
+    assert optimal._triple_table(q, family) is table
+
+
+def _primes_to_max_levels():
+    return [q for q in range(3, MAX_LEVELS + 1, 2) if all(q % p for p in range(3, q, 2))]
+
+
+@pytest.mark.parametrize("family", ["linear", "williams"])
+def test_closed_form_sums_read_the_triple_table_at_the_closed_form_offsets(family):
+    # theorem 1 reads S, and the shift grids read T: at the closed-form shifts
+    # c = lambda a + mu b is offset by the closed-form shift of (lambda, mu)
+    for q in _primes_to_max_levels():
+        lam_mu = np.stack(np.divmod(np.arange(q * q), q), axis=1)
+        offsets = optimal._closed_form_shifts(lam_mu, q, family)
+        S = optimal._closed_form_sums(q, family)[0]
+        assert np.array_equal(S, optimal._triple_table(q, family)[np.arange(q * q), offsets]), q
 
 
 def test_theorem2_refuses_q_above_max_levels_before_classifying(monkeypatch):
@@ -871,10 +943,6 @@ def test_beta3_cuts_no_set_at_the_closed_form_shift(q, n):
         assert _exact_cell(q, n, family)[1][:, 0].max() < 1e-20
 
 
-def _universe_table(q):
-    return optimal._support_table([optimal._universe_levels(q, "williams")] * 3)
-
-
 def _brute_run_sum_totals(q, n):
     # int64 sums of S^2 over the column triples of every Williams set at its
     # closed-form shift, S the run-sum of three centred levels
@@ -890,49 +958,79 @@ def _brute_run_sum_totals(q, n):
     return C, np.concatenate(totals)
 
 
+def _table_totals(C, q):
+    # theorem 1's totals: S^2 from the closed-form sums at each triple's coordinates
+    S2 = optimal._closed_form_sums(q, "williams")[0] ** 2
+    X = optimal._cross_products(C, q)
+    triples = combinations(range(C.shape[1] + 2), 3)
+    return sum(S2[optimal._coordinates(X, q, a, b, c)] for a, b, c in triples)
+
+
 @pytest.mark.parametrize("q,n", Q2_CELLS)
-def test_table_betas_stay_far_inside_the_band(q, n):
+def test_table_betas_stay_far_inside_the_band(q, n, monkeypatch):
     # theorem 1's run-sum totals are exact, and beta_3 = rho^6 / N^2 times
-    # the total lies within 1e-13 of beta_k_stack's, far inside DEFAULT_TOL
+    # the total lies within 1e-13 of beta_k_stack's, far inside DEFAULT_TOL;
+    # with a wrong centre the totals are nonzero, and still exact
     C, want = _brute_run_sum_totals(q, n)
-    got = optimal._run_sum_totals(C, q, _universe_table(q))
-    assert np.array_equal(got, want)
+    got = _table_totals(C, q)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
     _, betas = _exact_cell(q, n, "williams")
     rho = orthonormal_basis(q).rho
     assert np.abs(rho**6 * got / q**4 - betas[:, 0]).max() <= 1e-13
+    monkeypatch.setattr(optimal, "center_preimage", lambda q: 0)
+    C, want = _brute_run_sum_totals(q, n)
+    assert want.any() and np.array_equal(_table_totals(C, q), want)
 
 
 def test_run_sum_totals_stay_exact_in_float64():
-    # |S| <= N ((q-1)/2)^3 at N = q^2 runs, and a set holds at most C(q+1, 3)
-    # column triples: every total is an integer below 2^53, so float64 holds
-    # it, and every partial sum on the way, exactly
-    checked = 0
-    for q in range(3, MAX_LEVELS + 1, 2):
-        if any(q % p == 0 for p in range(3, q, 2)):
-            continue
-        assert comb(q + 1, 3) * (q * q * ((q - 1) // 2) ** 3) ** 2 < 2**53, q
-        checked += 1
-    assert checked == 8  # 3, 5, 7, 11, 13, 17, 19, 23
+    # the plane tables are built in float64 and read as int64. |S| and every
+    # entry of T are at most N ((q-1)/2)^3, and every partial sum of their
+    # histogram and circulant product is an integer below 2^53, so float64
+    # holds them exactly; a set's total of S^2 over its C(n, 3) triples stays
+    # below 2^63 on every cell that SEARCH_CAP admits
+    for q in _primes_to_max_levels():
+        bound = q * q * ((q - 1) // 2) ** 3
+        assert bound < 2**53, q
+        for family in ("linear", "williams"):
+            assert np.abs(optimal._triple_table(q, family)).max() <= bound, (q, family)
+            assert np.abs(optimal._closed_form_sums(q, family)[0]).max() <= bound, (q, family)
+    for q, n in _admitted_cells():
+        assert comb(n, 3) * (q * q * ((q - 1) // 2) ** 3) ** 2 < 2**63, (q, n)
+    assert len(_primes_to_max_levels()) == 8  # 3, 5, 7, 11, 13, 17, 19, 23
 
 
 def test_table_betas_do_not_depend_on_the_chunk_size(monkeypatch):
-    C, want = _brute_run_sum_totals(7, 6)
-    monkeypatch.setattr(optimal, "_CHUNK_BYTES", 3 * 8 * 49)  # one head column per table chunk
-    assert np.array_equal(optimal._run_sum_totals(C, 7, _universe_table(7)), want)
+    # theorem 1 cuts each cell into chunks of its cross products; one to four
+    # sets per chunk (a wrong centre, so that sets fail) report the same lines
+    monkeypatch.setattr(optimal, "center_preimage", lambda q: 0)
+    want = verify_theorem(1, 5, 6)
+    assert len(want) > 0
+    monkeypatch.setattr(optimal, "_CHUNK_BYTES", 4 * 6 * 6)
+    assert verify_theorem(1, 5, 6) == want
+
+
+def test_theorem2_does_not_depend_on_the_chunk_size(monkeypatch):
+    # theorem 2 cuts the type-II sets of a cell into chunks of grids; one set
+    # per chunk (a wrong centre, so that sets fail) reports the same lines
+    monkeypatch.setattr(optimal, "center_preimage", lambda q: 0)
+    want = verify_theorem(2, 7, 4)
+    assert len(want) > 12
+    monkeypatch.setattr(optimal, "_CHUNK_BYTES", 8 * 7 * 7)
+    assert verify_theorem(2, 7, 4) == want
 
 
 def test_theorem1_builds_its_table_once_per_run(monkeypatch):
-    # one U^3 table serves every cell of the run, n = 3..6 here
+    # one table of closed-form run-sums serves every cell of the run, n = 3..6 here
     calls = []
-    support_table = optimal._support_table
+    sums = optimal._closed_form_sums
 
-    def counted(values):
-        calls.append(len(values))
-        return support_table(values)
+    def counted(q, family):
+        calls.append((q, family))
+        return sums(q, family)
 
-    monkeypatch.setattr(optimal, "_support_table", counted)
+    monkeypatch.setattr(optimal, "_closed_form_sums", counted)
     assert verify_theorem(1, 11, 6) == []
-    assert calls == [3]
+    assert calls == [(11, "williams")]
 
 
 def test_theorem1_reports_a_beta3_below_the_zero_tolerance(monkeypatch):
@@ -943,10 +1041,10 @@ def test_theorem1_reports_a_beta3_below_the_zero_tolerance(monkeypatch):
 
 
 def test_theorem1_refuses_q_above_max_levels_before_the_table(monkeypatch):
-    def no_table(values):
-        raise AssertionError("the universe table was built for q > MAX_LEVELS")
+    def no_table(q, family):
+        raise AssertionError("the closed-form table was built for q > MAX_LEVELS")
 
-    monkeypatch.setattr(optimal, "_support_table", no_table)
+    monkeypatch.setattr(optimal, "_closed_form_sums", no_table)
     with pytest.raises(InputError, match="q=29 exceeds 23"):
         verify_theorem(1, 29, 3)
 
@@ -1013,25 +1111,23 @@ def _admitted_cells():
 
 
 def test_beta4_keys_stay_exact_in_int64():
-    # |I|, |J| <= B = N ((q-1)/2)^4 at N = q^2 runs, so every Gram entry is an
-    # integer below 2^53; a set of n columns has n C(n-1, 2) I terms and
-    # C(n, 4) J terms. On every cell that SEARCH_CAP admits, sum I^2 and sum J^2
-    # stay below 2^53 (exact in float64) and the key below 2^63 (int64)
+    # |I|, |J| <= B = N ((q-1)/2)^4 at N = q^2 runs, so every table entry and
+    # partial sum is an integer below 2^53 and I^2, J^2 are too; a set of n
+    # columns has n C(n-1, 2) I terms and C(n, 4) J terms. On every cell that
+    # SEARCH_CAP admits, the key stays below 2^63 (int64)
+    for q in _primes_to_max_levels():
+        bound = q * q * ((q - 1) // 2) ** 4
+        assert bound**2 < 2**53, q
+        for family in ("linear", "williams"):
+            _, I, J = optimal._closed_form_sums(q, family)
+            assert max(np.abs(I).max(), np.abs(J).max()) <= bound, (q, family)
     checked = 0
     for q, n in _admitted_cells():
         bound = (q * q * ((q - 1) // 2) ** 4) ** 2
         terms_i, terms_j = n * comb(n - 1, 2), comb(n, 4)
-        assert bound * max(terms_i, terms_j) < 2**53, (q, n)
         assert bound * (5 * (q * q - 1) * terms_i + 4 * (q * q - 4) * terms_j) < 2**63, (q, n)
         checked += 1
     assert checked == 2 + 4 + 6 + 5 + 4 + 3 + 3 + 2  # q = 3, 5, 7, 11, 13, 17, 19, 23
-
-
-def test_beta4_keys_do_not_depend_on_the_chunk_size(monkeypatch):
-    C = optimal._q2_coefficients(7, 6)
-    want = optimal._beta4_keys(C, 7, "williams")
-    monkeypatch.setattr(optimal, "_CHUNK_BYTES", 1)  # one set per chunk
-    assert np.array_equal(optimal._beta4_keys(C, 7, "williams"), want)
 
 
 # --- Cheng-Ye orbits of the q^2 generator space --------------------------------
@@ -1044,7 +1140,7 @@ def _cell_index(C, q):
     """
     m = C.shape[-2]
     half = (q - 1) // 2
-    t = C[..., 1] * optimal._inverses(q)[C[..., 0]] % q - 1  # ascending slopes - 1, in 0..q-2
+    t = C[..., 1] * inverse_table(q)[C[..., 0]] % q - 1  # ascending slopes - 1, in 0..q-2
     binom = np.array([[comb(x, k) for k in range(m + 1)] for x in range(q - 1)])
     slope_rank = comb(q - 1, m) - 1 - binom[q - 2 - t, m - np.arange(m)].sum(axis=-1)
     scale_rank = ((C[..., 0] - 1) * half ** np.arange(m - 1, -1, -1)).sum(axis=-1)
@@ -1060,7 +1156,7 @@ def _reduced_images(C, q):
     1..(q-1)/2 (a level reversal), and the columns are sorted by slope.
     """
     half = (q - 1) // 2
-    inv = optimal._inverses(q)
+    inv = inverse_table(q)
     a, b, s, others = optimal._group_elements(C.shape[1] + 2)
     cols = column_vectors(C)
     x, y, v = cols[:, a], cols[:, b] * s[:, None], cols[:, others]  # (B, G, 2) twice, (B, G, m, 2)

@@ -71,25 +71,55 @@ def test_one_tie_band():
 
 
 def test_theorem1_is_decided_on_the_integer_table():
-    # no float grid and no per-set enumeration: theorems 1 and 2 decide every
-    # set from exact run-sum totals alone
+    # no float grid, no support table and no per-set enumeration or generator
+    # set: theorems 1 and 2 decide every set from exact run-sum totals alone
     exact = {
         ("optimal", "_theorem1"),
-        ("optimal", "_run_sum_totals"),
         ("optimal", "_theorem2"),
         ("optimal", "_triple_totals"),
+        ("optimal", "_triple_table"),
+        ("optimal", "_closed_form_sums"),
     }
-    for name in ("_member_betas", "beta_k_stack", "shift_grid_beta"):
+    for name in ("_member_betas", "beta_k_stack", "shift_grid_beta", "_support_table",
+                 "GeneratorSet", "optimal_shift_williams"):
         assert not exact & set(_references(name)), name
 
 
 def test_q2_cut_is_decided_on_integer_keys():
-    # the representatives' beta_4 key reads no float measure, and one universe
-    # builder serves it and theorem 1's table
+    # the representatives' beta_4 key reads no float measure, and one builder
+    # of the closed-form run-sums serves it and theorem 1
     for name in ("_member_betas", "beta_k_stack", "orthonormal_basis", "_rank_candidates"):
         assert ("optimal", "_beta4_keys") not in _references(name), name
-    readers = set(_references("_universe_levels"))
+    readers = set(_references("_closed_form_sums"))
     assert readers == {("optimal", "_beta4_keys"), ("optimal", "_theorem1")}
+    assert set(_references("_planes")) == {
+        ("optimal", "_closed_form_sums"), ("optimal", "_triple_table"),
+    }
+
+
+def test_one_cross_product_matrix():
+    # every q^2 run-sum and every Cheng-Ye image reads X from one builder, one
+    # inverse table serves every Cramer step, and the float support tables
+    # serve the shift grid alone
+    from wtdesigns import fieldmath, optimal
+
+    gone = ("_universe_levels", "_universe_ids", "_run_sum_totals", "_inverses", "_shift_grid")
+    for name in gone:
+        assert not hasattr(optimal, name), name
+    readers = ("_image_indices", "_beta4_keys", "_theorem1", "_triple_totals")
+    assert set(_references("_cross_products")) == {("optimal", name) for name in readers}
+    assert set(_references("_coordinates")) == {
+        ("optimal", name) for name in ("_beta4_keys", "_theorem1", "_triple_totals")
+    }
+    assert _references("_support_table") == [("optimal", "shift_grid_beta")]
+    assert set(_references("inverse_table")) == {
+        ("recursion", "_reach_levels"),
+        ("optimal", "_image_tables"),
+        ("optimal", "_coordinates"),
+    }
+    inverse = fieldmath.inverse_table(7)
+    assert fieldmath.inverse_table(7) is inverse and not inverse.flags.writeable
+    assert inverse.tolist() == [0, 1, 4, 5, 2, 3, 6]
 
 
 def test_one_zero_test():
@@ -171,9 +201,12 @@ def test_one_closure_path():
     for name in ("_saturate", "_lower_types", "_CHUNK_TARGETS", "_coefficient_levels"):
         assert not hasattr(recursion, name), name
     # the level table is built once per q, and cached tables are read-only
-    level, inverse = recursion._field_tables(7)
-    assert recursion._field_tables(7)[0] is level
-    assert level.shape == (7, 7) and recursion._field_tables(11)[0].shape == (11, 11)
+    from wtdesigns.fieldmath import inverse_table
+
+    assert not hasattr(recursion, "_field_tables")
+    level = recursion._level_table(7)
+    assert recursion._level_table(7) is level
+    assert level.shape == (7, 7) and recursion._level_table(11).shape == (11, 11)
     assert recursion._subsets(6, 2) is recursion._subsets(6, 2)
-    for table in (level, inverse, recursion._subsets(6, 2)):
+    for table in (level, inverse_table(7), recursion._subsets(6, 2)):
         assert not table.flags.writeable
