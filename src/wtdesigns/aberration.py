@@ -18,7 +18,12 @@ full N^2 order, each degree on its own. So the pair identity cut off at
 degree k_max gives the first k_max + 1 entries of the full pattern bit for
 bit: every kept degree gets the same products, added in the same order. A
 faster kernel must reproduce the same operations in the same order, not
-only the same value to rounding.
+only the same value to rounding. The pair identity runs in blocks of about
+_CHUNK_BYTES, which changes no bits: each pair gets the same elementwise
+operations in any block, and each block of the N^2 rows sums [running sum,
+its rows], adding the rows in the same order as one sum. Its d = 0 step,
+0.0 + 1.0 * c, is a copy of c: p_0 is exactly 1.0, and no coefficient is
+ever -0.0.
 """
 
 from dataclasses import dataclass
@@ -27,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .designs import Design
-from .errors import InputError
+from .errors import CapExceededError, InputError
 from .fieldmath import check_int
 from .orthopoly import orthonormal_basis
 
@@ -74,7 +79,10 @@ def _check_k(k: int, n: int, q: int, name: str = "k") -> None:
         raise InputError(f"{name}={k} out of range 1..{K}")
 
 
-_CHUNK_BYTES = 2**19  # about 0.5 MB per float array of a stacked kernel
+_CHUNK_BYTES = 2**19  # about 0.5 MB per float array of a stacked kernel or a pair block
+
+# Largest pair-kernel work N^2 * min(K, k_max) * q that _pattern_by_pairs takes
+PAIR_WORK_CAP = 500_000_000
 
 
 def designs_per_chunk(N: int, n: int, q: int, ks=()) -> int:
@@ -153,36 +161,69 @@ def _pattern_by_pairs(design: Design, k_max: int = None) -> np.ndarray:
     G_t(x, y) = sum_u t^u p_u(x) p_u(y): per column, convolve the
     degree-indexed kernel coefficients, dropping every degree above k_max.
     Cost O(N^2 min(K, k_max) q), independent of the number of exponent
-    vectors, and exactly equal to the direct sum.
+    vectors, and exactly equal to the direct sum. Work N^2 min(K, k_max) q
+    above PAIR_WORK_CAP is refused with CapExceededError.
 
     G[x, y] and G[y, x] are bitwise equal, so the pairs (i, i') and (i', i)
     carry bitwise equal coefficients: only the N(N+1)/2 unordered pairs are
-    convolved, then gathered back into full N^2 row order for the sum. The
-    result is the first k_max + 1 entries of the full one, bit for bit.
+    convolved, in blocks of about _CHUNK_BYTES of (degree, pair)
+    coefficients. Each pair gets the same elementwise operations in any
+    block, so a block boundary changes no bits. The d = 0 step of a
+    convolution adds 1.0 * c to 0.0, since p_0 is exactly 1.0: that is c
+    bit for bit, as no coefficient is ever -0.0 (the first column gets
+    + 0.0 and each later sum starts from +0.0), so the step is a copy. The
+    N^2 ordered pairs are then gathered in row-pair order and summed block
+    by block, the running sum added to each block's first row before the
+    block is summed: the rows are added in the same order as one sum over
+    all N^2. The result is the first k_max + 1 entries of the full one, bit
+    for bit.
     """
     q = design.q
-    B = orthonormal_basis(q).values
-    N, n = design.rows.shape
-    degrees = n * (q - 1) + 1 if k_max is None else k_max + 1
-    G = np.einsum("ua,ub->uab", B, B)[:degrees]  # (degree, q, q): the kernel
-    first, second = np.triu_indices(N)
     rows = design.rows
-    # coefficients are (degree, pair), so each convolution step adds
-    # contiguous blocks; the first column's step against the constant 1 is
-    # 0.0 + A
-    coeffs = G[:, rows[first, 0], rows[second, 0]] + 0.0
-    for j in range(1, n):
-        A = G[:, rows[first, j], rows[second, j]]
-        nxt = np.zeros((min(len(coeffs) + q - 1, degrees), len(first)))
-        for d in range(len(A)):
-            top = min(len(coeffs), len(nxt) - d)
-            nxt[d : d + top] += A[d] * coeffs[:top]
-        coeffs = nxt
-    pair = np.empty((N, N), dtype=np.intp)
-    pair[first, second] = pair[second, first] = np.arange(len(first))
-    # (N^2, k_max+1) in row-pair order, C-contiguous: the sum adds the rows in
-    # turn, each column on its own
-    return np.ascontiguousarray(coeffs.T[pair.ravel()]).sum(axis=0) / N**2
+    N, n = rows.shape
+    degrees = n * (q - 1) + 1 if k_max is None else k_max + 1
+    if (work := N * N * (degrees - 1) * q) > PAIR_WORK_CAP:
+        raise CapExceededError(
+            f"pair-kernel work N^2*k*q = {work} exceeds the cap of {PAIR_WORK_CAP}"
+        )
+    B = orthonormal_basis(q).values
+    G = np.einsum("ua,ub->uab", B, B)[:degrees].reshape(-1, q * q)  # G[u, x*q + y]
+    step = max(1, _CHUNK_BYTES // (8 * degrees))
+    r = np.arange(N)
+    starts = r * N - r * (r - 1) // 2  # the index of the unordered pair (i, i)
+    half = np.empty((N * (N + 1) // 2, degrees))  # one row of coefficients per unordered pair
+    flat = np.empty((3, degrees * min(step, len(half))))
+    for lo in range(0, len(half), step):
+        t = np.arange(lo, min(lo + step, len(half)))
+        first = np.searchsorted(starts, t, side="right") - 1
+        levels = rows[first].T * q + rows[t - starts[first] + first].T  # (n, block): x*q + y
+        # coefficients are (degree, pair), so each convolution step adds
+        # contiguous blocks; the first column's step against the constant 1
+        # is 0.0 + A
+        even, odd, prod = (buf[: degrees * len(t)].reshape(degrees, len(t)) for buf in flat)
+        c = G.take(levels[0], axis=1) + 0.0
+        for j, col in enumerate(levels[1:]):
+            A = G.take(col, axis=1)
+            x = (even, odd)[j % 2][: min(len(c) + q - 1, degrees)]
+            x[: len(c)] = c  # the d = 0 step
+            x[len(c) :] = 0.0
+            for d in range(1, len(A)):
+                top = min(len(c), len(x) - d)
+                np.multiply(A[d], c[:top], out=prod[:top])
+                np.add(x[d : d + top], prod[:top], out=x[d : d + top])
+            c = x
+        half[lo : lo + len(t)] = c.T
+    # (block, k_max+1) in row-pair order, C-contiguous: the sum adds the rows
+    # in turn, each column on its own, and adding the running sum to a
+    # block's first row is that sum's first step
+    for lo in range(0, N * N, step):
+        i, k = np.divmod(np.arange(lo, min(lo + step, N * N)), N)
+        a, b = np.minimum(i, k), np.maximum(i, k)
+        part = half[starts[a] + b - a]
+        if lo:
+            part[0] += total
+        total = part.sum(axis=0)
+    return total / N**2
 
 
 def beta_pattern(design: Design, k_max: int = None) -> BetaPattern:

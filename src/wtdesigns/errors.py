@@ -10,6 +10,6 @@ class CapExceededError(InputError):
     """A run-count or search-size guard would be exceeded.
 
     Raised instead of silently attempting a huge computation. The guards
-    are designs.RUN_CAP and optimal.SEARCH_CAP; the CLI --force flag lifts
-    only the CLI's own shift-scan limit.
+    are designs.RUN_CAP, optimal.SEARCH_CAP and aberration.PAIR_WORK_CAP;
+    the CLI --force flag lifts only the CLI's own shift-scan limit.
     """

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wtdesigns import (
+    CapExceededError,
     Design,
     GeneratorSet,
     InputError,
@@ -20,6 +21,8 @@ from wtdesigns import (
     orthonormal_basis,
 )
 from wtdesigns import aberration, optimal
+from wtdesigns.cli import parse_generator_text
+from wtdesigns.orthopoly import MAX_LEVELS
 from wtdesigns.aberration import _pattern_by_pairs, beta_k_stack, compositions
 
 
@@ -51,6 +54,38 @@ def full_pairs_pattern(design, basis):
             nxt[:, d : d + L] += A[:, d : d + 1] * coeffs
         coeffs = nxt
     return coeffs.sum(axis=0) / N**2
+
+
+def unblocked_pair_kernel(design, k_max=None):
+    """Oracle: the half-pair kernel in one piece, as before it was blocked.
+
+    All N(N+1)/2 unordered pairs are convolved at once, each d = 0 step is
+    an addition, and the rows are summed from one (N^2, k_max+1) gather in
+    row-pair order: the operations the blocked kernel must reproduce bit
+    for bit."""
+    q = design.q
+    B = orthonormal_basis(q).values
+    N, n = design.rows.shape
+    degrees = n * (q - 1) + 1 if k_max is None else k_max + 1
+    G = np.einsum("ua,ub->uab", B, B)[:degrees]
+    first, second = np.triu_indices(N)
+    rows = design.rows
+    coeffs = G[:, rows[first, 0], rows[second, 0]] + 0.0
+    for j in range(1, n):
+        A = G[:, rows[first, j], rows[second, j]]
+        nxt = np.zeros((min(len(coeffs) + q - 1, degrees), len(first)))
+        for d in range(len(A)):
+            top = min(len(coeffs), len(nxt) - d)
+            nxt[d : d + top] += A[d] * coeffs[:top]
+        coeffs = nxt
+    pair = np.empty((N, N), dtype=np.intp)
+    pair[first, second] = pair[second, first] = np.arange(len(first))
+    return np.ascontiguousarray(coeffs.T[pair.ravel()]).sum(axis=0) / N**2
+
+
+def assert_same_bits(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 STACK_CELLS = [(5, 3), (5, 4), (5, 5), (5, 6), (7, 4)]
@@ -117,9 +152,13 @@ def test_beta_k_range_check():
 
 
 def test_basis_constant_row_is_exactly_one():
-    # beta_k_stack skips zero exponents because p_0 multiplies by exactly 1.0
-    for q in (3, 5, 7, 11, 13):
-        assert (orthonormal_basis(q).values[0] == 1.0).all()
+    # beta_k_stack skips zero exponents because p_0 multiplies by exactly 1.0,
+    # and the pair kernel's d = 0 step is a copy because p_0(x) p_0(y) is 1.0
+    odd_primes = [q for q in range(3, MAX_LEVELS + 1, 2) if all(q % p for p in range(3, q, 2))]
+    assert odd_primes == [3, 5, 7, 11, 13, 17, 19, 23]
+    for q in odd_primes:
+        p0 = orthonormal_basis(q).values[0]
+        assert (p0 == 1.0).all() and not np.signbit(p0).any()
 
 
 def _closed_form_designs(q, n, family):
@@ -179,14 +218,17 @@ def test_stacked_beta_k_other_degrees_and_shifts():
     assert np.array_equal(beta_k_stack(stack, ks, 5), want)
 
 
-def assert_pair_kernel_bit_identical(d):
-    # the default and every cut k_max = 1..K against the oracle's prefix, signs too
+def assert_pair_kernel_bit_identical(d, pairs=None, monkeypatch=None):
+    # the default and every cut k_max = 1..K against the oracles' prefix, signs
+    # too; with pairs, in blocks of that many unordered pairs and ordered row
+    # pairs at every cut
     full = full_pairs_pattern(d, orthonormal_basis(d.q))
-    assert np.array_equal(_pattern_by_pairs(d), full)
-    for k in range(1, len(full)):
-        got = _pattern_by_pairs(d, k)
-        assert np.array_equal(got, full[: k + 1]), k
-        assert np.array_equal(np.signbit(got), np.signbit(full[: k + 1])), k
+    assert_same_bits(unblocked_pair_kernel(d), full)
+    for k in [None, *range(1, len(full))]:
+        degrees = len(full) if k is None else k + 1
+        if pairs is not None:
+            monkeypatch.setattr(aberration, "_CHUNK_BYTES", 8 * degrees * pairs)
+        assert_same_bits(_pattern_by_pairs(d, k), full[:degrees])
 
 
 @pytest.mark.parametrize("q,C", [
@@ -205,9 +247,48 @@ def test_half_pair_pattern_nonregular_rows():
     assert_pair_kernel_bit_identical(Design(5, rng.integers(0, 5, size=(30, 4))))
 
 
+# (q, C, shift, family, pairs per block). q=5: 325 unordered and 625 ordered
+# pairs, 25 to a row; q=7: 1,225 and 2,401, 49 to a row. One-pair blocks;
+# 7 and 48 leave a ragged last block of both kinds and split rows in the sum;
+# 324 and 1,224 leave a last block of a single pair, and split a row too
+BLOCK_CASES = [
+    (5, [[1, 2]], [1], "williams", 1),
+    (5, [[1, 2]], [1], "williams", 7),
+    (5, [[1, 1], [1, 2]], [2, 0], "linear", 324),
+    (7, [[2, 2], [1, 3]], [3, 5], "williams", 48),
+    (7, [[2, 2], [1, 3]], [0, 1], "linear", 1224),
+]
+
+
+@pytest.mark.parametrize("q,C,b,family,pairs", BLOCK_CASES)
+def test_blocked_pair_pattern_is_bit_identical(q, C, b, family, pairs, monkeypatch):
+    d = build_design(GeneratorSet(q, C), b, family)
+    assert_pair_kernel_bit_identical(d, pairs, monkeypatch)
+
+
+@pytest.mark.parametrize("pairs", [1, 5])
+def test_blocked_pair_pattern_repeated_rows(pairs, monkeypatch):
+    # 37 rows, seven of them twice: duplicate pairs land in different blocks
+    rng = np.random.default_rng(11)
+    rows = rng.integers(0, 5, size=(30, 4))
+    assert_pair_kernel_bit_identical(Design(5, np.vstack([rows, rows[::4]])), pairs, monkeypatch)
+
+
+@pytest.mark.parametrize("family,b", [
+    ("linear", [8, 7, 4, 3, 3, 0]), ("williams", [4, 9, 2, 7, 7, 0]),
+])
+def test_pool_set_pattern_is_bit_identical_at_the_default_budget(family, b):
+    # a shift-scan pool set at its search winner: 121 runs, K = 80, so the
+    # full pattern has 10 blocks of 809 unordered pairs, the last ragged, and
+    # its row sums split rows
+    gen = parse_generator_text("3,3;5,10;4,5;1,6;5,2;5,7", 11)
+    assert_pair_kernel_bit_identical(build_design(gen, b, family))
+
+
 def test_truncated_pair_pattern_holds_only_the_kept_degrees():
-    # 625 runs, 5 columns: the (N^2, 7) gather and (7, N(N+1)/2) coefficients
-    # peak at about 45 MiB; all 21 degrees took about 107 MiB
+    # 625 runs, 5 columns: the (N(N+1)/2, 7) half-pair coefficients are
+    # 10.4 MiB, and the peak 14.1 MiB with the blocks; the unblocked
+    # kernel's (N^2, 7) gather peaked at about 45 MiB
     import tracemalloc
 
     d = expand(GeneratorSet(5, [[1, 1, 1, 1]]))
@@ -220,6 +301,55 @@ def test_truncated_pair_pattern_holds_only_the_kept_degrees():
         tracemalloc.stop()
     assert len(pattern.values) == 6
     assert peak < 60 * 2**20
+
+
+def test_full_pair_pattern_memory_is_the_half_pair_store():
+    # 625 runs, 5 columns, all 21 degrees: the (N(N+1)/2, 21) coefficients
+    # are 31.3 MiB, and the blocks and the running row sum about 2.9 MiB
+    # more (34.2 MiB measured); the (N^2, 21) gather this replaced peaked at
+    # 107.4 MiB
+    import tracemalloc
+
+    d = expand(GeneratorSet(5, [[1, 1, 1, 1]]))
+    beta_pattern(Design(5, d.rows[:25]))  # warm the caches outside the trace
+    tracemalloc.start()
+    try:
+        pattern = beta_pattern(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pattern.values) == 20
+    assert peak < 40 * 2**20
+
+
+def test_pair_work_cap_refuses_before_any_work(monkeypatch):
+    # the work is N^2 * min(K, k_max) * q: 25^2 * 12 * 5 for the full pattern
+    d = expand(GeneratorSet(5, [[1, 2]]))
+    full = _pattern_by_pairs(d)
+    monkeypatch.setattr(aberration, "PAIR_WORK_CAP", 25**2 * 12 * 5)
+    assert_same_bits(_pattern_by_pairs(d), full)
+    assert_same_bits(_pattern_by_pairs(d, 6), full[:7])
+    assert_same_bits(_pattern_by_pairs(d, 11), full[:12])
+    monkeypatch.setattr(aberration, "PAIR_WORK_CAP", 25**2 * 12 * 5 - 1)
+
+    def no_work(q):
+        raise AssertionError("pair work started above the cap")
+
+    monkeypatch.setattr(aberration, "orthonormal_basis", no_work)
+    with pytest.raises(CapExceededError, match="37500 exceeds the cap of 37499"):
+        beta_pattern(d)
+    with pytest.raises(CapExceededError):
+        beta_sum_check(d)
+
+
+def test_pair_work_cap_admits_the_largest_tested_pattern():
+    # the 529-run q=23 standard design's full pattern (K = 66) is the largest
+    # pair call of the tests; the 2,401-run q=7 five-column one is refused
+    assert 529**2 * 66 * 23 <= aberration.PAIR_WORK_CAP
+    d = expand(GeneratorSet(7, [[1, 1, 1, 1]]))
+    with pytest.raises(CapExceededError, match="1210608210 exceeds"):
+        beta_pattern(d)
+    assert len(beta_pattern(d, 4).values) == 4  # enumerated above 512 runs
 
 
 # --- full patterns -------------------------------------------------------------

@@ -143,6 +143,17 @@ def test_beta_kmax_out_of_range_is_usage_error(capsys):
         assert "--kmax must lie in 1..12" in err
 
 
+def test_beta_over_the_pair_work_cap_is_refused(capsys):
+    # 2,401 runs, 5 columns: N^2 * K * q = 2401^2 * 30 * 7, over
+    # aberration.PAIR_WORK_CAP; --kmax 4 enumerates above 512 runs instead
+    code, stdout, err = run(capsys, "beta", "--q", "7", "--generators", "1,1,1,1")
+    assert code == 2
+    assert stdout == ""
+    assert err == "error: pair-kernel work N^2*k*q = 1210608210 exceeds the cap of 500000000\n"
+    code, stdout, _ = run(capsys, "beta", "--q", "7", "--generators", "1,1,1,1", "--kmax", "4")
+    assert code == 0 and len(stdout.split()) == 4
+
+
 def test_search_kmax_out_of_range_is_usage_error(capsys, monkeypatch):
     # beta's rule and message, checked before any search work
     from wtdesigns import optimal
