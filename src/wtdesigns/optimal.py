@@ -11,7 +11,7 @@ Families:
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 from math import comb, prod
 from typing import Optional
 
@@ -57,10 +57,14 @@ def center_preimage(q: PrimeLevel) -> int:
     return (q - 1) // 4 if q % 4 == 1 else (3 * q - 1) // 4
 
 
+def _shift_centre(q: int, family: str) -> int:
+    """The level g of the family's closed-form shift (1 - sum_j c_ij) g mod q."""
+    return center_preimage(q) if family == "williams" else (q - 1) // 2
+
+
 def _closed_form_shifts(C: np.ndarray, q: int, family: str) -> np.ndarray:
     """Closed-form shift vectors of a (..., m, d) coefficient stack, shape (..., m)."""
-    g = center_preimage(q) if family == "williams" else (q - 1) // 2
-    return ((1 - C.sum(axis=-1)) * g) % q
+    return ((1 - C.sum(axis=-1)) * _shift_centre(q, family)) % q
 
 
 def optimal_shift_williams(gen: GeneratorSet) -> list:
@@ -364,13 +368,15 @@ def _q2_coefficients(q: PrimeLevel, n: int) -> np.ndarray:
     SEARCH_CAP sets is refused). With m = n - 2, dependent column i is
     (c_i, c_i * s_i mod q); the rows run over the slope sets s in
     combinations order and, within each, over the scale vectors c in
-    product order, built by one broadcast of the scales against the slopes.
+    product order (np.indices, last column fastest), built by one broadcast
+    of the scales against the slopes. The scales are made C-ordered first, so
+    the broadcast and the stack write the cell in C order.
     """
     q = check_odd_prime(q)
     _check_q2_columns(q, n)
     _check_q2_cell(q, n)
     m, half = n - 2, (q - 1) // 2
-    scales = np.array(list(product(range(1, half + 1), repeat=m)), dtype=np.int64)
+    scales = np.ascontiguousarray(np.indices((half,) * m, dtype=np.int64).reshape(m, -1).T) + 1
     slopes = np.array(list(combinations(range(1, q), m)), dtype=np.int64)[:, None]
     return np.stack(np.broadcast_arrays(scales, scales * slopes % q), axis=-1).reshape(-1, m, 2)
 
@@ -407,6 +413,22 @@ def _group_elements(n: int) -> tuple:
     return out
 
 
+@lru_cache(maxsize=None)
+def _image_keys(q: int) -> np.ndarray:
+    """The key table of _image_tables, int32 (q^3,), read-only and cached: it depends on q alone.
+
+    key[(d q + e) q + f] = (t - 1)(q-1)/2 + alpha - 1 for alpha = e / d, up
+    to level reversal in 1..(q-1)/2, and the slope t = (f / d) / alpha = f / e.
+    """
+    half = (q - 1) // 2
+    inv = inverse_table(q)
+    d, e, f = np.ix_(range(q), range(q), range(q))
+    alpha = e * inv[d] % q
+    key = ((f * inv[e] % q - 1) * half + np.minimum(alpha, q - alpha) - 1).ravel().astype(np.int32)
+    key.setflags(write=False)
+    return key
+
+
 def _image_tables(q: int, n: int) -> tuple:
     """The tables of _image_indices for the n-column sets of a cell: (key, weight, where).
 
@@ -414,15 +436,12 @@ def _image_tables(q: int, n: int) -> tuple:
     column v as alpha x_a + beta (s x_b), alpha = X[v, b] / X[a, b] and beta
     = s X[a, v] / X[a, b]; up to level reversal alpha is in 1..(q-1)/2, and
     the slope is t = beta / alpha. key[(d q + e) q + f] = (t - 1)(q-1)/2 +
-    alpha - 1 for d = X[a, b], e = X[v, b] and f = s X[a, v], whose flat
-    positions in X are where. An image's cell index (slope set rank, then
-    scale rank) is the sum of weight[i, key_i] over its keys in ascending order.
+    alpha - 1 (_image_keys) for d = X[a, b], e = X[v, b] and f = s X[a, v],
+    whose flat positions in X are where. An image's cell index (slope set
+    rank, then scale rank) is the sum of weight[i, key_i] over its keys in
+    ascending order.
     """
     m, half = n - 2, (q - 1) // 2
-    inv = inverse_table(q)
-    d, e, f = np.ix_(range(q), range(q), range(q))
-    alpha = e * inv[d] % q
-    key = (f * inv[e] % q - 1) * half + np.minimum(alpha, q - alpha) - 1
     t, c = np.divmod(np.arange((q - 1) * half), half)  # slope - 1 and alpha - 1 of each key
     binom = np.array([[comb(x, k) for k in range(m + 1)] for x in range(q - 1)])
     i = np.arange(m)[:, None]
@@ -430,7 +449,7 @@ def _image_tables(q: int, n: int) -> tuple:
     weight[0] += (comb(q - 1, m) - 1) * half**m
     a, b, s, others = _group_elements(n)
     fa = np.where(s[:, None] > 0, a[:, None] * n + others, others * n + a[:, None])
-    return key.ravel().astype(np.int32), weight, (a * n + b, (others * n + b[:, None]).T, fa.T)
+    return _image_keys(q), weight, (a * n + b, (others * n + b[:, None]).T, fa.T)
 
 
 def _image_indices(C: np.ndarray, q: int, tables: tuple) -> np.ndarray:
@@ -552,11 +571,23 @@ def _closed_form_sums(q: int, family: str) -> tuple:
 
     The closed-form shift is affine in the coefficients, so the column lambda a + mu b
     is offset by that of (lambda, mu). Every partial sum is an integer below 2^53.
+    The tables are read-only and cached on everything they read: q, the family and
+    its shift centre.
     """
-    offsets = _closed_form_shifts(np.stack(np.divmod(np.arange(q * q), q), axis=1), q, family)
-    A = _centred_levels(q, family)[(_planes(q) + offsets[:, None]) % q].astype(float)
+    return _plane_sums(q, family, _shift_centre(q, family))
+
+
+@lru_cache(maxsize=None)
+def _plane_sums(q: int, family: str, g: int) -> tuple:
+    """_closed_form_sums for the closed-form shift (1 - lambda - mu) g of (lambda, mu)."""
+    lam, mu = np.divmod(np.arange(q * q), q)
+    A = _centred_levels(q, family)[(_planes(q) + ((1 - lam - mu) * g % q)[:, None]) % q]
+    A = A.astype(float)
     w = A[q] * A[1]
-    return tuple(t.astype(np.int64) for t in (A @ w, (A * A) @ w, A * w @ A.T))
+    out = tuple(t.astype(np.int64) for t in (A @ w, (A * A) @ w, A * w @ A.T))
+    for t in out:
+        t.setflags(write=False)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -595,8 +626,9 @@ def _triple_totals(C: np.ndarray, q: int, family: str) -> np.ndarray:
     return grid
 
 
-def _beta4_keys(C: np.ndarray, q: int, family: str) -> np.ndarray:
-    """The exact beta_4 key of each set of a (B, m, 2) coefficient stack: int64, shape (B,).
+def _beta4_keys(C: np.ndarray, q: int) -> np.ndarray:
+    """The exact beta_4 key of each set of a (B, m, 2) coefficient stack in each family:
+    int64 (2, B), a row per family in FAMILIES order.
 
     At the closed-form shift, with L the centred levels, p_1 = rho_1 L and
     p_2 = rho_2 (L^2 - (q^2-1)/12), where rho_1^2 = 12/(q^2-1) and rho_2^2 =
@@ -612,33 +644,37 @@ def _beta4_keys(C: np.ndarray, q: int, family: str) -> np.ndarray:
 
     I and J are _closed_form_sums read at _coordinates; their squares are below 2^53
     and the key below 2^63 on every cell SEARCH_CAP admits up to MAX_LEVELS (tested).
+    The cross products and coordinates are the family's geometry, not its levels, so
+    they are computed once and each family's tables are read at them.
     """
     n = C.shape[1] + 2
-    _, I, J = _closed_form_sums(q, family)
-    I2, J2 = I * I, (J * J).ravel()
     X = _cross_products(C, q)
     x, y, z = _subsets(n, 3).T  # each column of each triple, in the basis of the other two
-    sum_i2 = sum(I2[_coordinates(X, q, *r)].sum(axis=0) for r in ((y, z, x), (x, z, y), (x, y, z)))
+    at_i = np.concatenate([_coordinates(X, q, *r) for r in ((y, z, x), (x, z, y), (x, y, z))])
     a, b, c, d = _subsets(n, 4).T
-    sum_j2 = J2[_coordinates(X, q, a, b, c) * q * q + _coordinates(X, q, a, b, d)].sum(axis=0)
-    return 5 * (q * q - 1) * sum_i2 + 4 * (q * q - 4) * sum_j2
+    at_j = _coordinates(X, q, a, b, c) * q * q + _coordinates(X, q, a, b, d)
+    keys = np.empty((len(FAMILIES), len(C)), dtype=np.int64)
+    for row, family in zip(keys, FAMILIES):
+        _, I, J = _closed_form_sums(q, family)
+        sum_i2, sum_j2 = (I * I)[at_i].sum(axis=0), (J * J).ravel()[at_j].sum(axis=0)
+        row[:] = 5 * (q * q - 1) * sum_i2 + 4 * (q * q - 4) * sum_j2
+    return keys
 
 
-def _family_best(C, orbit, reps, q, family) -> FamilyBest:
-    """The family's best set: the exact beta_4 key, then full patterns.
+def _family_ties(C, orbit, reps, keys, q, family) -> tuple:
+    """The family's ties in tolist order and the degree that decided them.
 
-    C is the whole cell, orbit its _cell_orbits labels and reps the rows
-    whose label is their own, one member of each orbit. Column permutation
-    and level reversal preserve the pattern at the closed-form shift, so the
-    search works on one set per orbit, whichever member it is. Every member
-    is mirror-symmetric at its closed-form shift (optimal_shift_linear,
-    theorem 4), so beta_3 is rounding and cuts nothing: the representatives
-    whose integer _beta4_keys equal the smallest are kept, and, only if two
-    or more are, they are ranked on full patterns. Every member of a kept
-    orbit is a tie, and the ties are listed in tolist order. The winner is
-    the first tie, so beta3 and beta4 are its own, from beta_k_stack.
+    C is the whole cell, orbit its _cell_orbits labels, reps the rows whose
+    label is their own, one member of each orbit, and keys the family's
+    _beta4_keys of the reps. Column permutation and level reversal preserve
+    the pattern at the closed-form shift, so the search works on one set per
+    orbit, whichever member it is. Every member is mirror-symmetric at its
+    closed-form shift (optimal_shift_linear, theorem 4), so beta_3 is
+    rounding and cuts nothing: the representatives whose integer keys equal
+    the smallest are kept, and, only if two or more are, they are ranked on
+    full patterns. Every member of a kept orbit is a tie, found by a mask
+    over the labels.
     """
-    keys = _beta4_keys(C[reps], q, family)
     alive = reps[keys == keys.min()]
     decided = 4 if len(alive) < len(keys) else None
     if len(alive) > 1:
@@ -648,21 +684,9 @@ def _family_best(C, orbit, reps, q, family) -> FamilyBest:
         alive = alive[kept]
         if sub_decided is not None:
             decided = sub_decided
-
-    ties = sorted(C[np.isin(orbit, alive)].tolist())
-    win = np.array(ties[0])
-    b = _closed_form_shifts(win, q, family)
-    beta3, beta4 = _member_betas(win[None], b[None], q, family, (3, 4))[0].tolist()
-    return FamilyBest(
-        family=family,
-        generators=ties[0],
-        b=b.tolist(),
-        ties=ties,
-        evaluations=len(C),
-        decided_k=decided,
-        beta3=beta3,
-        beta4=beta4,
-    )
+    tied = np.zeros(len(C), dtype=bool)
+    tied[alive] = True
+    return sorted(C[tied[orbit]].tolist()), decided
 
 
 def search_q2(q: PrimeLevel, n: int) -> Q2Report:
@@ -674,13 +698,15 @@ def search_q2(q: PrimeLevel, n: int) -> Q2Report:
     level reversal (Cheng and Ye, 2004) preserve the pattern, so every set
     of the cell is labelled with its orbit once, from table lookups on each
     set's cross products (_cell_orbits). A label is the row of one member of
-    the orbit, and the rows labelled with themselves are the representatives:
-    each family is pruned one orbit at a time on their integer beta_4 key
-    (_beta4_keys), then ranked on full patterns only where two or more orbits
-    survive (_family_best). The ties are whole orbits, sorted, and the
-    winner is the smallest tie. The standard design's beta_3 and beta_4 come
-    from the pair kernel cut off at degree 4, which gives the bits of its
-    full pattern.
+    the orbit, and the rows labelled with themselves are the representatives.
+    One pass serves both families: their integer beta_4 keys come from one
+    set of cross products (_beta4_keys), each family is pruned on its own
+    keys, then ranked on full patterns only where two or more orbits survive
+    (_family_ties). The ties are whole orbits, sorted, and the winner is the
+    smallest tie. Both winners' beta_3 and beta_4 come from one beta_k_stack
+    call, each row with the bits of its own member. The standard design's
+    beta_3 and beta_4 come from the pair kernel cut off at degree 4, which
+    gives the bits of its full pattern.
     """
     std = standard_generators(q, n)
     C = _q2_coefficients(q, n)
@@ -689,8 +715,26 @@ def search_q2(q: PrimeLevel, n: int) -> Q2Report:
     std_beta3, std_beta4 = np.maximum(_pattern_by_pairs(expand(std), 4)[3:], 0.0).tolist()
     orbit = _cell_orbits(C, q)
     reps = np.flatnonzero(orbit == np.arange(len(C)))
-    linear = _family_best(C, orbit, reps, q, "linear")
-    will = _family_best(C, orbit, reps, q, "williams")
+    keys = _beta4_keys(C[reps], q)
+    found = [_family_ties(C, orbit, reps, k, q, f) for k, f in zip(keys, FAMILIES)]
+    wins = np.array([ties[0] for ties, _ in found])
+    b = np.stack([_closed_form_shifts(w, q, f) for w, f in zip(wins, FAMILIES)])
+    rows = shift_stack(expand_stack(wins, q), b, q)
+    rows[1] = williams_levels(rows[1], q)  # FAMILIES: linear, then williams
+    betas = beta_k_stack(rows, (3, 4), q).tolist()
+    linear, will = (
+        FamilyBest(
+            family=family,
+            generators=ties[0],
+            b=shift.tolist(),
+            ties=ties,
+            evaluations=len(C),
+            decided_k=decided,
+            beta3=beta3,
+            beta4=beta4,
+        )
+        for family, (ties, decided), shift, (beta3, beta4) in zip(FAMILIES, found, b, betas)
+    )
     return Q2Report(
         q=q,
         n=n,

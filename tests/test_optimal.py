@@ -581,6 +581,14 @@ def test_verify_theorem_reports_failing_sets(monkeypatch):
         assert verify_theorem(theorem, 5, 4)[0] == line
 
 
+def test_patched_theorem1_fails_after_a_search_filled_the_caches(monkeypatch):
+    # search_q2 builds the closed-form sums at the true centre first; theorem 1
+    # with a wrong centre must still read a table built at that centre
+    search_q2(5, 4)
+    monkeypatch.setattr(optimal, "center_preimage", lambda q: 0)
+    assert verify_theorem(1, 5, 4)[0] == "n=3 C=[[1, 1]]: beta3=0.442"
+
+
 def _exact_theorem1(q, nmax):
     # the oracle: exact beta_3 of every Williams set at its closed-form shift
     failures = []
@@ -732,6 +740,41 @@ def test_plane_tables_equal_an_int64_brute_force(q, family):
     assert table.dtype == np.int64 and not table.flags.writeable
     assert np.array_equal(table, T)
     assert optimal._triple_table(q, family) is table
+
+
+def _fresh(builder, *args):
+    # the uncached build behind an lru_cache'd table builder
+    return builder.__wrapped__(*args)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11])
+def test_cell_free_tables_are_built_once_and_read_only(q):
+    # the closed-form sums and the image key table depend on q (and the
+    # family and its centre) alone: one read-only object per process, equal
+    # to a fresh build, so every cell of a reproduce run shares them
+    for family in ("linear", "williams"):
+        sums = optimal._closed_form_sums(q, family)
+        assert optimal._closed_form_sums(q, family) is sums
+        fresh = _fresh(optimal._plane_sums, q, family, optimal._shift_centre(q, family))
+        for got, want in zip(sums, fresh):
+            assert not got.flags.writeable and got.dtype == np.int64
+            assert np.array_equal(got, want)
+    key = optimal._image_keys(q)
+    assert optimal._image_keys(q) is key and optimal._image_tables(q, 4)[0] is key
+    assert not key.flags.writeable and key.dtype == np.int32
+    assert np.array_equal(key, _fresh(optimal._image_keys, q))
+
+
+def test_closed_form_sums_follow_the_centre(monkeypatch):
+    # the cache is keyed on the shift centre that the table reads: a patched
+    # centre gets its own table, and the true one comes back after it
+    true = optimal._closed_form_sums(5, "williams")
+    monkeypatch.setattr(optimal, "center_preimage", lambda q: 0)
+    patched = optimal._closed_form_sums(5, "williams")
+    assert not np.array_equal(patched[0], true[0])
+    assert optimal._closed_form_sums(5, "linear") is optimal._closed_form_sums(5, "linear")
+    monkeypatch.undo()
+    assert optimal._closed_form_sums(5, "williams") is true
 
 
 def _primes_to_max_levels():
@@ -1076,9 +1119,11 @@ KEY_CELLS = [(5, n) for n in range(3, 7)] + [(7, n) for n in range(3, 9)]
 @pytest.mark.parametrize("family", ["linear", "williams"])
 @pytest.mark.parametrize("q,n", KEY_CELLS)
 def test_beta4_keys_equal_an_int64_brute_force(q, n, family):
+    # one call keys both families, a row each in FAMILIES order
     reps = _representatives(q, n)
-    got = optimal._beta4_keys(reps, q, family)
-    assert got.dtype == np.int64
+    keys = optimal._beta4_keys(reps, q)
+    assert keys.dtype == np.int64 and keys.shape == (2, len(reps))
+    got = keys[optimal.FAMILIES.index(family)]
     assert got.tolist() == [_brute_beta4_key(GeneratorSet(q, C), family) for C in reps]
 
 
@@ -1087,7 +1132,7 @@ def test_beta4_keys_equal_an_int64_brute_force(q, n, family):
 def test_beta4_keys_scale_to_beta_k_stack(q, n, family):
     # beta_4 = 36 K' * 144 / (N^2 (q^2-1)^4 (q^2-4)) for the key K' = K / 36
     C, betas = _exact_cell(q, n, family)
-    keys = optimal._beta4_keys(C, q, family)
+    keys = optimal._beta4_keys(C, q)[optimal.FAMILIES.index(family)]
     scale = 36 * 144 / (q**4 * (q * q - 1) ** 4 * (q * q - 4))  # N = q^2
     assert np.abs(keys * scale - betas[:, 1]).max() <= 1e-13
 
@@ -1098,9 +1143,8 @@ def test_beta4_keys_scale_to_beta_k_stack(q, n, family):
 def test_beta4_keys_are_constant_on_every_orbit(q, n):
     C = optimal._q2_coefficients(q, n)
     orbit = optimal._cell_orbits(C, q)
-    for family in ("linear", "williams"):
-        keys = optimal._beta4_keys(C, q, family)
-        assert (keys == keys[orbit]).all()  # an orbit's label is one of its members
+    keys = optimal._beta4_keys(C, q)
+    assert (keys == keys[:, orbit]).all()  # an orbit's label is one of its members
 
 
 def _admitted_cells():
@@ -1199,6 +1243,7 @@ def test_image_indices_equal_the_oracle(q, n):
 def test_group_images_are_reduced_sets_of_the_same_orbit(q, n):
     C = optimal._q2_coefficients(q, n)
     assert _cell_index(C, q).tolist() == list(range(len(C)))
+    assert C.dtype == np.int64 and C.flags.c_contiguous  # the scales' layout does not leak
     rng = np.random.default_rng(100 * q + n)
     pick = np.arange(len(C)) if len(C) <= 60 else rng.choice(len(C), 60, replace=False)
     images = _reduced_images(C[pick], q)
@@ -1263,7 +1308,7 @@ INVARIANCE_CELLS = (
 @pytest.mark.parametrize("family", ["linear", "williams"])
 @pytest.mark.parametrize("q,n,sets", INVARIANCE_CELLS)
 def test_orbit_members_share_pattern_mirror_flag_and_type(q, n, sets, family):
-    # the invariance that _family_best's ranking by representatives rests on
+    # the invariance that _family_ties' ranking by representatives rests on
     C = optimal._q2_coefficients(q, n)
     rng = np.random.default_rng(100 * q + n)
     for i in rng.choice(len(C), sets, replace=False):
@@ -1328,20 +1373,26 @@ def test_full_patterns_one_per_surviving_orbit(monkeypatch):
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_search_q2_reads_beta_k_stack_for_its_winners_alone(monkeypatch, n):
-    # the cut is on integer keys: each family makes one _member_betas call,
-    # on its winner at its closed-form shift, for the printed beta_3 and beta_4
+    # the cut is on integer keys: one beta_k_stack call takes both winners,
+    # each at its closed-form shift, for the printed beta_3 and beta_4; each
+    # row has the bits of beta_k on its own member
     calls = []
-    member_betas = optimal._member_betas
 
-    def spied(C, b, q, family, ks):
-        calls.append((family, C.tolist(), b.tolist(), tuple(ks)))
-        return member_betas(C, b, q, family, ks)
+    def spied(rows, ks, q):
+        calls.append((rows.copy(), tuple(ks)))
+        return beta_k_stack(rows, ks, q)
 
-    monkeypatch.setattr(optimal, "_member_betas", spied)
+    monkeypatch.setattr(optimal, "beta_k_stack", spied)
     rep = search_q2(7, n)
-    assert calls == [
-        (f.family, [f.generators], [f.b], (3, 4)) for f in (rep.linear, rep.williams)
+    members = [
+        build_design(GeneratorSet(7, f.generators), f.b, f.family)
+        for f in (rep.linear, rep.williams)
     ]
+    [(rows, ks)] = calls
+    assert ks == (3, 4)
+    assert np.array_equal(rows, np.stack([d.rows for d in members]))
+    for f, d in zip((rep.linear, rep.williams), members):
+        assert repr([f.beta3, f.beta4]) == repr([beta_k(d, 3), beta_k(d, 4)])
 
 
 @pytest.mark.parametrize("q,n", [(5, n) for n in range(3, 7)] + [(7, n) for n in range(3, 9)])
@@ -1353,10 +1404,9 @@ def test_standard_betas_are_the_full_pattern_bits(q, n):
     assert repr([rep.standard_beta3, rep.standard_beta4]) == repr(list(full[2:4]))
 
 
-def test_standard_betas_keep_the_pair_bits_above_512_runs(monkeypatch):
+def test_standard_betas_keep_the_pair_bits_above_512_runs():
     # beta_pattern(d, 4) enumerates above 512 runs, and at q=23 its bits differ
     # from the pair kernel's; the standard design keeps the full pattern's
-    monkeypatch.setattr(optimal, "_family_best", lambda *args: None)
     rep = search_q2(23, 3)
     d = expand(standard_generators(23, 3))
     full = beta_pattern(d).values

@@ -79,6 +79,7 @@ def test_theorem1_is_decided_on_the_integer_table():
         ("optimal", "_triple_totals"),
         ("optimal", "_triple_table"),
         ("optimal", "_closed_form_sums"),
+        ("optimal", "_plane_sums"),
     }
     for name in ("_member_betas", "beta_k_stack", "shift_grid_beta", "_support_table",
                  "GeneratorSet", "optimal_shift_williams"):
@@ -86,15 +87,44 @@ def test_theorem1_is_decided_on_the_integer_table():
 
 
 def test_q2_cut_is_decided_on_integer_keys():
-    # the representatives' beta_4 key reads no float measure, and one builder
-    # of the closed-form run-sums serves it and theorem 1
+    # the representatives' beta_4 keys, both families in one call, read no
+    # float measure, and one builder of the closed-form run-sums, cached on
+    # the shift centre, serves them and theorem 1
     for name in ("_member_betas", "beta_k_stack", "orthonormal_basis", "_rank_candidates"):
         assert ("optimal", "_beta4_keys") not in _references(name), name
     readers = set(_references("_closed_form_sums"))
     assert readers == {("optimal", "_beta4_keys"), ("optimal", "_theorem1")}
+    assert _references("_plane_sums") == [("optimal", "_closed_form_sums")]
     assert set(_references("_planes")) == {
-        ("optimal", "_closed_form_sums"), ("optimal", "_triple_table"),
+        ("optimal", "_plane_sums"), ("optimal", "_triple_table"),
     }
+    assert _references("_beta4_keys") == [("optimal", "search_q2")]
+    assert _references("_family_ties") == [("optimal", "search_q2")]
+    assert _references("isin") == []
+
+
+def test_search_q2_is_one_pass_over_the_cell(monkeypatch):
+    # per cell: one key-builder call for both families and one beta_k_stack
+    # call for both winners; no per-family _member_betas call
+    from wtdesigns import optimal
+
+    calls = []
+
+    def spy(name):
+        real = getattr(optimal, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(optimal, name, counted)
+
+    for name in ("_beta4_keys", "beta_k_stack", "_member_betas"):
+        spy(name)
+    for q, n in ((5, 4), (7, 3), (7, 8)):
+        calls.clear()
+        optimal.search_q2(q, n)
+        assert calls == ["_beta4_keys", "beta_k_stack"], (q, n)
 
 
 def test_one_cross_product_matrix():
@@ -114,7 +144,7 @@ def test_one_cross_product_matrix():
     assert _references("_support_table") == [("optimal", "shift_grid_beta")]
     assert set(_references("inverse_table")) == {
         ("recursion", "_reach_levels"),
-        ("optimal", "_image_tables"),
+        ("optimal", "_image_keys"),
         ("optimal", "_coordinates"),
     }
     inverse = fieldmath.inverse_table(7)
@@ -171,6 +201,7 @@ def test_one_image_path():
         assert not [ref for ref in _references(name) if ref[0] == "optimal"], name
     for name in ("_image_indices", "_image_tables"):
         assert _references(name) == [("optimal", "_cell_orbits")], name
+    assert _references("_image_keys") == [("optimal", "_image_tables")]
 
 
 def test_one_cell_order():
