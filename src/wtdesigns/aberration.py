@@ -18,8 +18,8 @@ full N^2 order, each degree on its own. So the pair identity cut off at
 degree k_max gives the first k_max + 1 entries of the full pattern bit for
 bit: every kept degree gets the same products, added in the same order. A
 faster kernel must reproduce the same operations in the same order, not
-only the same value to rounding. The pair identity runs in blocks of about
-_CHUNK_BYTES, which changes no bits: each pair gets the same elementwise
+only the same value to rounding. The pair identity runs in the blocks of
+fieldmath.chunks, which changes no bits: each pair gets the same elementwise
 operations in any block, and each block of the N^2 rows sums [running sum,
 its rows], adding the rows in the same order as one sum. Its d = 0 step,
 0.0 + 1.0 * c, is a copy of c: p_0 is exactly 1.0, and no coefficient is
@@ -33,7 +33,7 @@ import numpy as np
 
 from .designs import Design
 from .errors import CapExceededError, InputError
-from .fieldmath import check_int
+from .fieldmath import check_int, chunks
 from .orthopoly import orthonormal_basis
 
 DEFAULT_TOL = 1e-8  # the one tie band of every ranking, read by _cut alone
@@ -79,24 +79,8 @@ def _check_k(k: int, n: int, q: int, name: str = "k") -> None:
         raise InputError(f"{name}={k} out of range 1..{K}")
 
 
-_CHUNK_BYTES = 2**19  # about 0.5 MB per float array of a stacked kernel or a pair block
-
 # Largest pair-kernel work N^2 * min(K, k_max) * q that _pattern_by_pairs takes
 PAIR_WORK_CAP = 500_000_000
-
-
-def designs_per_chunk(N: int, n: int, q: int, ks=()) -> int:
-    """Designs per stack chunk that keep each array of beta_k_stack near _CHUNK_BYTES.
-
-    The widest array per design is the (C, N) product of the largest
-    exponent shell in ks, or the (n*q + 1, N) value table; an integer level
-    stack of the same designs is smaller still. With no degrees, the chunk
-    holds only the (N, n) integer level stacks.
-    """
-    if not ks:
-        return max(1, _CHUNK_BYTES // (8 * n * N))
-    widest = max([n * q + 1] + [len(compositions(k, n, q - 1)) for k in ks])
-    return max(1, _CHUNK_BYTES // (8 * widest * N))
 
 
 @lru_cache(maxsize=None)
@@ -125,7 +109,8 @@ def beta_k_stack(rows, ks, q: int) -> np.ndarray:
     is bit-identical to the plain enumeration: per exponent vector, the
     product over columns of p_{u_j}(x_ij) (zero exponents contribute exact
     1.0 factors and are skipped), summed over the runs, squared and summed.
-    One pass over the whole stack: callers bound it, as _member_stacks does.
+    One pass over the whole stack: callers bound it by stack_bytes, as
+    _member_stacks does.
     """
     rows = np.asarray(rows)
     B, N, n = rows.shape
@@ -147,6 +132,13 @@ def beta_k_stack(rows, ks, q: int) -> np.ndarray:
     return np.maximum(out, 0.0)
 
 
+def stack_bytes(N: int, n: int, q: int, ks=()) -> int:
+    """Bytes per design of beta_k_stack's widest array for the degrees ks: the (C, N)
+    product of the largest exponent shell or the (n*q + 1, N) value table, and with
+    no degrees the (N, n) integer level stack."""
+    return 8 * N * max([n * q + 1 if ks else n] + [len(compositions(k, n, q - 1)) for k in ks])
+
+
 def beta_k(design: Design, k: int) -> float:
     """Single aliasing measure beta_k, by direct enumeration of exponents."""
     _check_k(k, design.n_factors, design.q)
@@ -166,17 +158,16 @@ def _pattern_by_pairs(design: Design, k_max: int = None) -> np.ndarray:
 
     G[x, y] and G[y, x] are bitwise equal, so the pairs (i, i') and (i', i)
     carry bitwise equal coefficients: only the N(N+1)/2 unordered pairs are
-    convolved, in blocks of about _CHUNK_BYTES of (degree, pair)
-    coefficients. Each pair gets the same elementwise operations in any
-    block, so a block boundary changes no bits. The d = 0 step of a
-    convolution adds 1.0 * c to 0.0, since p_0 is exactly 1.0: that is c
-    bit for bit, as no coefficient is ever -0.0 (the first column gets
-    + 0.0 and each later sum starts from +0.0), so the step is a copy. The
-    N^2 ordered pairs are then gathered in row-pair order and summed block
-    by block, the running sum added to each block's first row before the
-    block is summed: the rows are added in the same order as one sum over
-    all N^2. The result is the first k_max + 1 entries of the full one, bit
-    for bit.
+    convolved, in fieldmath.chunks blocks of (degree, pair) coefficients.
+    Each pair gets the same elementwise operations in any block, so a block
+    boundary changes no bits. The d = 0 step of a convolution adds 1.0 * c
+    to 0.0, since p_0 is exactly 1.0: that is c bit for bit, as no
+    coefficient is ever -0.0 (the first column gets + 0.0 and each later
+    sum starts from +0.0), so the step is a copy. The N^2 ordered pairs are
+    then gathered in row-pair order and summed block by block, the running
+    sum added to each block's first row before the block is summed: the
+    rows are added in the same order as one sum over all N^2. The result is
+    the first k_max + 1 entries of the full one, bit for bit.
     """
     q = design.q
     rows = design.rows
@@ -188,13 +179,13 @@ def _pattern_by_pairs(design: Design, k_max: int = None) -> np.ndarray:
         )
     B = orthonormal_basis(q).values
     G = np.einsum("ua,ub->uab", B, B)[:degrees].reshape(-1, q * q)  # G[u, x*q + y]
-    step = max(1, _CHUNK_BYTES // (8 * degrees))
     r = np.arange(N)
     starts = r * N - r * (r - 1) // 2  # the index of the unordered pair (i, i)
     half = np.empty((N * (N + 1) // 2, degrees))  # one row of coefficients per unordered pair
-    flat = np.empty((3, degrees * min(step, len(half))))
-    for lo in range(0, len(half), step):
-        t = np.arange(lo, min(lo + step, len(half)))
+    blocks = chunks(len(half), 8 * degrees)
+    flat = np.empty((3, degrees * blocks[0].stop))
+    for block in blocks:
+        t = np.arange(block.start, block.stop)
         first = np.searchsorted(starts, t, side="right") - 1
         levels = rows[first].T * q + rows[t - starts[first] + first].T  # (n, block): x*q + y
         # coefficients are (degree, pair), so each convolution step adds
@@ -212,15 +203,15 @@ def _pattern_by_pairs(design: Design, k_max: int = None) -> np.ndarray:
                 np.multiply(A[d], c[:top], out=prod[:top])
                 np.add(x[d : d + top], prod[:top], out=x[d : d + top])
             c = x
-        half[lo : lo + len(t)] = c.T
+        half[block] = c.T
     # (block, k_max+1) in row-pair order, C-contiguous: the sum adds the rows
     # in turn, each column on its own, and adding the running sum to a
     # block's first row is that sum's first step
-    for lo in range(0, N * N, step):
-        i, k = np.divmod(np.arange(lo, min(lo + step, N * N)), N)
+    for block in chunks(N * N, 8 * degrees):
+        i, k = np.divmod(np.arange(block.start, block.stop), N)
         a, b = np.minimum(i, k), np.maximum(i, k)
         part = half[starts[a] + b - a]
-        if lo:
+        if block.start:
             part[0] += total
         total = part.sum(axis=0)
     return total / N**2

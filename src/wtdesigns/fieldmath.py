@@ -1,8 +1,9 @@
 """Arithmetic over Z_q for an odd prime q.
 
-Primality validation, matrix rank and inverses over the prime field, and
-deterministic tuple enumeration. Everything here is pure and cheap; every
-other module builds on these.
+Primality validation, matrix rank and inverses over the prime field,
+deterministic tuple enumeration, and the one memory budget of every chunked
+kernel. Everything here is pure and cheap; every other module builds on
+these.
 """
 
 from functools import lru_cache
@@ -16,6 +17,18 @@ from .errors import InputError
 # A validated odd-prime level count. Plain int at runtime; the alias marks
 # values that went through check_odd_prime.
 PrimeLevel = int
+
+_CHUNK_BYTES = 2**19  # about 0.5 MB per array of a chunked kernel, read by chunks alone
+
+
+def chunks(count: int, item_bytes: int) -> list:
+    """range(count) as consecutive slices of about _CHUNK_BYTES, item_bytes per item.
+
+    Every slice but the last holds max(1, _CHUNK_BYTES // item_bytes) items,
+    so an item wider than the budget gets a slice of its own.
+    """
+    step = max(1, _CHUNK_BYTES // item_bytes)
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
 def check_int(value, name: str) -> int:

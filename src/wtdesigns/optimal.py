@@ -18,14 +18,13 @@ from typing import Optional
 import numpy as np
 
 from .aberration import (
-    _CHUNK_BYTES,
     _check_k,
     _pattern_by_pairs,
     _rank_candidates,
     beta_k_stack,
     beta_pattern,
     compositions,
-    designs_per_chunk,
+    stack_bytes,
 )
 from .designs import (
     Design,
@@ -40,7 +39,7 @@ from .designs import (
     williams_levels,
 )
 from .errors import CapExceededError, InputError
-from .fieldmath import PrimeLevel, check_int, check_odd_prime, int_array, inverse_table
+from .fieldmath import PrimeLevel, check_int, check_odd_prime, chunks, int_array, inverse_table
 from .orthopoly import orthonormal_basis
 from .recursion import RecursiveType, _classify_stack, _subsets
 
@@ -102,7 +101,7 @@ def build_design(gen: GeneratorSet, b, family: str) -> Design:
 
 
 def _member_stacks(C, b, q: int, family: str, ks=()):
-    """Level stacks of family members, designs_per_chunk designs for the degrees ks at a time.
+    """Level stacks of family members, in chunks of stack_bytes for the degrees ks.
 
     The stacked form of build_design. C is either a GeneratorSet, expanded
     once (under expand's run cap) and shifted by every row of the (B, m)
@@ -112,11 +111,9 @@ def _member_stacks(C, b, q: int, family: str, ks=()):
     """
     single = isinstance(C, GeneratorSet)
     m, d = C.C.shape if single else C.shape[1:]
-    step = designs_per_chunk(q**d, m + d, q, ks)
     if single:
         expanded = expand(C).rows[None]
-    for lo in range(0, len(b), step):
-        part = slice(lo, lo + step)
+    for part in chunks(len(b), stack_bytes(q**d, m + d, q, ks)):
         rows = shift_stack(expanded if single else expand_stack(C[part], q), b[part], q)
         yield williams_levels(rows, q) if family == "williams" else rows
 
@@ -177,23 +174,21 @@ def _support_table(values) -> np.ndarray:
     candidate value vectors of position j: p_{u_j} of an independent column
     in each run, or of a dependent column at each of its q shifts. Returns
     the (V_1, ..., V_r) table of (sum_i prod_j v_j[a_j, i])^2. The leading
-    positions are multiplied out in chunks of about _CHUNK_BYTES and the
-    last one enters through a matrix product, so the run-sums are added in
-    BLAS order: the table is accurate to rounding, not bit-identical to
-    beta_k_stack.
+    positions are multiplied out in fieldmath.chunks and the last one enters
+    through a matrix product, so the run-sums are added in BLAS order: the
+    table is accurate to rounding, not bit-identical to beta_k_stack.
     """
     head, *mid, last = values
     N = head.shape[1]
     shape = tuple(len(v) for v in values)
     width = prod(shape[1:-1])
-    step = max(1, _CHUNK_BYTES // (8 * N * width))
     out = np.empty((shape[0], width, shape[-1]))
-    for lo in range(0, shape[0], step):
-        terms = head[lo : lo + step, None, :]
+    for part in chunks(shape[0], 8 * N * width):
+        terms = head[part, None, :]
         for v in mid:
             terms = (terms[:, :, None, :] * v[None, None]).reshape(len(terms), -1, N)
         sums = terms @ last.T
-        out[lo : lo + step] = sums * sums
+        out[part] = sums * sums
     return out.reshape(shape)
 
 
@@ -362,23 +357,27 @@ def _check_q2_cell(q: int, n: int) -> None:
 
 
 def _q2_coefficients(q: PrimeLevel, n: int) -> np.ndarray:
-    """Every reduced coefficient set of the (q, n) cell as one (B, m, 2) int64 stack.
+    """Every reduced coefficient set of the (q, n) cell as one (B, m, 2) int16 stack.
 
     q, n and the cell size are checked first (a cell of more than
     SEARCH_CAP sets is refused). With m = n - 2, dependent column i is
     (c_i, c_i * s_i mod q); the rows run over the slope sets s in
     combinations order and, within each, over the scale vectors c in
-    product order (np.indices, last column fastest), built by one broadcast
-    of the scales against the slopes. The scales are made C-ordered first, so
-    the broadcast and the stack write the cell in C order.
+    product order (np.indices, last column fastest), written by one
+    broadcast of the scales against the slopes. Every entry is below q,
+    and every product c_i s_i below (q-1)^2 / 2, which int32 holds for
+    any q whose smallest cell SEARCH_CAP admits.
     """
     q = check_odd_prime(q)
     _check_q2_columns(q, n)
     _check_q2_cell(q, n)
     m, half = n - 2, (q - 1) // 2
-    scales = np.ascontiguousarray(np.indices((half,) * m, dtype=np.int64).reshape(m, -1).T) + 1
-    slopes = np.array(list(combinations(range(1, q), m)), dtype=np.int64)[:, None]
-    return np.stack(np.broadcast_arrays(scales, scales * slopes % q), axis=-1).reshape(-1, m, 2)
+    scales = np.indices((half,) * m, dtype=np.int16).reshape(m, -1).T + 1
+    slopes = np.array(list(combinations(range(1, q), m)), dtype=np.int32)[:, None]
+    C = np.empty((len(slopes), len(scales), m, 2), dtype=np.int16)
+    C[..., 0] = scales
+    C[..., 1] = scales * slopes % q
+    return C.reshape(-1, m, 2)
 
 
 def _cross_products(C: np.ndarray, q: int) -> np.ndarray:
@@ -479,12 +478,12 @@ def _cell_orbits(C: np.ndarray, q: int) -> np.ndarray:
     its members: two sets share it exactly when they are images of each
     other. From a cursor past every labelled set, looking 64 sets ahead per
     set wanted, the next unlabelled sets are taken in batches that double up
-    to key stacks of about _CHUNK_BYTES; each one's smallest index goes to
-    all of its images.
+    to one of the cell's fieldmath.chunks of (m, G, batch) int32 key stacks;
+    each one's smallest index goes to all of its images.
     """
     n = C.shape[1] + 2
     tables = _image_tables(q, n)
-    cap = max(1, _CHUNK_BYTES // (4 * 2 * n * (n - 1) * (n - 2)))  # (m, G, batch) int32 keys
+    cap = chunks(len(C), 4 * 2 * n * (n - 1) * (n - 2))[0].stop  # the first chunk's size
     orbit = np.full(len(C), -1, dtype=np.int64)
     start, step = 0, 1
     while start < len(C):
@@ -565,29 +564,22 @@ def _planes(q: int) -> np.ndarray:
     return (lam[:, None] * lam + mu[:, None] * mu) % q
 
 
-def _closed_form_sums(q: int, family: str) -> tuple:
-    """Run-sums over the _planes at closed-form shifts: int64 (S, I, J) = (A @ w,
-    (A * A) @ w, (A * w) @ A.T), for A the centred levels and w = A[q] A[1].
-
-    The closed-form shift is affine in the coefficients, so the column lambda a + mu b
-    is offset by that of (lambda, mu). Every partial sum is an integer below 2^53.
-    The tables are read-only and cached on everything they read: q, the family and
-    its shift centre.
-    """
-    return _plane_sums(q, family, _shift_centre(q, family))
-
-
 @lru_cache(maxsize=None)
-def _plane_sums(q: int, family: str, g: int) -> tuple:
-    """_closed_form_sums for the closed-form shift (1 - lambda - mu) g of (lambda, mu)."""
+def _quad_table(q: int, family: str, g: int) -> np.ndarray:
+    """J[c, e] = sum over the _planes of A[q] A[1] A[c] A[e]: int64 (q^2, q^2), one matrix
+    product, read-only and cached on everything it reads, the shift centre g included.
+
+    A[lambda q + mu] holds the centred levels of the column lambda a + mu b at the
+    closed-form shift (1 - lambda - mu) g: the shift is affine in the coefficients, so
+    that column is offset by the shift of (lambda, mu), and A[q], A[1] are a and b.
+    J[c, c] sums L_a L_b L_c^2. Every partial sum is an integer below 2^53.
+    """
     lam, mu = np.divmod(np.arange(q * q), q)
     A = _centred_levels(q, family)[(_planes(q) + ((1 - lam - mu) * g % q)[:, None]) % q]
     A = A.astype(float)
-    w = A[q] * A[1]
-    out = tuple(t.astype(np.int64) for t in (A @ w, (A * A) @ w, A * w @ A.T))
-    for t in out:
-        t.setflags(write=False)
-    return out
+    J = (A * (A[q] * A[1]) @ A.T).astype(np.int64)
+    J.setflags(write=False)
+    return J
 
 
 @lru_cache(maxsize=None)
@@ -642,10 +634,10 @@ def _beta4_keys(C: np.ndarray, q: int) -> np.ndarray:
     36: beta_4 orders the sets as the key does, and two sets tie exactly
     when their keys are equal.
 
-    I and J are _closed_form_sums read at _coordinates; their squares are below 2^53
-    and the key below 2^63 on every cell SEARCH_CAP admits up to MAX_LEVELS (tested).
-    The cross products and coordinates are the family's geometry, not its levels, so
-    they are computed once and each family's tables are read at them.
+    J is the family's _quad_table read at _coordinates, and I its diagonal. Their
+    squares are below 2^53 and the key below 2^63 on every cell SEARCH_CAP admits up to
+    MAX_LEVELS (tested). The cross products and coordinates are the family's geometry,
+    not its levels, so they are computed once and each family's table is read at them.
     """
     n = C.shape[1] + 2
     X = _cross_products(C, q)
@@ -655,8 +647,8 @@ def _beta4_keys(C: np.ndarray, q: int) -> np.ndarray:
     at_j = _coordinates(X, q, a, b, c) * q * q + _coordinates(X, q, a, b, d)
     keys = np.empty((len(FAMILIES), len(C)), dtype=np.int64)
     for row, family in zip(keys, FAMILIES):
-        _, I, J = _closed_form_sums(q, family)
-        sum_i2, sum_j2 = (I * I)[at_i].sum(axis=0), (J * J).ravel()[at_j].sum(axis=0)
+        J2 = _quad_table(q, family, _shift_centre(q, family)) ** 2
+        sum_i2, sum_j2 = J2.diagonal()[at_i].sum(axis=0), J2.ravel()[at_j].sum(axis=0)
         row[:] = 5 * (q * q - 1) * sum_i2 + 4 * (q * q - 4) * sum_j2
     return keys
 
@@ -767,14 +759,16 @@ def count_recursive(q: PrimeLevel, n: int):
 def _theorem1(cells, q):
     # Every set is checked, not one per orbit: orbit members share beta_3 only
     # at a shift that satisfies the theorem's closed form. A set fails when its
-    # _triple_totals entry there, a sum of S^2 from the _closed_form_sums, is
-    # nonzero. rho is read first, so q > MAX_LEVELS is refused before the table.
+    # _triple_totals entry there, a sum of S^2 for the S that T holds at the
+    # closed-form offsets, is nonzero. rho is read first, so q > MAX_LEVELS is
+    # refused before the table.
     rho = orthonormal_basis(q).rho
-    S2 = _closed_form_sums(q, "williams")[0] ** 2
+    lam_mu = np.stack(np.divmod(np.arange(q * q), q), axis=1)
+    S = _triple_table(q, "williams")[np.arange(q * q), _closed_form_shifts(lam_mu, q, "williams")]
+    S2 = S * S
     for C in cells:
         n = C.shape[1] + 2
-        step = _CHUNK_BYTES // (4 * n * n)  # about _CHUNK_BYTES of X per chunk
-        for part in (C[lo : lo + step] for lo in range(0, len(C), step)):
+        for part in (C[rows] for rows in chunks(len(C), 4 * n * n)):  # the int32 X of a set
             X = _cross_products(part, q)
             total = sum(S2[_coordinates(X, q, a, b, c)] for a, b, c in _subsets(n, 3))
             yield from ((c, f"beta3={rho**6 * t / q**4:.3g}") for c, t in zip(part, total) if t)
@@ -786,8 +780,7 @@ def _theorem2(cells, q):
     orthonormal_basis(q)
     for C in cells:
         C = C[_classify_stack(C, q) == RecursiveType.TYPE_II]
-        step = _CHUNK_BYTES // (8 * q ** C.shape[1])  # about _CHUNK_BYTES of grid per chunk
-        for part in (C[lo : lo + step] for lo in range(0, len(C), step)):
+        for part in (C[rows] for rows in chunks(len(C), 8 * q ** C.shape[1])):  # an int64 grid
             expected = _closed_form_shifts(part, q, "williams").tolist()
             for coeffs, grid, b in zip(part, _triple_totals(part, q, "williams"), expected):
                 if (zeros := np.argwhere(grid == 0).tolist()) != [b]:

@@ -48,10 +48,7 @@ from itertools import combinations
 import numpy as np
 
 from .designs import GeneratorSet, column_vectors
-from .fieldmath import inverse_table
-
-# (design, start, pair, column) cells per chunk: bounds the (B, S, P, n) round arrays
-_CHUNK_CELLS = 1 << 18
+from .fieldmath import chunks, inverse_table
 
 
 class RecursiveType(enum.Enum):
@@ -142,20 +139,19 @@ def _closure_types(cols: np.ndarray, q: int) -> np.ndarray:
 
     A design is labelled by the strictest regime in which one of its d-subsets
     of columns reaches all n columns. Designs and then starts are cut into
-    chunks of at most _CHUNK_CELLS (design, start, pair, column) cells.
+    fieldmath.chunks of (design, start, pair, column) cells, each 2 bytes: an
+    int8 of a round's array and of its np.maximum temporary.
     """
     B, n, d = cols.shape
     pa, pb = _subsets(n, 2).T
     starts = _subsets(n, d)
     types = np.full(B, len(_TYPES) - 1, dtype=np.int8)
-    per_start = len(pa) * n
-    step = max(1, _CHUNK_CELLS // (per_start * len(starts)))
-    for lo in range(0, B, step):
-        chunk = types[lo : lo + step]
-        levels = _reach_levels(cols[lo : lo + step], q, pa, pb)
-        width = max(1, _CHUNK_CELLS // (len(chunk) * per_start))
-        for first in range(0, len(starts), width):
-            part = starts[first : first + width]
+    start_bytes = 2 * len(pa) * n  # per (design, start)
+    for rows in chunks(B, start_bytes * len(starts)):
+        chunk = types[rows]
+        levels = _reach_levels(cols[rows], q, pa, pb)
+        for tried in chunks(len(starts), len(chunk) * start_bytes):
+            part = starts[tried]
             L = np.full((len(chunk), len(part), n), len(_TYPES) - 1, dtype=np.int8)
             L[:, np.arange(len(part))[:, None], part] = 0
             L = _minimax_closure(L, levels, pa, pb)

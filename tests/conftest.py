@@ -42,3 +42,31 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         if detail:
             line += f"  [{detail}]"
         terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def budget(monkeypatch):
+    """budget(nbytes) sets the one memory budget, fieldmath._CHUNK_BYTES, for the test.
+
+    It returns a list that records every later chunks call of the kernels as
+    (module, count, slice lengths), so a test can check that the budget it
+    sets reaches the loop it means to cut.
+    """
+    from wtdesigns import aberration, fieldmath, optimal, recursion
+
+    calls = []
+    for module in (aberration, optimal, recursion):
+
+        def spy(count, item_bytes, name=module.__name__.rsplit(".", 1)[1]):
+            out = fieldmath.chunks(count, item_bytes)
+            calls.append((name, count, [s.stop - s.start for s in out]))
+            return out
+
+        monkeypatch.setattr(module, "chunks", spy)
+
+    def set_budget(nbytes):
+        monkeypatch.setattr(fieldmath, "_CHUNK_BYTES", nbytes)
+        calls.clear()
+        return calls
+
+    return set_budget

@@ -168,7 +168,7 @@ def _closed_form_designs(q, n, family):
 
 @pytest.mark.parametrize("q,n", STACK_CELLS)
 @pytest.mark.parametrize("family", ["linear", "williams"])
-def test_stacked_beta_k_is_bit_identical(q, n, family, monkeypatch):
+def test_stacked_beta_k_is_bit_identical(q, n, family, budget):
     basis = orthonormal_basis(q)
     designs = _closed_form_designs(q, n, family)
     want = np.array([[enumeration_beta_k(d, k, basis) for k in (3, 4)] for d in designs])
@@ -178,8 +178,8 @@ def test_stacked_beta_k_is_bit_identical(q, n, family, monkeypatch):
     # chunks of 7 designs for _member_stacks below (B is no multiple of 7);
     # beta_k_stack takes the whole cell as one stack, in one pass
     widest = max(n * q + 1, len(compositions(4, n, q - 1)))
-    monkeypatch.setattr(aberration, "_CHUNK_BYTES", 7 * 8 * widest * q * q)
-    assert aberration.designs_per_chunk(q * q, n, q, (3, 4)) == 7
+    assert aberration.stack_bytes(q * q, n, q, (3, 4)) == 8 * widest * q * q
+    calls = budget(7 * 8 * widest * q * q)
     stack = np.stack([d.rows for d in designs])
     assert len(designs) % 7 != 0
     assert np.array_equal(beta_k_stack(stack, (3, 4), q), want)
@@ -188,6 +188,7 @@ def test_stacked_beta_k_is_bit_identical(q, n, family, monkeypatch):
     C = optimal._q2_coefficients(q, n)
     betas = optimal._member_betas(C, optimal._closed_form_shifts(C, q, family), q, family, (3, 4))
     assert np.array_equal(betas, want)
+    assert calls == [("optimal", len(C), [7] * (len(C) // 7) + [len(C) % 7])]
 
 
 @pytest.mark.parametrize("q", [11, 13])
@@ -218,17 +219,22 @@ def test_stacked_beta_k_other_degrees_and_shifts():
     assert np.array_equal(beta_k_stack(stack, ks, 5), want)
 
 
-def assert_pair_kernel_bit_identical(d, pairs=None, monkeypatch=None):
+def assert_pair_kernel_bit_identical(d, pairs=None, budget=None):
     # the default and every cut k_max = 1..K against the oracles' prefix, signs
     # too; with pairs, in blocks of that many unordered pairs and ordered row
     # pairs at every cut
     full = full_pairs_pattern(d, orthonormal_basis(d.q))
     assert_same_bits(unblocked_pair_kernel(d), full)
+    N = d.runs
     for k in [None, *range(1, len(full))]:
         degrees = len(full) if k is None else k + 1
         if pairs is not None:
-            monkeypatch.setattr(aberration, "_CHUNK_BYTES", 8 * degrees * pairs)
+            calls = budget(8 * degrees * pairs)
         assert_same_bits(_pattern_by_pairs(d, k), full[:degrees])
+        if pairs is not None:  # both loops ran in blocks of that many pairs
+            assert [(name, count, max(sizes)) for name, count, sizes in calls] == [
+                ("aberration", N * (N + 1) // 2, pairs), ("aberration", N * N, pairs),
+            ]
 
 
 @pytest.mark.parametrize("q,C", [
@@ -261,17 +267,17 @@ BLOCK_CASES = [
 
 
 @pytest.mark.parametrize("q,C,b,family,pairs", BLOCK_CASES)
-def test_blocked_pair_pattern_is_bit_identical(q, C, b, family, pairs, monkeypatch):
+def test_blocked_pair_pattern_is_bit_identical(q, C, b, family, pairs, budget):
     d = build_design(GeneratorSet(q, C), b, family)
-    assert_pair_kernel_bit_identical(d, pairs, monkeypatch)
+    assert_pair_kernel_bit_identical(d, pairs, budget)
 
 
 @pytest.mark.parametrize("pairs", [1, 5])
-def test_blocked_pair_pattern_repeated_rows(pairs, monkeypatch):
+def test_blocked_pair_pattern_repeated_rows(pairs, budget):
     # 37 rows, seven of them twice: duplicate pairs land in different blocks
     rng = np.random.default_rng(11)
     rows = rng.integers(0, 5, size=(30, 4))
-    assert_pair_kernel_bit_identical(Design(5, np.vstack([rows, rows[::4]])), pairs, monkeypatch)
+    assert_pair_kernel_bit_identical(Design(5, np.vstack([rows, rows[::4]])), pairs, budget)
 
 
 @pytest.mark.parametrize("family,b", [

@@ -121,3 +121,80 @@ def test_full_factorial_columns_balanced():
     for j in range(2):
         counts = np.bincount(arr[:, j], minlength=7)
         assert (counts == 7).all()
+
+
+# --- the one memory budget ----------------------------------------------------
+
+def _spans(slices):
+    return [(s.start, s.stop) for s in slices]
+
+
+def test_chunks_cut_the_range_in_budget_sized_slices(monkeypatch):
+    from wtdesigns import fieldmath
+
+    assert fieldmath._CHUNK_BYTES == 2**19
+    assert _spans(fieldmath.chunks(10, 2**17)) == [(0, 4), (4, 8), (8, 10)]
+    assert _spans(fieldmath.chunks(3, 2**20)) == [(0, 1), (1, 2), (2, 3)]  # at least one item
+    assert _spans(fieldmath.chunks(5, 1)) == [(0, 5)]
+    assert fieldmath.chunks(0, 8) == []
+    monkeypatch.setattr(fieldmath, "_CHUNK_BYTES", 1)
+    assert _spans(fieldmath.chunks(3, 1)) == [(0, 1), (1, 2), (2, 3)]
+
+
+def _blocks(count, step):
+    return [step] * (count // step) + ([count % step] if count % step else [])
+
+
+def test_default_budget_keeps_the_chunk_boundaries(budget):
+    # the steps of the separate sizings the budget replaced: the closure held
+    # 2^18 (design, start, pair, column) cells, and the pair kernel 2^19
+    # bytes of float64 coefficients per block
+    from wtdesigns import GeneratorSet, count_recursive, expand
+    from wtdesigns.aberration import _pattern_by_pairs
+
+    calls = budget(2**19)
+    count_recursive(7, 8)  # 729 sets of 28 starts x 28 pairs x 8 columns
+    step = 2**18 // (28 * 28 * 8)
+    assert step == 41
+    assert calls == [("recursion", 729, _blocks(729, 41))] + [("recursion", 28, [28])] * 18
+    calls.clear()
+    _pattern_by_pairs(expand(GeneratorSet(5, [[1, 1, 1, 1]])))  # 625 runs, 21 degrees
+    step = 2**19 // (8 * 21)
+    assert step == 3120
+    assert calls == [
+        ("aberration", 625 * 626 // 2, _blocks(625 * 626 // 2, step)),
+        ("aberration", 625 * 625, _blocks(625 * 625, step)),
+    ]
+
+
+def test_a_one_byte_budget_changes_no_result(monkeypatch, budget):
+    # one item per chunk in every chunked loop gives the default's results;
+    # theorems 1 and 2 at a wrong centre, so that they report sets
+    from wtdesigns import (
+        GeneratorSet, beta_pattern, build_design, count_recursive, optimal, search_q2,
+        search_shifts, verify_theorem,
+    )
+
+    def results():
+        monkeypatch.setattr(optimal, "center_preimage", lambda q: 0)
+        wrong = [verify_theorem(1, 5, 4), verify_theorem(2, 5, 4), verify_theorem(2, 7, 4)]
+        monkeypatch.setattr(optimal, "center_preimage", center_preimage)
+        gen = GeneratorSet(5, [[1, 2], [2, 1]])
+        return wrong + [
+            verify_theorem(1, 5, 4),
+            verify_theorem(2, 5, 4),
+            search_q2(5, 4).to_json_dict(),
+            search_q2(7, 4).to_json_dict(),
+            count_recursive(7, 4),
+            search_shifts(gen, "williams"),
+            search_shifts(gen, "linear", 6),
+            beta_pattern(build_design(gen, [1, 3], "williams")).values,
+        ]
+
+    center_preimage = optimal.center_preimage
+    want = results()
+    assert all(want[:3])
+    calls = budget(1)
+    assert results() == want
+    assert {module for module, _, _ in calls} == {"aberration", "optimal", "recursion"}
+    assert {size for _, _, sizes in calls for size in sizes} == {1}

@@ -113,20 +113,21 @@ SHIFT_SETS = [
 
 
 @pytest.mark.parametrize("q,C", SHIFT_SETS)
-def test_shift_betas_is_bit_identical(q, C, monkeypatch):
-    from wtdesigns import optimal
+def test_shift_betas_is_bit_identical(q, C, budget):
+    from wtdesigns.aberration import stack_bytes
 
     gen = GeneratorSet(q, C)
     shifts = np.array(list(product(range(q), repeat=gen.m)))
-    # stacks of 6 shift vectors: 6 divides no q^m here
-    monkeypatch.setattr(optimal, "designs_per_chunk", lambda *args: 6)
     for family in ("linear", "williams"):
         for ks in ((3,), (3, 4)):
             want = np.array([
                 [beta_k(build_design(gen, list(b), family), k) for k in ks]
                 for b in shifts
             ])
+            # stacks of 6 shift vectors: 6 divides no q^m here
+            calls = budget(6 * stack_bytes(q**2, gen.n, q, ks))
             assert np.array_equal(shift_betas(gen, family, shifts, ks), want)
+            assert calls == [("optimal", len(shifts), [6] * (len(shifts) // 6) + [len(shifts) % 6])]
 
 
 def test_shift_betas_validates_input():
@@ -277,17 +278,21 @@ def test_fold_adds_every_table_once():
 
 
 @pytest.mark.parametrize("positions", [2, 3, 4])
-def test_support_table_matches_brute_force(positions, monkeypatch):
+def test_support_table_matches_brute_force(positions, budget):
+    from wtdesigns.fieldmath import _CHUNK_BYTES
+
     rng = np.random.default_rng(positions)
     values = [rng.normal(size=(v, 11)) for v in (5, 1, 4, 3)[:positions]]
     letters = "abcd"[:positions]
     spec = ",".join(f"{a}n" for a in letters) + "->" + letters
     sums = np.einsum(spec, *values)
-    for chunk in (optimal._CHUNK_BYTES, 8):  # one candidate of the head per chunk
-        monkeypatch.setattr(optimal, "_CHUNK_BYTES", chunk)
+    # the whole head in one chunk, then one candidate of the head per chunk
+    for chunk, sizes in ((_CHUNK_BYTES, [5]), (8, [1] * 5)):
+        calls = budget(chunk)
         got = optimal._support_table(values)
         assert got.shape == sums.shape
         assert np.allclose(got, sums * sums, rtol=1e-13, atol=0)
+        assert calls == [("optimal", 5, sizes)]
 
 
 # --- exhaustive shift search ---------------------------------------------------
@@ -712,7 +717,8 @@ def _centred(q, family, levels):
 def _brute_plane_sums(q, family):
     # int64 over the q^2 runs x: columns a = (1, 0), b = (0, 1) and every
     # c = (lambda, mu), each at linear level w.x + its closed-form shift
-    # (1 - w_1 - w_2) g, and T at every offset o of c with a and b unshifted
+    # (1 - w_1 - w_2) g, and T at every offset o of c with a and b unshifted.
+    # S sums L_a L_b L_c, I sums L_a L_b L_c^2 and J sums L_a L_b L_c L_d
     g = center_preimage(q) if family == "williams" else (q - 1) // 2
     x1, x2 = np.divmod(np.arange(q * q), q)
     lam, mu = (t[:, None] for t in np.divmod(np.arange(q * q), q))
@@ -731,15 +737,20 @@ def _brute_plane_sums(q, family):
 @pytest.mark.parametrize("family", ["linear", "williams"])
 @pytest.mark.parametrize("q", [5, 7])
 def test_plane_tables_equal_an_int64_brute_force(q, family):
-    # every entry of theorem 1's S, the key's I and J and the shift grids' T
+    # every entry of the key's J and the shift grids' T, and the S and I they
+    # hold: theorem 1's S is T at the closed-form offsets, the key's I the
+    # diagonal of J
     S, I, J, T = _brute_plane_sums(q, family)
-    got = optimal._closed_form_sums(q, family)
-    assert [t.dtype for t in got] == [np.int64] * 3
-    assert np.array_equal(got[0], S) and np.array_equal(got[1], I) and np.array_equal(got[2], J)
+    quad = optimal._quad_table(q, family, optimal._shift_centre(q, family))
+    assert quad.dtype == np.int64 and not quad.flags.writeable
+    assert np.array_equal(quad, J) and np.array_equal(quad.diagonal(), I)
     table = optimal._triple_table(q, family)
     assert table.dtype == np.int64 and not table.flags.writeable
     assert np.array_equal(table, T)
     assert optimal._triple_table(q, family) is table
+    lam_mu = np.stack(np.divmod(np.arange(q * q), q), axis=1)
+    offsets = optimal._closed_form_shifts(lam_mu, q, family)
+    assert np.array_equal(table[np.arange(q * q), offsets], S)
 
 
 def _fresh(builder, *args):
@@ -749,16 +760,17 @@ def _fresh(builder, *args):
 
 @pytest.mark.parametrize("q", [3, 5, 7, 11])
 def test_cell_free_tables_are_built_once_and_read_only(q):
-    # the closed-form sums and the image key table depend on q (and the
+    # the run-sum tables and the image key table depend on q (and the
     # family and its centre) alone: one read-only object per process, equal
     # to a fresh build, so every cell of a reproduce run shares them
     for family in ("linear", "williams"):
-        sums = optimal._closed_form_sums(q, family)
-        assert optimal._closed_form_sums(q, family) is sums
-        fresh = _fresh(optimal._plane_sums, q, family, optimal._shift_centre(q, family))
-        for got, want in zip(sums, fresh):
-            assert not got.flags.writeable and got.dtype == np.int64
-            assert np.array_equal(got, want)
+        g = optimal._shift_centre(q, family)
+        for builder, args in ((optimal._quad_table, (q, family, g)),
+                              (optimal._triple_table, (q, family))):
+            table = builder(*args)
+            assert builder(*args) is table
+            assert not table.flags.writeable and table.dtype == np.int64
+            assert np.array_equal(table, _fresh(builder, *args))
     key = optimal._image_keys(q)
     assert optimal._image_keys(q) is key and optimal._image_tables(q, 4)[0] is key
     assert not key.flags.writeable and key.dtype == np.int32
@@ -766,15 +778,21 @@ def test_cell_free_tables_are_built_once_and_read_only(q):
 
 
 def test_closed_form_sums_follow_the_centre(monkeypatch):
-    # the cache is keyed on the shift centre that the table reads: a patched
-    # centre gets its own table, and the true one comes back after it
-    true = optimal._closed_form_sums(5, "williams")
+    # J's cache is keyed on the shift centre that it reads: a patched centre
+    # gets its own table, and the true one comes back after it. T reads no
+    # centre; theorem 1 reads it at the patched centre's offsets
+    def quad(family):
+        return optimal._quad_table(5, family, optimal._shift_centre(5, family))
+
+    true = quad("williams")
+    true_lines = verify_theorem(1, 5, 4)
     monkeypatch.setattr(optimal, "center_preimage", lambda q: 0)
-    patched = optimal._closed_form_sums(5, "williams")
-    assert not np.array_equal(patched[0], true[0])
-    assert optimal._closed_form_sums(5, "linear") is optimal._closed_form_sums(5, "linear")
+    assert not np.array_equal(quad("williams"), true)
+    assert quad("linear") is quad("linear")
+    assert verify_theorem(1, 5, 4) != true_lines
     monkeypatch.undo()
-    assert optimal._closed_form_sums(5, "williams") is true
+    assert quad("williams") is true
+    assert verify_theorem(1, 5, 4) == true_lines == []
 
 
 def _primes_to_max_levels():
@@ -783,12 +801,15 @@ def _primes_to_max_levels():
 
 @pytest.mark.parametrize("family", ["linear", "williams"])
 def test_closed_form_sums_read_the_triple_table_at_the_closed_form_offsets(family):
-    # theorem 1 reads S, and the shift grids read T: at the closed-form shifts
-    # c = lambda a + mu b is offset by the closed-form shift of (lambda, mu)
+    # theorem 1 reads S from the shift grids' T: at the closed-form shifts
+    # c = lambda a + mu b is offset by the closed-form shift of (lambda, mu).
+    # S = A @ (A[q] A[1]) for A the centred levels of every column there
     for q in _primes_to_max_levels():
         lam_mu = np.stack(np.divmod(np.arange(q * q), q), axis=1)
         offsets = optimal._closed_form_shifts(lam_mu, q, family)
-        S = optimal._closed_form_sums(q, family)[0]
+        x1, x2 = np.divmod(np.arange(q * q), q)
+        A = _centred(q, family, lam_mu[:, :1] * x1 + lam_mu[:, 1:] * x2 + offsets[:, None])
+        S = A @ (A[q] * A[1])
         assert np.array_equal(S, optimal._triple_table(q, family)[np.arange(q * q), offsets]), q
 
 
@@ -1002,8 +1023,10 @@ def _brute_run_sum_totals(q, n):
 
 
 def _table_totals(C, q):
-    # theorem 1's totals: S^2 from the closed-form sums at each triple's coordinates
-    S2 = optimal._closed_form_sums(q, "williams")[0] ** 2
+    # theorem 1's totals: S^2 from T at the closed-form offsets, at each triple's coordinates
+    lam_mu = np.stack(np.divmod(np.arange(q * q), q), axis=1)
+    offsets = optimal._closed_form_shifts(lam_mu, q, "williams")
+    S2 = optimal._triple_table(q, "williams")[np.arange(q * q), offsets] ** 2
     X = optimal._cross_products(C, q)
     triples = combinations(range(C.shape[1] + 2), 3)
     return sum(S2[optimal._coordinates(X, q, a, b, c)] for a, b, c in triples)
@@ -1026,52 +1049,57 @@ def test_table_betas_stay_far_inside_the_band(q, n, monkeypatch):
 
 
 def test_run_sum_totals_stay_exact_in_float64():
-    # the plane tables are built in float64 and read as int64. |S| and every
-    # entry of T are at most N ((q-1)/2)^3, and every partial sum of their
-    # histogram and circulant product is an integer below 2^53, so float64
-    # holds them exactly; a set's total of S^2 over its C(n, 3) triples stays
-    # below 2^63 on every cell that SEARCH_CAP admits
+    # the plane tables are built in float64 and read as int64. Every entry
+    # of T, S among them, is at most N ((q-1)/2)^3, and every partial sum of
+    # its histogram and circulant product is an integer below 2^53, so
+    # float64 holds them exactly; a set's total of S^2 over its C(n, 3)
+    # triples stays below 2^63 on every cell that SEARCH_CAP admits
     for q in _primes_to_max_levels():
         bound = q * q * ((q - 1) // 2) ** 3
         assert bound < 2**53, q
         for family in ("linear", "williams"):
             assert np.abs(optimal._triple_table(q, family)).max() <= bound, (q, family)
-            assert np.abs(optimal._closed_form_sums(q, family)[0]).max() <= bound, (q, family)
     for q, n in _admitted_cells():
         assert comb(n, 3) * (q * q * ((q - 1) // 2) ** 3) ** 2 < 2**63, (q, n)
     assert len(_primes_to_max_levels()) == 8  # 3, 5, 7, 11, 13, 17, 19, 23
 
 
-def test_table_betas_do_not_depend_on_the_chunk_size(monkeypatch):
+def test_table_betas_do_not_depend_on_the_chunk_size(monkeypatch, budget):
     # theorem 1 cuts each cell into chunks of its cross products; one to four
     # sets per chunk (a wrong centre, so that sets fail) report the same lines
     monkeypatch.setattr(optimal, "center_preimage", lambda q: 0)
     want = verify_theorem(1, 5, 6)
     assert len(want) > 0
-    monkeypatch.setattr(optimal, "_CHUNK_BYTES", 4 * 6 * 6)
+    calls = budget(4 * 6 * 6)
     assert verify_theorem(1, 5, 6) == want
+    # n = 3..6 columns: 4 n^2 bytes of X per set, so 4, 2, 1 and 1 sets per chunk
+    assert [(count, max(sizes)) for _, count, sizes in calls] == [
+        (8, 4), (24, 2), (32, 1), (16, 1),
+    ]
 
 
-def test_theorem2_does_not_depend_on_the_chunk_size(monkeypatch):
+def test_theorem2_does_not_depend_on_the_chunk_size(monkeypatch, budget):
     # theorem 2 cuts the type-II sets of a cell into chunks of grids; one set
     # per chunk (a wrong centre, so that sets fail) reports the same lines
     monkeypatch.setattr(optimal, "center_preimage", lambda q: 0)
     want = verify_theorem(2, 7, 4)
     assert len(want) > 12
-    monkeypatch.setattr(optimal, "_CHUNK_BYTES", 8 * 7 * 7)
+    calls = budget(8 * 7 * 7)
     assert verify_theorem(2, 7, 4) == want
+    grids = [(count, sizes) for module, count, sizes in calls if module == "optimal"]
+    assert grids == [(12, [7, 5]), (127, [1] * 127)]  # 56 bytes per n = 3 grid, 392 per n = 4
 
 
 def test_theorem1_builds_its_table_once_per_run(monkeypatch):
-    # one table of closed-form run-sums serves every cell of the run, n = 3..6 here
+    # one read of the run-sum table serves every cell of the run, n = 3..6 here
     calls = []
-    sums = optimal._closed_form_sums
+    table = optimal._triple_table
 
     def counted(q, family):
         calls.append((q, family))
-        return sums(q, family)
+        return table(q, family)
 
-    monkeypatch.setattr(optimal, "_closed_form_sums", counted)
+    monkeypatch.setattr(optimal, "_triple_table", counted)
     assert verify_theorem(1, 11, 6) == []
     assert calls == [(11, "williams")]
 
@@ -1087,7 +1115,7 @@ def test_theorem1_refuses_q_above_max_levels_before_the_table(monkeypatch):
     def no_table(q, family):
         raise AssertionError("the closed-form table was built for q > MAX_LEVELS")
 
-    monkeypatch.setattr(optimal, "_closed_form_sums", no_table)
+    monkeypatch.setattr(optimal, "_triple_table", no_table)
     with pytest.raises(InputError, match="q=29 exceeds 23"):
         verify_theorem(1, 29, 3)
 
@@ -1155,16 +1183,16 @@ def _admitted_cells():
 
 
 def test_beta4_keys_stay_exact_in_int64():
-    # |I|, |J| <= B = N ((q-1)/2)^4 at N = q^2 runs, so every table entry and
-    # partial sum is an integer below 2^53 and I^2, J^2 are too; a set of n
-    # columns has n C(n-1, 2) I terms and C(n, 4) J terms. On every cell that
-    # SEARCH_CAP admits, the key stays below 2^63 (int64)
+    # |J| <= B = N ((q-1)/2)^4 at N = q^2 runs, I among its entries, so every
+    # table entry and partial sum is an integer below 2^53 and J^2 is too; a
+    # set of n columns has n C(n-1, 2) I terms and C(n, 4) J terms. On every
+    # cell that SEARCH_CAP admits, the key stays below 2^63 (int64)
     for q in _primes_to_max_levels():
         bound = q * q * ((q - 1) // 2) ** 4
         assert bound**2 < 2**53, q
         for family in ("linear", "williams"):
-            _, I, J = optimal._closed_form_sums(q, family)
-            assert max(np.abs(I).max(), np.abs(J).max()) <= bound, (q, family)
+            J = optimal._quad_table(q, family, optimal._shift_centre(q, family))
+            assert np.abs(J).max() <= bound, (q, family)
     checked = 0
     for q, n in _admitted_cells():
         bound = (q * q * ((q - 1) // 2) ** 4) ** 2
@@ -1243,7 +1271,7 @@ def test_image_indices_equal_the_oracle(q, n):
 def test_group_images_are_reduced_sets_of_the_same_orbit(q, n):
     C = optimal._q2_coefficients(q, n)
     assert _cell_index(C, q).tolist() == list(range(len(C)))
-    assert C.dtype == np.int64 and C.flags.c_contiguous  # the scales' layout does not leak
+    assert C.dtype == np.int16 and C.flags.c_contiguous  # the scales' layout does not leak
     rng = np.random.default_rng(100 * q + n)
     pick = np.arange(len(C)) if len(C) <= 60 else rng.choice(len(C), 60, replace=False)
     images = _reduced_images(C[pick], q)
@@ -1273,11 +1301,20 @@ def test_orbit_counts_of_the_tabulated_cells():
     assert counts == {5: [2, 3, 3, 2], 7: [4, 12, 18, 32, 26, 16]}
 
 
-def test_orbit_ids_do_not_depend_on_the_chunk_size(monkeypatch):
+def test_orbit_ids_do_not_depend_on_the_chunk_size(monkeypatch, budget):
     C = optimal._q2_coefficients(7, 6)
     want = optimal._cell_orbits(C, 7)
-    monkeypatch.setattr(optimal, "_CHUNK_BYTES", 1)  # one set per batch
+    batches = []
+    image_indices = optimal._image_indices
+
+    def spy(C, q, tables):
+        batches.append(len(C))
+        return image_indices(C, q, tables)
+
+    monkeypatch.setattr(optimal, "_image_indices", spy)
+    budget(1)  # one set per batch
     assert (optimal._cell_orbits(C, 7) == want).all()
+    assert set(batches) == {1} and len(batches) == len(np.unique(want))
 
 
 @pytest.mark.parametrize("q,n", [(5, n) for n in range(3, 7)] + [(7, n) for n in range(3, 9)])

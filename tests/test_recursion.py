@@ -286,18 +286,21 @@ def test_empty_stack():
     assert _classify_stack(np.empty((0, 3, 2), dtype=np.int64), 5).shape == (0,)
 
 
-# a q=7 n=5 design has 10 starts x 10 pairs x 5 columns = 500 cells: 500 puts
-# one design with all of its starts in a chunk, 350 splits its starts 7 + 3,
-# and 1 gives one start per chunk
+# a q=7 n=5 design has 10 starts x 10 pairs x 5 columns = 500 cells, of 2
+# bytes each: 500 puts one design with all of its starts in a chunk, 350
+# splits its starts 7 + 3, and 1 gives one start per chunk
 @pytest.mark.parametrize("cells", [500, 350, 1])
-def test_small_chunks_give_the_same_labels(monkeypatch, cells):
+def test_small_chunks_give_the_same_labels(budget, cells):
     # a design's label must be the strictest over all chunks of its starts
     C = _cell(7, 5)[::5]
     want = list(_classify_stack(C, 7))
     gens = _random_sets(5, 3, 5, 6, 7) + [GeneratorSet(5, _projective_plane(5)[::2])]
     want_gens = [_oracle_classify(g) for g in gens]
-    monkeypatch.setattr(recursion, "_CHUNK_CELLS", cells)
+    calls = budget(2 * cells)
     assert list(_classify_stack(C, 7)) == want
+    designs, *starts = calls
+    assert designs == ("recursion", len(C), [1] * len(C))
+    assert {max(sizes) for _, count, sizes in starts} == {{500: 10, 350: 7, 1: 1}[cells]}
     assert [classify(g) for g in gens] == want_gens
 
 

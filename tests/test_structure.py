@@ -78,8 +78,6 @@ def test_theorem1_is_decided_on_the_integer_table():
         ("optimal", "_theorem2"),
         ("optimal", "_triple_totals"),
         ("optimal", "_triple_table"),
-        ("optimal", "_closed_form_sums"),
-        ("optimal", "_plane_sums"),
     }
     for name in ("_member_betas", "beta_k_stack", "shift_grid_beta", "_support_table",
                  "GeneratorSet", "optimal_shift_williams"):
@@ -88,15 +86,13 @@ def test_theorem1_is_decided_on_the_integer_table():
 
 def test_q2_cut_is_decided_on_integer_keys():
     # the representatives' beta_4 keys, both families in one call, read no
-    # float measure, and one builder of the closed-form run-sums, cached on
-    # the shift centre, serves them and theorem 1
+    # float measure: one builder of J, cached on the shift centre, serves
+    # them, and theorem 1 reads its S from the shift grids' T
     for name in ("_member_betas", "beta_k_stack", "orthonormal_basis", "_rank_candidates"):
         assert ("optimal", "_beta4_keys") not in _references(name), name
-    readers = set(_references("_closed_form_sums"))
-    assert readers == {("optimal", "_beta4_keys"), ("optimal", "_theorem1")}
-    assert _references("_plane_sums") == [("optimal", "_closed_form_sums")]
-    assert set(_references("_planes")) == {
-        ("optimal", "_plane_sums"), ("optimal", "_triple_table"),
+    assert _references("_quad_table") == [("optimal", "_beta4_keys")]
+    assert set(_references("_triple_table")) == {
+        ("optimal", "_theorem1"), ("optimal", "_triple_totals"),
     }
     assert _references("_beta4_keys") == [("optimal", "search_q2")]
     assert _references("_family_ties") == [("optimal", "search_q2")]
@@ -133,7 +129,10 @@ def test_one_cross_product_matrix():
     # serve the shift grid alone
     from wtdesigns import fieldmath, optimal
 
-    gone = ("_universe_levels", "_universe_ids", "_run_sum_totals", "_inverses", "_shift_grid")
+    gone = (
+        "_universe_levels", "_universe_ids", "_run_sum_totals", "_inverses", "_shift_grid",
+        "_closed_form_sums", "_plane_sums",
+    )
     for name in gone:
         assert not hasattr(optimal, name), name
     readers = ("_image_indices", "_beta4_keys", "_theorem1", "_triple_totals")
@@ -241,3 +240,58 @@ def test_one_closure_path():
     assert recursion._subsets(6, 2) is recursion._subsets(6, 2)
     for table in (level, inverse_table(7), recursion._subsets(6, 2)):
         assert not table.flags.writeable
+
+
+def test_one_memory_budget():
+    # one constant, defined and read in fieldmath alone, sizes every chunked
+    # loop through chunks; no module keeps a budget or a sizing of its own
+    from wtdesigns import aberration, fieldmath, optimal, recursion
+
+    assert _references("_CHUNK_BYTES") == [("fieldmath", "chunks")]
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined = {
+            target.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name) and "CHUNK" in target.id
+        }
+        assert defined == ({"_CHUNK_BYTES"} if path.stem == "fieldmath" else set()), path.stem
+        sizings = [  # max(1, budget // item bytes)
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "max"
+            and any(isinstance(a, ast.BinOp) and isinstance(a.op, ast.FloorDiv) for a in node.args)
+        ]
+        assert len(sizings) == (path.stem == "fieldmath"), path.stem
+    assert fieldmath._CHUNK_BYTES == 2**19
+    assert not hasattr(recursion, "_CHUNK_CELLS")
+    assert not hasattr(aberration, "designs_per_chunk") and not hasattr(aberration, "_CHUNK_BYTES")
+    assert not hasattr(optimal, "_CHUNK_BYTES") and not hasattr(optimal, "_closed_form_sums")
+    for name in ("_CHUNK_CELLS", "designs_per_chunk", "_closed_form_sums"):
+        assert _references(name) == [], name
+    assert set(_references("chunks")) == {
+        ("aberration", "_pattern_by_pairs"),
+        ("optimal", "_member_stacks"),
+        ("optimal", "_support_table"),
+        ("optimal", "_cell_orbits"),
+        ("optimal", "_theorem1"),
+        ("optimal", "_theorem2"),
+        ("recursion", "_closure_types"),
+    }
+
+
+def test_two_run_sum_tables():
+    # J and T are each built by one cached builder, from the planes; S and I
+    # are read from them, not built
+    from wtdesigns import optimal
+
+    assert set(_references("_planes")) == {
+        ("optimal", "_quad_table"), ("optimal", "_triple_table"),
+    }
+    for builder in (optimal._quad_table, optimal._triple_table):
+        assert hasattr(builder, "cache_info") and hasattr(builder, "__wrapped__")
+    assert _references("_centred_levels") == [
+        ("optimal", "_quad_table"), ("optimal", "_triple_table"),
+    ]
