@@ -33,9 +33,9 @@ from .designs import (
     expand,
     expand_stack,
     linear_permute,
-    mirror_symmetric_stack,
     shift_stack,
     williams,
+    williams_inverse,
     williams_levels,
 )
 from .errors import CapExceededError, InputError
@@ -116,20 +116,6 @@ def _member_stacks(C, b, q: int, family: str, ks=()):
     for part in chunks(len(b), stack_bytes(q**d, m + d, q, ks)):
         rows = shift_stack(expanded if single else expand_stack(C[part], q), b[part], q)
         yield williams_levels(rows, q) if family == "williams" else rows
-
-
-def _member_betas(C, b, q: int, family: str, ks) -> np.ndarray:
-    """beta_k of the _member_stacks members, shape (len(b), len(ks)).
-
-    By beta_k_stack, so each row has the bits of beta_k(build_design(...))
-    of its member, whatever else is in the stack.
-    """
-    out = np.empty((len(b), len(ks)))
-    lo = 0
-    for rows in _member_stacks(C, b, q, family, ks):
-        out[lo : lo + len(rows)] = beta_k_stack(rows, ks, q)
-        lo += len(rows)
-    return out
 
 
 def _member_patterns(C, b, q: int, family: str, k_max) -> np.ndarray:
@@ -257,7 +243,7 @@ def shift_betas(gen: GeneratorSet, family: str, shifts, ks) -> np.ndarray:
     shifts is an (S, m) array of shift vectors; column t holds beta_{ks[t]}.
     Bit-identical to beta_k(build_design(gen, b, family), k) per shift, but
     the generator set is expanded once and the members are evaluated as
-    stacks.
+    stacks by beta_k_stack, which gives each row the bits of its own member.
     """
     _check_family(family)
     shifts = int_array(shifts, "shifts")
@@ -265,7 +251,9 @@ def shift_betas(gen: GeneratorSet, family: str, shifts, ks) -> np.ndarray:
         raise InputError(f"shifts must have shape (S, {gen.m}), got {shifts.shape}")
     for k in ks:
         _check_k(k, gen.n, gen.q)
-    return _member_betas(gen, shifts, gen.q, family, ks)
+    stacks = _member_stacks(gen, shifts, gen.q, family, ks)
+    # an empty block keeps the (0, len(ks)) shape when no shift vector yields a stack
+    return np.concatenate([np.empty((0, len(ks)))] + [beta_k_stack(r, ks, gen.q) for r in stacks])
 
 
 def search_shifts(gen: GeneratorSet, family: str, k_max: int = None) -> SearchReport:
@@ -661,11 +649,12 @@ def _family_ties(C, orbit, reps, keys, q, family) -> tuple:
     _beta4_keys of the reps. Column permutation and level reversal preserve
     the pattern at the closed-form shift, so the search works on one set per
     orbit, whichever member it is. Every member is mirror-symmetric at its
-    closed-form shift (optimal_shift_linear, theorem 4), so beta_3 is
-    rounding and cuts nothing: the representatives whose integer keys equal
-    the smallest are kept, and, only if two or more are, they are ranked on
-    full patterns. Every member of a kept orbit is a tie, found by a mask
-    over the labels.
+    closed-form shift (optimal_shift_linear in the linear family, theorem 4,
+    as _theorem4 checks it, in the Williams one), so beta_3 is rounding and
+    cuts nothing: the representatives whose integer keys equal the smallest
+    are kept, and, only if two or more are, they are ranked on full
+    patterns. Every member of a kept orbit is a tie, found by a mask over
+    the labels.
     """
     alive = reps[keys == keys.min()]
     decided = 4 if len(alive) < len(keys) else None
@@ -788,11 +777,14 @@ def _theorem2(cells, q):
 
 
 def _theorem4(cells, q):
+    # A member is W(code + (0, 0, b)) and reflecting its levels is W rho W^-1, rho(y) =
+    # (q-1)/2 - y: affine, so it maps the coset onto a coset of the same code, and the
+    # two are equal exactly when the reflection (rho(0), rho(0), rho(b)) of run 0 is a
+    # run, that is when rho(b) - b = C (rho(0), rho(0)) in every dependent column.
+    rho = np.array([williams_inverse(q - 1 - w, q) for w in williams_levels(np.arange(q), q)])
     for C in cells:
         b = _closed_form_shifts(C, q, "williams")
-        mirrored = np.concatenate([
-            mirror_symmetric_stack(rows, q) for rows in _member_stacks(C, b, q, "williams")
-        ])
+        mirrored = ((rho[b] - b - C.sum(axis=-1) * rho[0]) % q == 0).all(axis=1)
         yield from ((coeffs, "not mirror-symmetric") for coeffs in C[~mirrored])
 
 

@@ -186,8 +186,9 @@ def test_stacked_beta_k_is_bit_identical(q, n, family, budget):
     # the integer stacks of the generator sweep, in those chunks of 7, build
     # the same designs
     C = optimal._q2_coefficients(q, n)
-    betas = optimal._member_betas(C, optimal._closed_form_shifts(C, q, family), q, family, (3, 4))
-    assert np.array_equal(betas, want)
+    b = optimal._closed_form_shifts(C, q, family)
+    stacks = optimal._member_stacks(C, b, q, family, (3, 4))
+    assert np.array_equal(np.concatenate([beta_k_stack(rows, (3, 4), q) for rows in stacks]), want)
     assert calls == [("optimal", len(C), [7] * (len(C) // 7) + [len(C) % 7])]
 
 

@@ -498,6 +498,18 @@ RECORDED_STDOUT = {
         "PASS (unique zero shift for type-II designs, q=11, n<=4)\n",
     ("verify", "--theorem", "4", "--q", "7"):
         "PASS (mirror symmetry at the closed-form shift, q=7, n<=8)\n",
+    ("verify", "--theorem", "4", "--q", "13"):
+        "PASS (mirror symmetry at the closed-form shift, q=13, n<=5)\n",
+    ("verify", "--theorem", "4", "--q", "17"):
+        "PASS (mirror symmetry at the closed-form shift, q=17, n<=5)\n",
+    ("verify", "--theorem", "4", "--q", "19"):
+        "PASS (mirror symmetry at the closed-form shift, q=19, n<=5)\n",
+    ("verify", "--theorem", "4", "--q", "23"):
+        "PASS (mirror symmetry at the closed-form shift, q=23, n<=4)\n",
+    ("verify", "--theorem", "4", "--q", "29"):
+        "PASS (mirror symmetry at the closed-form shift, q=29, n<=4)\n",
+    ("verify", "--theorem", "4", "--q", "31"):
+        "PASS (mirror symmetry at the closed-form shift, q=31, n<=4)\n",
     ("reproduce", "--table", "example1"):
         "table example1 (source: table: shift families of the 25-run one-generator design)\n"
         "b    linear b3/b4     williams b3/b4\n"

@@ -128,6 +128,9 @@ def test_shift_betas_is_bit_identical(q, C, budget):
             calls = budget(6 * stack_bytes(q**2, gen.n, q, ks))
             assert np.array_equal(shift_betas(gen, family, shifts, ks), want)
             assert calls == [("optimal", len(shifts), [6] * (len(shifts) // 6) + [len(shifts) % 6])]
+    # no shift vector: no stack, and still one column per degree
+    empty = shift_betas(gen, "williams", np.empty((0, gen.m), dtype=int), (3, 4))
+    assert empty.shape == (0, 2) and empty.dtype == np.float64
 
 
 def test_shift_betas_validates_input():
@@ -614,6 +617,46 @@ def test_theorem1_equals_the_exact_sweep(q, center, monkeypatch):
     want = _exact_theorem1(q, nmax)
     assert (want == []) == (center == "closed form")
     assert verify_theorem(1, q, nmax) == want
+
+
+@pytest.mark.parametrize("q,nmax", [(3, 4), (5, 6), (7, 8), (11, 5)])
+def test_theorem4_one_run_rule_equals_the_stack_check(q, nmax, monkeypatch):
+    # the oracle expands, shifts, Williams-maps and sorts every member and its
+    # reflection. Theorem 4 is decided from the coefficients and the shifts
+    # alone: at the closed-form shift, at random shifts, and with one shift
+    # entry moved on a seeded half of the sets, so that the oracle sees both
+    closed_form_shifts = optimal._closed_form_shifts
+    rng = np.random.default_rng(q)
+    seen = set()
+    for n in range(3, nmax + 1):
+        C = optimal._q2_coefficients(q, n)
+        closed = closed_form_shifts(C, q, "williams")
+        moved = closed.copy()
+        half = rng.permutation(len(C))[: len(C) // 2]
+        moved[half, rng.integers(0, n - 2, len(half))] += rng.integers(1, q, len(half))
+        for b in (closed, rng.integers(0, q, closed.shape), moved % q):
+            stacks = optimal._member_stacks(C, b, q, "williams")
+            want = np.concatenate([mirror_symmetric_stack(rows, q) for rows in stacks])
+            monkeypatch.setattr(optimal, "_closed_form_shifts", lambda C, q, family, b=b: b)
+            got = [coeffs.tolist() for coeffs, _ in optimal._theorem4([C], q)]
+            assert got == C[~want].tolist(), n
+            seen.update(want.tolist())
+        assert closed_form_shifts(C, q, "williams").tolist() == closed.tolist()
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("family", ["linear", "williams"])
+def test_triple_table_is_zero_off_the_axes_at_the_closed_form_offsets(family):
+    # a triple (a, b, lambda a + mu b) of a reduced set has lambda, mu != 0, so
+    # at the closed-form offsets T is zero on every entry that theorem 1 reads,
+    # at every n, past MAX_LEVELS too
+    for q in [p for p in range(3, 48, 2) if all(p % d for d in range(3, p, 2))]:
+        lam_mu = np.stack(np.divmod(np.arange(q * q), q), axis=1)
+        offsets = optimal._closed_form_shifts(lam_mu, q, family)
+        S = optimal._triple_table(q, family)[np.arange(q * q), offsets]
+        off_axes = (lam_mu != 0).all(axis=1)
+        assert off_axes.sum() == (q - 1) ** 2
+        assert not S[off_axes].any(), q
 
 
 @pytest.mark.parametrize("q", [5, 7])
@@ -1392,7 +1435,8 @@ def test_full_patterns_one_per_surviving_orbit(monkeypatch):
     orbit = optimal._cell_orbits(C, 7)
     tied = {}
     for family in ("linear", "williams"):
-        beta4 = optimal._member_betas(C, optimal._closed_form_shifts(C, 7, family), 7, family, (4,))
+        stacks = optimal._member_stacks(C, optimal._closed_form_shifts(C, 7, family), 7, family)
+        beta4 = np.concatenate([beta_k_stack(rows, (4,), 7) for rows in stacks])
         tied[family] = len(np.unique(orbit[_keep_minimal(beta4[:, 0])]))
     assert tied == {"linear": 2, "williams": 1}
     ranked, member_patterns = [], optimal._member_patterns

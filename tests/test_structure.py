@@ -79,16 +79,21 @@ def test_theorem1_is_decided_on_the_integer_table():
         ("optimal", "_triple_totals"),
         ("optimal", "_triple_table"),
     }
-    for name in ("_member_betas", "beta_k_stack", "shift_grid_beta", "_support_table",
+    for name in ("shift_betas", "beta_k_stack", "shift_grid_beta", "_support_table",
                  "GeneratorSet", "optimal_shift_williams"):
         assert not exact & set(_references(name)), name
+    # theorem 4 reads each set's coefficients and shifts, and builds no level stack
+    assert ("optimal", "_theorem4") in _references("_closed_form_shifts")
+    for name in ("_member_stacks", "expand_stack", "shift_stack", "mirror_symmetric_stack",
+                 "_canonical_keys"):
+        assert ("optimal", "_theorem4") not in _references(name), name
 
 
 def test_q2_cut_is_decided_on_integer_keys():
     # the representatives' beta_4 keys, both families in one call, read no
     # float measure: one builder of J, cached on the shift centre, serves
     # them, and theorem 1 reads its S from the shift grids' T
-    for name in ("_member_betas", "beta_k_stack", "orthonormal_basis", "_rank_candidates"):
+    for name in ("shift_betas", "beta_k_stack", "orthonormal_basis", "_rank_candidates"):
         assert ("optimal", "_beta4_keys") not in _references(name), name
     assert _references("_quad_table") == [("optimal", "_beta4_keys")]
     assert set(_references("_triple_table")) == {
@@ -101,7 +106,7 @@ def test_q2_cut_is_decided_on_integer_keys():
 
 def test_search_q2_is_one_pass_over_the_cell(monkeypatch):
     # per cell: one key-builder call for both families and one beta_k_stack
-    # call for both winners; no per-family _member_betas call
+    # call for both winners; no per-family shift_betas call
     from wtdesigns import optimal
 
     calls = []
@@ -115,7 +120,7 @@ def test_search_q2_is_one_pass_over_the_cell(monkeypatch):
 
         monkeypatch.setattr(optimal, name, counted)
 
-    for name in ("_beta4_keys", "beta_k_stack", "_member_betas"):
+    for name in ("_beta4_keys", "beta_k_stack", "shift_betas"):
         spy(name)
     for q, n in ((5, 4), (7, 3), (7, 8)):
         calls.clear()
