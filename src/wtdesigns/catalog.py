@@ -13,7 +13,7 @@ from .designs import GeneratorSet, expand
 from .errors import InputError
 from .models import estimate_variances, information_matrix
 from .optimal import (
-    _triple_totals,
+    _triple_survivors,
     build_design,
     count_recursive,
     optimal_shift_linear,
@@ -234,7 +234,8 @@ def _reproduce_q2(g):
         chk.printed(f"n={n} standard beta3", report.standard_beta3, row["standard"][0])
         chk.printed(f"n={n} standard beta4", report.standard_beta4, row["standard"][1])
         for fam_name, fam in (("linear", report.linear), ("williams", report.williams)):
-            if _triple_totals(np.array([fam.generators]), g["q"], fam_name)[(0, *fam.b)]:
+            zeros = _triple_survivors(np.array([fam.generators]), g["q"], fam_name, 0)
+            if np.ravel_multi_index(fam.b, (g["q"],) * len(fam.b)) not in zeros:
                 chk.failures.append(
                     f"n={n} {fam_name} winner beta3 = {fam.beta3:.3g}, expected 0"
                 )
@@ -300,13 +301,12 @@ def _reproduce_info_compare(g):
 
 def _reproduce_example7(g):
     gen = GeneratorSet(g["q"], g["generators"])
-    grid = _triple_totals(gen.C[None], gen.q, "williams")[0]
-    zeros = np.argwhere(grid == 0)
+    zeros = np.unravel_index(_triple_survivors(gen.C[None], gen.q, "williams", 0), (gen.q,) * gen.m)
     chk = _Checker()
-    chk.exact("count of shifts with beta3 = 0", len(zeros), 1)
-    best = [int(v) for v in zeros[0]] if len(zeros) else None
+    chk.exact("count of shifts with beta3 = 0", len(zeros[0]), 1)
+    best = [int(v[0]) for v in zeros] if len(zeros[0]) else None
     chk.exact("best shift vector", best, g["best_b"])
-    lines = [f"scanned {grid.size} shift vectors"]
+    lines = [f"scanned {gen.q ** gen.m} shift vectors"]
     if best is not None:
         b4 = float(shift_betas(gen, "williams", [best], (4,))[0, 0])
         chk.printed("beta4 at the best shift", b4, g["beta4"])

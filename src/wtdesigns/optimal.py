@@ -19,6 +19,7 @@ import numpy as np
 
 from .aberration import (
     _check_k,
+    _cut,
     _pattern_by_pairs,
     _rank_candidates,
     beta_k_stack,
@@ -41,7 +42,7 @@ from .designs import (
 from .errors import CapExceededError, InputError
 from .fieldmath import PrimeLevel, check_int, check_odd_prime, chunks, int_array, inverse_table
 from .orthopoly import orthonormal_basis
-from .recursion import RecursiveType, _classify_stack, _subsets
+from .recursion import RecursiveType, _classify_stack, _span_coordinates, _subsets
 
 FAMILIES = ("linear", "williams")
 SEARCH_CAP = 2_000_000
@@ -209,8 +210,9 @@ def shift_grid_beta(gen: GeneratorSet, family: str, k: int) -> np.ndarray:
     and its term depends only on the shifts of the dependent columns in its
     support: a _support_table over those shifts, added per set of dependent
     columns, divided by N^2 and folded into the grid by _fold_tables. The
-    values are accurate to rounding, not bit-identical to shift_betas, and
-    search_shifts only prunes on them.
+    values are accurate to rounding, not bit-identical to shift_betas;
+    search_shifts prunes on them at k = 4 and 5 only (beta_3 is cut on exact
+    integer totals by _triple_survivors, and the tests keep k = 3 as oracle).
     """
     _check_family(family)
     _check_k(k, gen.n, gen.q)
@@ -263,15 +265,17 @@ def search_shifts(gen: GeneratorSet, family: str, k_max: int = None) -> SearchRe
     pattern minimizers; the tie list holds every minimizer. Every member is
     an orthogonal array of strength 2 (GeneratorSet refuses proportional
     columns), so beta_1 = beta_2 = 0 at every shift and pruning starts at
-    degree 3. While more than one candidate is alive, degrees 3..5 (up to
-    k_max) prune on shift_grid_beta; the survivors then get full patterns,
-    on which they are ranked. Below k_max = 3 every shift ties, undecided,
-    and only the winner, shift 0...0, gets its pattern. The grid is
-    accurate only to rounding, so a shift vector within rounding of a cut
-    could fall on either side of it.
-    What holds the ranking is the test suite: it compares the grid with the
-    per-host accumulation it replaced and with a full pattern per shift,
-    and replays the recorded search outputs byte for byte.
+    degree 3. The closed-form shift has beta_3 = 0, so the beta_3 cut keeps
+    the shift vectors whose exact integer triple total lies in the tie band
+    of 0 (_triple_survivors, _beta3_band), and builds no q^m array. While
+    more than one is left, degrees 4 and 5 (up to k_max) prune on
+    shift_grid_beta, read at the survivors; they then get full patterns, on
+    which they are ranked. Below k_max = 3 every shift ties, undecided, and
+    only the winner, shift 0...0, gets its pattern. The degree-4 and -5
+    grids are accurate only to rounding, so a shift vector within rounding
+    of their cut could fall on either side of it. The tests hold the
+    survivors and the grids to a full pattern per shift, and replay the
+    recorded search outputs byte for byte.
     """
     _check_family(family)
     q, m = gen.q, gen.m
@@ -284,14 +288,18 @@ def search_shifts(gen: GeneratorSet, family: str, k_max: int = None) -> SearchRe
         k_max = gen.n * (q - 1)
     _check_k(k_max, gen.n, q, "k_max")
 
-    # beta_1 = beta_2 = 0 at strength 2; above degree 5 the supports get
-    # wide and the grid tables stop paying off. Each grid is built only if
-    # the cut reaches it.
-    grids = (shift_grid_beta(gen, family, k).reshape(-1) for k in range(3, min(k_max, 5) + 1))
-    alive_idx, decided = _rank_candidates(total, grids)
-    if decided is not None:
-        decided += 2  # the first grid is beta_3
-    shifts = np.stack(np.unravel_index(alive_idx, (q,) * m), axis=1)
+    # beta_1 = beta_2 = 0 at strength 2: below k_max = 3 every shift ties
+    band = _beta3_band(q)
+    alive = np.arange(total) if k_max < 3 else _triple_survivors(gen.C[None], q, family, band)
+    decided = 3 if len(alive) < total else None
+    if k_max >= 4 and len(alive) > 1:
+        # wide supports stop the grids paying off above degree 5; each is built when reached
+        grids = (shift_grid_beta(gen, family, k).flat[alive] for k in range(4, min(k_max + 1, 6)))
+        kept, sub_decided = _rank_candidates(len(alive), grids)
+        alive = alive[kept]
+        if sub_decided is not None:
+            decided = sub_decided + 3  # the first grid is beta_4
+    shifts = np.stack(np.unravel_index(alive, (q,) * m), axis=1)
     if k_max < 3:  # every shift ties on beta_1 = beta_2 = 0: only the winner's pattern is read
         patterns = _member_patterns(gen, shifts[:1], q, family, k_max)
         sub_alive = np.arange(total)
@@ -583,27 +591,44 @@ def _triple_table(q: int, family: str) -> np.ndarray:
     return T
 
 
-def _triple_totals(C: np.ndarray, q: int, family: str) -> np.ndarray:
-    """Every shift vector's sum, over the column triples, of S^2 for the integer run-sum
-    S of their centred levels, for each set of a (B, m, 2) stack: int64 (B,) + (q,)*m.
+def _beta3_band(q: int) -> int:
+    """The largest triple total t whose beta_3 = rho_1^6 t / q^4 ties the minimum, 0: t <=
+    _cut(0) q^4 (q^2-1)^3 / 1728, as rho_1^2 = 12/(q^2-1), from _cut(0)'s exact ratio."""
+    num, den = _cut(0.0).as_integer_ratio()
+    return num * q**4 * (q * q - 1) ** 3 // (1728 * den)
 
-    At strength 2, beta_3 = rho_1^6 / N^2 times the total. Triple (a, b, lambda a + mu b)
-    has S = T[lambda q + mu, s_c - lambda s_a - mu s_b] (_triple_table), a table over its
-    dependent columns' shifts (s = 0 elsewhere), added per axes and folded by _fold_tables.
+
+def _triple_survivors(C: np.ndarray, q: int, family: str, limit: int) -> np.ndarray:
+    """The shift vectors of each set of a (B, m, d) coefficient stack whose triple total
+    is at most limit: int64 flat indices into (B,) + (q,)*m, ascending.
+
+    beta_3 = rho_1^6 / q^4 times the total at strength 2. A column triple c = lambda a +
+    mu b has S = q^(d-2) T[lambda q + mu, s_c - lambda s_a - mu s_b] (_triple_table,
+    _span_coordinates) and adds T^2; one of rank 3 has S = 0. Shift vectors grow one
+    dependent column at a time, in lexicographic order, adding the triples it closes; no
+    term is negative, so a partial vector over the limit is dropped at once. Each step
+    runs in fieldmath.chunks of its (vector, triple) arrays.
     """
-    B, m = C.shape[:2]
-    X, T = _cross_products(C, q), _triple_table(q, family)
-    s = [0, 0] + [np.arange(q).reshape((1,) * i + (q,) + (1,) * (m - i)) for i in range(1, m + 1)]
-    tables = {}
-    for a, b, c in combinations(range(m + 2), 3):
-        at = _coordinates(X, q, a, b, c).reshape((B,) + (1,) * m)
-        lam, mu = np.divmod(at, q)
-        S = T[at, (s[c] - lam * s[a] - mu * s[b]) % q]
-        axes = tuple(j for j in (a, b, c) if j >= 2)
-        tables[axes] = tables.get(axes, 0) + S * S
-    grid = np.empty((B,) + (q,) * m, dtype=np.int64)
-    _fold_tables(grid, list(tables.values()))
-    return grid
+    (B, m, d), T = C.shape, _triple_table(q, family)
+    pa, pb = _subsets(m + d, 2).T
+    at = _span_coordinates(column_vectors(C), q, pa, pb)
+    idx, total = np.arange(B), np.zeros(B, dtype=np.int64)
+    for c in range(d, d + m):
+        pairs = np.flatnonzero((pb < c) & (at[:, :, c] >= 0).any(axis=0))  # of rank 2
+        at_c, a, b = at[:, pairs, c], pa[pairs], pb[pairs]
+        found = [(np.empty(0, np.int64),) * 2]
+        for part in chunks(len(idx), 8 * q * (len(pairs) + c + 1)):
+            new = (idx[part, None] * q + np.arange(q)).ravel()
+            s = np.zeros((len(new), c + 1), dtype=np.int64)  # shifts: 0 on the independent columns
+            s[:, d:] = new[:, None] // q ** np.arange(c - d, -1, -1) % q
+            v = at_c[new // q ** (c - d + 1)]
+            lam, mu = np.divmod(v, q)
+            S = T[v, (s[:, c, None] - lam * s[:, a] - mu * s[:, b]) % q]
+            t = np.repeat(total[part], q) + np.where(v < 0, 0, S * S).sum(axis=1)
+            kept = t <= limit
+            found.append((new[kept], t[kept]))
+        idx, total = map(np.concatenate, zip(*found))
+    return idx
 
 
 def _beta4_keys(C: np.ndarray, q: int) -> np.ndarray:
@@ -769,11 +794,14 @@ def _theorem2(cells, q):
     orthonormal_basis(q)
     for C in cells:
         C = C[_classify_stack(C, q) == RecursiveType.TYPE_II]
-        for part in (C[rows] for rows in chunks(len(C), 8 * q ** C.shape[1])):  # an int64 grid
-            expected = _closed_form_shifts(part, q, "williams").tolist()
-            for coeffs, grid, b in zip(part, _triple_totals(part, q, "williams"), expected):
-                if (zeros := np.argwhere(grid == 0).tolist()) != [b]:
-                    yield coeffs, f"zero set {zeros}, expected [{b}]"
+        shape = (q,) * C.shape[1]
+        found = _triple_survivors(C, q, "williams", 0)
+        shifts = np.stack(np.unravel_index(found % q ** len(shape), shape), axis=1)
+        ends = np.searchsorted(found, np.arange(len(C) + 1) * q ** len(shape))
+        expected = _closed_form_shifts(C, q, "williams").tolist()
+        for coeffs, lo, hi, b in zip(C, ends, ends[1:], expected):
+            if (zeros := shifts[lo:hi].tolist()) != [b]:
+                yield coeffs, f"zero set {zeros}, expected [{b}]"
 
 
 def _theorem4(cells, q):

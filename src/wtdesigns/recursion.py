@@ -94,28 +94,40 @@ def _subsets(n: int, k: int) -> np.ndarray:
     return out
 
 
-def _reach_levels(cols: np.ndarray, q: int, pa, pb) -> np.ndarray:
-    """(B, P, n) strictest regime in which the column pair p yields column j.
+def _span_coordinates(cols: np.ndarray, q: int, pa, pb) -> np.ndarray:
+    """(B, P, n) int64: lambda q + mu where column j = lambda w_a + mu w_b, for each column
+    pair p = (pa[p], pb[p]) of a (B, n, d) stack, or -1 where j is off the pair's span.
 
-    P runs over the unordered column pairs (pa[p], pb[p]), a < b; 3 marks a
-    column the pair cannot yield.
+    The pair is independent, so some 2x2 minor of (w_a, w_b) is nonzero: Cramer's rule on
+    the first gives (lambda, mu), and at d > 2 the other coordinates confirm them. Pairs
+    run in fieldmath.chunks of their (B, C(d,2)) minors and (B, n, d) checks.
     """
     B, n, d = cols.shape
-    level, inverse = _level_table(q), inverse_table(q)
     r, s = _subsets(d, 2).T
-    # minors[b, i, j, k] = det(w_i, w_j) on the coordinates (r[k], s[k])
-    wi, wj = cols[:, :, None], cols[:, None, :]
-    minors = (wi[..., r] * wj[..., s] - wi[..., s] * wj[..., r]) % q
-    rows = np.arange(B)[:, None, None]
-    a, b, j = pa[:, None], pb[:, None], np.arange(n)
-    # the pair is independent, so some minor is nonzero: Cramer's rule on the first
-    k = (minors[:, pa, pb] != 0).argmax(axis=2)[:, :, None]
-    inv = inverse[minors[rows, a, b, k]]
-    c1 = minors[rows, j, b, k] * inv % q
-    c2 = minors[rows, a, j, k] * inv % q
-    # the other coordinates must agree for w_j to lie in the pair's span
-    off = (c1[..., None] * cols[:, pa, None] + c2[..., None] * cols[:, pb, None] - wj) % q
-    return np.where(off.any(axis=3), 3, level[c1, c2]).astype(np.int8)
+    rows, out = np.arange(B)[:, None], np.empty((B, len(pa), n), dtype=np.int64)
+    for part in chunks(len(pa), 8 * max(B, 1) * (len(r) + n * d)):
+        wa, wb = cols[:, pa[part]], cols[:, pb[part]]  # (B, p, d)
+        minors = (wa[..., r] * wb[..., s] - wa[..., s] * wb[..., r]) % q
+        k = (minors != 0).argmax(axis=2)  # (B, p)
+        wr, ws = cols[rows, :, r[k]], cols[rows, :, s[k]]  # (B, p, n): every w_j on (r, s)
+        p = np.arange(part.stop - part.start)
+        a_r, a_s = wr[:, p, pa[part], None], ws[:, p, pa[part], None]
+        b_r, b_s = wr[:, p, pb[part], None], ws[:, p, pb[part], None]
+        inv = inverse_table(q)[(a_r * b_s - a_s * b_r) % q]
+        c1 = (wr * b_s - ws * b_r) * inv % q
+        c2 = (a_r * ws - a_s * wr) * inv % q
+        out[:, part] = c1 * q + c2
+        if d > 2:  # the pair spans the plane at d = 2: nothing is left to confirm
+            off = c1[..., None] * wa[:, :, None] + c2[..., None] * wb[:, :, None] - cols[:, None]
+            out[:, part][(off % q).any(axis=3)] = -1
+    return out
+
+
+def _reach_levels(cols: np.ndarray, q: int, pa, pb) -> np.ndarray:
+    """(B, P, n) strictest regime in which the column pair (pa[p], pb[p]), a < b, yields
+    column j; 3 marks a column the pair cannot yield (_span_coordinates -1)."""
+    at = _span_coordinates(cols, q, pa, pb)
+    return np.where(at < 0, 3, _level_table(q).ravel()[at]).astype(np.int8)
 
 
 def _minimax_closure(L: np.ndarray, levels: np.ndarray, pa, pb) -> np.ndarray:

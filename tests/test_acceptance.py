@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import wtdesigns as wt
-from wtdesigns.optimal import _q2_coefficients, _triple_totals
+from wtdesigns.optimal import _q2_coefficients, _triple_survivors
 from wtdesigns.recursion import _classify_stack
 
 
@@ -225,7 +225,7 @@ def test_criterion_7_seventeen_level_counterexample(acceptance):
     zero_set = sorted(b for b, v in vals.items() if v <= 1e-9)
     # the witness is the exact zero set: the 1e-9 screen also passes shifts
     # 12 and 16, whose integer triple total is 1 (beta_3 = 8.7e-10)
-    exact = np.flatnonzero(_triple_totals(gen.C[None], 17, "williams")[0] == 0).tolist()
+    exact = _triple_survivors(gen.C[None], 17, "williams", 0).tolist()
     acceptance(7, ok, f"zero shifts {exact}")
     assert vals[14] <= 1e-9 and vals[4] <= 1e-9, vals
     # the closed form picks 14; 4 is a second zero, so the zero shift is

@@ -162,6 +162,7 @@ def test_search_kmax_out_of_range_is_usage_error(capsys, monkeypatch):
         raise AssertionError("search work started before the --kmax check")
 
     monkeypatch.setattr(optimal, "shift_grid_beta", no_work)
+    monkeypatch.setattr(optimal, "_triple_survivors", no_work)
     for kmax in ("13", "0"):
         code, stdout, err = run(
             capsys, "search", "--q", "5", "--generators", "1,1", "--family", "williams",
@@ -587,6 +588,21 @@ def test_zero_set_calls_match_recorded_bytes(capsys, argv):
     # theorem 2 at q = 3..13 and the tables that count or check beta_3 = 0,
     # recorded while these read a 1e-9 screen on the float grid
     want = ZERO_SET_OUTPUTS[argv]
+    code, stdout, stderr = run(capsys, *argv.split())
+    assert (code, stdout, stderr) == (want["code"], want["stdout"], want["stderr"])
+
+
+HARD_SEARCH_REFERENCE = LARGE_Q2_REFERENCE.with_name("hard-searches.json")
+with open(HARD_SEARCH_REFERENCE, encoding="utf-8") as fh:
+    HARD_SEARCH_OUTPUTS = json.load(fh)["outputs"]
+
+
+@pytest.mark.parametrize("argv", list(HARD_SEARCH_OUTPUTS))
+def test_hard_searches_match_recorded_bytes(capsys, argv):
+    # recorded while search cut beta_3 on the float grid: the q=7 conic (d = 3,
+    # every one of 7^5 shift vectors in the band, decided at k = 4 with 4 and
+    # 8 ties) and the q = 17 and 23 sets whose band holds nonzero totals
+    want = HARD_SEARCH_OUTPUTS[argv]
     code, stdout, stderr = run(capsys, *argv.split())
     assert (code, stdout, stderr) == (want["code"], want["stdout"], want["stderr"])
 

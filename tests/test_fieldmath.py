@@ -156,7 +156,8 @@ def test_default_budget_keeps_the_chunk_boundaries(budget):
     count_recursive(7, 8)  # 729 sets of 28 starts x 28 pairs x 8 columns
     step = 2**18 // (28 * 28 * 8)
     assert step == 41
-    assert calls == [("recursion", 729, _blocks(729, 41))] + [("recursion", 28, [28])] * 18
+    # each chunk of sets cuts its 28 column pairs (_span_coordinates), then its 28 starts
+    assert calls == [("recursion", 729, _blocks(729, 41))] + [("recursion", 28, [28])] * 36
     calls.clear()
     _pattern_by_pairs(expand(GeneratorSet(5, [[1, 1, 1, 1]])))  # 625 runs, 21 degrees
     step = 2**19 // (8 * 21)

@@ -483,19 +483,51 @@ def _grid_degrees(monkeypatch):
     return built
 
 
+def _survivor_calls(monkeypatch):
+    """The limit of every _triple_survivors call from now on, in call order."""
+    limits = []
+    real = optimal._triple_survivors
+
+    def spy(C, q, family, limit):
+        limits.append(limit)
+        return real(C, q, family, limit)
+
+    monkeypatch.setattr(optimal, "_triple_survivors", spy)
+    return limits
+
+
 @pytest.mark.parametrize("q, C, family, degrees", [
-    (7, [[2, 2]], "williams", [3]),  # decided by beta_3 alone
-    (5, [[1, 2], [2, 1], [2, 3]], "linear", [3, 4, 5]),  # decided at k=4, two ties
-    (5, [[1, 1, 1], [1, 2, 3]], "linear", [3, 4, 5]),  # resolution IV: beta_3 cuts nothing
-    (5, [[1, 1, 1], [1, 2, 3]], "williams", [3, 4, 5]),
+    (7, [[2, 2]], "williams", []),  # decided by beta_3 alone
+    (5, [[1, 2], [2, 1], [2, 3]], "linear", [4, 5]),  # decided at k=4, two ties
+    (5, [[1, 1, 1], [1, 2, 3]], "linear", [4, 5]),  # resolution IV: beta_3 cuts nothing
+    (5, [[1, 1, 1], [1, 2, 3]], "williams", [4, 5]),
 ])
 def test_search_builds_each_grid_only_while_the_cut_reads_it(monkeypatch, q, C, family, degrees):
+    # beta_3 is cut once on the exact triple totals; the float grids are degrees 4 and 5
     gen = GeneratorSet(q, C)
     built = _grid_degrees(monkeypatch)
+    limits = _survivor_calls(monkeypatch)
     report = search_shifts(gen, family)
     assert built == degrees
-    if len(degrees) > 1:
+    assert limits == [optimal._beta3_band(q)]
+    if degrees:
         assert report == _ranked_on_full_patterns(gen, family)
+
+
+@pytest.mark.parametrize("k_max", [None, 1, 3, 4, 5, 6])
+def test_search_builds_no_degree_3_grid(monkeypatch, k_max):
+    # beta_3 never reaches shift_grid_beta, whatever k_max, family or d;
+    # below k_max = 3 the exact cut is not made either
+    built = _grid_degrees(monkeypatch)
+    limits = _survivor_calls(monkeypatch)
+    searches = 0
+    for q, text in TRIPLE_SETS[:1] + WIDE_SETS[:2] + [(5, "1,1,1;1,2,3")]:
+        gen = parse_generator_text(text, q)
+        for family in ("linear", "williams"):
+            search_shifts(gen, family, k_max)
+            searches += 1
+    assert 3 not in built and set(built) <= {4, 5}
+    assert len(limits) == (0 if k_max == 1 else searches)
 
 
 def test_rank_candidates_pulls_no_column_past_one_live_row():
@@ -517,21 +549,22 @@ def test_rank_candidates_pulls_no_column_past_one_live_row():
 
 
 def test_grid_search_holds_no_copy_of_a_grid():
-    # a q=11 n=8 set of the shift-scan pool: each 11^6 grid is 13.5 MiB, and
-    # the search peaks at about 16.2 MiB; a copy of the first grid would
-    # reach about 30
+    # a q=11 n=8 set of the shift-scan pool: each 11^6 float grid is 13.5 MiB,
+    # and the search peaked at 15.6 MiB while it built its beta_3 grid. The
+    # exact beta_3 cut holds only the survivors, one here, so no grid is built
     import tracemalloc
 
     gen = GeneratorSet(11, [[3, 3], [5, 10], [4, 5], [1, 6], [5, 2], [5, 7]])
-    search_shifts(gen, "williams")  # warm the caches outside the trace
-    tracemalloc.start()
-    try:
-        report = search_shifts(gen, "williams")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.evaluations == 11**6
-    assert peak < 22 * 2**20
+    for family in ("linear", "williams"):
+        search_shifts(gen, family)  # warm the caches outside the trace
+        tracemalloc.start()
+        try:
+            report = search_shifts(gen, family)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.evaluations == 11**6
+        assert peak < 10 * 2**20, family
 
 
 def test_full_patterns_only_for_the_survivors(monkeypatch):
@@ -671,8 +704,8 @@ def test_theorem2_grid_zero_sets_equal_the_per_shift_ones(q):
             per_shift = shift_betas(gen, "williams", shifts, (3,))[:, 0]
             zeros = np.argwhere(grid <= 1e-9).tolist()
             assert zeros == shifts[per_shift <= 1e-9].tolist()
-            totals = optimal._triple_totals(gen.C[None], q, "williams")[0]
-            assert np.argwhere(totals == 0).tolist() == zeros
+            exact = optimal._triple_survivors(gen.C[None], q, "williams", 0)
+            assert np.stack(np.unravel_index(exact, grid.shape), axis=1).tolist() == zeros
             checked += 1
     assert checked == {5: 6 + 18, 7: 12 + 127}[q]  # type II, not type I
 
@@ -686,9 +719,21 @@ TRIPLE_SETS = [
 ]
 
 
+# sets with d = 3 and 4 independent columns: rank-2 triples (c = e1 + e2 and
+# the like) beside rank-3 ones, and the q=7 conic, whose triples are all rank 3
+WIDE_SETS = [
+    (5, "1,1,0;0,1,1;1,2,3"),
+    (7, "1,1,0;0,1,1;1,0,1;1,1,1"),
+    (3, "1,1,1,1;1,1,2,0;1,2,0,1"),
+    (5, "1,1,0,0;0,0,1,1;1,1,1,1"),
+    (7, "1,1,3;1,2,4;1,3,1;1,4,2;1,5,5"),
+]
+
+
 def _brute_triple_totals(gen, family):
     # int64: each triple's run-sums S over the shifts of its own dependent
-    # columns, from build_design's centred levels, S^2 broadcast into the grid
+    # columns, from build_design's centred levels, S^2 broadcast into the grid,
+    # then divided by q^(2(d-2)): a rank-2 triple has S = q^(d-2) T
     q, m, d = gen.q, gen.m, gen.n - gen.m
     levels = np.stack([
         build_design(gen, [s] * m, family).rows.T - (q - 1) // 2 for s in range(q)
@@ -703,20 +748,45 @@ def _brute_triple_totals(gen, family):
             if j >= d:
                 shape[j - d] = q
         total += (sums * sums).reshape(shape)
-    return total
+    assert not (total % q ** (2 * (d - 2))).any()
+    return total // q ** (2 * (d - 2))
+
+
+def _split_limits(totals):
+    # 0, the least nonzero total, the 1% and 50% quantiles and the largest, as
+    # far as each keeps at most 20,000 shift vectors
+    v = np.sort(totals.ravel())
+    picks = [0, int(v[v > 0].min(initial=0)), v[len(v) // 100], v[len(v) // 2], v[-1]]
+    return sorted({int(t) for t in picks if (v <= t).sum() <= 20_000})
 
 
 @pytest.mark.parametrize("family", ["linear", "williams"])
-@pytest.mark.parametrize("q,text", TRIPLE_SETS)
+@pytest.mark.parametrize("q,text", TRIPLE_SETS + WIDE_SETS)
 def test_triple_totals_equal_the_int64_brute_force(q, text, family):
-    # exact at every shift; beta_3's grid is rho^6 / N^2 times them, to rounding
+    # the survivors at each limit are the shift vectors whose exact total is at
+    # most it; beta_3's grid is rho^6 / q^4 times the totals, to rounding
     gen = parse_generator_text(text, q)
-    got = optimal._triple_totals(gen.C[None], q, family)[0]
     want = _brute_triple_totals(gen, family)
-    assert got.dtype == np.int64 and np.array_equal(got, want)
+    limits = _split_limits(want)
+    assert len(limits) >= 2 or not want.any()  # the q=3 set and the conic total 0 everywhere
+    for limit in limits:
+        got = optimal._triple_survivors(gen.C[None], q, family, limit)
+        assert got.dtype == np.int64
+        assert got.tolist() == np.flatnonzero(want <= limit).tolist(), limit
     v = shift_grid_beta(gen, family, 3)
-    scaled = orthonormal_basis(q).rho ** 6 / q**4 * got
+    scaled = orthonormal_basis(q).rho ** 6 / q**4 * want
     assert (np.abs(v - scaled) <= 1e-13 * np.maximum(1.0, v)).all()
+
+
+def test_rank_3_triples_add_nothing():
+    # every triple of the q=7 conic has rank 3: every shift vector totals 0
+    gen = parse_generator_text(WIDE_SETS[-1][1], 7)
+    pa, pb = optimal._subsets(8, 2).T
+    at = optimal._span_coordinates(column_vectors(gen.C[None]), 7, pa, pb)[0]
+    assert ((at < 0) == (np.arange(8) != pa[:, None]) & (np.arange(8) != pb[:, None])).all()
+    for family in ("linear", "williams"):
+        assert not _brute_triple_totals(gen, family).any()
+        assert optimal._triple_survivors(gen.C[None], 7, family, 0).tolist() == list(range(7**5))
 
 
 def test_triple_totals_find_the_zeros_the_float_screen_misses():
@@ -727,28 +797,71 @@ def test_triple_totals_find_the_zeros_the_float_screen_misses():
         (23, [7], list(range(23))),
     ):
         gen = GeneratorSet(q, [[2, 4]])
-        totals = optimal._triple_totals(gen.C[None], q, "williams")[0]
+        zeros = optimal._triple_survivors(gen.C[None], q, "williams", 0)
         grid = shift_grid_beta(gen, "williams", 3)
-        assert np.flatnonzero(totals == 0).tolist() == exact
+        assert zeros.tolist() == exact
         assert np.flatnonzero(grid <= 1e-9).tolist() == screened
-    assert totals[5] == 1 and abs(grid[5] - 4.2e-11) < 1e-12
+    ones = optimal._triple_survivors(gen.C[None], q, "williams", 1)
+    assert 5 in ones and 5 not in zeros and abs(grid[5] - 4.2e-11) < 1e-12
     assert optimal_shift_williams(gen) == [7]
 
 
 @pytest.mark.parametrize("family", ["linear", "williams"])
 @pytest.mark.parametrize("q", [5, 7])
 def test_batched_triple_totals_equal_the_int64_brute_force(q, family):
-    # theorem 2's one call per cell: every type-II set of n <= 4 at once
+    # theorem 2's one call per cell: every type-II set of n <= 4 at once, each
+    # set's survivors at its own offset
     checked = 0
     for n in (3, 4):
         C = optimal._q2_coefficients(q, n)
         C = C[_classify_stack(C, q) == RecursiveType.TYPE_II]
-        got = optimal._triple_totals(C, q, family)
-        assert got.shape == (len(C),) + (q,) * (n - 2) and got.dtype == np.int64
-        for coeffs, grid in zip(C, got):
-            assert np.array_equal(grid, _brute_triple_totals(GeneratorSet(q, coeffs), family))
+        totals = np.stack([_brute_triple_totals(GeneratorSet(q, c), family) for c in C])
+        for limit in (0, 1, int(np.median(totals))):
+            got = optimal._triple_survivors(C, q, family, limit)
+            assert got.tolist() == np.flatnonzero(totals <= limit).tolist()
         checked += len(C)
     assert checked == {5: 6 + 18, 7: 12 + 127}[q]
+
+
+def _band_sets():
+    # the TRIPLE_SETS, the q = 17 and 23 two-zero sets and WIDE_SETS, then twelve
+    # seeded random reduced q^2 sets per cell of at most 2,401 shift vectors
+    sets = [(q, parse_generator_text(t, q).C) for q, t in TRIPLE_SETS + WIDE_SETS]
+    sets += [(q, np.array([[2, 4]])) for q in (17, 23)]
+    rng = np.random.default_rng(2004)
+    for q in _primes_to_max_levels()[1:]:
+        for n in range(3, q + 2):
+            if q ** (n - 2) > 2401:
+                break
+            C = optimal._q2_coefficients(q, n)
+            sets += [(q, C[i]) for i in rng.choice(len(C), min(12, len(C)), replace=False)]
+    return sets
+
+
+def test_triple_band_keeps_the_float_cut_survivors():
+    # on every set, the exact cut keeps what _keep_minimal keeps on the float
+    # beta_3 grid; at q = 17, 19 and 23 some kept totals are not zero
+    in_band = 0
+    for q, C in _band_sets():
+        gen = GeneratorSet(q, C)
+        for family in ("linear", "williams"):
+            got = optimal._triple_survivors(C[None], q, family, optimal._beta3_band(q))
+            want = np.flatnonzero(_keep_minimal(shift_grid_beta(gen, family, 3).reshape(-1)))
+            assert got.tolist() == want.tolist(), (q, C.tolist(), family)
+            in_band += len(got) - len(optimal._triple_survivors(C[None], q, family, 0))
+    assert len(_band_sets()) > 200 and in_band > 0
+
+
+def test_triple_band_edge_is_far_from_rounding():
+    # t* and t* + 1 lie at least 1e-3 (relative) on either side of the 1e-8
+    # band edge, so float rounding in the grid could not move a shift across it
+    bands = {}
+    for q in _primes_to_max_levels():
+        t = bands[q] = optimal._beta3_band(q)
+        rho6 = orthonormal_basis(q).rho ** 6
+        assert rho6 * t / q**4 <= DEFAULT_TOL * (1 - 1e-3), q
+        assert rho6 * (t + 1) / q**4 >= DEFAULT_TOL * (1 + 1e-3), q
+    assert bands == {3: 0, 5: 0, 7: 0, 11: 0, 13: 0, 17: 11, 19: 35, 23: 238}
 
 
 def _centred(q, family, levels):
@@ -1122,15 +1235,17 @@ def test_table_betas_do_not_depend_on_the_chunk_size(monkeypatch, budget):
 
 
 def test_theorem2_does_not_depend_on_the_chunk_size(monkeypatch, budget):
-    # theorem 2 cuts the type-II sets of a cell into chunks of grids; one set
-    # per chunk (a wrong centre, so that sets fail) reports the same lines
+    # theorem 2 grows the type-II sets' shift vectors in chunks of candidates;
+    # one candidate per chunk (a wrong centre, so that sets fail) reports the same lines
     monkeypatch.setattr(optimal, "center_preimage", lambda q: 0)
     want = verify_theorem(2, 7, 4)
     assert len(want) > 12
-    calls = budget(8 * 7 * 7)
+    calls = budget(8 * 7 * 4)
     assert verify_theorem(2, 7, 4) == want
-    grids = [(count, sizes) for module, count, sizes in calls if module == "optimal"]
-    assert grids == [(12, [7, 5]), (127, [1] * 127)]  # 56 bytes per n = 3 grid, 392 per n = 4
+    steps = [(count, sizes) for module, count, sizes in calls if module == "optimal"]
+    # 8 q bytes per triple and per shift of a partial vector: 224 for the first
+    # dependent column (one triple, three shifts), 392 for the second (three, four)
+    assert steps == [(12, [1] * 12), (127, [1] * 127), (127, [1] * 127)]
 
 
 def test_theorem1_builds_its_table_once_per_run(monkeypatch):

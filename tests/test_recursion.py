@@ -261,6 +261,22 @@ def test_units_and_all_ones_are_not_recursive(d):
         _assert_same_reach_levels(cols, 3)
 
 
+def test_reach_levels_memory_is_bounded_in_d():
+    # the (n, n, C(d,2)) minors of every column pair peaked at 155.3 MiB
+    # (tracemalloc) at d = 60; cut into chunks of pairs, the call stays small
+    import tracemalloc
+
+    gen = GeneratorSet(3, [[1] * 60])
+    tracemalloc.start()
+    try:
+        label = classify(gen)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert label is RecursiveType.NOT_RECURSIVE
+    assert peak < 16 * 2**20
+
+
 def test_round_does_not_wrap_the_pair_count():
     # 256 reached pairs all yield column 24 in type I: a uint8 count of them would read 0
     n = 25

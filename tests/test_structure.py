@@ -76,7 +76,7 @@ def test_theorem1_is_decided_on_the_integer_table():
     exact = {
         ("optimal", "_theorem1"),
         ("optimal", "_theorem2"),
-        ("optimal", "_triple_totals"),
+        ("optimal", "_triple_survivors"),
         ("optimal", "_triple_table"),
     }
     for name in ("shift_betas", "beta_k_stack", "shift_grid_beta", "_support_table",
@@ -97,7 +97,7 @@ def test_q2_cut_is_decided_on_integer_keys():
         assert ("optimal", "_beta4_keys") not in _references(name), name
     assert _references("_quad_table") == [("optimal", "_beta4_keys")]
     assert set(_references("_triple_table")) == {
-        ("optimal", "_theorem1"), ("optimal", "_triple_totals"),
+        ("optimal", "_theorem1"), ("optimal", "_triple_survivors"),
     }
     assert _references("_beta4_keys") == [("optimal", "search_q2")]
     assert _references("_family_ties") == [("optimal", "search_q2")]
@@ -140,14 +140,14 @@ def test_one_cross_product_matrix():
     )
     for name in gone:
         assert not hasattr(optimal, name), name
-    readers = ("_image_indices", "_beta4_keys", "_theorem1", "_triple_totals")
+    readers = ("_image_indices", "_beta4_keys", "_theorem1")
     assert set(_references("_cross_products")) == {("optimal", name) for name in readers}
     assert set(_references("_coordinates")) == {
-        ("optimal", name) for name in ("_beta4_keys", "_theorem1", "_triple_totals")
+        ("optimal", name) for name in ("_beta4_keys", "_theorem1")
     }
     assert _references("_support_table") == [("optimal", "shift_grid_beta")]
     assert set(_references("inverse_table")) == {
-        ("recursion", "_reach_levels"),
+        ("recursion", "_span_coordinates"),
         ("optimal", "_image_keys"),
         ("optimal", "_coordinates"),
     }
@@ -163,6 +163,23 @@ def test_one_zero_test():
     readers = _references("shift_grid_beta")
     assert ("optimal", "_theorem2") not in readers
     assert not [ref for ref in readers if ref[0] == "catalog"]
+
+
+def test_one_beta3_path():
+    # every beta_3 cut and zero set, the search's included, grows its shift
+    # vectors on the exact triple totals; the q^m integer grid builder is gone
+    from wtdesigns import optimal
+
+    assert not hasattr(optimal, "_triple_totals")
+    assert set(_references("_triple_survivors")) == {
+        ("optimal", "search_shifts"), ("optimal", "_theorem2"),
+        ("catalog", "_reproduce_q2"), ("catalog", "_reproduce_example7"),
+    }
+    assert _references("_beta3_band") == [("optimal", "search_shifts")]
+    # one Cramer solver serves the closure's reach levels and the triples of any d
+    assert set(_references("_span_coordinates")) == {
+        ("recursion", "_reach_levels"), ("optimal", "_triple_survivors"),
+    }
 
 
 def test_one_williams_level_map():
@@ -282,7 +299,8 @@ def test_one_memory_budget():
         ("optimal", "_support_table"),
         ("optimal", "_cell_orbits"),
         ("optimal", "_theorem1"),
-        ("optimal", "_theorem2"),
+        ("optimal", "_triple_survivors"),
+        ("recursion", "_span_coordinates"),
         ("recursion", "_closure_types"),
     }
 

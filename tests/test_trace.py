@@ -13,7 +13,8 @@ from pathlib import Path
 from wtdesigns import cli
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-ARGV = ["search", "--q", "5", "--generators", "1,1;1,2", "--family", "williams"]
+# decided at degree 4, so the search reads the degree-4 and -5 shift grids
+ARGV = ["search", "--q", "5", "--generators", "1,2;2,1;2,3", "--family", "linear"]
 
 
 def _load_spans():
@@ -87,6 +88,6 @@ def test_tracer_wraps_a_search_call(capsys):
     assert tracer.calls["optimal.shift_grid_beta"] >= 1
     assert tracer.calls["aberration.beta_pattern"] >= 1
     metrics = tracer.layer_metrics()
-    assert metrics["optimal.search_shifts.scanned"] == (25, "count")
+    assert metrics["optimal.search_shifts.scanned"] == (125, "count")
     assert metrics["optimal.search_shifts.full_patterns"][0] == tracer.calls["aberration.beta_pattern"]
 
