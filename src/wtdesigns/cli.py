@@ -26,6 +26,7 @@ from .optimal import (
     verified_nmax,
     verify_theorem,
 )
+from .orthopoly import check_levels
 from .recursion import classify
 
 CLI_SCAN_LIMIT = 100_000  # larger shift scans need --force
@@ -63,11 +64,14 @@ def parse_generator_text(text: str, q: int) -> GeneratorSet:
 
 
 def _design_from_args(args) -> Design:
+    # construct, beta and model measure the design on the float basis: q is refused first
     if getattr(args, "design", None):
-        return load_design(args.design)
+        design = load_design(args.design)
+        check_levels(design.q)
+        return design
     if args.q is None or args.generators is None:
         raise InputError("provide either --design or both --q and --generators")
-    gen = parse_generator_text(args.generators, check_odd_prime(args.q))
+    gen = parse_generator_text(args.generators, check_levels(check_odd_prime(args.q)))
     b = [0] * gen.m
     if getattr(args, "b", None):
         try:
@@ -120,7 +124,7 @@ def cmd_beta(args) -> int:
 
 
 def cmd_search(args) -> int:
-    gen = parse_generator_text(args.generators, check_odd_prime(args.q))
+    gen = parse_generator_text(args.generators, check_levels(check_odd_prime(args.q)))
     if _kmax_out_of_range(args.kmax, gen.n, gen.q):
         return USAGE_EXIT
     total = gen.q**gen.m

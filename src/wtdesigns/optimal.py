@@ -41,7 +41,7 @@ from .designs import (
 )
 from .errors import CapExceededError, InputError
 from .fieldmath import PrimeLevel, check_int, check_odd_prime, chunks, int_array, inverse_table
-from .orthopoly import orthonormal_basis
+from .orthopoly import check_levels, orthonormal_basis
 from .recursion import RecursiveType, _classify_stack, _span_coordinates, _subsets
 
 FAMILIES = ("linear", "williams")
@@ -475,13 +475,17 @@ def _cell_orbits(C: np.ndarray, q: int) -> np.ndarray:
     other. From a cursor past every labelled set, looking 64 sets ahead per
     set wanted, the next unlabelled sets are taken in batches that double up
     to one of the cell's fieldmath.chunks of (m, G, batch) int32 key stacks;
-    each one's smallest index goes to all of its images.
+    each one's smallest index goes to all of its images. An orbit is the
+    images of any one member, so it has at most G = 2n(n-1) sets and a cell
+    of B sets has at least B / G orbits: the first batch takes that many
+    sets, as a smaller one only adds _image_indices calls.
     """
     n = C.shape[1] + 2
+    G = 2 * n * (n - 1)
     tables = _image_tables(q, n)
-    cap = chunks(len(C), 4 * 2 * n * (n - 1) * (n - 2))[0].stop  # the first chunk's size
+    cap = chunks(len(C), 4 * G * (n - 2))[0].stop  # the first chunk's size
     orbit = np.full(len(C), -1, dtype=np.int64)
-    start, step = 0, 1
+    start, step = 0, min(cap, -(-len(C) // G))
     while start < len(C):
         window = orbit[start : start + 64 * step]
         todo = np.flatnonzero(window < 0)[:step]
@@ -677,16 +681,25 @@ def _family_ties(C, orbit, reps, keys, q, family) -> tuple:
     closed-form shift (optimal_shift_linear in the linear family, theorem 4,
     as _theorem4 checks it, in the Williams one), so beta_3 is rounding and
     cuts nothing: the representatives whose integer keys equal the smallest
-    are kept, and, only if two or more are, they are ranked on full
-    patterns. Every member of a kept orbit is a tie, found by a mask over
+    are kept, and, only if two or more are, they are ranked on beta_1,
+    beta_2, ... at their closed-form shifts, one beta_k_stack column per
+    degree, built only when _rank_candidates reads it: the ranking stops at
+    the degree that leaves one orbit, and reads the values only through the
+    tie band. Every member of a kept orbit is a tie, found by a mask over
     the labels.
     """
     alive = reps[keys == keys.min()]
     decided = 4 if len(alive) < len(keys) else None
     if len(alive) > 1:
         b = _closed_form_shifts(C[alive], q, family)
-        patterns = _member_patterns(C[alive], b, q, family, None)
-        kept, sub_decided = _rank_candidates(len(patterns), patterns.T)
+        columns = (
+            np.concatenate([
+                beta_k_stack(rows, (k,), q)[:, 0]
+                for rows in _member_stacks(C[alive], b, q, family, (k,))
+            ])
+            for k in range(1, (C.shape[1] + 2) * (q - 1) + 1)
+        )
+        kept, sub_decided = _rank_candidates(len(alive), columns)
         alive = alive[kept]
         if sub_decided is not None:
             decided = sub_decided
@@ -707,13 +720,16 @@ def search_q2(q: PrimeLevel, n: int) -> Q2Report:
     the orbit, and the rows labelled with themselves are the representatives.
     One pass serves both families: their integer beta_4 keys come from one
     set of cross products (_beta4_keys), each family is pruned on its own
-    keys, then ranked on full patterns only where two or more orbits survive
-    (_family_ties). The ties are whole orbits, sorted, and the winner is the
-    smallest tie. Both winners' beta_3 and beta_4 come from one beta_k_stack
-    call, each row with the bits of its own member. The standard design's
-    beta_3 and beta_4 come from the pair kernel cut off at degree 4, which
-    gives the bits of its full pattern.
+    keys, then ranked degree by degree on beta_k_stack columns only where
+    two or more orbits survive (_family_ties), so no full pattern is built.
+    The ties are whole orbits, sorted, and the winner is the smallest tie.
+    Both winners' beta_3 and beta_4 come from one beta_k_stack call, each
+    row with the bits of its own member. The standard design's beta_3 and
+    beta_4 come from the pair kernel cut off at degree 4, which gives the
+    bits of its full pattern. A q above MAX_LEVELS is refused before the
+    cell is built.
     """
+    q = check_levels(check_odd_prime(q))
     std = standard_generators(q, n)
     C = _q2_coefficients(q, n)
     # the pair kernel, not beta_pattern: above 512 runs beta_pattern(d, 4)
@@ -791,7 +807,7 @@ def _theorem1(cells, q):
 def _theorem2(cells, q):
     # A shift has beta_3 = 0 exactly when its integer triple total is 0, shown
     # exact up to MAX_LEVELS: as in theorem 1, a larger q is refused first.
-    orthonormal_basis(q)
+    check_levels(q)
     for C in cells:
         C = C[_classify_stack(C, q) == RecursiveType.TYPE_II]
         shape = (q,) * C.shape[1]

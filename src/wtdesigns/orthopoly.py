@@ -37,6 +37,20 @@ class OrthonormalBasis:
         self.values.setflags(write=False)
 
 
+def check_levels(q: PrimeLevel) -> PrimeLevel:
+    """q, refused with InputError above MAX_LEVELS: a comparison, so it builds no basis.
+
+    Every float measure reads the basis; a command that computes one calls
+    this before any other work or output.
+    """
+    if q > MAX_LEVELS:
+        raise InputError(
+            f"q={q} exceeds {MAX_LEVELS}, the largest level count with an "
+            "accurate contrast basis"
+        )
+    return q
+
+
 @lru_cache(maxsize=None)
 def orthonormal_basis(q: PrimeLevel) -> OrthonormalBasis:
     """Build the full orthonormal polynomial basis for q levels.
@@ -48,12 +62,7 @@ def orthonormal_basis(q: PrimeLevel) -> OrthonormalBasis:
     degree is unchanged, so the result equals Gram-Schmidt on raw monomials.
     Level counts above MAX_LEVELS are refused with InputError.
     """
-    q = check_odd_prime(q)
-    if q > MAX_LEVELS:
-        raise InputError(
-            f"q={q} exceeds {MAX_LEVELS}, the largest level count with an "
-            "accurate contrast basis"
-        )
+    q = check_levels(check_odd_prime(q))
     xs = np.arange(q, dtype=float)
     t = xs - (q - 1) / 2.0
     values = np.zeros((q, q))

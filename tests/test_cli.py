@@ -278,6 +278,55 @@ def test_oversized_q2_cells_are_refused_before_any_work(capsys, monkeypatch, arg
     assert "over the cap of 2000000" in err
 
 
+@pytest.mark.parametrize("q", [29, 31])
+@pytest.mark.parametrize("argv", [
+    ("construct", "--generators", "1,1", "--out", "{out}"),
+    ("beta", "--generators", "1,1"),
+    ("search", "--generators", "1,1", "--family", "williams"),
+    ("searchq2", "--n", "4"),  # 74,088 sets at q=29, under the cell cap
+    ("searchq2", "--n", "5"),  # over the cell cap: the level limit is still the message
+    ("model", "--generators", "1,1"),
+])
+def test_float_measures_refuse_q_above_max_levels_before_any_work(
+    capsys, monkeypatch, tmp_path, argv, q
+):
+    from wtdesigns import cli, optimal
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the level check")
+
+    # an internal error would exit 3: the cell builder reads combinations and
+    # every command but searchq2 builds its design through build_design
+    monkeypatch.setattr(optimal, "combinations", no_work)
+    monkeypatch.setattr(cli, "build_design", no_work)
+    out = tmp_path / "design.txt"
+    argv = [arg.format(out=out) for arg in argv]
+    code, stdout, err = run(capsys, argv[0], "--q", str(q), *argv[1:])
+    assert code == 2
+    assert stdout == ""
+    assert f"q={q} exceeds 23, the largest level count" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["beta", "model"])
+def test_design_files_above_max_levels_are_refused(capsys, tmp_path, command):
+    from wtdesigns import GeneratorSet, expand, save_design
+
+    path = tmp_path / "q29.txt"
+    save_design(expand(GeneratorSet(29, [[1, 1]])), path)
+    code, stdout, err = run(capsys, command, "--design", str(path))
+    assert (code, stdout) == (2, "")
+    assert "q=29 exceeds 23" in err
+
+
+def test_level_free_commands_run_above_max_levels(capsys):
+    # classify reads no basis (nor does theorem 4, whose q=29 output is
+    # recorded below); count refuses q=29 as untabulated, not by the level limit
+    assert run(capsys, "classify", "--q", "29", "--generators", "1,1;1,2")[0] == 0
+    code, _, err = run(capsys, "count", "--q", "29", "--n", "3")
+    assert code == 2 and "tabulated" in err
+
+
 def test_q2_cells_up_to_the_cap_run(capsys, monkeypatch):
     from wtdesigns import optimal
 

@@ -1,5 +1,6 @@
 """Closed-form shifts, exhaustive shift searches, generator-space searches."""
 
+import hashlib
 import json
 from functools import lru_cache
 from itertools import combinations, product
@@ -37,7 +38,7 @@ from wtdesigns import (
 from wtdesigns import optimal
 from wtdesigns.cli import parse_generator_text
 from wtdesigns.designs import column_vectors, mirror_symmetric_stack, williams_levels
-from wtdesigns.fieldmath import inverse_table
+from wtdesigns.fieldmath import chunks, inverse_table
 from wtdesigns.aberration import DEFAULT_TOL, _keep_minimal, _rank_candidates, beta_k_stack
 from wtdesigns.orthopoly import MAX_LEVELS
 from wtdesigns.recursion import RecursiveType, _classify_stack
@@ -1475,6 +1476,83 @@ def test_orbit_ids_do_not_depend_on_the_chunk_size(monkeypatch, budget):
     assert set(batches) == {1} and len(batches) == len(np.unique(want))
 
 
+def _batch_sizes(monkeypatch, C, q):
+    """The sizes of the batches in which _cell_orbits labels C, and its labels."""
+    batches = []
+    image_indices = optimal._image_indices
+
+    def spy(C, q, tables):
+        batches.append(len(C))
+        return image_indices(C, q, tables)
+
+    monkeypatch.setattr(optimal, "_image_indices", spy)
+    return batches, optimal._cell_orbits(C, q)
+
+
+@pytest.mark.parametrize("q,n", ORBIT_CELLS + [(17, 4), (23, 3)])
+def test_first_batch_is_the_orbit_count_bound(monkeypatch, q, n):
+    # an orbit is the images of any one member, so it has at most G = 2n(n-1)
+    # sets and a cell of B sets has at least B / G orbits: the first batch
+    # takes that many sets, up to the first chunk, then batches double
+    C = optimal._q2_coefficients(q, n)
+    G = 2 * n * (n - 1)
+    cap = chunks(len(C), 4 * G * (n - 2))[0].stop
+    batches, orbit = _batch_sizes(monkeypatch, C, q)
+    first = min(cap, -(-len(C) // G))
+    assert batches[0] == first
+    assert len(np.unique(orbit)) >= -(-len(C) // G)
+    assert all(b <= min(cap, first * 2**i) for i, b in enumerate(batches))
+
+
+def test_q7_n8_is_labelled_in_three_batches(monkeypatch):
+    # 16 orbits of 3,888 sets: one-set batches took six _image_indices calls
+    batches, orbit = _batch_sizes(monkeypatch, optimal._q2_coefficients(7, 8), 7)
+    assert len(batches) <= 3 and len(np.unique(orbit)) == 16
+
+
+# sha256 of json.dumps(search_q2(q, n).to_json_dict()) on every cell that
+# SEARCH_CAP admits up to MAX_LEVELS, recorded while the q^2 search ranked its
+# tied orbits on full patterns and labelled each cell from one-set batches
+Q2_JSON_SHA256 = {
+    (3, 3): "3562b193ab692a956ef4be25663d4d9c5f94f45d4c541065b67d34cb90e13d83",
+    (3, 4): "cb9165a7a35b8a2a119128f84e9a8c76479f5592bf0d03a1980c77eee911ad8c",
+    (5, 3): "79ef4236a8ea47ec8125b557f11226eba43123ce79f03d2e528faf5a7d498fba",
+    (5, 4): "728dc7fb513270946112901bd5b2f108d460dae22c1d8ef7204ee6e9c475dfd2",
+    (5, 5): "455d26be8595e1d094926b805fb41f000a3382e782e966d5c8bf87f6b5f27213",
+    (5, 6): "23675ec3de99f1c4b260c83c2c3f36fca31183facd94081a428d0f600f242d29",
+    (7, 3): "9576bce88c81e9fe44725d2e2f9e0b79f504531cb92a9031a937c6d7f38b546d",
+    (7, 4): "daa840214b1df80105fcbe621a5cfdd82eb2cc7d73b94f57c2c34da03815b7dd",
+    (7, 5): "aef3d2909865a32a9d7c3701bd86910fe6479724fab8b44e5e1093d837ef6245",
+    (7, 6): "dac5609cbd9a0596695f8fa79c6c2d5ab9affb1ac6f8e91ee8c7478ee83670a8",
+    (7, 7): "18d8804d0f109607264584a1bc653988e032b4150e47485d44fec9b2169ed726",
+    (7, 8): "5aa778e909c4d371fbf4eb60007de9effe32fee0138c1709844723cb012678c5",
+    (11, 3): "29f60a50076836e0adc771e0f42e230942610ef50a02d61aad1dfbccb6fb8213",
+    (11, 4): "2ac607e2a0d4ca3cbcf35ee3a5371a4bbca6e037a59036e5c5249c13c4a45108",
+    (11, 5): "e5f923a13f6d8f7820914a2e2c17b8ca6b4c2ae0e5b8b1c6c12a1a9eb713e19d",
+    (11, 6): "5be0f21cbd192c967602c13d85e582a3e12e24f8247d0f7dbecae630a812cd76",
+    (11, 7): "96feeeee47bcc5309b59e2dd7a5deb4a3ebf6df47cbe2c23cc85122e1030ada1",
+    (13, 3): "0aff4928fdb492c84b6ce4732b601c149305dedb6123f55aea318684f77176c9",
+    (13, 4): "3bbea2f39cd880214ceff6654889bc616cc1996bd7601b7bb4d8c43e6725c569",
+    (13, 5): "4149e7c575b118b04f806ecf4ff35adad258792e095d348e2299421b00808764",
+    (13, 6): "ac4dad7bc6ff66dec116849eeb03e759b8d59987f1dd44893ebdbe05e86b6748",
+    (17, 3): "d1b2c2f5ab84f9ed013d3d877b261c72fd830e2a4ef0a3d01959fc295e251641",
+    (17, 4): "c237ccdbbd7fe63d400b17c8409893afa754177ac3a928514d691db90eabf9a0",
+    (17, 5): "fe496e68ade5fb125978299a48f299e34fcc909441777e08f4eb0e4a60fd6daa",
+    (19, 3): "a8c8bda9a549a5c98c118d123a4ee8c8db3f2d791bad725a9872f29af62522c1",
+    (19, 4): "49ae873ed08272183c960d3e4c67d90da3f0b6052e57006cb5e526855659e131",
+    (19, 5): "61487a49d090bd2e171404b2d64955636c25308f9024da05d31499f1c2301401",
+    (23, 3): "b2120e27a0ebb33205724660c9c1e33a8497f90a86e930408ff27a970f4ede6c",
+    (23, 4): "3dad23db3d940f900e97343ab296298deca34534a36f5929c404904c302914d4",
+}
+
+
+def test_search_q2_bytes_on_every_admitted_cell():
+    assert sorted(Q2_JSON_SHA256) == _admitted_cells()
+    for (q, n), want in Q2_JSON_SHA256.items():
+        text = json.dumps(search_q2(q, n).to_json_dict())
+        assert hashlib.sha256(text.encode()).hexdigest() == want, (q, n)
+
+
 @pytest.mark.parametrize("q,n", [(5, n) for n in range(3, 7)] + [(7, n) for n in range(3, 9)])
 def test_search_q2_does_not_depend_on_the_representative(q, n, monkeypatch):
     # label each orbit by its largest row instead of its smallest: every
@@ -1523,11 +1601,11 @@ def _surviving_orbits(q, n, family_best):
     return len(np.unique(orbit[_cell_index(np.array(family_best.ties), q)]))
 
 
-def test_full_patterns_one_per_surviving_orbit(monkeypatch):
+def test_q2_search_builds_no_full_pattern(monkeypatch):
     # 14 linear and 56 Williams ties, one orbit each: no full pattern during
     # the search, and the standard design's pair kernel only up to beta_4
-    patterns, kernels = [], []
-    kernel = optimal._pattern_by_pairs
+    patterns, kernels, member_patterns = [], [], []
+    kernel, member_pattern = optimal._pattern_by_pairs, optimal._member_patterns
 
     def counted(design, k_max=None):
         patterns.append(k_max)
@@ -1537,34 +1615,47 @@ def test_full_patterns_one_per_surviving_orbit(monkeypatch):
         kernels.append(k_max)
         return kernel(design, k_max)
 
+    def counted_members(C, b, q, family, k_max):
+        member_patterns.append(family)
+        return member_pattern(C, b, q, family, k_max)
+
     monkeypatch.setattr(optimal, "beta_pattern", counted)
     monkeypatch.setattr(optimal, "_pattern_by_pairs", counted_kernel)
+    monkeypatch.setattr(optimal, "_member_patterns", counted_members)
     rep = search_q2(7, 8)
     orbits = [_surviving_orbits(7, 8, f) for f in (rep.linear, rep.williams)]
     assert (len(rep.linear.ties), len(rep.williams.ties), orbits) == (14, 56, [1, 1])
-    assert patterns == [] and kernels == [4]
+    assert patterns == [] and kernels == [4] and member_patterns == []
 
     # q=7 n=3: two linear orbits and one Williams orbit tie on beta_4, so
-    # the linear search ranks two full patterns, one per orbit, and keeps one
+    # the linear search ranks two orbits, one beta_k_stack column per degree
     C = optimal._q2_coefficients(7, 3)
     orbit = optimal._cell_orbits(C, 7)
     tied = {}
     for family in ("linear", "williams"):
         stacks = optimal._member_stacks(C, optimal._closed_form_shifts(C, 7, family), 7, family)
         beta4 = np.concatenate([beta_k_stack(rows, (4,), 7) for rows in stacks])
-        tied[family] = len(np.unique(orbit[_keep_minimal(beta4[:, 0])]))
-    assert tied == {"linear": 2, "williams": 1}
-    ranked, member_patterns = [], optimal._member_patterns
+        tied[family] = np.unique(orbit[_keep_minimal(beta4[:, 0])])
+    assert [len(tied[f]) for f in ("linear", "williams")] == [2, 1]
+    calls = []
 
-    def spied(C, b, q, family, k_max):
-        ranked.append((family, len(b)))
-        return member_patterns(C, b, q, family, k_max)
+    def spied(rows, ks, q):
+        calls.append((len(rows), tuple(ks)))
+        return beta_k_stack(rows, ks, q)
 
-    monkeypatch.setattr(optimal, "_member_patterns", spied)
-    patterns.clear()
+    monkeypatch.setattr(optimal, "beta_k_stack", spied)
+    kernels.clear()
     rep = search_q2(7, 3)
-    assert ranked == [("linear", 2)] and patterns == [None, None]
+    assert patterns == [] and kernels == [4] and member_patterns == []
+    # beta_1..beta_6 of the two orbits, then the two winners' beta_3 and beta_4
+    assert calls == [(2, (k,)) for k in range(1, 7)] + [(2, (3, 4))]
     assert _surviving_orbits(7, 3, rep.linear) == 1 and rep.linear.decided_k == 6
+    # ranked on their full patterns, the two orbits keep the same one at beta_6
+    reps = C[tied["linear"]]
+    full = member_pattern(reps, optimal._closed_form_shifts(reps, 7, "linear"), 7, "linear", None)
+    kept, decided = _rank_candidates(2, full.T)
+    ties = _cell_index(np.array(rep.linear.ties), 7)
+    assert decided == 6 and np.unique(orbit[ties]).tolist() == tied["linear"][kept].tolist()
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -1584,7 +1675,9 @@ def test_search_q2_reads_beta_k_stack_for_its_winners_alone(monkeypatch, n):
         build_design(GeneratorSet(7, f.generators), f.b, f.family)
         for f in (rep.linear, rep.williams)
     ]
-    [(rows, ks)] = calls
+    # only n=3 ranks tied orbits: two linear ones, on beta_1..beta_6, a degree a call
+    *ranking, (rows, ks) = calls
+    assert [(len(r), k) for r, k in ranking] == ([(2, (k,)) for k in range(1, 7)] if n == 3 else [])
     assert ks == (3, 4)
     assert np.array_equal(rows, np.stack([d.rows for d in members]))
     for f, d in zip((rep.linear, rep.williams), members):

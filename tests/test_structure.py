@@ -106,7 +106,9 @@ def test_q2_cut_is_decided_on_integer_keys():
 
 def test_search_q2_is_one_pass_over_the_cell(monkeypatch):
     # per cell: one key-builder call for both families and one beta_k_stack
-    # call for both winners; no per-family shift_betas call
+    # call for both winners; no per-family shift_betas call and no full
+    # pattern. q=7 n=3 first ranks its two tied linear orbits on beta_1..beta_6,
+    # one beta_k_stack call per degree
     from wtdesigns import optimal
 
     calls = []
@@ -120,12 +122,13 @@ def test_search_q2_is_one_pass_over_the_cell(monkeypatch):
 
         monkeypatch.setattr(optimal, name, counted)
 
-    for name in ("_beta4_keys", "beta_k_stack", "shift_betas"):
+    for name in ("_beta4_keys", "beta_k_stack", "shift_betas", "_member_patterns", "beta_pattern"):
         spy(name)
     for q, n in ((5, 4), (7, 3), (7, 8)):
         calls.clear()
         optimal.search_q2(q, n)
-        assert calls == ["_beta4_keys", "beta_k_stack"], (q, n)
+        ranking = ["beta_k_stack"] * 6 if (q, n) == (7, 3) else []
+        assert calls == ["_beta4_keys", *ranking, "beta_k_stack"], (q, n)
 
 
 def test_one_cross_product_matrix():
