@@ -244,20 +244,17 @@ def _rank_candidates(count: int, columns):
     """Cut count rows on an iterable of columns, each count long: column by column, drop the
     live rows above the _cut of their minimum. Returns (kept indices, decided_k), decided_k
     being the 1-based position of the last column that dropped a row. No column is pulled
-    after a cut that leaves one row live, and the first cut reads its column in place."""
-    alive = None  # every row, until the first cut
+    after a cut that leaves one row live."""
+    alive = np.arange(count)
     decided = None
-    k = 0
-    for column in columns:
-        k += 1
-        keep = _keep_minimal(column if alive is None else column[alive])
-        del column  # not held while the next one is built
+    for k, column in enumerate(columns, 1):
+        keep = _keep_minimal(column[alive])
         if not keep.all():
             decided = k
-            alive = np.flatnonzero(keep) if alive is None else alive[keep]
-        if np.count_nonzero(keep) == 1:  # the rows live after this cut
+            alive = alive[keep]
+        if len(alive) == 1:
             break
-    return (np.arange(count) if alive is None else alive), decided
+    return alive, decided
 
 
 def compare_patterns(a, b) -> int:

@@ -179,28 +179,6 @@ def _support_table(values) -> np.ndarray:
     return out.reshape(shape)
 
 
-def _fold_tables(out: np.ndarray, tables: list) -> None:
-    """Write into out the sum of tables, arrays that broadcast to its shape.
-
-    Each table spans a distinct set of axes and has size 1 off them, so
-    some axis is spanned by some tables and not by others. The first such
-    axis splits them: the tables that span it are folded into out, and the
-    others into a grid without that axis, which is then added along it.
-    Each nested split adds an axis that every table folded into out spans,
-    so out is written at most once more than the widest table has axes,
-    and every grid a split allocates is out.shape[a] times smaller than
-    the array it is added to.
-    """
-    if len(tables) == 1:
-        out[...] = tables[0]
-        return
-    a = next(a for a in range(out.ndim) if len({t.shape[a] for t in tables}) > 1)
-    _fold_tables(out, [t for t in tables if t.shape[a] > 1])
-    sub = np.empty(out.shape[:a] + (1,) + out.shape[a + 1 :], dtype=out.dtype)
-    _fold_tables(sub, [t for t in tables if t.shape[a] == 1])
-    out += sub
-
-
 def shift_grid_beta(gen: GeneratorSet, family: str, k: int) -> np.ndarray:
     """beta_k of every shift vector at once, as an array of shape (q,)*m.
 
@@ -208,8 +186,8 @@ def shift_grid_beta(gen: GeneratorSet, family: str, k: int) -> np.ndarray:
     whose support has fewer than three columns is skipped: its run-sum is
     exactly zero. Any other exponent vector has entries up to k - 2 only,
     and its term depends only on the shifts of the dependent columns in its
-    support: a _support_table over those shifts, added per set of dependent
-    columns, divided by N^2 and folded into the grid by _fold_tables. The
+    support: a _support_table over those shifts, summed per set of dependent
+    columns, divided by N^2 and added into the grid by broadcasting. The
     values are accurate to rounding, not bit-identical to shift_betas;
     search_shifts prunes on them at k = 4 and 5 only (beta_3 is cut on exact
     integer totals by _triple_survivors, and the tests keep k = 3 as oracle).
@@ -232,10 +210,9 @@ def shift_grid_beta(gen: GeneratorSet, family: str, k: int) -> np.ndarray:
         table = _support_table([vals[j][u[j]] for j in support])
         table = table.reshape([q if j in axes else 1 for j in range(d, n)])
         tables[axes] = tables.get(axes, 0.0) + table
-    if not tables:  # k <= 2
-        return np.zeros((q,) * m)
-    grid = np.empty((q,) * m)
-    _fold_tables(grid, [t / q ** (2 * d) for t in tables.values()])
+    grid = np.zeros((q,) * m)
+    for table in tables.values():
+        grid += table / q ** (2 * d)
     return grid
 
 
@@ -682,22 +659,25 @@ def _family_ties(C, orbit, reps, keys, q, family) -> tuple:
     as _theorem4 checks it, in the Williams one), so beta_3 is rounding and
     cuts nothing: the representatives whose integer keys equal the smallest
     are kept, and, only if two or more are, they are ranked on beta_1,
-    beta_2, ... at their closed-form shifts, one beta_k_stack column per
-    degree, built only when _rank_candidates reads it: the ranking stops at
-    the degree that leaves one orbit, and reads the values only through the
-    tie band. Every member of a kept orbit is a tie, found by a mask over
-    the labels.
+    beta_2, ... at their closed-form shifts. Their level stacks are built
+    once; each degree's beta_k_stack column runs in chunks of stack_bytes
+    for that degree, and is built only when _rank_candidates reads it: the
+    ranking stops at the degree that leaves one orbit, and reads the values
+    only through the tie band. Every member of a kept orbit is a tie, found
+    by a mask over the labels.
     """
     alive = reps[keys == keys.min()]
     decided = 4 if len(alive) < len(keys) else None
     if len(alive) > 1:
         b = _closed_form_shifts(C[alive], q, family)
+        stack = np.concatenate(list(_member_stacks(C[alive], b, q, family)))
+        N, n = stack.shape[1:]
         columns = (
             np.concatenate([
-                beta_k_stack(rows, (k,), q)[:, 0]
-                for rows in _member_stacks(C[alive], b, q, family, (k,))
+                beta_k_stack(stack[part], (k,), q)[:, 0]
+                for part in chunks(len(stack), stack_bytes(N, n, q, (k,)))
             ])
-            for k in range(1, (C.shape[1] + 2) * (q - 1) + 1)
+            for k in range(1, n * (q - 1) + 1)
         )
         kept, sub_decided = _rank_candidates(len(alive), columns)
         alive = alive[kept]
@@ -789,9 +769,9 @@ def count_recursive(q: PrimeLevel, n: int):
 def _theorem1(cells, q):
     # Every set is checked, not one per orbit: orbit members share beta_3 only
     # at a shift that satisfies the theorem's closed form. A set fails when its
-    # _triple_totals entry there, a sum of S^2 for the S that T holds at the
-    # closed-form offsets, is nonzero. rho is read first, so q > MAX_LEVELS is
-    # refused before the table.
+    # sum over the column triples of S2 read at _coordinates, the squares of the
+    # run-sums S that T holds at the closed-form offsets, is nonzero. rho is
+    # read first, so q > MAX_LEVELS is refused before the table.
     rho = orthonormal_basis(q).rho
     lam_mu = np.stack(np.divmod(np.arange(q * q), q), axis=1)
     S = _triple_table(q, "williams")[np.arange(q * q), _closed_form_shifts(lam_mu, q, "williams")]

@@ -24,7 +24,7 @@ from wtdesigns import (
     williams_inverse,
     williams_value,
 )
-from wtdesigns.aberration import _rank_candidates
+from wtdesigns.aberration import DEFAULT_TOL, _rank_candidates
 
 SMALL_PRIMES = (3, 5, 7)
 MORE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 97)
@@ -124,6 +124,46 @@ def test_compare_is_antisymmetric(pair):
     # otherwise the kept row is the smaller pattern
     alive, _ = _rank_candidates(2, np.array([a, b]).T)
     assert compare_patterns(a, b) == {(0, 1): 0, (0,): -1, (1,): 1}[tuple(alive.tolist())]
+
+
+# values drawn from a few levels, each with a neighbour inside its tie band,
+# so that most columns tie some of their live rows
+TIED_VALUES = (0.0, 5e-9, 1.0, 1.0 + 5e-9, 2.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda count: st.lists(
+            st.lists(st.sampled_from(TIED_VALUES), min_size=count, max_size=count),
+            min_size=1,
+            max_size=5,
+        )
+    )
+)
+def test_rank_candidates_is_the_sequential_filter(rows):
+    # a plain filter over the live row numbers, one column at a time
+    count = len(rows[0])
+    live, decided, reads = list(range(count)), None, 0
+    for k, column in enumerate(rows, 1):
+        reads = k
+        low = min(column[i] for i in live)
+        kept = [i for i in live if column[i] <= low + DEFAULT_TOL * max(1.0, low)]
+        if len(kept) < len(live):
+            decided = k
+        live = kept
+        if len(live) == 1:
+            break
+
+    pulled = []
+
+    def columns():
+        for column in rows:
+            pulled.append(column)
+            yield np.array(column)
+
+    alive, got_decided = _rank_candidates(count, columns())
+    assert (alive.tolist(), got_decided, len(pulled)) == (live, decided, reads)
 
 
 @settings(max_examples=50, deadline=None)

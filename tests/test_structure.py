@@ -134,12 +134,12 @@ def test_search_q2_is_one_pass_over_the_cell(monkeypatch):
 def test_one_cross_product_matrix():
     # every q^2 run-sum and every Cheng-Ye image reads X from one builder, one
     # inverse table serves every Cramer step, and the float support tables
-    # serve the shift grid alone
+    # serve the shift grid alone, which adds them into its grid by broadcasting
     from wtdesigns import fieldmath, optimal
 
     gone = (
         "_universe_levels", "_universe_ids", "_run_sum_totals", "_inverses", "_shift_grid",
-        "_closed_form_sums", "_plane_sums",
+        "_closed_form_sums", "_plane_sums", "_fold_tables",
     )
     for name in gone:
         assert not hasattr(optimal, name), name
@@ -299,6 +299,7 @@ def test_one_memory_budget():
     assert set(_references("chunks")) == {
         ("aberration", "_pattern_by_pairs"),
         ("optimal", "_member_stacks"),
+        ("optimal", "_family_ties"),
         ("optimal", "_support_table"),
         ("optimal", "_cell_orbits"),
         ("optimal", "_theorem1"),
