@@ -145,6 +145,33 @@ def beta_k(design: Design, k: int) -> float:
     return float(beta_k_stack(design.rows[None], (k,), design.q)[0, 0])
 
 
+@lru_cache(maxsize=None)
+def _pair_tables(N: int) -> tuple:
+    """The row-pair index tables of _pattern_by_pairs, int32, read-only and cached per N.
+
+    Returns (first, second, order): unordered pair t is rows (first[t],
+    second[t]), the N(N+1)/2 pairs i <= k in row-major order
+    (np.triu_indices), and order[i N + k] is the unordered pair of the
+    ordered pair (i, k). Together 8 N^2 + 4 N bytes.
+    """
+    first, second = np.triu_indices(N)
+    pair = np.empty((N, N), dtype=np.int32)
+    pair[first, second] = pair[second, first] = np.arange(len(first), dtype=np.int32)
+    out = first.astype(np.int32), second.astype(np.int32), pair.ravel()
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _pair_kernel(q: int) -> np.ndarray:
+    """G[u, x q + y] = p_u(x) p_u(y), shape (q, q^2), read-only and cached per q."""
+    B = orthonormal_basis(q).values
+    G = np.einsum("ua,ub->uab", B, B).reshape(q, q * q)
+    G.setflags(write=False)
+    return G
+
+
 def _pattern_by_pairs(design: Design, k_max: int = None) -> np.ndarray:
     """The pattern (beta_0, ..., beta_k_max) at once; k_max = K = n(q-1) by default.
 
@@ -168,6 +195,12 @@ def _pattern_by_pairs(design: Design, k_max: int = None) -> np.ndarray:
     sum added to each block's first row before the block is summed: the
     rows are added in the same order as one sum over all N^2. The result is
     the first k_max + 1 entries of the full one, bit for bit.
+
+    The tables that depend on the shape alone are built once and kept
+    read-only: G per q (_pair_kernel, q^3 floats), and the pair indices per
+    N (_pair_tables, int32). The pair indices take 8 N^2 + 4 N bytes, at
+    most 8 N (N+1), the half-pair store of the smallest call at that N, so
+    the cache never keeps more than one call at that run count allocates.
     """
     q = design.q
     rows = design.rows
@@ -177,21 +210,18 @@ def _pattern_by_pairs(design: Design, k_max: int = None) -> np.ndarray:
         raise CapExceededError(
             f"pair-kernel work N^2*k*q = {work} exceeds the cap of {PAIR_WORK_CAP}"
         )
-    B = orthonormal_basis(q).values
-    G = np.einsum("ua,ub->uab", B, B)[:degrees].reshape(-1, q * q)  # G[u, x*q + y]
-    r = np.arange(N)
-    starts = r * N - r * (r - 1) // 2  # the index of the unordered pair (i, i)
-    half = np.empty((N * (N + 1) // 2, degrees))  # one row of coefficients per unordered pair
+    G = _pair_kernel(q)[:degrees]  # G[u, x*q + y]
+    first, second, order = _pair_tables(N)
+    half = np.empty((len(first), degrees))  # one row of coefficients per unordered pair
     blocks = chunks(len(half), 8 * degrees)
     flat = np.empty((3, degrees * blocks[0].stop))
     for block in blocks:
-        t = np.arange(block.start, block.stop)
-        first = np.searchsorted(starts, t, side="right") - 1
-        levels = rows[first].T * q + rows[t - starts[first] + first].T  # (n, block): x*q + y
+        width = block.stop - block.start
+        levels = rows[first[block]].T * q + rows[second[block]].T  # (n, block): x*q + y
         # coefficients are (degree, pair), so each convolution step adds
         # contiguous blocks; the first column's step against the constant 1
         # is 0.0 + A
-        even, odd, prod = (buf[: degrees * len(t)].reshape(degrees, len(t)) for buf in flat)
+        even, odd, prod = (buf[: degrees * width].reshape(degrees, width) for buf in flat)
         c = G.take(levels[0], axis=1) + 0.0
         for j, col in enumerate(levels[1:]):
             A = G.take(col, axis=1)
@@ -208,9 +238,7 @@ def _pattern_by_pairs(design: Design, k_max: int = None) -> np.ndarray:
     # in turn, each column on its own, and adding the running sum to a
     # block's first row is that sum's first step
     for block in chunks(N * N, 8 * degrees):
-        i, k = np.divmod(np.arange(block.start, block.stop), N)
-        a, b = np.minimum(i, k), np.maximum(i, k)
-        part = half[starts[a] + b - a]
+        part = half.take(order[block], axis=0)
         if block.start:
             part[0] += total
         total = part.sum(axis=0)

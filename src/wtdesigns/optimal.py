@@ -401,8 +401,10 @@ def _image_keys(q: int) -> np.ndarray:
     return key
 
 
+@lru_cache(maxsize=None)
 def _image_tables(q: int, n: int) -> tuple:
-    """The tables of _image_indices for the n-column sets of a cell: (key, weight, where).
+    """The tables of _image_indices for the n-column sets of a cell: (key, weight, where),
+    read-only and cached, as they depend on (q, n) alone.
 
     With X[i, j] = det(column i, column j) mod q, element (a, b, s) writes
     column v as alpha x_a + beta (s x_b), alpha = X[v, b] / X[a, b] and beta
@@ -421,7 +423,10 @@ def _image_tables(q: int, n: int) -> tuple:
     weight[0] += (comb(q - 1, m) - 1) * half**m
     a, b, s, others = _group_elements(n)
     fa = np.where(s[:, None] > 0, a[:, None] * n + others, others * n + a[:, None])
-    return _image_keys(q), weight, (a * n + b, (others * n + b[:, None]).T, fa.T)
+    where = (a * n + b, (others * n + b[:, None]).T, fa.T)
+    for arr in (weight, *where):
+        arr.setflags(write=False)
+    return _image_keys(q), weight, where
 
 
 def _image_indices(C: np.ndarray, q: int, tables: tuple) -> np.ndarray:

@@ -313,7 +313,9 @@ def test_truncated_pair_pattern_holds_only_the_kept_degrees():
 def test_full_pair_pattern_memory_is_the_half_pair_store():
     # 625 runs, 5 columns, all 21 degrees: the (N(N+1)/2, 21) coefficients
     # are 31.3 MiB, and the blocks and the running row sum about 2.9 MiB
-    # more (34.2 MiB measured); the (N^2, 21) gather this replaced peaked at
+    # more; the warm-up's 25 runs leave the 625-run int32 pair tables
+    # (8 N^2 + 4 N bytes, 3.0 MiB) to be built and cached inside the trace
+    # (37.0 MiB measured); the (N^2, 21) gather this replaced peaked at
     # 107.4 MiB
     import tracemalloc
 
@@ -342,7 +344,8 @@ def test_pair_work_cap_refuses_before_any_work(monkeypatch):
     def no_work(q):
         raise AssertionError("pair work started above the cap")
 
-    monkeypatch.setattr(aberration, "orthonormal_basis", no_work)
+    for name in ("orthonormal_basis", "_pair_kernel", "_pair_tables"):  # cached or not
+        monkeypatch.setattr(aberration, name, no_work)
     with pytest.raises(CapExceededError, match="37500 exceeds the cap of 37499"):
         beta_pattern(d)
     with pytest.raises(CapExceededError):
@@ -357,6 +360,68 @@ def test_pair_work_cap_admits_the_largest_tested_pattern():
     with pytest.raises(CapExceededError, match="1210608210 exceeds"):
         beta_pattern(d)
     assert len(beta_pattern(d, 4).values) == 4  # enumerated above 512 runs
+
+
+def pair_index_oracle(N):
+    """Oracle: the pair indices by arithmetic on the row starts, as each call once built them.
+
+    (first, second) of each unordered pair by searchsorted over the row
+    starts, and the unordered pair of each ordered pair by divmod, minimum
+    and maximum."""
+    r = np.arange(N)
+    starts = r * N - r * (r - 1) // 2  # the index of the unordered pair (i, i)
+    t = np.arange(N * (N + 1) // 2)
+    first = np.searchsorted(starts, t, side="right") - 1
+    i, k = np.divmod(np.arange(N * N), N)
+    a, b = np.minimum(i, k), np.maximum(i, k)
+    return first, t - starts[first] + first, starts[a] + b - a
+
+
+@pytest.mark.parametrize("N", [2, 9, 25, 37, 49, 121, 625])
+def test_pair_tables_equal_the_index_arithmetic(N):
+    tables = aberration._pair_tables(N)
+    assert aberration._pair_tables(N) is tables
+    for got, want in zip(tables, pair_index_oracle(N), strict=True):
+        assert got.dtype == np.int32
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("N", [2, 25, 625])
+def test_pair_tables_are_read_only_within_the_half_pair_store(N):
+    # the cache keeps at most the 8 N (N+1) bytes of the (N(N+1)/2, 2)
+    # half-pair store, the smallest call at that run count
+    tables = aberration._pair_tables(N)
+    assert sum(t.nbytes for t in tables) == 8 * N * N + 4 * N <= 8 * N * (N + 1)
+    for table in tables:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 23])
+def test_pair_kernel_is_the_basis_product_read_only(q):
+    B = orthonormal_basis(q).values
+    G = aberration._pair_kernel(q)
+    assert aberration._pair_kernel(q) is G
+    assert_same_bits(G, np.einsum("ua,ub->uab", B, B).reshape(q, q * q))
+    assert not G.flags.writeable
+    with pytest.raises(ValueError):
+        G[0, 0] = 0.0
+
+
+def test_cached_pair_tables_give_the_bits_of_a_fresh_build():
+    # two 49-run designs back to back: the second reads the first's tables,
+    # and each gives the bits of a run on freshly built ones
+    gen = GeneratorSet(7, [[2, 2], [1, 3]])
+    designs = [build_design(gen, [3, 5], "williams"), build_design(gen, [0, 1], "linear")]
+    aberration._pair_tables.cache_clear()
+    got = [_pattern_by_pairs(d) for d in designs]
+    assert aberration._pair_tables.cache_info()[:2] == (1, 1)  # (hits, misses)
+    for d, pattern in zip(designs, got):
+        aberration._pair_tables.cache_clear()
+        aberration._pair_kernel.cache_clear()
+        assert_same_bits(_pattern_by_pairs(d), pattern)
+        assert_same_bits(_pattern_by_pairs(d, 6), pattern[:7])
 
 
 # --- full patterns -------------------------------------------------------------

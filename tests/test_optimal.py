@@ -926,6 +926,23 @@ def test_cell_free_tables_are_built_once_and_read_only(q):
     assert np.array_equal(key, _fresh(optimal._image_keys, q))
 
 
+@pytest.mark.parametrize("q,n", [(7, n) for n in range(3, 9)] + [(11, 6)])
+def test_image_tables_are_built_once_and_read_only(q, n):
+    # the q2-sweep cells and q=11 n=6: one read-only set of tables per
+    # (q, n), equal to a fresh build
+    def arrays(tables):  # (key, weight, where) with where's three arrays
+        return (*tables[:2], *tables[2])
+
+    tables = optimal._image_tables(q, n)
+    assert optimal._image_tables(q, n) is tables
+    for got, want in zip(arrays(tables), arrays(_fresh(optimal._image_tables, q, n)), strict=True):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    for arr in arrays(tables):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
 def test_closed_form_sums_follow_the_centre(monkeypatch):
     # J's cache is keyed on the shift centre that it reads: a patched centre
     # gets its own table, and the true one comes back after it. T reads no

@@ -322,3 +322,29 @@ def test_two_run_sum_tables():
     assert _references("_centred_levels") == [
         ("optimal", "_quad_table"), ("optimal", "_triple_table"),
     ]
+
+
+def test_shape_tables_are_built_once(monkeypatch):
+    # the pair kernel reads its row-pair indices from _pair_tables, so a warm
+    # call does no index arithmetic; a q^2 cell builds its image tables once
+    import numpy as np
+
+    from wtdesigns import GeneratorSet, aberration, expand, optimal
+
+    d = expand(GeneratorSet(7, [[2, 2], [1, 3]]))
+    aberration._pattern_by_pairs(d)  # warm-up
+    calls = []
+    for name in ("searchsorted", "divmod"):
+
+        def spy(*args, real=getattr(np, name), name=name, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, spy)
+    aberration._pattern_by_pairs(d)
+    aberration._pattern_by_pairs(d, 4)
+    assert calls == []
+    optimal._image_tables.cache_clear()
+    optimal.search_q2(7, 5)
+    optimal.search_q2(7, 5)
+    assert optimal._image_tables.cache_info().misses == 1
