@@ -252,10 +252,9 @@ def beta_pattern(design: Design, k_max: int = None) -> BetaPattern:
     _check_k(k_max, design.n_factors, design.q)
     if k_max <= 4 and design.runs > 512:
         # cheaper to enumerate a few exponent shells than to convolve pairs
-        vals = [beta_k(design, k) for k in range(1, k_max + 1)]
+        vals = beta_k_stack(design.rows[None], range(1, k_max + 1), design.q)[0]
     else:
-        vals = _pattern_by_pairs(design, k_max)[1:]
-    vals = np.maximum(np.asarray(vals, dtype=float), 0.0)
+        vals = np.maximum(_pattern_by_pairs(design, k_max)[1:], 0.0)
     return BetaPattern(q=design.q, n=design.n_factors, values=tuple(vals.tolist()))
 
 

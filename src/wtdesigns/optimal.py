@@ -40,7 +40,9 @@ from .designs import (
     williams_levels,
 )
 from .errors import CapExceededError, InputError
-from .fieldmath import PrimeLevel, check_int, check_odd_prime, chunks, int_array, inverse_table
+from .fieldmath import (
+    PrimeLevel, check_int, check_odd_prime, chunks, full_factorial, int_array, inverse_table,
+)
 from .orthopoly import check_levels, orthonormal_basis
 from .recursion import RecursiveType, _classify_stack, _span_coordinates, _subsets
 
@@ -265,22 +267,21 @@ def search_shifts(gen: GeneratorSet, family: str, k_max: int = None) -> SearchRe
         k_max = gen.n * (q - 1)
     _check_k(k_max, gen.n, q, "k_max")
 
-    # beta_1 = beta_2 = 0 at strength 2: below k_max = 3 every shift ties
-    band = _beta3_band(q)
-    alive = np.arange(total) if k_max < 3 else _triple_survivors(gen.C[None], q, family, band)
-    decided = 3 if len(alive) < total else None
-    if k_max >= 4 and len(alive) > 1:
-        # wide supports stop the grids paying off above degree 5; each is built when reached
-        grids = (shift_grid_beta(gen, family, k).flat[alive] for k in range(4, min(k_max + 1, 6)))
-        kept, sub_decided = _rank_candidates(len(alive), grids)
-        alive = alive[kept]
-        if sub_decided is not None:
-            decided = sub_decided + 3  # the first grid is beta_4
-    shifts = np.stack(np.unravel_index(alive, (q,) * m), axis=1)
-    if k_max < 3:  # every shift ties on beta_1 = beta_2 = 0: only the winner's pattern is read
+    if k_max < 3:  # beta_1 = beta_2 = 0: every shift ties, and only the winner's pattern is read
+        shifts, decided = full_factorial(q, m), None
         patterns = _member_patterns(gen, shifts[:1], q, family, k_max)
         sub_alive = np.arange(total)
     else:
+        shifts = _triple_survivors(gen.C[None], q, family, _beta3_band(q))[1]
+        decided = 3 if len(shifts) < total else None
+        if k_max >= 4 and len(shifts) > 1:
+            # wide supports stop the grids paying off above degree 5; each is built when reached
+            cells = tuple(shifts.T)
+            grids = (shift_grid_beta(gen, family, k)[cells] for k in range(4, min(k_max + 1, 6)))
+            kept, sub_decided = _rank_candidates(len(shifts), grids)
+            shifts = shifts[kept]
+            if sub_decided is not None:
+                decided = sub_decided + 3  # the first grid is beta_4
         patterns = _member_patterns(gen, shifts, q, family, k_max)
         sub_alive, sub_decided = _rank_candidates(len(patterns), patterns.T)
         if sub_decided is not None:
@@ -584,37 +585,39 @@ def _beta3_band(q: int) -> int:
     return num * q**4 * (q * q - 1) ** 3 // (1728 * den)
 
 
-def _triple_survivors(C: np.ndarray, q: int, family: str, limit: int) -> np.ndarray:
+def _triple_survivors(C: np.ndarray, q: int, family: str, limit: int) -> tuple:
     """The shift vectors of each set of a (B, m, d) coefficient stack whose triple total
-    is at most limit: int64 flat indices into (B,) + (q,)*m, ascending.
+    is at most limit: int64 (owner, shifts), the set of each survivor, ascending, (L,),
+    and its shift vector, in lexicographic order within each set, (L, m).
 
     beta_3 = rho_1^6 / q^4 times the total at strength 2. A column triple c = lambda a +
     mu b has S = q^(d-2) T[lambda q + mu, s_c - lambda s_a - mu s_b] (_triple_table,
     _span_coordinates) and adds T^2; one of rank 3 has S = 0. Shift vectors grow one
-    dependent column at a time, in lexicographic order, adding the triples it closes; no
-    term is negative, so a partial vector over the limit is dropped at once. Each step
-    runs in fieldmath.chunks of its (vector, triple) arrays.
+    dependent column at a time, each live one repeated q times with the new shift
+    appended, and add the triples the new column closes; no term is negative, so a partial
+    vector over the limit is dropped at once. Each step runs in fieldmath.chunks of its
+    (vector, triple) arrays. Digits, not flat indices, are carried: q^m may pass int64.
     """
     (B, m, d), T = C.shape, _triple_table(q, family)
     pa, pb = _subsets(m + d, 2).T
     at = _span_coordinates(column_vectors(C), q, pa, pb)
-    idx, total = np.arange(B), np.zeros(B, dtype=np.int64)
+    # the shifts hold a 0 for each independent column until the end
+    owner, shifts, total = np.arange(B), np.zeros((B, d), np.int64), np.zeros(B, np.int64)
     for c in range(d, d + m):
         pairs = np.flatnonzero((pb < c) & (at[:, :, c] >= 0).any(axis=0))  # of rank 2
         at_c, a, b = at[:, pairs, c], pa[pairs], pb[pairs]
-        found = [(np.empty(0, np.int64),) * 2]
-        for part in chunks(len(idx), 8 * q * (len(pairs) + c + 1)):
-            new = (idx[part, None] * q + np.arange(q)).ravel()
-            s = np.zeros((len(new), c + 1), dtype=np.int64)  # shifts: 0 on the independent columns
-            s[:, d:] = new[:, None] // q ** np.arange(c - d, -1, -1) % q
-            v = at_c[new // q ** (c - d + 1)]
+        found = [(owner[:0], np.empty((0, c + 1), np.int64), total[:0])]
+        for part in chunks(len(owner), 8 * q * (len(pairs) + c + 1)):
+            o, s = owner[part].repeat(q), shifts[part].repeat(q, axis=0)
+            s = np.column_stack([s, np.arange(len(s)) % q])
+            v = at_c[o]
             lam, mu = np.divmod(v, q)
             S = T[v, (s[:, c, None] - lam * s[:, a] - mu * s[:, b]) % q]
             t = np.repeat(total[part], q) + np.where(v < 0, 0, S * S).sum(axis=1)
             kept = t <= limit
-            found.append((new[kept], t[kept]))
-        idx, total = map(np.concatenate, zip(*found))
-    return idx
+            found.append((o[kept], s[kept], t[kept]))
+        owner, shifts, total = map(np.concatenate, zip(*found))
+    return owner, shifts[:, d:]
 
 
 def _beta4_keys(C: np.ndarray, q: int) -> np.ndarray:
@@ -795,10 +798,8 @@ def _theorem2(cells, q):
     check_levels(q)
     for C in cells:
         C = C[_classify_stack(C, q) == RecursiveType.TYPE_II]
-        shape = (q,) * C.shape[1]
-        found = _triple_survivors(C, q, "williams", 0)
-        shifts = np.stack(np.unravel_index(found % q ** len(shape), shape), axis=1)
-        ends = np.searchsorted(found, np.arange(len(C) + 1) * q ** len(shape))
+        owner, shifts = _triple_survivors(C, q, "williams", 0)
+        ends = np.searchsorted(owner, np.arange(len(C) + 1))
         expected = _closed_form_shifts(C, q, "williams").tolist()
         for coeffs, lo, hi, b in zip(C, ends, ends[1:], expected):
             if (zeros := shifts[lo:hi].tolist()) != [b]:

@@ -225,13 +225,15 @@ def test_criterion_7_seventeen_level_counterexample(acceptance):
     zero_set = sorted(b for b, v in vals.items() if v <= 1e-9)
     # the witness is the exact zero set: the 1e-9 screen also passes shifts
     # 12 and 16, whose integer triple total is 1 (beta_3 = 8.7e-10)
-    exact = _triple_survivors(gen.C[None], 17, "williams", 0).tolist()
+    owner, shifts = _triple_survivors(gen.C[None], 17, "williams", 0)
+    exact = shifts[:, 0].tolist()
     acceptance(7, ok, f"zero shifts {exact}")
     assert vals[14] <= 1e-9 and vals[4] <= 1e-9, vals
     # the closed form picks 14; 4 is a second zero, so the zero shift is
     # not unique outside the type-II class
     assert wt.optimal_shift_williams(gen) == [14]
     assert {4, 14} <= set(zero_set)
+    assert not owner.any() and shifts.shape == (len(exact), 1)
     assert {4, 14} <= set(exact) <= set(zero_set)
 
 

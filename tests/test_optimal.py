@@ -697,8 +697,7 @@ def test_theorem2_grid_zero_sets_equal_the_per_shift_ones(q):
             per_shift = shift_betas(gen, "williams", shifts, (3,))[:, 0]
             zeros = np.argwhere(grid <= 1e-9).tolist()
             assert zeros == shifts[per_shift <= 1e-9].tolist()
-            exact = optimal._triple_survivors(gen.C[None], q, "williams", 0)
-            assert np.stack(np.unravel_index(exact, grid.shape), axis=1).tolist() == zeros
+            assert _survivors(gen.C[None], q, "williams", 0) == [[0] + z for z in zeros]
             checked += 1
     assert checked == {5: 6 + 18, 7: 12 + 127}[q]  # type II, not type I
 
@@ -721,6 +720,15 @@ WIDE_SETS = [
     (5, "1,1,0,0;0,0,1,1;1,1,1,1"),
     (7, "1,1,3;1,2,4;1,3,1;1,4,2;1,5,5"),
 ]
+
+
+def _survivors(C, q, family, limit):
+    # each survivor of _triple_survivors as its set followed by its shift vector:
+    # the rows np.argwhere gives on a (B,) + (q,)*m grid, in the same order
+    owner, shifts = optimal._triple_survivors(C, q, family, limit)
+    assert owner.dtype == shifts.dtype == np.int64
+    assert shifts.shape == (len(owner), C.shape[1])
+    return np.column_stack([owner, shifts]).tolist()
 
 
 def _brute_triple_totals(gen, family):
@@ -763,9 +771,8 @@ def test_triple_totals_equal_the_int64_brute_force(q, text, family):
     limits = _split_limits(want)
     assert len(limits) >= 2 or not want.any()  # the q=3 set and the conic total 0 everywhere
     for limit in limits:
-        got = optimal._triple_survivors(gen.C[None], q, family, limit)
-        assert got.dtype == np.int64
-        assert got.tolist() == np.flatnonzero(want <= limit).tolist(), limit
+        got = _survivors(gen.C[None], q, family, limit)
+        assert got == np.argwhere(want[None] <= limit).tolist(), limit
     v = shift_grid_beta(gen, family, 3)
     scaled = orthonormal_basis(q).rho ** 6 / q**4 * want
     assert (np.abs(v - scaled) <= 1e-13 * np.maximum(1.0, v)).all()
@@ -777,9 +784,10 @@ def test_rank_3_triples_add_nothing():
     pa, pb = optimal._subsets(8, 2).T
     at = optimal._span_coordinates(column_vectors(gen.C[None]), 7, pa, pb)[0]
     assert ((at < 0) == (np.arange(8) != pa[:, None]) & (np.arange(8) != pb[:, None])).all()
+    every = np.argwhere(np.ones((1,) + (7,) * 5)).tolist()
     for family in ("linear", "williams"):
         assert not _brute_triple_totals(gen, family).any()
-        assert optimal._triple_survivors(gen.C[None], 7, family, 0).tolist() == list(range(7**5))
+        assert _survivors(gen.C[None], 7, family, 0) == every
 
 
 def test_triple_totals_find_the_zeros_the_float_screen_misses():
@@ -790,13 +798,28 @@ def test_triple_totals_find_the_zeros_the_float_screen_misses():
         (23, [7], list(range(23))),
     ):
         gen = GeneratorSet(q, [[2, 4]])
-        zeros = optimal._triple_survivors(gen.C[None], q, "williams", 0)
+        zeros = _survivors(gen.C[None], q, "williams", 0)
         grid = shift_grid_beta(gen, "williams", 3)
-        assert zeros.tolist() == exact
+        assert zeros == [[0, b] for b in exact]
         assert np.flatnonzero(grid <= 1e-9).tolist() == screened
-    ones = optimal._triple_survivors(gen.C[None], q, "williams", 1)
-    assert 5 in ones and 5 not in zeros and abs(grid[5] - 4.2e-11) < 1e-12
+    ones = _survivors(gen.C[None], q, "williams", 1)
+    assert [0, 5] in ones and [0, 5] not in zeros and abs(grid[5] - 4.2e-11) < 1e-12
     assert optimal_shift_williams(gen) == [7]
+
+
+@pytest.mark.parametrize("q, m", [(23, 13), (23, 14), (19, 15), (17, 16)])
+def test_triple_survivors_past_int64(q, m):
+    # a seeded reduced q^2 set: m distinct slopes r, ascending, each column (c1, c1 r)
+    # with c1 in 1..(q-1)/2. From q^m >= 2^63 a flat index into (q,)^m overflows int64;
+    # q=23 m=13 sits just below. At limit 0 the closed-form shift alone survives
+    rng = np.random.default_rng(q * 100 + m)
+    r = np.sort(rng.choice(np.arange(1, q), m, replace=False))
+    c1 = rng.integers(1, (q - 1) // 2 + 1, m)
+    gen = GeneratorSet(q, np.stack([c1, c1 * r % q], axis=1))
+    assert (q**m >= 2**63) == ((q, m) != (23, 13))
+    for family in ("linear", "williams"):
+        b = optimal._closed_form_shifts(gen.C[None], q, family).tolist()
+        assert _survivors(gen.C[None], q, family, 0) == [[0] + b[0]]
 
 
 @pytest.mark.parametrize("family", ["linear", "williams"])
@@ -810,8 +833,7 @@ def test_batched_triple_totals_equal_the_int64_brute_force(q, family):
         C = C[_classify_stack(C, q) == RecursiveType.TYPE_II]
         totals = np.stack([_brute_triple_totals(GeneratorSet(q, c), family) for c in C])
         for limit in (0, 1, int(np.median(totals))):
-            got = optimal._triple_survivors(C, q, family, limit)
-            assert got.tolist() == np.flatnonzero(totals <= limit).tolist()
+            assert _survivors(C, q, family, limit) == np.argwhere(totals <= limit).tolist()
         checked += len(C)
     assert checked == {5: 6 + 18, 7: 12 + 127}[q]
 
@@ -838,10 +860,10 @@ def test_triple_band_keeps_the_float_cut_survivors():
     for q, C in _band_sets():
         gen = GeneratorSet(q, C)
         for family in ("linear", "williams"):
-            got = optimal._triple_survivors(C[None], q, family, optimal._beta3_band(q))
-            want = np.flatnonzero(_keep_minimal(shift_grid_beta(gen, family, 3).reshape(-1)))
-            assert got.tolist() == want.tolist(), (q, C.tolist(), family)
-            in_band += len(got) - len(optimal._triple_survivors(C[None], q, family, 0))
+            got = _survivors(C[None], q, family, optimal._beta3_band(q))
+            want = np.argwhere(_keep_minimal(shift_grid_beta(gen, family, 3))[None])
+            assert got == want.tolist(), (q, C.tolist(), family)
+            in_band += len(got) - len(_survivors(C[None], q, family, 0))
     assert len(_band_sets()) > 200 and in_band > 0
 
 

@@ -179,7 +179,16 @@ def test_one_beta3_path():
         ("catalog", "_reproduce_q2"), ("catalog", "_reproduce_example7"),
     }
     assert _references("_beta3_band") == [("optimal", "search_shifts")]
-    # one Cramer solver serves the closure's reach levels and the triples of any d
+    # the survivors are shift vectors: no caller decodes a flat index, and the
+    # catalog unravels only the argmax of its two info-matrix differences
+    assert _references("ravel_multi_index") == []
+    assert not [ref for ref in _references("flat") if ref[0] == "optimal"]
+    assert _references("unravel_index") == [
+        ("catalog", "_reproduce_info_d"), ("catalog", "_reproduce_info_compare"),
+    ]
+    # one Cramer solver on minors serves the closure's reach levels and the triples
+    # of any d; optimal._coordinates, the second, reads the q^2 cells' cross products
+    # and stays because the beta_4 keys took 2-3x longer through the first at q=11, 13
     assert set(_references("_span_coordinates")) == {
         ("recursion", "_reach_levels"), ("optimal", "_triple_survivors"),
     }
