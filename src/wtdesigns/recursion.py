@@ -31,9 +31,20 @@ sweeps (`count_recursive`, theorem 2) belong to `optimal`, which calls it.
   {j : L[j] <= r} after t rounds is regime r's reached set after t rounds,
   so n rounds reach every regime's fixpoint at once. A design's label is
   the min over its starts of the max over its columns.
+- Squaring at d = 2: the starts are the pairs, so L, once seeded with the
+  pairs' one-step reach, is also a table of pair levels, and a round reads
+  it in place of the one-step levels: start s reaches j through pair
+  p = {a, b} at max(L[s][a], L[s][b], L[p][j]). That is sound, since a start
+  that reaches both columns of p reaches all that p reaches, and L <= the
+  one-step levels, so each round lowers L at least as far as a one-step
+  round: the same fixpoint in no more rounds, and deep derivations close in
+  far fewer. At d > 2 a pair table would be C(n, 2) / C(n, d) times the
+  start table, so the rounds there read the one-step levels.
 - Starts run in chunks that bound the (design, start, pair, column) cells
-  of a round. A design keeps the strictest label of any chunk so far, and
-  the sweep stops once every design of a chunk is type I.
+  of a round. At d > 2 a design keeps the strictest label of any chunk so
+  far, and the sweep stops once every design of a chunk is type I. At
+  d = 2 every round reads all of a design's starts, so they close together
+  and the round cuts them.
 
 No start set is rank-checked. A dependent d-subset spans a proper subspace,
 its closure stays inside it, and it misses a unit column, so it can never
@@ -130,16 +141,34 @@ def _reach_levels(cols: np.ndarray, q: int, pa, pb) -> np.ndarray:
     return np.where(at < 0, 3, _level_table(q).ravel()[at]).astype(np.int8)
 
 
-def _minimax_closure(L: np.ndarray, levels: np.ndarray, pa, pb) -> np.ndarray:
-    """Fixpoint of the (B, S, n) start levels L under a (B, P, n) reach-level table.
+def _minimax_closure(L: np.ndarray, levels: np.ndarray | None, pa, pb) -> np.ndarray:
+    """Fixpoint of the (B, S, n) start levels L under a (B, P, n) table of pair levels.
 
-    Each round lowers L[j] to the least max(L[a], L[b], levels[p, j]) over
-    the pairs p = (a, b). Thresholded at any regime it is that regime's
-    boolean round, so it takes at most n rounds.
+    Each round lowers L[s, j] to the least max(L[s, a], L[s, b], T[p, j]) over
+    the pairs p = (a, b), where T is `levels`, or L itself when `levels` is
+    None. With the one-step `levels` a round is, thresholded at any regime,
+    that regime's boolean round, so it takes at most n rounds.
+
+    Reading L itself squares the closure. It needs S = P, the starts being
+    the pairs (d = 2), and L at least one one-step round in, so L <= levels.
+    It is sound: a start that reaches both columns of p reaches all that p
+    reaches. Reading L <= levels, each round lowers at least as far as a
+    one-step round from the same table, so it ends at the same fixpoint in
+    no more rounds, and deep derivations close in far fewer.
+
+    The starts of a round run in fieldmath.chunks of (design, start, pair,
+    column) cells, each 2 bytes: an int8 of the round's array and of its
+    np.maximum temporary. Every chunk reads the previous round's table and
+    writes the next.
     """
-    for _ in range(L.shape[2]):
-        step = np.maximum(np.maximum(L[:, :, pa], L[:, :, pb])[..., None], levels[:, None])
-        lowered = np.minimum(L, step.min(axis=2))
+    B, S, n = L.shape
+    parts = chunks(S, 2 * B * len(pa) * n)
+    for _ in range(n):
+        table = L if levels is None else levels
+        lowered = np.empty_like(L)
+        for part in parts:
+            step = np.maximum(np.maximum(L[:, part, pa], L[:, part, pb])[..., None], table[:, None])
+            np.minimum(L[:, part], step.min(axis=2), out=lowered[:, part])
         if np.array_equal(lowered, L):
             break
         L = lowered
@@ -150,23 +179,30 @@ def _closure_types(cols: np.ndarray, q: int) -> np.ndarray:
     """Regime index (position in _TYPES) of each design in a (B, n, d) stack.
 
     A design is labelled by the strictest regime in which one of its d-subsets
-    of columns reaches all n columns. Designs and then starts are cut into
-    fieldmath.chunks of (design, start, pair, column) cells, each 2 bytes: an
-    int8 of a round's array and of its np.maximum temporary.
+    of columns reaches all n columns. Designs are cut into fieldmath.chunks of
+    (design, start, pair, column) cells, 2 bytes each (_minimax_closure).
+
+    At d = 2 the starts are the pairs, so the start table is the pair table:
+    each pair starts at its one-step reach, and the closure squares it, all
+    starts at once. At d > 2 the closure reads the one-step reach levels, a
+    pair table there being C(n, 2) / C(n, d) times the start table; the starts
+    run in chunks, and the sweep stops once every design of a chunk is type I.
     """
     B, n, d = cols.shape
     pa, pb = _subsets(n, 2).T
     starts = _subsets(n, d)
+    square = d == 2
     types = np.full(B, len(_TYPES) - 1, dtype=np.int8)
     start_bytes = 2 * len(pa) * n  # per (design, start)
     for rows in chunks(B, start_bytes * len(starts)):
         chunk = types[rows]
         levels = _reach_levels(cols[rows], q, pa, pb)
-        for tried in chunks(len(starts), len(chunk) * start_bytes):
+        for tried in [slice(None)] if square else chunks(len(starts), len(chunk) * start_bytes):
             part = starts[tried]
-            L = np.full((len(chunk), len(part), n), len(_TYPES) - 1, dtype=np.int8)
+            shape = (len(chunk), len(part), n)
+            L = levels.copy() if square else np.full(shape, len(_TYPES) - 1, dtype=np.int8)
             L[:, np.arange(len(part))[:, None], part] = 0
-            L = _minimax_closure(L, levels, pa, pb)
+            L = _minimax_closure(L, None if square else levels, pa, pb)
             np.minimum(chunk, L.max(axis=2).min(axis=1), out=chunk)
             if not chunk.any():
                 break

@@ -1,5 +1,7 @@
 """Shared fixtures and the acceptance-criteria terminal summary."""
 
+import sys
+
 import pytest
 
 # One line per criterion is printed after the run, PASS/FAIL/NOT RUN.
@@ -49,8 +51,8 @@ def budget(monkeypatch):
     """budget(nbytes) sets the one memory budget, fieldmath._CHUNK_BYTES, for the test.
 
     It returns a list that records every later chunks call of the kernels as
-    (module, count, slice lengths), so a test can check that the budget it
-    sets reaches the loop it means to cut.
+    (module, calling function, count, slice lengths), so a test can check
+    that the budget it sets reaches the loop it means to cut.
     """
     from wtdesigns import aberration, fieldmath, optimal, recursion
 
@@ -59,7 +61,8 @@ def budget(monkeypatch):
 
         def spy(count, item_bytes, name=module.__name__.rsplit(".", 1)[1]):
             out = fieldmath.chunks(count, item_bytes)
-            calls.append((name, count, [s.stop - s.start for s in out]))
+            caller = sys._getframe(1).f_code.co_name
+            calls.append((name, caller, count, [s.stop - s.start for s in out]))
             return out
 
         monkeypatch.setattr(module, "chunks", spy)

@@ -156,15 +156,19 @@ def test_default_budget_keeps_the_chunk_boundaries(budget):
     count_recursive(7, 8)  # 729 sets of 28 starts x 28 pairs x 8 columns
     step = 2**18 // (28 * 28 * 8)
     assert step == 41
-    # each chunk of sets cuts its 28 column pairs (_span_coordinates), then its 28 starts
-    assert calls == [("recursion", 729, _blocks(729, 41))] + [("recursion", 28, [28])] * 36
+    # each chunk of sets cuts its 28 column pairs, then the closure cuts its 28
+    # starts once for all of its rounds: at d = 2 the starts close as one block
+    assert calls == [("recursion", "_closure_types", 729, _blocks(729, 41))] + [
+        ("recursion", "_span_coordinates", 28, [28]),
+        ("recursion", "_minimax_closure", 28, [28]),
+    ] * 18
     calls.clear()
     _pattern_by_pairs(expand(GeneratorSet(5, [[1, 1, 1, 1]])))  # 625 runs, 21 degrees
     step = 2**19 // (8 * 21)
     assert step == 3120
     assert calls == [
-        ("aberration", 625 * 626 // 2, _blocks(625 * 626 // 2, step)),
-        ("aberration", 625 * 625, _blocks(625 * 625, step)),
+        ("aberration", "_pattern_by_pairs", 625 * 626 // 2, _blocks(625 * 626 // 2, step)),
+        ("aberration", "_pattern_by_pairs", 625 * 625, _blocks(625 * 625, step)),
     ]
 
 
@@ -197,5 +201,5 @@ def test_a_one_byte_budget_changes_no_result(monkeypatch, budget):
     assert all(want[:3])
     calls = budget(1)
     assert results() == want
-    assert {module for module, _, _ in calls} == {"aberration", "optimal", "recursion"}
-    assert {size for _, _, sizes in calls for size in sizes} == {1}
+    assert {module for module, _, _, _ in calls} == {"aberration", "optimal", "recursion"}
+    assert {size for _, _, _, sizes in calls for size in sizes} == {1}

@@ -128,7 +128,9 @@ def test_shift_betas_is_bit_identical(q, C, budget):
             # stacks of 6 shift vectors: 6 divides no q^m here
             calls = budget(6 * stack_bytes(q**2, gen.n, q, ks))
             assert np.array_equal(shift_betas(gen, family, shifts, ks), want)
-            assert calls == [("optimal", len(shifts), [6] * (len(shifts) // 6) + [len(shifts) % 6])]
+            assert calls == [
+                ("optimal", "_member_stacks", len(shifts), [6] * (len(shifts) // 6) + [len(shifts) % 6])
+            ]
     # no shift vector: no stack, and still one column per degree
     empty = shift_betas(gen, "williams", np.empty((0, gen.m), dtype=int), (3, 4))
     assert empty.shape == (0, 2) and empty.dtype == np.float64
@@ -288,7 +290,7 @@ def test_support_table_matches_brute_force(positions, budget):
         got = optimal._support_table(values)
         assert got.shape == sums.shape
         assert np.allclose(got, sums * sums, rtol=1e-13, atol=0)
-        assert calls == [("optimal", 5, sizes)]
+        assert calls == [("optimal", "_support_table", 5, sizes)]
 
 
 # --- exhaustive shift search ---------------------------------------------------
@@ -1261,7 +1263,7 @@ def test_table_betas_do_not_depend_on_the_chunk_size(monkeypatch, budget):
     calls = budget(4 * 6 * 6)
     assert verify_theorem(1, 5, 6) == want
     # n = 3..6 columns: 4 n^2 bytes of X per set, so 4, 2, 1 and 1 sets per chunk
-    assert [(count, max(sizes)) for _, count, sizes in calls] == [
+    assert [(count, max(sizes)) for _, _, count, sizes in calls] == [
         (8, 4), (24, 2), (32, 1), (16, 1),
     ]
 
@@ -1274,7 +1276,7 @@ def test_theorem2_does_not_depend_on_the_chunk_size(monkeypatch, budget):
     assert len(want) > 12
     calls = budget(8 * 7 * 4)
     assert verify_theorem(2, 7, 4) == want
-    steps = [(count, sizes) for module, count, sizes in calls if module == "optimal"]
+    steps = [(count, sizes) for module, _, count, sizes in calls if module == "optimal"]
     # 8 q bytes per triple and per shift of a partial vector: 224 for the first
     # dependent column (one triple, three shifts), 392 for the second (three, four)
     assert steps == [(12, [1] * 12), (127, [1] * 127), (127, [1] * 127)]

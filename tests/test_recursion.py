@@ -303,8 +303,8 @@ def test_empty_stack():
 
 
 # a q=7 n=5 design has 10 starts x 10 pairs x 5 columns = 500 cells, of 2
-# bytes each: 500 puts one design with all of its starts in a chunk, 350
-# splits its starts 7 + 3, and 1 gives one start per chunk
+# bytes each: 500 puts one design with all of its starts in a round's chunk,
+# 350 splits its starts 7 + 3, and 1 gives one start per chunk
 @pytest.mark.parametrize("cells", [500, 350, 1])
 def test_small_chunks_give_the_same_labels(budget, cells):
     # a design's label must be the strictest over all chunks of its starts
@@ -314,10 +314,106 @@ def test_small_chunks_give_the_same_labels(budget, cells):
     want_gens = [_oracle_classify(g) for g in gens]
     calls = budget(2 * cells)
     assert list(_classify_stack(C, 7)) == want
-    designs, *starts = calls
-    assert designs == ("recursion", len(C), [1] * len(C))
-    assert {max(sizes) for _, count, sizes in starts} == {{500: 10, 350: 7, 1: 1}[cells]}
+    designs, *rest = calls
+    assert designs == ("recursion", "_closure_types", len(C), [1] * len(C))
+    # at d = 2 the closure cuts each design's starts, once for all of its rounds
+    rounds = [sizes for _, caller, _, sizes in rest if caller == "_minimax_closure"]
+    assert rounds == [{500: [10], 350: [7, 3], 1: [1] * 10}[cells]] * len(C)
+    calls.clear()
     assert [classify(g) for g in gens] == want_gens
+    # at d = 3 _closure_types cuts one design's starts between closures
+    starts = [sizes for _, caller, count, sizes in calls if caller == "_closure_types" and count > 1]
+    assert len(starts) == len(gens) and all(len(sizes) > 1 for sizes in starts)
+
+
+# --- squared rounds at d = 2 against one-step rounds --------------------------------
+
+def _seeded_starts(cols, q):
+    """The reach levels of a (B, n, 2) stack and its start table: 0 on each
+    pair's own columns and 3 elsewhere, as the one-step rounds begin."""
+    n = cols.shape[1]
+    pa, pb = _subsets(n, 2).T
+    levels = _reach_levels(cols, q, pa, pb)
+    L = np.full(levels.shape, 3, dtype=np.int8)
+    p = np.arange(len(pa))
+    L[:, p, pa] = L[:, p, pb] = 0
+    return L, levels, pa, pb
+
+
+def _assert_squaring_matches_one_step(C, q):
+    # the one-step closure, still the one of d > 2, is the reference: the
+    # squared rounds must reach the same start table and so the same labels
+    cols = column_vectors(C)
+    L, levels, pa, pb = _seeded_starts(cols, q)
+    one_step = _minimax_closure(L, levels, pa, pb)
+    squared = _minimax_closure(np.minimum(L, levels), None, pa, pb)
+    assert np.array_equal(squared, one_step)
+    labels = one_step.max(axis=2).min(axis=1)
+    assert np.array_equal(recursion._closure_types(cols, q), labels)
+
+
+SQUARING_CELLS = [(3, n) for n in (3, 4)] + [(5, n) for n in range(3, 7)]
+SQUARING_CELLS += [(7, n) for n in range(3, 9)] + [(11, n) for n in (3, 4)]
+
+
+@pytest.mark.parametrize("q,n", SQUARING_CELLS)
+def test_squared_rounds_match_one_step_rounds(q, n):
+    _assert_squaring_matches_one_step(_cell(q, n), q)
+
+
+def test_squared_rounds_never_take_more_rounds(monkeypatch):
+    # one fixpoint check per round: on every q=7 n=8 set the squared rounds
+    # take no more rounds than the one-step rounds, and fewer in total
+    rounds = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def array_equal(self, a, b):
+            rounds[-1] += 1
+            return np.array_equal(a, b)
+
+    monkeypatch.setattr(recursion, "np", CountingNumpy())
+    cols = column_vectors(_cell(7, 8))
+    L, levels, pa, pb = _seeded_starts(cols, 7)
+    counts = []
+    for i in range(len(cols)):
+        rounds.append(0)
+        _minimax_closure(L[i:i + 1], levels[i:i + 1], pa, pb)
+        rounds.append(0)
+        recursion._closure_types(cols[i:i + 1], 7)
+        counts.append(rounds[-2:])
+    one_step, squared = np.array(counts).T
+    assert (squared <= one_step).all() and squared.sum() < one_step.sum()
+
+
+def test_squared_rounds_cut_into_start_chunks(budget):
+    # a q=7 n=8 set that takes six one-step rounds: 28 starts x 28 pairs x 8
+    # columns, of 2 bytes each, cut five starts per chunk, and the cut rounds
+    # must end where the uncut ones do
+    C = _cell(7, 8)[721:722]
+    calls = budget(2 * 5 * 28 * 8)
+    _assert_squaring_matches_one_step(C, 7)
+    cut = [sizes for _, caller, _, sizes in calls if caller == "_minimax_closure"]
+    assert cut[-2:] == [[5] * 5 + [3]] * 2  # squared, then _closure_types
+
+
+def test_one_design_round_stays_under_the_budget():
+    # every point of the q=23 line: 276 starts x 276 pairs x 24 columns make
+    # 3.7 MB for an uncut round and its temporary; the default budget cuts it
+    import tracemalloc
+
+    gen = GeneratorSet(23, [[1, c] for c in range(1, 23)])
+    tracemalloc.start()
+    try:
+        label = classify(gen)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    _assert_squaring_matches_one_step(gen.C[None], 23)
+    assert label is RecursiveType.TYPE_I
 
 
 # --- tallies ---------------------------------------------------------------------------

@@ -314,6 +314,7 @@ def test_one_memory_budget():
         ("optimal", "_theorem1"),
         ("optimal", "_triple_survivors"),
         ("recursion", "_span_coordinates"),
+        ("recursion", "_minimax_closure"),
         ("recursion", "_closure_types"),
     }
 
