@@ -28,6 +28,7 @@ ever -0.0.
 
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Real
 
 import numpy as np
 
@@ -109,34 +110,29 @@ def beta_k_stack(rows, ks, q: int) -> np.ndarray:
     is bit-identical to the plain enumeration: per exponent vector, the
     product over columns of p_{u_j}(x_ij) (zero exponents contribute exact
     1.0 factors and are skipped), summed over the runs, squared and summed.
-    One pass over the whole stack: callers bound it by stack_bytes, as
-    _member_stacks does.
+    The designs run in fieldmath.chunks of the widest array of one design,
+    the (C, N) product of the largest exponent shell or the (n*q + 1, N)
+    value table; each row keeps the bits of its own design in any chunk.
     """
     rows = np.asarray(rows)
     B, N, n = rows.shape
     P = orthonormal_basis(q).values
-    # W[b, j*q + u, i] = p_u(x_ij); the last row is 1.0
-    W = np.empty((B, n * q + 1, N))
-    W[:, : n * q] = P[:, rows].transpose(1, 3, 0, 2).reshape(-1, n * q, N)
-    W[:, n * q] = 1.0
+    shells = [_support_index(k, n, q) for k in ks]
     out = np.empty((B, len(ks)))
-    for t, k in enumerate(ks):
-        idx = _support_index(k, n, q)
-        # np.take keeps the (b, C, N) product contiguous, so each row sum
-        # reduces N values in the same order as a single design's would
-        prod = np.take(W, idx[:, 0], axis=1)
-        for col in idx.T[1:]:
-            prod *= np.take(W, col, axis=1)
-        sums = prod.sum(axis=2)
-        out[:, t] = (sums * sums).sum(axis=1) / N**2
+    for part in chunks(B, 8 * N * max([n * q + 1] + [len(idx) for idx in shells])):
+        # W[b, j*q + u, i] = p_u(x_ij); the last row is 1.0
+        W = np.empty((part.stop - part.start, n * q + 1, N))
+        W[:, : n * q] = P[:, rows[part]].transpose(1, 3, 0, 2).reshape(-1, n * q, N)
+        W[:, n * q] = 1.0
+        for t, idx in enumerate(shells):
+            # np.take keeps the (b, C, N) product contiguous, so each row sum
+            # reduces N values in the same order as a single design's would
+            prod = np.take(W, idx[:, 0], axis=1)
+            for col in idx.T[1:]:
+                prod *= np.take(W, col, axis=1)
+            sums = prod.sum(axis=2)
+            out[part, t] = (sums * sums).sum(axis=1) / N**2
     return np.maximum(out, 0.0)
-
-
-def stack_bytes(N: int, n: int, q: int, ks=()) -> int:
-    """Bytes per design of beta_k_stack's widest array for the degrees ks: the (C, N)
-    product of the largest exponent shell or the (n*q + 1, N) value table, and with
-    no degrees the (N, n) integer level stack."""
-    return 8 * N * max([n * q + 1 if ks else n] + [len(compositions(k, n, q - 1)) for k in ks])
 
 
 def beta_k(design: Design, k: int) -> float:
@@ -284,14 +280,25 @@ def _rank_candidates(count: int, columns):
     return alive, decided
 
 
+def _pattern_entries(p) -> tuple:
+    """The entries of a BetaPattern or of a 1-D sequence of real numbers, bools refused."""
+    vals = p.values if isinstance(p, BetaPattern) else p
+    try:
+        vals = tuple(vals)
+    except TypeError:
+        vals = None
+    if vals is None or not all(isinstance(v, Real) and not isinstance(v, bool) for v in vals):
+        raise InputError("patterns must be 1-D sequences of real numbers to compare")
+    return vals
+
+
 def compare_patterns(a, b) -> int:
     """Sequential comparison: -1, 0 or 1.
 
     The two-row case of _rank_candidates: the first index where an entry
     exceeds _cut(min(a_k, b_k)) decides; with no such index, they tie.
     """
-    va = a.values if isinstance(a, BetaPattern) else tuple(a)
-    vb = b.values if isinstance(b, BetaPattern) else tuple(b)
+    va, vb = (_pattern_entries(p) for p in (a, b))
     if len(va) != len(vb):
         raise InputError("patterns must have equal length to compare")
     rows = np.array([va, vb], dtype=float)

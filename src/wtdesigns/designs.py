@@ -186,7 +186,7 @@ def williams(design: Design) -> Design:
 
 def add_constant(design: Design, s: int) -> Design:
     """Shift every entry of the design by s mod q."""
-    return Design(design.q, (design.rows + check_int(s, "shift")) % design.q)
+    return Design(design.q, (design.rows + check_int(s, "shift") % design.q) % design.q)
 
 
 def strength(design: Design, t_max: int = None) -> int:

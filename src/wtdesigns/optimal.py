@@ -1,8 +1,10 @@
 """Optimal level-permutation searches.
 
-Closed-form shift vectors for both design families, exhaustive best-shift
-search over all q^m shift vectors, and every sweep of the reduced q^2-run
-generator space: the search, the recursive-type tallies, the theorem checks.
+Closed-form shift vectors for both design families, the exact best-shift
+search over the q^m shift vectors, which grows only the shift vectors that
+survive its beta_3 cut one dependent column at a time, and every sweep of the
+reduced q^2-run generator space: the search, the recursive-type tallies, the
+theorem checks.
 
 Families:
     linear   : the design with dependent columns shifted by b
@@ -25,7 +27,6 @@ from .aberration import (
     beta_k_stack,
     beta_pattern,
     compositions,
-    stack_bytes,
 )
 from .designs import (
     Design,
@@ -103,8 +104,8 @@ def build_design(gen: GeneratorSet, b, family: str) -> Design:
     return williams(design) if family == "williams" else design
 
 
-def _member_stacks(C, b, q: int, family: str, ks=()):
-    """Level stacks of family members, in chunks of stack_bytes for the degrees ks.
+def _member_stacks(C, b, q: int, family: str):
+    """Level stacks of family members, in fieldmath.chunks of their int64 levels.
 
     The stacked form of build_design. C is either a GeneratorSet, expanded
     once (under expand's run cap) and shifted by every row of the (B, m)
@@ -116,7 +117,7 @@ def _member_stacks(C, b, q: int, family: str, ks=()):
     m, d = C.C.shape if single else C.shape[1:]
     if single:
         expanded = expand(C).rows[None]
-    for part in chunks(len(b), stack_bytes(q**d, m + d, q, ks)):
+    for part in chunks(len(b), 8 * q**d * (m + d)):  # the int64 (N, n) levels of a member
         rows = shift_stack(expanded if single else expand_stack(C[part], q), b[part], q)
         yield williams_levels(rows, q) if family == "williams" else rows
 
@@ -232,13 +233,13 @@ def shift_betas(gen: GeneratorSet, family: str, shifts, ks) -> np.ndarray:
         raise InputError(f"shifts must have shape (S, {gen.m}), got {shifts.shape}")
     for k in ks:
         _check_k(k, gen.n, gen.q)
-    stacks = _member_stacks(gen, shifts, gen.q, family, ks)
+    stacks = _member_stacks(gen, shifts, gen.q, family)
     # an empty block keeps the (0, len(ks)) shape when no shift vector yields a stack
     return np.concatenate([np.empty((0, len(ks)))] + [beta_k_stack(r, ks, gen.q) for r in stacks])
 
 
 def search_shifts(gen: GeneratorSet, family: str, k_max: int = None) -> SearchReport:
-    """Exhaustively evaluate all q^m shift vectors and rank them sequentially.
+    """Rank the q^m shift vectors sequentially, growing only the beta_3 cut's survivors.
 
     The winner is the lexicographically smallest shift vector among all
     pattern minimizers; the tie list holds every minimizer. Every member is
@@ -668,25 +669,19 @@ def _family_ties(C, orbit, reps, keys, q, family) -> tuple:
     cuts nothing: the representatives whose integer keys equal the smallest
     are kept, and, only if two or more are, they are ranked on beta_1,
     beta_2, ... at their closed-form shifts. Their level stacks are built
-    once; each degree's beta_k_stack column runs in chunks of stack_bytes
-    for that degree, and is built only when _rank_candidates reads it: the
-    ranking stops at the degree that leaves one orbit, and reads the values
-    only through the tie band. Every member of a kept orbit is a tie, found
-    by a mask over the labels.
+    once; each degree's beta_k_stack column, which bounds its own memory, is
+    built only when _rank_candidates reads it: the ranking stops at the
+    degree that leaves one orbit, and reads the values only through the tie
+    band. Every member of a kept orbit is a tie, found by a mask over the
+    labels.
     """
     alive = reps[keys == keys.min()]
     decided = 4 if len(alive) < len(keys) else None
     if len(alive) > 1:
         b = _closed_form_shifts(C[alive], q, family)
         stack = np.concatenate(list(_member_stacks(C[alive], b, q, family)))
-        N, n = stack.shape[1:]
-        columns = (
-            np.concatenate([
-                beta_k_stack(stack[part], (k,), q)[:, 0]
-                for part in chunks(len(stack), stack_bytes(N, n, q, (k,)))
-            ])
-            for k in range(1, n * (q - 1) + 1)
-        )
+        n = stack.shape[2]
+        columns = (beta_k_stack(stack, (k,), q)[:, 0] for k in range(1, n * (q - 1) + 1))
         kept, sub_decided = _rank_candidates(len(alive), columns)
         alive = alive[kept]
         if sub_decided is not None:

@@ -13,7 +13,7 @@ from math import cos, pi, sin, sqrt
 import numpy as np
 
 from .errors import InputError
-from .fieldmath import PrimeLevel, check_odd_prime
+from .fieldmath import PrimeLevel, check_int, check_odd_prime
 
 # Largest level count whose float basis matches exact rational Gram-Schmidt
 # to 1e-8. Above it the monomials are too ill-conditioned: the deviation is
@@ -89,7 +89,7 @@ def linear_poly_cosine(q: PrimeLevel, x: int) -> float:
     two is a genuine consistency check.
     """
     q = check_odd_prime(q)
-    if not 0 <= x <= q - 1:
+    if not 0 <= check_int(x, "level") <= q - 1:
         raise InputError(f"level {x} out of range for q={q}")
     rho = sqrt(12.0 / ((q + 1) * (q - 1)))
     acc = 0.0

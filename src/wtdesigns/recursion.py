@@ -23,8 +23,8 @@ sweeps (`count_recursive`, theorem 2) belong to `optimal`, which calls it.
   strictest regime in which c1*w_a + c2*w_b = w_j. The pair's columns are
   independent, so j has at most one coefficient pair. Cramer's rule on a
   nonzero 2x2 minor of (w_a, w_b) gives it, the other coordinates confirm
-  it, and a (q, q) table gives its regime; a zero coefficient or a failed
-  check gives 3.
+  it, and the sum of the two coefficients' costs gives its regime (0 on
+  +-1, 1 on another unit); a zero coefficient or a failed check gives 3.
 - Closure: L[j] is the strictest regime in which a start reaches column j,
   0 on the start and 3 elsewhere. Each round lowers L[j] to the least, over
   the pairs {a, b}, of max(L[a], L[b], level of {a, b} for j). The set
@@ -82,22 +82,6 @@ _TYPES = (
 
 
 @lru_cache(maxsize=None)
-def _level_table(q: int) -> np.ndarray:
-    """level[c1, c2], read-only and cached: the strictest regime of the step
-    c1*w_a + c2*w_b, 3 when a coefficient is 0.
-
-    The pair is unordered: a step may take either column as w1, so type II
-    needs a unit coefficient on either column.
-    """
-    unit = np.zeros(q, dtype=np.int8)
-    unit[[1, q - 1]] = 1
-    level = 2 - unit[:, None] - unit[None, :]
-    level[0] = level[:, 0] = 3
-    level.setflags(write=False)
-    return level
-
-
-@lru_cache(maxsize=None)
 def _subsets(n: int, k: int) -> np.ndarray:
     """(C(n, k), k) read-only array of the k-subsets of range(n), in lexicographic order."""
     out = np.array(list(combinations(range(n), k)), dtype=np.intp).reshape(-1, k)
@@ -136,9 +120,19 @@ def _span_coordinates(cols: np.ndarray, q: int, pa, pb) -> np.ndarray:
 
 def _reach_levels(cols: np.ndarray, q: int, pa, pb) -> np.ndarray:
     """(B, P, n) strictest regime in which the column pair (pa[p], pb[p]), a < b, yields
-    column j; 3 marks a column the pair cannot yield (_span_coordinates -1)."""
+    column j; 3 marks a column the pair cannot yield (_span_coordinates -1).
+
+    The step c1*w_a + c2*w_b costs 0 per coefficient in {1, q-1}, 1 per other
+    unit and 3 per zero, and its regime is the sum capped at 3. The pair is
+    unordered, so type II needs a unit coefficient on either column. Off the
+    span, at = -1 gives c1 = -1, which reads the cost vector's extra last
+    entry, 3.
+    """
     at = _span_coordinates(cols, q, pa, pb)
-    return np.where(at < 0, 3, _level_table(q).ravel()[at]).astype(np.int8)
+    cost = np.ones(q + 1, dtype=np.int8)
+    cost[[0, 1, q - 1, q]] = 3, 0, 0, 3
+    c1, c2 = np.divmod(at, q)
+    return np.minimum(cost[c1] + cost[c2], 3)
 
 
 def _minimax_closure(L: np.ndarray, levels: np.ndarray | None, pa, pb) -> np.ndarray:

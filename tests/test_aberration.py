@@ -161,6 +161,11 @@ def test_basis_constant_row_is_exactly_one():
         assert (p0 == 1.0).all() and not np.signbit(p0).any()
 
 
+def _lengths(count, step):
+    """The slice lengths of range(count) cut every step items."""
+    return [step] * (count // step) + [count % step] * (count % step > 0)
+
+
 def _closed_form_designs(q, n, family):
     shift_of = optimal_shift_linear if family == "linear" else optimal_shift_williams
     return [build_design(g, shift_of(g), family) for g in enumerate_q2_generators(q, n)]
@@ -175,21 +180,32 @@ def test_stacked_beta_k_is_bit_identical(q, n, family, budget):
     # B = 1, through beta_k
     single = np.array([[beta_k(d, k) for k in (3, 4)] for d in designs])
     assert np.array_equal(single, want)
-    # chunks of 7 designs for _member_stacks below (B is no multiple of 7);
-    # beta_k_stack takes the whole cell as one stack, in one pass
+    # beta_k_stack cuts the stack into chunks of 7 designs (B is no multiple
+    # of 7) by its widest array per design: the degree-4 shell's (C, N)
+    # product or the (n q + 1, N) value table
     widest = max(n * q + 1, len(compositions(4, n, q - 1)))
-    assert aberration.stack_bytes(q * q, n, q, (3, 4)) == 8 * widest * q * q
     calls = budget(7 * 8 * widest * q * q)
     stack = np.stack([d.rows for d in designs])
     assert len(designs) % 7 != 0
     assert np.array_equal(beta_k_stack(stack, (3, 4), q), want)
-    # the integer stacks of the generator sweep, in those chunks of 7, build
-    # the same designs
+    assert calls == [("aberration", "beta_k_stack", len(designs), _lengths(len(designs), 7))]
+    # one design per chunk gives the bits of one pass over the whole stack
+    budget(2**40)
+    one_pass = beta_k_stack(stack, (3, 4), q)
+    calls = budget(1)
+    assert np.array_equal(beta_k_stack(stack, (3, 4), q).view(np.int64), one_pass.view(np.int64))
+    assert calls == [("aberration", "beta_k_stack", len(designs), [1] * len(designs))]
+    # the integer stacks of the generator sweep build the same designs;
+    # _member_stacks cuts them by their int64 levels, 8 N n bytes a member
     C = optimal._q2_coefficients(q, n)
     b = optimal._closed_form_shifts(C, q, family)
-    stacks = optimal._member_stacks(C, b, q, family, (3, 4))
-    assert np.array_equal(np.concatenate([beta_k_stack(rows, (3, 4), q) for rows in stacks]), want)
-    assert calls == [("optimal", "_member_stacks", len(C), [7] * (len(C) // 7) + [len(C) % 7])]
+    calls = budget(7 * 8 * widest * q * q)
+    rows = np.concatenate(list(optimal._member_stacks(C, b, q, family)))
+    assert np.array_equal(beta_k_stack(rows, (3, 4), q), want)
+    assert calls == [
+        ("optimal", "_member_stacks", len(C), _lengths(len(C), 7 * widest // n)),
+        ("aberration", "beta_k_stack", len(C), _lengths(len(C), 7)),
+    ]
 
 
 @pytest.mark.parametrize("q", [11, 13])
@@ -466,6 +482,9 @@ def test_compare_orders_sequentially():
     assert compare_patterns((0.1, 0.9), (0.1, 0.2)) == 1
     assert compare_patterns((0.0, 5.0), (0.1, 0.0)) == -1
     assert compare_patterns((0.1, 0.2), (0.1, 0.2)) == 0
+    # ints, numpy scalars and 1-D arrays are real numbers too
+    assert compare_patterns((0, 1), (0.0, 2)) == -1
+    assert compare_patterns(np.array([0.2, 0.0]), (np.float64(0.1), np.int64(5))) == 1
 
 
 def test_compare_first_differing_index_decides():
@@ -493,6 +512,22 @@ def test_compare_accepts_pattern_objects():
 def test_compare_rejects_length_mismatch():
     with pytest.raises(InputError):
         compare_patterns((0.1,), (0.1, 0.2))
+
+
+@pytest.mark.parametrize("a,b", [
+    (("0", "1"), ("0", "2")),  # strings that float() would read
+    ((True, False), (False, True)),
+    ((0.1, np.True_), (0.1, 0.2)),
+    ("01", "02"),
+    (1, 2),  # not sequences
+    ([[0.1]], [[0.2]]),  # not 1-D
+    (np.array([[0.1, 0.2]]), (0.1, 0.2)),
+    ((0.1, 1j), (0.1, 0.2)),
+])
+def test_compare_rejects_entries_that_are_not_real_numbers(a, b):
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(InputError, match="real numbers"):
+            compare_patterns(x, y)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])

@@ -327,6 +327,12 @@ def test_level_free_commands_run_above_max_levels(capsys):
     assert code == 2 and "tabulated" in err
 
 
+def test_classify_runs_at_a_large_prime(capsys):
+    # each coefficient's regime cost comes from a vector over Z_q: a (q, q)
+    # table of step regimes would take 9.3 GiB here
+    assert run(capsys, "classify", "--q", "100003", "--generators", "1,1;1,2")[:2] == (0, "TypeI\n")
+
+
 def test_q2_cells_up_to_the_cap_run(capsys, monkeypatch):
     from wtdesigns import optimal
 

@@ -210,6 +210,10 @@ def test_williams_applies_elementwise():
 def test_add_constant_wraps():
     d = Design(5, [[4, 0]])
     assert add_constant(d, 2).rows.tolist() == [[1, 2]]
+    # every integer is a shift mod q, however large
+    assert add_constant(d, 10**30).rows.tolist() == [[4, 0]]  # 10^30 = 0 mod 5
+    assert add_constant(d, 10**30 + 2).rows.tolist() == [[1, 2]]
+    assert add_constant(d, -(10**30) - 3).rows.tolist() == [[1, 2]]
 
 
 def test_integer_input_is_refused_unless_it_is_an_integer():

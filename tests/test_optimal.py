@@ -113,9 +113,14 @@ SHIFT_SETS = [
 ]
 
 
+def _lengths(count, step):
+    """The slice lengths of range(count) cut every step items."""
+    return [step] * (count // step) + [count % step] * (count % step > 0)
+
+
 @pytest.mark.parametrize("q,C", SHIFT_SETS)
 def test_shift_betas_is_bit_identical(q, C, budget):
-    from wtdesigns.aberration import stack_bytes
+    from wtdesigns.aberration import compositions
 
     gen = GeneratorSet(q, C)
     shifts = np.array(list(product(range(q), repeat=gen.m)))
@@ -125,12 +130,24 @@ def test_shift_betas_is_bit_identical(q, C, budget):
                 [beta_k(build_design(gen, list(b), family), k) for k in ks]
                 for b in shifts
             ])
-            # stacks of 6 shift vectors: 6 divides no q^m here
-            calls = budget(6 * stack_bytes(q**2, gen.n, q, ks))
+            # beta_k_stack cuts each member stack into chunks of 6 shift vectors
+            # by its widest array per member: 6 divides no q^m here, and
+            # _member_stacks cuts by the int64 levels, 8 N n bytes a member
+            widest = max([gen.n * q + 1] + [len(compositions(k, gen.n, q - 1)) for k in ks])
+            calls = budget(6 * 8 * q**2 * widest)
+            assert len(shifts) % 6 != 0
             assert np.array_equal(shift_betas(gen, family, shifts, ks), want)
-            assert calls == [
-                ("optimal", "_member_stacks", len(shifts), [6] * (len(shifts) // 6) + [len(shifts) % 6])
+            stacks = _lengths(len(shifts), 6 * widest // gen.n)
+            assert calls == [("optimal", "_member_stacks", len(shifts), stacks)] + [
+                ("aberration", "beta_k_stack", size, _lengths(size, 6)) for size in stacks
             ]
+            # one member per chunk gives the bits of one pass
+            budget(2**40)
+            one_pass = shift_betas(gen, family, shifts, ks)
+            calls = budget(1)
+            assert np.array_equal(shift_betas(gen, family, shifts, ks).view(np.int64), one_pass.view(np.int64))
+            assert calls[0] == ("optimal", "_member_stacks", len(shifts), [1] * len(shifts))
+            assert calls[1:] == [("aberration", "beta_k_stack", 1, [1])] * len(shifts)
     # no shift vector: no stack, and still one column per degree
     empty = shift_betas(gen, "williams", np.empty((0, gen.m), dtype=int), (3, 4))
     assert empty.shape == (0, 2) and empty.dtype == np.float64
@@ -1114,7 +1131,7 @@ def closed_form_sweep(q, n, family, ks):
     """
     C = optimal._q2_coefficients(q, n)
     b = optimal._closed_form_shifts(C, q, family)
-    stacks = optimal._member_stacks(C, b, q, family, ks)
+    stacks = optimal._member_stacks(C, b, q, family)
     return C, np.concatenate([beta_k_stack(rows, ks, q) for rows in stacks])
 
 

@@ -79,6 +79,10 @@ def test_cosine_series_range_check():
         linear_poly_cosine(5, 5)
     with pytest.raises(InputError):
         linear_poly_cosine(5, -1)
+    for level in (1.5, True, "1"):
+        with pytest.raises(InputError, match="integer"):
+            linear_poly_cosine(5, level)
+    assert linear_poly_cosine(5, np.int64(1)) == linear_poly_cosine(5, 1)
 
 
 def test_basis_is_cached_and_frozen():

@@ -262,17 +262,14 @@ def test_one_closure_path():
     from wtdesigns import recursion
 
     assert not [ref for ref in _references("searchsorted") if ref[0] == "recursion"]
-    for name in ("_saturate", "_lower_types", "_CHUNK_TARGETS", "_coefficient_levels"):
+    for name in ("_saturate", "_lower_types", "_CHUNK_TARGETS", "_coefficient_levels", "_level_table"):
         assert not hasattr(recursion, name), name
-    # the level table is built once per q, and cached tables are read-only
+    # cached tables are read-only
     from wtdesigns.fieldmath import inverse_table
 
     assert not hasattr(recursion, "_field_tables")
-    level = recursion._level_table(7)
-    assert recursion._level_table(7) is level
-    assert level.shape == (7, 7) and recursion._level_table(11).shape == (11, 11)
     assert recursion._subsets(6, 2) is recursion._subsets(6, 2)
-    for table in (level, inverse_table(7), recursion._subsets(6, 2)):
+    for table in (inverse_table(7), recursion._subsets(6, 2)):
         assert not table.flags.writeable
 
 
@@ -307,8 +304,8 @@ def test_one_memory_budget():
         assert _references(name) == [], name
     assert set(_references("chunks")) == {
         ("aberration", "_pattern_by_pairs"),
+        ("aberration", "beta_k_stack"),
         ("optimal", "_member_stacks"),
-        ("optimal", "_family_ties"),
         ("optimal", "_support_table"),
         ("optimal", "_cell_orbits"),
         ("optimal", "_theorem1"),
