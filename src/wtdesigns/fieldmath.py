@@ -42,9 +42,15 @@ def int_array(values, name: str) -> np.ndarray:
     """values as an int64 array, refusing any non-integer dtype, bool included.
 
     Float, string, bool and object input is refused with InputError, not
-    truncated. An empty input passes, so the caller's shape check names it.
+    truncated, and an integer past int64 (numpy holds it as uint64 or object)
+    is refused as out of range, not wrapped. An empty input passes, so the
+    caller's shape check names it.
     """
     arr = np.asarray(values)
+    if arr.dtype in (np.uint64, np.object_):
+        past = [v for v in arr.ravel().tolist() if isinstance(v, int) and not -(2**63) <= v < 2**63]
+        if past:
+            raise InputError(f"{name} must lie in the int64 range, got {past[0]}")
     if arr.dtype.kind not in "iu" and arr.size:
         raise InputError(f"{name} must be integers, got {arr.dtype} values")
     return arr.astype(np.int64, copy=False)

@@ -45,7 +45,9 @@ from .fieldmath import (
     PrimeLevel, check_int, check_odd_prime, chunks, full_factorial, int_array, inverse_table,
 )
 from .orthopoly import check_levels, orthonormal_basis
-from .recursion import RecursiveType, _classify_stack, _span_coordinates, _subsets
+from .recursion import (
+    RecursiveType, _classify_stack, _coordinates, _cross_products, _span_coordinates, _subsets,
+)
 
 FAMILIES = ("linear", "williams")
 SEARCH_CAP = 2_000_000
@@ -231,6 +233,10 @@ def shift_betas(gen: GeneratorSet, family: str, shifts, ks) -> np.ndarray:
     shifts = int_array(shifts, "shifts")
     if shifts.ndim != 2 or shifts.shape[1] != gen.m:
         raise InputError(f"shifts must have shape (S, {gen.m}), got {shifts.shape}")
+    try:
+        ks = tuple(ks)
+    except TypeError:
+        raise InputError(f"ks must be a sequence of integers, got {ks!r}") from None
     for k in ks:
         _check_k(k, gen.n, gen.q)
     stacks = _member_stacks(gen, shifts, gen.q, family)
@@ -355,19 +361,6 @@ def _q2_coefficients(q: PrimeLevel, n: int) -> np.ndarray:
     return C.reshape(-1, m, 2)
 
 
-def _cross_products(C: np.ndarray, q: int) -> np.ndarray:
-    """X[i, j] = det(column i, column j) mod q of each set of a (B, m, 2) stack: int32 (n, n, B)."""
-    u, v = np.ascontiguousarray(column_vectors(C).transpose(2, 1, 0), dtype=np.int32)  # (n, B)
-    return (u[:, None] * v - v[:, None] * u) % q
-
-
-def _coordinates(X: np.ndarray, q: int, a, b, c) -> np.ndarray:
-    """lambda q + mu for column c = lambda a + mu b, by Cramer's rule on the _cross_products X
-    (two columns of a q^2-run set are independent): shape (..., B) for index arrays (...)."""
-    inv = inverse_table(q)[X[a, b]]
-    return X[c, b] * inv % q * q + X[a, c] * inv % q
-
-
 @lru_cache(maxsize=None)
 def _group_elements(n: int) -> tuple:
     """The 2n(n-1) Cheng-Ye group elements of _image_indices, as read-only arrays.
@@ -441,7 +434,7 @@ def _image_indices(C: np.ndarray, q: int, tables: tuple) -> np.ndarray:
     G = 2n(n-1). Row 0, the identity, holds each set's own index.
     """
     key, weight, (ab, vb, av) = tables
-    X = _cross_products(C, q).reshape(-1, len(C))  # row i n + j: X[i, j]
+    X = _cross_products(column_vectors(C), q).reshape(-1, len(C))  # row i n + j: X[i, j]
     d, e, f = (np.take(X, at, axis=0) for at in (ab, vb, av))  # (G, B), (m, G, B) twice
     k = np.take(key, (d * q + e) * q + f)
     for r in range(len(k)):  # odd-even transposition sort of each image's m keys
@@ -592,8 +585,9 @@ def _triple_survivors(C: np.ndarray, q: int, family: str, limit: int) -> tuple:
     and its shift vector, in lexicographic order within each set, (L, m).
 
     beta_3 = rho_1^6 / q^4 times the total at strength 2. A column triple c = lambda a +
-    mu b has S = q^(d-2) T[lambda q + mu, s_c - lambda s_a - mu s_b] (_triple_table,
-    _span_coordinates) and adds T^2; one of rank 3 has S = 0. Shift vectors grow one
+    mu b has S = q^(d-2) T[lambda q + mu, s_c - lambda s_a - mu s_b] (_triple_table;
+    lambda and mu by _span_coordinates, from the cross products at d = 2 and the 2x2
+    minors above) and adds T^2; one of rank 3 has S = 0. Shift vectors grow one
     dependent column at a time, each live one repeated q times with the new shift
     appended, and add the triples the new column closes; no term is negative, so a partial
     vector over the limit is dropped at once. Each step runs in fieldmath.chunks of its
@@ -601,7 +595,8 @@ def _triple_survivors(C: np.ndarray, q: int, family: str, limit: int) -> tuple:
     """
     (B, m, d), T = C.shape, _triple_table(q, family)
     pa, pb = _subsets(m + d, 2).T
-    at = _span_coordinates(column_vectors(C), q, pa, pb)
+    c1, c2 = _span_coordinates(column_vectors(C), q, pa, pb)
+    at = c1 * q + c2  # < 0 off the span, where c1 = -1
     # the shifts hold a 0 for each independent column until the end
     owner, shifts, total = np.arange(B), np.zeros((B, d), np.int64), np.zeros(B, np.int64)
     for c in range(d, d + m):
@@ -643,11 +638,13 @@ def _beta4_keys(C: np.ndarray, q: int) -> np.ndarray:
     not its levels, so they are computed once and each family's table is read at them.
     """
     n = C.shape[1] + 2
-    X = _cross_products(C, q)
+    X = _cross_products(column_vectors(C), q)
     x, y, z = _subsets(n, 3).T  # each column of each triple, in the basis of the other two
-    at_i = np.concatenate([_coordinates(X, q, *r) for r in ((y, z, x), (x, z, y), (x, y, z))])
+    triples = ((y, z, x), (x, z, y), (x, y, z))
+    at_i = np.concatenate([lam * q + mu for lam, mu in (_coordinates(X, q, *r) for r in triples)])
     a, b, c, d = _subsets(n, 4).T
-    at_j = _coordinates(X, q, a, b, c) * q * q + _coordinates(X, q, a, b, d)
+    (l1, m1), (l2, m2) = _coordinates(X, q, a, b, c), _coordinates(X, q, a, b, d)
+    at_j = ((l1 * q + m1) * q + l2) * q + m2
     keys = np.empty((len(FAMILIES), len(C)), dtype=np.int64)
     for row, family in zip(keys, FAMILIES):
         J2 = _quad_table(q, family, _shift_centre(q, family)) ** 2
@@ -778,11 +775,11 @@ def _theorem1(cells, q):
     rho = orthonormal_basis(q).rho
     lam_mu = np.stack(np.divmod(np.arange(q * q), q), axis=1)
     S = _triple_table(q, "williams")[np.arange(q * q), _closed_form_shifts(lam_mu, q, "williams")]
-    S2 = S * S
+    S2 = (S * S).reshape(q, q)  # S2[lambda, mu]
     for C in cells:
         n = C.shape[1] + 2
         for part in (C[rows] for rows in chunks(len(C), 4 * n * n)):  # the int32 X of a set
-            X = _cross_products(part, q)
+            X = _cross_products(column_vectors(part), q)
             total = sum(S2[_coordinates(X, q, a, b, c)] for a, b, c in _subsets(n, 3))
             yield from ((c, f"beta3={rho**6 * t / q**4:.3g}") for c, t in zip(part, total) if t)
 

@@ -21,10 +21,14 @@ sweeps (`count_recursive`, theorem 2) belong to `optimal`, which calls it.
 
 - Reach levels: for each unordered column pair {a, b} and column j, the
   strictest regime in which c1*w_a + c2*w_b = w_j. The pair's columns are
-  independent, so j has at most one coefficient pair. Cramer's rule on a
-  nonzero 2x2 minor of (w_a, w_b) gives it, the other coordinates confirm
-  it, and the sum of the two coefficients' costs gives its regime (0 on
-  +-1, 1 on another unit); a zero coefficient or a failed check gives 3.
+  independent, so j has at most one coefficient pair, found by Cramer's rule.
+  At d = 2 it reads the cross products X[i, j] = det(w_i, w_j): c1 =
+  X[j, b] / X[a, b] and c2 = X[a, j] / X[a, b]. Above, it reads a nonzero
+  2x2 minor of (w_a, w_b), and the other coordinates confirm the pair. The
+  sum of the two coefficients' costs gives its regime (0 on +-1, 1 on
+  another unit); a zero coefficient or a failed check gives 3. The same
+  solver places the column triples of optimal's beta_3 cut, and optimal
+  reads the cross products and their Cramer step for the q^2-run cells.
 - Closure: L[j] is the strictest regime in which a start reaches column j,
   0 on the start and 3 elsewhere. Each round lowers L[j] to the least, over
   the pairs {a, b}, of max(L[a], L[b], level of {a, b} for j). The set
@@ -89,17 +93,39 @@ def _subsets(n: int, k: int) -> np.ndarray:
     return out
 
 
-def _span_coordinates(cols: np.ndarray, q: int, pa, pb) -> np.ndarray:
-    """(B, P, n) int64: lambda q + mu where column j = lambda w_a + mu w_b, for each column
-    pair p = (pa[p], pb[p]) of a (B, n, d) stack, or -1 where j is off the pair's span.
+def _cross_products(cols: np.ndarray, q: int) -> np.ndarray:
+    """X[i, j] = det(w_i, w_j) mod q of each design of a (B, n, 2) column stack: (n, n, B),
+    int32 while it holds the product of two entries below q, and int64 above."""
+    dtype = np.int32 if q * q < 2**31 else np.int64
+    u, v = np.ascontiguousarray(cols.transpose(2, 1, 0), dtype=dtype)  # (n, B)
+    return (u[:, None] * v - v[:, None] * u) % q
 
-    The pair is independent, so some 2x2 minor of (w_a, w_b) is nonzero: Cramer's rule on
-    the first gives (lambda, mu), and at d > 2 the other coordinates confirm them. Pairs
-    run in fieldmath.chunks of their (B, C(d,2)) minors and (B, n, d) checks.
+
+def _coordinates(X: np.ndarray, q: int, a, b, c) -> tuple:
+    """(lambda, mu) with column c = lambda a + mu b, by Cramer's rule on the _cross_products X
+    (two columns of a q^2-run set are independent): two (..., B) arrays for index arrays (...)."""
+    inv = inverse_table(q)[X[a, b]]
+    return X[c, b] * inv % q, X[a, c] * inv % q
+
+
+def _span_coordinates(cols: np.ndarray, q: int, pa, pb) -> tuple:
+    """(lambda, mu), two (B, P, n) integer arrays: column j = lambda w_a + mu w_b for each
+    column pair p = (pa[p], pb[p]) of a (B, n, d) stack, and lambda = -1 where j is off the
+    pair's span.
+
+    At d = 2 the pair spans the plane, and Cramer's rule reads the cross products
+    (_coordinates); their (n, n, B) table is no larger than the output, so it needs no
+    chunks. Above, the pair is independent, so some 2x2 minor of (w_a, w_b) is nonzero:
+    Cramer's rule on the first gives (lambda, mu), and the other coordinates confirm them.
+    Pairs run in fieldmath.chunks of their (B, C(d,2)) minors and (B, n, d) checks.
     """
     B, n, d = cols.shape
+    if d == 2:
+        at = _coordinates(_cross_products(cols, q), q, pa[:, None], pb[:, None], np.arange(n))
+        return tuple(x.transpose(2, 0, 1) for x in at)
     r, s = _subsets(d, 2).T
-    rows, out = np.arange(B)[:, None], np.empty((B, len(pa), n), dtype=np.int64)
+    rows = np.arange(B)[:, None]
+    lam, mu = np.empty((2, B, len(pa), n), dtype=np.int64)
     for part in chunks(len(pa), 8 * max(B, 1) * (len(r) + n * d)):
         wa, wb = cols[:, pa[part]], cols[:, pb[part]]  # (B, p, d)
         minors = (wa[..., r] * wb[..., s] - wa[..., s] * wb[..., r]) % q
@@ -111,27 +137,23 @@ def _span_coordinates(cols: np.ndarray, q: int, pa, pb) -> np.ndarray:
         inv = inverse_table(q)[(a_r * b_s - a_s * b_r) % q]
         c1 = (wr * b_s - ws * b_r) * inv % q
         c2 = (a_r * ws - a_s * wr) * inv % q
-        out[:, part] = c1 * q + c2
-        if d > 2:  # the pair spans the plane at d = 2: nothing is left to confirm
-            off = c1[..., None] * wa[:, :, None] + c2[..., None] * wb[:, :, None] - cols[:, None]
-            out[:, part][(off % q).any(axis=3)] = -1
-    return out
+        off = c1[..., None] * wa[:, :, None] + c2[..., None] * wb[:, :, None] - cols[:, None]
+        lam[:, part], mu[:, part] = np.where((off % q).any(axis=3), -1, c1), c2
+    return lam, mu
 
 
 def _reach_levels(cols: np.ndarray, q: int, pa, pb) -> np.ndarray:
     """(B, P, n) strictest regime in which the column pair (pa[p], pb[p]), a < b, yields
-    column j; 3 marks a column the pair cannot yield (_span_coordinates -1).
+    column j; 3 marks a column the pair cannot yield (_span_coordinates' lambda = -1).
 
     The step c1*w_a + c2*w_b costs 0 per coefficient in {1, q-1}, 1 per other
     unit and 3 per zero, and its regime is the sum capped at 3. The pair is
     unordered, so type II needs a unit coefficient on either column. Off the
-    span, at = -1 gives c1 = -1, which reads the cost vector's extra last
-    entry, 3.
+    span, c1 = -1 reads the cost vector's extra last entry, 3.
     """
-    at = _span_coordinates(cols, q, pa, pb)
+    c1, c2 = _span_coordinates(cols, q, pa, pb)
     cost = np.ones(q + 1, dtype=np.int8)
     cost[[0, 1, q - 1, q]] = 3, 0, 0, 3
-    c1, c2 = np.divmod(at, q)
     return np.minimum(cost[c1] + cost[c2], 3)
 
 

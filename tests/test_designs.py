@@ -216,6 +216,16 @@ def test_add_constant_wraps():
     assert add_constant(d, -(10**30) - 3).rows.tolist() == [[1, 2]]
 
 
+def test_integers_past_int64_are_refused_as_out_of_range():
+    # numpy holds them as uint64 or object: not wrapped, and not named a non-integer
+    gen = GeneratorSet(5, [[1, 1]])
+    for b in ([10**30], [2**63], [-(2**63) - 1], np.array([2**63], dtype=np.uint64)):
+        with pytest.raises(InputError, match="int64 range, got"):
+            linear_permute(gen, b)
+    top = 2**63 - 1
+    assert linear_permute(gen, [top]).rows.tolist() == linear_permute(gen, [top % 5]).rows.tolist()
+
+
 def test_integer_input_is_refused_unless_it_is_an_integer():
     gen = GeneratorSet(5, [[1, 1]])
     d = Design(5, [[0, 1]])

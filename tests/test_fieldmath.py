@@ -156,12 +156,24 @@ def test_default_budget_keeps_the_chunk_boundaries(budget):
     count_recursive(7, 8)  # 729 sets of 28 starts x 28 pairs x 8 columns
     step = 2**18 // (28 * 28 * 8)
     assert step == 41
-    # each chunk of sets cuts its 28 column pairs, then the closure cuts its 28
-    # starts once for all of its rounds: at d = 2 the starts close as one block
+    # each chunk of sets reads its 28 column pairs off one (8, 8, 41) table of
+    # cross products, no larger than their (41, 28, 8) coordinates, so nothing
+    # cuts them; the closure cuts its 28 starts once for all of its rounds: at
+    # d = 2 the starts close as one block
     assert calls == [("recursion", "_closure_types", 729, _blocks(729, 41))] + [
-        ("recursion", "_span_coordinates", 28, [28]),
         ("recursion", "_minimax_closure", 28, [28]),
     ] * 18
+    calls.clear()
+    # above d = 2 the minors path cuts the column pairs by their (B, C(d,2))
+    # minors and (B, n, d) checks: 780 pairs of a 40-column d = 3 set at 984 bytes
+    from wtdesigns.recursion import _span_coordinates, _subsets
+
+    rows = [[1, a, b] for a in range(7) for b in range(7) if a or b][:37]
+    cols = GeneratorSet(7, rows).column_vectors()[None]
+    _span_coordinates(cols, 7, *_subsets(40, 2).T)
+    step = 2**19 // (8 * (3 + 40 * 3))
+    assert step == 532
+    assert calls == [("recursion", "_span_coordinates", 780, [532, 248])]
     calls.clear()
     _pattern_by_pairs(expand(GeneratorSet(5, [[1, 1, 1, 1]])))  # 625 runs, 21 degrees
     step = 2**19 // (8 * 21)

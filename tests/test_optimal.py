@@ -161,6 +161,16 @@ def test_shift_betas_validates_input():
         shift_betas(gen, "linear", [[0, 1]], (3,))
     with pytest.raises(InputError, match="out of range"):
         shift_betas(gen, "linear", [[0]], (13,))
+    for ks in (3, None):
+        with pytest.raises(InputError, match="sequence of integers"):
+            shift_betas(gen, "linear", [[0]], ks)
+    with pytest.raises(InputError, match="integer"):
+        shift_betas(gen, "linear", [[0]], [[3]])
+    # a generator of degrees is read once, for the checks and the columns alike
+    assert shift_betas(gen, "linear", [[0]], (k for k in (3, 4))).shape == (1, 2)
+    for b in ([10**30], [2**63], [-(2**63) - 1], np.array([2**63], dtype=np.uint64)):
+        with pytest.raises(InputError, match="int64 range"):
+            shift_betas(gen, "linear", [b], (3,))
 
 
 def test_grid_rejects_unknown_family():
@@ -1233,8 +1243,8 @@ def _table_totals(C, q):
     # theorem 1's totals: S^2 from T at the closed-form offsets, at each triple's coordinates
     lam_mu = np.stack(np.divmod(np.arange(q * q), q), axis=1)
     offsets = optimal._closed_form_shifts(lam_mu, q, "williams")
-    S2 = optimal._triple_table(q, "williams")[np.arange(q * q), offsets] ** 2
-    X = optimal._cross_products(C, q)
+    S2 = optimal._triple_table(q, "williams")[np.arange(q * q), offsets].reshape(q, q) ** 2
+    X = optimal._cross_products(column_vectors(C), q)
     triples = combinations(range(C.shape[1] + 2), 3)
     return sum(S2[optimal._coordinates(X, q, a, b, c)] for a, b, c in triples)
 

@@ -143,6 +143,62 @@ def _assert_same_reach_levels(cols, q):
     assert np.array_equal(got, _target_reach_levels(cols, q, pa, pb))
 
 
+# --- oracle: span coordinates by trying every coefficient pair --------------------
+
+def _brute_coordinates(cols, q, pa, pb):
+    """(lambda, mu) of each column j of a (B, n, d) stack against each pair (pa[p], pb[p]):
+    the one of all q^2 coefficient pairs with lambda w_a + mu w_b = w_j, or (-1, -1)."""
+    lam, mu = np.divmod(np.arange(q * q), q)
+    combo = (lam[:, None] * cols[:, pa, None] + mu[:, None] * cols[:, pb, None]) % q
+    hit = (combo[:, :, :, None] == cols[:, None, None]).all(axis=4)  # (B, P, q^2, n)
+    assert hit.sum(axis=2).max(initial=0) <= 1  # an independent pair: at most one
+    found, first = hit.any(axis=2), hit.argmax(axis=2)
+    return np.where(found, lam[first], -1), np.where(found, mu[first], -1)
+
+
+def _assert_coordinates_match(cols, q):
+    pa, pb = _subsets(cols.shape[1], 2).T
+    for rows in range(0, max(len(cols), 1), 128):
+        block = cols[rows : rows + 128]
+        lam, mu = recursion._span_coordinates(block, q, pa, pb)
+        want_lam, want_mu = _brute_coordinates(block, q, pa, pb)
+        on = want_lam >= 0  # mu is not read off the span
+        assert np.array_equal(lam, want_lam) and np.array_equal(mu[on], want_mu[on])
+
+
+PLANE_CELLS = [(3, n) for n in (3, 4)] + [(5, n) for n in range(3, 7)]
+PLANE_CELLS += [(7, n) for n in range(3, 9)]
+
+
+@pytest.mark.parametrize("q,n", PLANE_CELLS)
+def test_plane_coordinates_match_every_coefficient_pair(q, n):
+    # every set of the cell, stacked and one at a time: the d = 2 cross products
+    cols = column_vectors(_cell(q, n))
+    _assert_coordinates_match(cols, q)
+    for i in range(len(cols)):
+        _assert_coordinates_match(cols[i : i + 1], q)
+
+
+@pytest.mark.parametrize("q,n", [(11, n) for n in range(4, 8)] + [(13, n) for n in range(4, 7)])
+def test_seeded_plane_coordinates_match_every_coefficient_pair(q, n):
+    C = _cell(q, n)
+    cols = column_vectors(C[np.random.default_rng(q * 10 + n).choice(len(C), 40, replace=False)])
+    _assert_coordinates_match(cols, q)
+    for i in range(len(cols)):
+        _assert_coordinates_match(cols[i : i + 1], q)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11])
+def test_minor_coordinates_match_every_coefficient_pair(q):
+    # seeded d = 3 sets take the 2x2 minors: stacked per m, and one at a time
+    for m in range(1, 6):
+        gens = _random_sets(q, 3, m, 8, q * 100 + m)
+        cols = np.stack([g.column_vectors() for g in gens])
+        _assert_coordinates_match(cols, q)
+        for i in range(len(cols)):
+            _assert_coordinates_match(cols[i : i + 1], q)
+
+
 # --- examples ---------------------------------------------------------------------
 
 def test_classify_frozen_examples():

@@ -131,10 +131,22 @@ def test_search_q2_is_one_pass_over_the_cell(monkeypatch):
         assert calls == ["_beta4_keys", *ranking, "beta_k_stack"], (q, n)
 
 
+def _definitions(name):
+    """The modules that define a function called name."""
+    return [
+        path.stem
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name == name
+    ]
+
+
 def test_one_cross_product_matrix():
-    # every q^2 run-sum and every Cheng-Ye image reads X from one builder, one
-    # inverse table serves every Cramer step, and the float support tables
-    # serve the shift grid alone, which adds them into its grid by broadcasting
+    # one builder of X and one d = 2 Cramer step on it, both in recursion: the
+    # closure's reach levels, the beta_3 cut, every q^2 run-sum and every
+    # Cheng-Ye image read them; one inverse table serves every Cramer step, and
+    # the float support tables serve the shift grid alone, which adds them
+    # into its grid by broadcasting
     from wtdesigns import fieldmath, optimal
 
     gone = (
@@ -143,20 +155,48 @@ def test_one_cross_product_matrix():
     )
     for name in gone:
         assert not hasattr(optimal, name), name
+    for name in ("_cross_products", "_coordinates", "_span_coordinates"):
+        assert _definitions(name) == ["recursion"], name
     readers = ("_image_indices", "_beta4_keys", "_theorem1")
-    assert set(_references("_cross_products")) == {("optimal", name) for name in readers}
+    assert set(_references("_cross_products")) == {
+        ("recursion", "_span_coordinates"), *(("optimal", name) for name in readers),
+    }
     assert set(_references("_coordinates")) == {
-        ("optimal", name) for name in ("_beta4_keys", "_theorem1")
+        ("recursion", "_span_coordinates"), ("optimal", "_beta4_keys"), ("optimal", "_theorem1"),
     }
     assert _references("_support_table") == [("optimal", "shift_grid_beta")]
     assert set(_references("inverse_table")) == {
         ("recursion", "_span_coordinates"),
+        ("recursion", "_coordinates"),
         ("optimal", "_image_keys"),
-        ("optimal", "_coordinates"),
     }
     inverse = fieldmath.inverse_table(7)
     assert fieldmath.inverse_table(7) is inverse and not inverse.flags.writeable
     assert inverse.tolist() == [0, 1, 4, 5, 2, 3, 6]
+
+
+def test_minors_run_only_above_d2(monkeypatch, budget):
+    # the 2x2-minors path, the one chunks loop of _span_coordinates, is left
+    # to d > 2: classify and count read the cross products at d = 2
+    from wtdesigns import GeneratorSet, classify, count_recursive, recursion
+
+    built = []
+
+    def spy(cols, q, real=recursion._cross_products):
+        built.append(cols.shape)
+        return real(cols, q)
+
+    def minors(calls):
+        return [ref for ref in calls if ref[:2] == ("recursion", "_span_coordinates")]
+
+    monkeypatch.setattr(recursion, "_cross_products", spy)
+    calls = budget(2**19)
+    classify(GeneratorSet(7, [[1, 3], [2, 5], [1, 2]]))
+    count_recursive(5, 4)
+    assert not minors(calls) and [shape[2] for shape in built] == [2, 2]
+    built.clear()
+    classify(GeneratorSet(5, [[1, 1, 1], [1, 2, 3]]))
+    assert minors(calls) == [("recursion", "_span_coordinates", 10, [10])] and not built
 
 
 def test_one_zero_test():
@@ -186,9 +226,8 @@ def test_one_beta3_path():
     assert _references("unravel_index") == [
         ("catalog", "_reproduce_info_d"), ("catalog", "_reproduce_info_compare"),
     ]
-    # one Cramer solver on minors serves the closure's reach levels and the triples
-    # of any d; optimal._coordinates, the second, reads the q^2 cells' cross products
-    # and stays because the beta_4 keys took 2-3x longer through the first at q=11, 13
+    # one solver serves the closure's reach levels and the triples of any d: at
+    # d = 2 Cramer's rule on the cross products, above it on the 2x2 minors
     assert set(_references("_span_coordinates")) == {
         ("recursion", "_reach_levels"), ("optimal", "_triple_survivors"),
     }
