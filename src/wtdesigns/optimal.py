@@ -775,12 +775,13 @@ def _theorem1(cells, q):
     rho = orthonormal_basis(q).rho
     lam_mu = np.stack(np.divmod(np.arange(q * q), q), axis=1)
     S = _triple_table(q, "williams")[np.arange(q * q), _closed_form_shifts(lam_mu, q, "williams")]
-    S2 = (S * S).reshape(q, q)  # S2[lambda, mu]
+    S2 = S * S
     for C in cells:
         n = C.shape[1] + 2
         for part in (C[rows] for rows in chunks(len(C), 4 * n * n)):  # the int32 X of a set
             X = _cross_products(column_vectors(part), q)
-            total = sum(S2[_coordinates(X, q, a, b, c)] for a, b, c in _subsets(n, 3))
+            at = (_coordinates(X, q, a, b, c) for a, b, c in _subsets(n, 3))
+            total = sum(S2[lam * q + mu] for lam, mu in at)
             yield from ((c, f"beta3={rho**6 * t / q**4:.3g}") for c, t in zip(part, total) if t)
 
 

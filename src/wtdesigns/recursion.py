@@ -98,7 +98,8 @@ def _cross_products(cols: np.ndarray, q: int) -> np.ndarray:
     int32 while it holds the product of two entries below q, and int64 above."""
     dtype = np.int32 if q * q < 2**31 else np.int64
     u, v = np.ascontiguousarray(cols.transpose(2, 1, 0), dtype=dtype)  # (n, B)
-    return (u[:, None] * v - v[:, None] * u) % q
+    X = u[:, None] * v
+    return (X - X.transpose(1, 0, 2)) % q
 
 
 def _coordinates(X: np.ndarray, q: int, a, b, c) -> tuple:
