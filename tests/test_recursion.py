@@ -166,23 +166,19 @@ def _assert_coordinates_match(cols, q):
         assert np.array_equal(lam, want_lam) and np.array_equal(mu[on], want_mu[on])
 
 
-PLANE_CELLS = [(3, n) for n in (3, 4)] + [(5, n) for n in range(3, 7)]
-PLANE_CELLS += [(7, n) for n in range(3, 9)]
+# every set of the q <= 7 cells, and 40 seeded sets of each q = 11, 13 cell
+PLANE_CELLS = [(3, n, None) for n in (3, 4)] + [(5, n, None) for n in range(3, 7)]
+PLANE_CELLS += [(7, n, None) for n in range(3, 9)]
+PLANE_CELLS += [(11, n, 40) for n in range(4, 8)] + [(13, n, 40) for n in range(4, 7)]
 
 
-@pytest.mark.parametrize("q,n", PLANE_CELLS)
-def test_plane_coordinates_match_every_coefficient_pair(q, n):
-    # every set of the cell, stacked and one at a time: the d = 2 cross products
-    cols = column_vectors(_cell(q, n))
-    _assert_coordinates_match(cols, q)
-    for i in range(len(cols)):
-        _assert_coordinates_match(cols[i : i + 1], q)
-
-
-@pytest.mark.parametrize("q,n", [(11, n) for n in range(4, 8)] + [(13, n) for n in range(4, 7)])
-def test_seeded_plane_coordinates_match_every_coefficient_pair(q, n):
+@pytest.mark.parametrize("q,n,sample", PLANE_CELLS)
+def test_plane_coordinates_match_every_coefficient_pair(q, n, sample):
+    # the d = 2 cross products, stacked and one set at a time
     C = _cell(q, n)
-    cols = column_vectors(C[np.random.default_rng(q * 10 + n).choice(len(C), 40, replace=False)])
+    if sample:
+        C = C[np.random.default_rng(q * 10 + n).choice(len(C), sample, replace=False)]
+    cols = column_vectors(C)
     _assert_coordinates_match(cols, q)
     for i in range(len(cols)):
         _assert_coordinates_match(cols[i : i + 1], q)
